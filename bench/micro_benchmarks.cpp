@@ -1,16 +1,19 @@
 // Google-benchmark microbenchmarks for the hot paths of the library:
 // control-equation evaluation, loss-history updates, scheduler throughput,
-// feedback-timer draws and whole feedback rounds.  These guard against
+// feedback-timer draws, whole feedback rounds and modeled-block rounds.
+// These guard against
 // performance regressions that would make the large-scale figure benches
 // (1000-receiver simulations) impractical.
 
 #include <benchmark/benchmark.h>
 
 #include "analysis/feedback_round.hpp"
+#include "mcast/session.hpp"
 #include "net/builders.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/simulator.hpp"
 #include "tfmcc/feedback_timer.hpp"
+#include "tfmcc/receiver_block.hpp"
 #include "tfrc/equation.hpp"
 #include "tfrc/equation_backend.hpp"
 #include "tfrc/loss_history.hpp"
@@ -44,8 +47,9 @@ void BM_EquationBatch(benchmark::State& state,
                       const EquationBackend& backend) {
   // The sender-side per-round pattern: one equation evaluation per receiver
   // report, over a receiver set with spread RTTs and loss rates.  Exercises
-  // EquationBackend::throughput_batch — the float backend's scalar loop vs
-  // the fixed backend's table lookups with a hoisted numerator.
+  // EquationBackend::throughput_batch — the float backend, which recomputes
+  // its p-only factors for every distinct p, vs the fixed backend's table
+  // lookups with a hoisted numerator.
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng{7};
   std::vector<SimTime> rtts(n);
@@ -190,6 +194,59 @@ void BM_FeedbackRound(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_FeedbackRound)->Arg(100)->Arg(10000);
+
+void BM_ModeledBlockRound(benchmark::State& state, bool slowstart) {
+  // One ModeledReceiverBlock feedback round per iteration: a data packet
+  // opening a new round makes the block draw every eligible receiver's
+  // timer (after the equation batch, in steady state) and arm the
+  // short-list.  Items are receiver-rounds.
+  const int n = static_cast<int>(state.range(0));
+  Simulator sim{5};
+  Topology topo{sim};
+  LinkConfig link;
+  link.rate_bps = 1e9;
+  link.delay = SimTime::millis(1);
+  const Star star = make_star(topo, link, {link});
+  MulticastSession session{topo, star.sender, kTfmccDataPort};
+  ModeledReceiverBlock::BlockConfig bc;
+  bc.count = n;
+  bc.extra_owd_max = SimTime::millis(40);
+  ModeledReceiverBlock block{sim, session, star.leaves[0], bc, TfmccConfig{},
+                             sim.make_rng(9)};
+  block.join();
+  std::int64_t seqno = 0;
+  std::int32_t round = 0;
+  auto deliver = [&] {
+    Packet p;
+    p.src = star.sender;
+    p.group = session.group();
+    p.dport = kTfmccDataPort;
+    p.size_bytes = kDataPacketBytes;
+    TfmccDataHeader h;
+    h.seqno = seqno++;
+    h.round = round;
+    h.slowstart = slowstart;
+    h.send_rate_Bps = 1e9;  // above every calculated rate: all eligible
+    h.send_ts = sim.now() - SimTime::millis(20);
+    h.fb_deadline = SimTime::seconds(2.0);
+    p.header = h;
+    block.handle_packet(p);
+  };
+  // Warm-up: a receive-rate estimate, then one lost packet for a finite p.
+  for (int i = 0; i < 20; ++i) {
+    deliver();
+    sim.run_until(sim.now() + SimTime::millis(10));
+  }
+  ++seqno;
+  deliver();
+  for (auto _ : state) {
+    ++round;
+    deliver();
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK_CAPTURE(BM_ModeledBlockRound, slowstart, true)->Arg(1000)->Arg(100000);
+BENCHMARK_CAPTURE(BM_ModeledBlockRound, steady, false)->Arg(1000)->Arg(100000);
 
 }  // namespace
 

@@ -67,4 +67,25 @@ double cdf(double t, double x, const FeedbackTimerConfig& cfg) {
   return base_cdf(t, cfg.n_estimate);
 }
 
+double uniform_ceiling(double t, const FeedbackTimerConfig& cfg) {
+  constexpr double kNoCeiling = 2.0;  // u is at most 1: nothing ruled out
+  double c = 1.0;
+  switch (cfg.method) {
+    case BiasMethod::kUnbiased:
+      break;
+    case BiasMethod::kOffset:
+    case BiasMethod::kModifiedOffset:
+      if (!(cfg.zeta >= 0.0)) return kNoCeiling;
+      c = 1.0 - cfg.zeta;
+      break;
+    case BiasMethod::kModifiedN:
+      return kNoCeiling;
+  }
+  if (!(c > 0.0) || !(cfg.n_estimate > 1.0)) return kNoCeiling;
+  // base_timer is increasing in u, and u >= N^(t/c - 1) means
+  // c * base_timer(u) >= t.  The margin is absolute in log space, so it
+  // also covers the cancellation in 1 + log(u)/log(N) near t = 0.
+  return std::pow(cfg.n_estimate, t / c - 1.0) * (1.0 + 1e-9);
+}
+
 }  // namespace tfmcc::feedback_timer

@@ -34,6 +34,15 @@ double from_uniform(double u, double x, const FeedbackTimerConfig& cfg);
 /// expected-feedback-count model of fig. 4.
 double cdf(double t, double x, const FeedbackTimerConfig& cfg);
 
+/// Conservative uniform ceiling for timer value `t` (units of T): every
+/// u > uniform_ceiling(t, cfg) gives from_uniform(u, x, cfg) >= t, whatever
+/// x is.  The offset methods add a non-negative bias to c * base_timer(u)
+/// (c = 1 - zeta; 1 when unbiased), so the bound is N^(t/c - 1) plus a
+/// relative margin that absorbs log/pow rounding.  Returns a value above 1
+/// (rules nothing out) for kModifiedN, whose N depends on x, and whenever
+/// zeta < 0, c <= 0 or N <= 1 break the argument.
+double uniform_ceiling(double t, const FeedbackTimerConfig& cfg);
+
 }  // namespace feedback_timer
 
 }  // namespace tfmcc

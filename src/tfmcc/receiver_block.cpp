@@ -260,66 +260,87 @@ void ModeledReceiverBlock::on_new_round(const TfmccDataHeader& h,
   candidates_.clear();
   next_candidate_ = 0;
 
-  const int n = bcfg_.count;
-  const double send_rate = h.send_rate_Bps;
-  const int cap = candidate_cap();
-
-  // Bounded max-heap keyed on due time: only the earliest `cap` timers can
-  // possibly report (everything later is suppressed by them or by the full
-  // tier), so the other n - cap receivers never materialise as events.
-  auto heap_before = [](const Candidate& a, const Candidate& b) {
-    return a.due < b.due || (a.due == b.due && a.idx < b.idx);
-  };
-  auto consider = [&](const Candidate& c) {
-    if (candidates_.size() < static_cast<std::size_t>(cap)) {
-      candidates_.push_back(c);
-      std::push_heap(candidates_.begin(), candidates_.end(), heap_before);
-    } else if (heap_before(c, candidates_.front())) {
-      std::pop_heap(candidates_.begin(), candidates_.end(), heap_before);
-      candidates_.back() = c;
-      std::push_heap(candidates_.begin(), candidates_.end(), heap_before);
-    }
-  };
-
+  RoundDrawInput in;
+  in.n = bcfg_.count;
+  in.skip = clr_idx_;
+  in.send_rate_Bps = h.send_rate_Bps;
+  in.cap = candidate_cap();
+  in.now = now;
+  in.fb_deadline = h.fb_deadline;
   if (h.slowstart) {
     // §2.6: every receiver's receive rate matters; the rate (and therefore
     // the bias ratio) is shared across the block.
     if (!recv_rate_.has_estimate()) return;
-    double x = 1.0;
-    if (send_rate > 0.0) {
-      x = std::clamp(recv_rate_.rate_Bps(now) / send_rate, 0.0, 1.0);
-    }
-    const double own = recv_rate_.rate_Bps(now);
-    for (int i = 0; i < n; ++i) {
-      if (i == clr_idx_) continue;
-      const double t = feedback_timer::draw(x, cfg_.timer, rng_);
-      consider({now + h.fb_deadline * t, i, own});
+    in.rate_Bps = recv_rate_.rate_Bps(now);
+    if (in.send_rate_Bps > 0.0) {
+      in.x = std::clamp(in.rate_Bps / in.send_rate_Bps, 0.0, 1.0);
     }
   } else {
     // Steady state: one batched equation evaluation over the contiguous RTT
-    // array (shared p), then one timer draw per eligible receiver.
+    // array (shared p) decides each receiver's eligibility.
     const double p = loss_.loss_event_rate();
     if (p <= 0.0) return;  // calc rate infinite: nothing useful to report
     std::fill(ps_scratch_.begin(), ps_scratch_.end(), p);
     cfg_.equation->throughput_batch(cfg_.packet_bytes, rtt_.data(),
                                     ps_scratch_.data(), calc_scratch_.data(),
-                                    static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      if (i == clr_idx_) continue;
-      const double calc = calc_scratch_[static_cast<std::size_t>(i)];
-      if (!(calc < send_rate)) continue;  // ineligible (also filters +inf)
-      const double x =
-          send_rate > 0.0 ? std::clamp(calc / send_rate, 0.0, 1.0) : 1.0;
-      const double t = feedback_timer::draw(x, cfg_.timer, rng_);
-      consider({now + h.fb_deadline * t, i, calc});
+                                    static_cast<std::size_t>(in.n));
+    in.calc_Bps = calc_scratch_.data();
+  }
+  draw_candidates(in, cfg_.timer, rng_, candidates_);
+  schedule_next_candidate();
+}
+
+void draw_candidates(const RoundDrawInput& in, const FeedbackTimerConfig& timer,
+                     Rng& rng, std::vector<FeedbackCandidate>& out) {
+  out.clear();
+  const auto cap = static_cast<std::size_t>(std::max(0, in.cap));
+  const double fb_ns = static_cast<double>(in.fb_deadline.count_nanos());
+  // Bounded max-heap keyed on (due, idx): only the earliest `cap` timers can
+  // possibly report (everything later is suppressed by them or by the full
+  // tier), so the other n - cap receivers never materialise as events.
+  auto heap_before = [](const FeedbackCandidate& a, const FeedbackCandidate& b) {
+    return a.due < b.due || (a.due == b.due && a.idx < b.idx);
+  };
+  // Draws come in index order, so a full heap admits only timers due
+  // strictly before its top.  Every u above `u_skip` is due no earlier, so
+  // it is skipped before the timer transform; 2 (above any uniform01)
+  // skips nothing.
+  double u_skip = cap == 0 ? 0.0 : 2.0;
+  auto update_ceiling = [&] {
+    if (!(fb_ns > 0.0)) return;
+    const SimTime top = out.front().due - in.now;
+    u_skip = feedback_timer::uniform_ceiling(
+        static_cast<double>(top.count_nanos()) / fb_ns, timer);
+  };
+  for (int i = 0; i < in.n; ++i) {
+    if (i == in.skip) continue;
+    double rate = in.rate_Bps;
+    if (in.calc_Bps != nullptr) {
+      rate = in.calc_Bps[i];
+      if (!(rate < in.send_rate_Bps)) continue;  // ineligible (also filters +inf)
+    }
+    const double u = rng.uniform01();
+    if (u > u_skip) continue;
+    double x = in.x;
+    if (in.calc_Bps != nullptr) {
+      x = in.send_rate_Bps > 0.0 ? std::clamp(rate / in.send_rate_Bps, 0.0, 1.0)
+                                 : 1.0;
+    }
+    const FeedbackCandidate c{
+        in.now + in.fb_deadline * feedback_timer::from_uniform(u, x, timer), i,
+        rate};
+    if (out.size() < cap) {
+      out.push_back(c);
+      std::push_heap(out.begin(), out.end(), heap_before);
+      if (out.size() == cap) update_ceiling();
+    } else if (heap_before(c, out.front())) {
+      std::pop_heap(out.begin(), out.end(), heap_before);
+      out.back() = c;
+      std::push_heap(out.begin(), out.end(), heap_before);
+      update_ceiling();
     }
   }
-
-  std::sort(candidates_.begin(), candidates_.end(),
-            [](const Candidate& a, const Candidate& b) {
-              return a.due < b.due || (a.due == b.due && a.idx < b.idx);
-            });
-  schedule_next_candidate();
+  std::sort(out.begin(), out.end(), heap_before);
 }
 
 void ModeledReceiverBlock::schedule_next_candidate() {
@@ -331,7 +352,7 @@ void ModeledReceiverBlock::schedule_next_candidate() {
 
 void ModeledReceiverBlock::fire_candidate() {
   if (next_candidate_ >= candidates_.size()) return;
-  const Candidate c = candidates_[next_candidate_++];
+  const FeedbackCandidate c = candidates_[next_candidate_++];
   const SimTime now = sim_.now();
   // A receiver promoted to CLR mid-round reports periodically instead.
   if (joined_ && c.idx != clr_idx_ && !suppressed(c, now)) {
@@ -340,7 +361,8 @@ void ModeledReceiverBlock::fire_candidate() {
   schedule_next_candidate();
 }
 
-bool ModeledReceiverBlock::suppressed(const Candidate& c, SimTime now) const {
+bool ModeledReceiverBlock::suppressed(const FeedbackCandidate& c,
+                                      SimTime now) const {
   if (supp_rate_Bps_ < 0.0) return false;
   // §2.5.2 at fire time: within a round the echoed rate r only decreases,
   // and the cancellation condition own >= r * (1 - delta) is monotone in r,

@@ -31,6 +31,39 @@ struct ModeledRxInfo {
   bool is_clr() const { return (flags & kClr) != 0; }
 };
 
+/// One feedback-round contender of a modeled block: receiver `idx`, its
+/// timer's expiry and the rate it drew with.
+struct FeedbackCandidate {
+  SimTime due;
+  std::int32_t idx;
+  double calc_Bps;  // rate at draw time (fire-time check recomputes)
+};
+
+/// Plain inputs of one round's draw-and-select step (§2.5.1) over a block
+/// of `n` receivers.  Steady state passes the per-receiver calculated rates:
+/// receiver i is eligible iff calc_Bps[i] < send_rate_Bps, with ratio
+/// clamp(calc_Bps[i] / send_rate_Bps, 0, 1).  Slowstart passes nullptr:
+/// every receiver is eligible with the shared ratio `x` and rate `rate_Bps`.
+struct RoundDrawInput {
+  int n{0};
+  int skip{-1};  // receiver that draws nothing (the CLR), or -1
+  const double* calc_Bps{nullptr};
+  double send_rate_Bps{0.0};
+  double x{1.0};
+  double rate_Bps{0.0};
+  int cap{1};  // short-list size
+  SimTime now{};
+  SimTime fb_deadline{};
+};
+
+/// Draws one uniform per eligible receiver, in index order, and leaves in
+/// `out` the `cap` earliest candidates by (due, idx), ascending — exactly
+/// "draw every timer, sort, take cap".  Once the short-list is full, draws
+/// above feedback_timer::uniform_ceiling of its latest entry cannot enter
+/// it and skip the timer transform entirely.
+void draw_candidates(const RoundDrawInput& in, const FeedbackTimerConfig& timer,
+                     Rng& rng, std::vector<FeedbackCandidate>& out);
+
 /// The modeled-receiver tier of the hybrid full/model architecture.
 ///
 /// One block stands in for `count` TFMCC receivers that share a physical
@@ -43,15 +76,18 @@ struct ModeledRxInfo {
 /// happens upstream of the tap, so every modeled receiver observes the same
 /// packet stream).
 ///
-/// Per data packet the block does O(1) work.  Per feedback round it batch-
-/// draws the biased suppression timers over the contiguous receiver arrays
-/// (one equation-backend batch call for the calculated rates, one RNG draw
-/// per eligible receiver) and keeps only the earliest few contenders — the
-/// candidate short-list is sized from the analytic expected-feedback model
-/// (feedback_model::expected_messages), which bounds how many reports can
-/// survive suppression.  Only those contenders materialise as scheduler
-/// events and feedback packets; the silent majority never touches the
-/// scheduler.  Receivers the sender singles out (the CLR, echo targets) are
+/// Per data packet the block does O(1) work.  Per feedback round it draws
+/// the biased suppression timers over the contiguous receiver arrays (one
+/// equation-backend batch call for the calculated rates in steady state,
+/// one RNG draw per eligible receiver) and keeps only the earliest few
+/// contenders — the candidate short-list is sized from the analytic
+/// expected-feedback model (feedback_model::expected_messages), which bounds
+/// how many reports can survive suppression.  A round therefore costs O(n)
+/// RNG draws plus timer evaluations only for the draws below the
+/// short-list's uniform ceiling (see draw_candidates), a vanishing share once
+/// the list fills.  Only the contenders materialise as scheduler events and
+/// feedback packets; the silent majority never touches the scheduler.
+/// Receivers the sender singles out (the CLR, echo targets) are
 /// tracked individually through the same arrays, so CLR duty, RTT
 /// acquisition and suppression dynamics match the full tier.
 ///
@@ -112,12 +148,6 @@ class ModeledReceiverBlock final : public Agent {
   int candidate_cap();
 
  private:
-  struct Candidate {
-    SimTime due;
-    std::int32_t idx;
-    double calc_Bps;  // rate at draw time (fire-time check recomputes)
-  };
-
   void on_data(const Packet& p, const TfmccDataHeader& h);
   void process_losses(const TfmccDataHeader& h, std::int64_t lost);
   void process_echo(const TfmccDataHeader& h, SimTime now);
@@ -125,7 +155,7 @@ class ModeledReceiverBlock final : public Agent {
   void on_new_round(const TfmccDataHeader& h, SimTime now);
   void observe_suppression(const TfmccDataHeader& h);
   void fire_candidate();
-  bool suppressed(const Candidate& c, SimTime now) const;
+  bool suppressed(const FeedbackCandidate& c, SimTime now) const;
   void send_feedback(int idx);
   void schedule_clr_feedback();
   void schedule_next_candidate();
@@ -171,7 +201,7 @@ class ModeledReceiverBlock final : public Agent {
   bool slowstart_round_{false};
   double supp_rate_Bps_{-1.0};
   bool supp_has_loss_{false};
-  std::vector<Candidate> candidates_;  // ascending by due time
+  std::vector<FeedbackCandidate> candidates_;  // ascending by due time
   std::size_t next_candidate_{0};
   EventId cand_timer_{};
   int cand_cap_{0};  // lazily sized from the expected-feedback model

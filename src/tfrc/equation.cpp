@@ -8,14 +8,14 @@ namespace tfmcc::tcp_model {
 
 double throughput_Bps(double packet_bytes, SimTime rtt, double p, double b) {
   if (p <= 0.0) return std::numeric_limits<double>::infinity();
-  p = std::min(p, 1.0);
-  const double r = rtt.to_seconds();
-  const double t_rto = 4.0 * r;
-  const double term_cwnd = r * std::sqrt(2.0 * b * p / 3.0);
-  const double term_rto = t_rto *
-                          std::min(1.0, 3.0 * std::sqrt(3.0 * b * p / 8.0)) *
-                          p * (1.0 + 32.0 * p * p);
-  return packet_bytes / (term_cwnd + term_rto);
+  return throughput_Bps(packet_bytes, rtt.to_seconds(),
+                        loss_factors(std::min(p, 1.0), b));
+}
+
+LossFactors loss_factors(double p, double b) {
+  return {p, std::sqrt(2.0 * b * p / 3.0),
+          std::min(1.0, 3.0 * std::sqrt(3.0 * b * p / 8.0)),
+          1.0 + 32.0 * p * p};
 }
 
 double loss_for_throughput(double packet_bytes, SimTime rtt, double rate_Bps,

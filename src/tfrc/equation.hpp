@@ -25,6 +25,22 @@ namespace tcp_model {
 double throughput_Bps(double packet_bytes, SimTime rtt, double p,
                       double b = 1.0);
 
+/// The factors of `throughput_Bps` that depend on p alone (p in (0, 1]):
+///   a = sqrt(2bp/3),  m = min(1, 3*sqrt(3bp/8)),  q = 1 + 32p^2.
+/// Batches over a shared p compute them once and evaluate the overload
+/// below per RTT; the scalar call goes through the same two steps, so both
+/// paths give bit-identical results.
+struct LossFactors {
+  double p, a, m, q;
+};
+LossFactors loss_factors(double p, double b = 1.0);
+
+/// X = s / (R*a + ((4R*m)*p)*q) for RTT `rtt_s` seconds.
+inline double throughput_Bps(double packet_bytes, double rtt_s,
+                             const LossFactors& f) {
+  return packet_bytes / (rtt_s * f.a + 4.0 * rtt_s * f.m * f.p * f.q);
+}
+
 /// Loss event rate p that yields `rate_Bps` in the full model (inverse of
 /// `throughput_Bps`, solved by bisection).  Clamped to [kMinLossRate, 1].
 double loss_for_throughput(double packet_bytes, SimTime rtt, double rate_Bps,

@@ -41,13 +41,13 @@ class EquationBackend {
                                      double rate_Bps) const = 0;
 
   /// Batched SoA evaluation over a receiver block:
-  /// out[i] = throughput_Bps(packet_bytes, rtts[i], ps[i]).  The base
-  /// implementation loops the scalar call; backends override it when they
-  /// can hoist per-batch work (the fixed backend converts units once and
-  /// runs an integer-only inner loop).
+  /// out[i] = throughput_Bps(packet_bytes, rtts[i], ps[i]), bit for bit.
+  /// Backends hoist per-batch work: the float backend computes the p-only
+  /// factors once per run of equal p, the fixed backend converts units once
+  /// and runs an integer-only inner loop.
   virtual void throughput_batch(double packet_bytes, const SimTime* rtts,
                                 const double* ps, double* out_Bps,
-                                std::size_t n) const;
+                                std::size_t n) const = 0;
 };
 
 /// The process-wide backend instances (stateless, shareable across threads).

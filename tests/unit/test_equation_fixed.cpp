@@ -8,12 +8,14 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <vector>
 
 #include "tfrc/equation.hpp"
 #include "tfrc/equation_backend.hpp"
 #include "tfrc/equation_fixed.hpp"
+#include "util/rng.hpp"
 #include "util/sim_time.hpp"
 
 namespace tfmcc {
@@ -177,13 +179,48 @@ TEST(EquationBackendSeam, BatchAgreesWithScalarInterface) {
   for (std::size_t i = 0; i < rtts.size(); ++i) {
     EXPECT_EQ(out[i], b.throughput_Bps(1000.0, rtts[i], ps[i])) << "i=" << i;
   }
-  // The float backend inherits the base class's scalar loop.
   const EquationBackend& f = float_equation_backend();
   f.throughput_batch(1000.0, rtts.data(), ps.data(), out.data(),
                      rtts.size());
   for (std::size_t i = 0; i < rtts.size(); ++i) {
     EXPECT_EQ(out[i], f.throughput_Bps(1000.0, rtts[i], ps[i])) << "i=" << i;
   }
+}
+
+TEST(EquationBackendSeam, FloatBatchIsBitIdenticalToScalar) {
+  // The float batch hoists the p-only factors across runs of equal p; the
+  // modeled tier's golden outputs need it to equal the scalar call bit for
+  // bit, including the p <= 0 (+inf) and p > 1 (clamped) edges.
+  const EquationBackend& f = float_equation_backend();
+  Rng rng{31};
+  const std::size_t n = 20000;
+  std::vector<SimTime> rtts(n);
+  std::vector<double> ps(n);
+  double p = 0.01;
+  for (std::size_t i = 0; i < n; ++i) {
+    rtts[i] = SimTime::nanos(rng.uniform_int(1, 3'000'000'000));
+    // Runs of equal p (the block's shared-p shape) broken by fresh draws.
+    if (rng.bernoulli(0.2)) {
+      switch (rng.uniform_int(0, 5)) {
+        case 0: p = 0.0; break;
+        case 1: p = -rng.uniform01(); break;
+        case 2: p = 1.0 + 3.0 * rng.uniform01(); break;
+        default: p = std::pow(10.0, rng.uniform(-8.0, 0.0)); break;
+      }
+    }
+    ps[i] = p;
+  }
+  std::vector<double> out(n);
+  f.throughput_batch(1000.0, rtts.data(), ps.data(), out.data(), n);
+  int infinite = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double want = f.throughput_Bps(1000.0, rtts[i], ps[i]);
+    ASSERT_EQ(std::memcmp(&out[i], &want, sizeof want), 0)
+        << "i=" << i << " p=" << ps[i] << " batch=" << out[i]
+        << " scalar=" << want;
+    infinite += std::isinf(out[i]);
+  }
+  EXPECT_GT(infinite, 0);  // the p <= 0 edge was exercised
 }
 
 TEST(EquationBackendSeam, RegistryFindsBothBackendsAndRejectsUnknown) {

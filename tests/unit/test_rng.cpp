@@ -40,6 +40,27 @@ TEST(Rng, Uniform01NeverZero) {
   }
 }
 
+/// Rng's raw 64-bit stream as a standard uniform random bit generator.
+struct RawBits {
+  using result_type = std::uint64_t;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+  result_type operator()() { return rng.next_u64(); }
+  Rng rng;
+};
+
+TEST(Rng, Uniform01MatchesStandardDistribution) {
+  // The explicit conversion must reproduce the standard distribution bit
+  // for bit: every golden output depends on this stream.
+  Rng r{12};
+  RawBits ref{Rng{12}};
+  for (int i = 0; i < 1000000; ++i) {
+    const double want =
+        1.0 - std::uniform_real_distribution<double>{0.0, 1.0}(ref);
+    ASSERT_EQ(r.uniform01(), want) << "draw " << i;
+  }
+}
+
 TEST(Rng, Uniform01MeanIsHalf) {
   Rng r{4};
   double sum = 0.0;

@@ -54,8 +54,10 @@ SCENARIOS = [
     ("churn_flash_crowd_2000rx", "churn_flash_crowd", []),
 ]
 
-MICRO_FILTER = ("BM_SchedulerChurn|BM_EquationFull|BM_EquationBatch|"
-                "BM_LossHistoryReceive|BM_MembershipChurn")
+MICRO_FILTER = ("BM_SchedulerChurn|BM_EquationFull|BM_EquationInverse|"
+                "BM_EquationBatch|BM_LossHistoryReceive|BM_MembershipChurn|"
+                "BM_PacketPoolChurn|BM_FeedbackTimerDraw|BM_FeedbackRound|"
+                "BM_ModeledBlockRound")
 
 
 def run_micro(build_dir, min_time):
