@@ -1,5 +1,4 @@
-// Video streaming under viewer churn (graduated from
-// examples/video_streaming.cpp into the churn workload family).
+// Video streaming under viewer churn.
 //
 // The paper motivates TFMCC with applications needing a smooth, predictable
 // rate — streaming media being the canonical case (§1.1, §5).  A "video"

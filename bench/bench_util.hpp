@@ -1,15 +1,14 @@
 #pragma once
 
-// Shared support for the figure-reproduction benches.  Every bench binary
+// Shared support for the figure-reproduction benches.  Every scenario
 // prints:
 //   1. a header naming the figure it reproduces,
 //   2. a CSV trace with the same series the paper plots,
 //   3. a "CHECK" summary comparing the measured shape against the paper's
 //      qualitative claim (recorded in EXPERIMENTS.md).
 //
-// Benches define their entry point with TFMCC_SCENARIO (sim/scenario.hpp):
-// the same translation unit builds both as a standalone binary and as one
-// of the scenarios linked into the unified `tfmcc_sim` driver.
+// Benches define their entry point with TFMCC_SCENARIO (sim/scenario.hpp),
+// which registers them as scenarios of the unified `tfmcc_sim` driver.
 
 #include <algorithm>
 #include <ostream>

@@ -9,8 +9,7 @@
 //   $ tfmcc_sim sweep fig07_scaling --sweep n_receivers=2:2000:log6
 //         --replicate 5 --stats mean,cov --jobs 4
 //
-// A scenario run produces byte-identical output to the corresponding
-// standalone bench binary invoked with the same options, and a sweep's
+// A scenario run's output depends only on its options, and a sweep's
 // aggregate CSV does not depend on `--jobs`.
 
 #include <cstring>

@@ -11,10 +11,10 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <set>
 #include <vector>
 
+#include "example_args.hpp"
 #include "net/builders.hpp"
 #include "sim/simulator.hpp"
 #include "tfmcc/flow.hpp"
@@ -49,7 +49,8 @@ class MirrorState {
 int main(int argc, char** argv) {
   using namespace tfmcc::time_literals;
 
-  const std::uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 5;
+  examples::check_arg_count(argc, argv, 1, "[seed]");
+  const std::uint64_t seed = examples::arg_or(argc, argv, 1, "seed", 5);
   const int kMirrors = 12;
   const int kBlocks = 2000;  // 2000 x 1000 B = ~2 MB bundle
 

@@ -9,8 +9,8 @@
 // the library.
 
 #include <cstdio>
-#include <cstdlib>
 
+#include "example_args.hpp"
 #include "net/builders.hpp"
 #include "sim/simulator.hpp"
 #include "tfmcc/flow.hpp"
@@ -19,7 +19,8 @@ int main(int argc, char** argv) {
   using namespace tfmcc;
   using namespace tfmcc::time_literals;
 
-  const std::uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 1;
+  examples::check_arg_count(argc, argv, 1, "[seed]");
+  const std::uint64_t seed = examples::arg_or(argc, argv, 1, "seed", 1);
 
   // 1. A simulation context.  Everything derives its randomness and its
   //    notion of time from here.

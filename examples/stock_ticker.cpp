@@ -13,9 +13,9 @@
 //   $ ./examples/stock_ticker [subscribers] [seed]
 
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
+#include "example_args.hpp"
 #include "net/builders.hpp"
 #include "sim/simulator.hpp"
 #include "tfmcc/flow.hpp"
@@ -24,8 +24,10 @@ int main(int argc, char** argv) {
   using namespace tfmcc;
   using namespace tfmcc::time_literals;
 
-  const int kSubscribers = argc > 1 ? std::atoi(argv[1]) : 600;
-  const std::uint64_t seed = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 9;
+  examples::check_arg_count(argc, argv, 2, "[subscribers] [seed]");
+  const int kSubscribers = static_cast<int>(
+      examples::arg_or(argc, argv, 1, "subscribers", 600, 1, 100000));
+  const std::uint64_t seed = examples::arg_or(argc, argv, 2, "seed", 9);
 
   Simulator sim{seed};
   Topology topo{sim};

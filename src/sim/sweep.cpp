@@ -57,10 +57,9 @@ std::vector<std::string_view> split(std::string_view text, char sep) {
 
 struct PointResult {
   int rc{0};
-  /// The run's CSV content as an encoded RunTrace blob (commentary already
-  /// stripped, rows already split into cells by the worker thread), not the
-  /// raw text capture.
-  std::string trace;
+  /// The run's CSV content (commentary already stripped, rows already
+  /// split into cells by the worker thread), not the raw text capture.
+  RunTrace trace;
   std::string error;
 };
 
@@ -315,8 +314,8 @@ int run_sweep(const Scenario& scenario, const SweepOptions& sweep,
         return 2;
       }
     }
-    // Cap the grid product, not just each axis: every point's full output
-    // is buffered until aggregation.
+    // Cap the grid product, not just each axis: every point keeps a
+    // summary and its accumulated rows until the aggregate is written.
     if (axis.values.size() > kMaxGridPoints / n_points) {
       err << "error: sweep grid exceeds " << kMaxGridPoints << " points\n";
       return 2;
@@ -526,33 +525,26 @@ int run_sweep(const Scenario& scenario, const SweepOptions& sweep,
       }
     } else if (!merge_failed && point_failed[task_point(t)] == 0 &&
                (max_pf == 0 ? !any_failed : n_failed_points <= max_pf)) {
-      RunTrace trace;
-      std::string decode_err;
-      if (!RunTrace::decode(res.trace, trace, decode_err)) {
-        merge_log << "error: sweep point " << point_label(sweep.axes, point)
-                  << replicate_label(sweep, rep, n_rep)
-                  << " produced an unreadable trace: " << decode_err << '\n';
-        merge_failed = true;
-      } else if (trace.has_header()) {
-        const std::string line = trace.header_line();
+      RunTrace& trace = res.trace;
+      if (!trace.header.empty()) {
         if (header.empty()) {
-          header = line;
+          header = trace.header;
           per_point.assign(grid.size(),
                            summary::ColumnSummary{summary::split_csv(header)});
-        } else if (line != header) {
+        } else if (trace.header != header) {
           merge_log << "error: sweep point " << point_label(sweep.axes, point)
                     << replicate_label(sweep, rep, n_rep)
-                    << " emitted CSV header '" << line
+                    << " emitted CSV header '" << trace.header
                     << "' but earlier points emitted '" << header << "'\n";
           merge_failed = true;
         }
         if (!merge_failed) {
           auto& acc = per_point[task_point(t)];
-          for (std::size_t r = 0; r < trace.n_rows(); ++r) {
+          for (auto& row : trace.rows) {
             if (n_rep == 1) {
               // The raw aggregate passes ragged rows through verbatim.
-              acc.add_row_unchecked(trace.row_cells(r));
-            } else if (!acc.add_row(trace.row_cells(r), merge_log)) {
+              acc.add_row_unchecked(std::move(row));
+            } else if (!acc.add_row(std::move(row), merge_log)) {
               merge_log << "  (sweep point " << point_label(sweep.axes, point)
                         << replicate_label(sweep, rep, n_rep) << ")\n";
               merge_failed = true;
@@ -563,8 +555,7 @@ int run_sweep(const Scenario& scenario, const SweepOptions& sweep,
       }
     }
     // Folded (or unusable): release the capture.
-    res.trace.clear();
-    res.trace.shrink_to_fit();
+    res.trace = RunTrace{};
   };
 
   // Snapshot the fold state to the checkpoint file (caller holds fold_mu).
@@ -637,7 +628,7 @@ int run_sweep(const Scenario& scenario, const SweepOptions& sweep,
       }
       // Strip commentary and split cells here, in the worker, so the fold
       // (serialized behind fold_mu) only replays pre-parsed rows.
-      RunTrace::parse_text(sink.str()).encode(results[t].trace);
+      results[t].trace = RunTrace::parse_text(sink.str());
       {
         std::lock_guard<std::mutex> lock(fold_mu);
         task_ready[t] = 1;

@@ -1,53 +1,12 @@
 #include "sim/trace.hpp"
 
-#include <cstring>
+#include "analysis/summary.hpp"
 
 namespace tfmcc {
-
-namespace {
-
-// Binary layout: magic, then u32 row count (header row included), then per
-// row a u32 cell count followed by u32 length + bytes per cell.  A leading
-// 0 row count encodes the headerless (empty) trace.
-constexpr char kMagic[4] = {'T', 'F', 'B', 'T'};
-constexpr std::uint8_t kVersion = 1;
-
-void put_u32(std::string& out, std::uint32_t v) {
-  char b[4] = {static_cast<char>(v), static_cast<char>(v >> 8),
-               static_cast<char>(v >> 16), static_cast<char>(v >> 24)};
-  out.append(b, 4);
-}
-
-bool get_u32(std::string_view blob, std::size_t& at, std::uint32_t& v) {
-  if (blob.size() - at < 4) return false;
-  const unsigned char* p =
-      reinterpret_cast<const unsigned char*>(blob.data() + at);
-  v = static_cast<std::uint32_t>(p[0]) |
-      static_cast<std::uint32_t>(p[1]) << 8 |
-      static_cast<std::uint32_t>(p[2]) << 16 |
-      static_cast<std::uint32_t>(p[3]) << 24;
-  at += 4;
-  return true;
-}
-
-}  // namespace
 
 bool RunTrace::is_commentary(std::string_view line) {
   return line.empty() || line.front() == '#' ||
          line.substr(0, 6) == "CHECK " || line.substr(0, 5) == "NOTE:";
-}
-
-void RunTrace::push_line(std::string_view line) {
-  std::size_t start = 0;
-  for (;;) {
-    const std::size_t comma = line.find(',', start);
-    const std::string_view cell = line.substr(start, comma - start);
-    buf_.append(cell);
-    cell_end_.push_back(static_cast<std::uint32_t>(buf_.size()));
-    if (comma == std::string_view::npos) break;
-    start = comma + 1;
-  }
-  row_end_.push_back(static_cast<std::uint32_t>(cell_end_.size()));
 }
 
 RunTrace RunTrace::parse_text(std::string_view text) {
@@ -61,112 +20,16 @@ RunTrace RunTrace::parse_text(std::string_view text) {
                                : nl - start);
     if (nl == std::string_view::npos && line.empty()) break;
     if (!is_commentary(line)) {
-      t.push_line(line);
-      t.has_header_ = true;
+      if (t.header.empty()) {
+        t.header = line;
+      } else {
+        t.rows.push_back(summary::split_csv(line));
+      }
     }
     if (nl == std::string_view::npos) break;
     start = nl + 1;
   }
   return t;
-}
-
-std::size_t RunTrace::row_size(std::size_t r) const {
-  const std::size_t raw = r + 1;  // skip the header row
-  const std::uint32_t begin = raw == 0 ? 0 : row_end_[raw - 1];
-  return row_end_[raw] - begin;
-}
-
-std::string_view RunTrace::cell(std::size_t r, std::size_t c) const {
-  const std::size_t raw = r + 1;
-  const std::uint32_t row_begin = row_end_[raw - 1];
-  const std::uint32_t i = row_begin + static_cast<std::uint32_t>(c);
-  const std::uint32_t begin = i == 0 ? 0 : cell_end_[i - 1];
-  return std::string_view{buf_}.substr(begin, cell_end_[i] - begin);
-}
-
-std::string RunTrace::join_row(std::size_t raw_row) const {
-  if (!has_header_) return {};
-  const std::uint32_t begin = raw_row == 0 ? 0 : row_end_[raw_row - 1];
-  const std::uint32_t end = row_end_[raw_row];
-  std::string line;
-  for (std::uint32_t i = begin; i < end; ++i) {
-    if (i != begin) line += ',';
-    const std::uint32_t cb = i == 0 ? 0 : cell_end_[i - 1];
-    line.append(buf_, cb, cell_end_[i] - cb);
-  }
-  return line;
-}
-
-std::vector<std::string> RunTrace::row_cells(std::size_t r) const {
-  std::vector<std::string> cells;
-  cells.reserve(row_size(r));
-  for (std::size_t c = 0; c < row_size(r); ++c) {
-    cells.emplace_back(cell(r, c));
-  }
-  return cells;
-}
-
-void RunTrace::encode(std::string& out) const {
-  out.append(kMagic, sizeof kMagic);
-  out.push_back(static_cast<char>(kVersion));
-  put_u32(out, static_cast<std::uint32_t>(row_end_.size()));
-  std::uint32_t cell_i = 0;
-  for (std::size_t raw = 0; raw < row_end_.size(); ++raw) {
-    const std::uint32_t begin = raw == 0 ? 0 : row_end_[raw - 1];
-    put_u32(out, row_end_[raw] - begin);
-    for (; cell_i < row_end_[raw]; ++cell_i) {
-      const std::uint32_t cb = cell_i == 0 ? 0 : cell_end_[cell_i - 1];
-      const std::uint32_t len = cell_end_[cell_i] - cb;
-      put_u32(out, len);
-      out.append(buf_, cb, len);
-    }
-  }
-}
-
-bool RunTrace::decode(std::string_view blob, RunTrace& out,
-                      std::string& err) {
-  out = RunTrace{};
-  std::size_t at = 0;
-  if (blob.size() < sizeof kMagic + 1 ||
-      std::memcmp(blob.data(), kMagic, sizeof kMagic) != 0) {
-    err = "not a binary trace (bad magic)";
-    return false;
-  }
-  at = sizeof kMagic;
-  if (static_cast<std::uint8_t>(blob[at]) != kVersion) {
-    err = "unsupported binary trace version";
-    return false;
-  }
-  ++at;
-  std::uint32_t n_rows = 0;
-  if (!get_u32(blob, at, n_rows)) {
-    err = "truncated binary trace (row count)";
-    return false;
-  }
-  for (std::uint32_t raw = 0; raw < n_rows; ++raw) {
-    std::uint32_t n_cells = 0;
-    if (!get_u32(blob, at, n_cells) || n_cells == 0) {
-      err = "truncated binary trace (cell count)";
-      return false;
-    }
-    for (std::uint32_t c = 0; c < n_cells; ++c) {
-      std::uint32_t len = 0;
-      if (!get_u32(blob, at, len) || blob.size() - at < len) {
-        err = "truncated binary trace (cell data)";
-        return false;
-      }
-      out.buf_.append(blob.substr(at, len));
-      at += len;
-      out.cell_end_.push_back(static_cast<std::uint32_t>(out.buf_.size()));
-    }
-    out.row_end_.push_back(static_cast<std::uint32_t>(out.cell_end_.size()));
-  }
-  if (at != blob.size()) {
-    err = "trailing bytes after binary trace";
-    return false;
-  }
-  out.has_header_ = !out.row_end_.empty();
-  return true;
 }
 
 }  // namespace tfmcc

@@ -34,6 +34,8 @@ TFMCC_SCENARIO(test_sweep_probe, "synthetic sweep probe",
                tfmcc::param("fail", false, "exit nonzero"),
                tfmcc::param("throw_msg", "", "throw with this message"),
                tfmcc::param("alt_header", false, "emit a different header"),
+               tfmcc::param("ragged", false,
+                            "emit a data row with one cell too many"),
                tfmcc::param("interrupt_once_file", "",
                             "request a sweep interrupt once, creating this "
                             "marker file")) {
@@ -62,7 +64,11 @@ TFMCC_SCENARIO(test_sweep_probe, "synthetic sweep probe",
   if (!throw_msg.empty()) throw std::runtime_error(throw_msg);
   CsvWriter csv(os, {opts.param_or("alt_header", false) ? "other" : "x", "y",
                      "product"});
-  csv.row(x, y, static_cast<double>(x) * y);
+  if (opts.param_or("ragged", false)) {
+    os << "1,2,3,4\n";
+  } else {
+    csv.row(x, y, static_cast<double>(x) * y);
+  }
   os << "NOTE: product emitted\n";
   return 0;
 }
@@ -284,6 +290,28 @@ TEST(RunSweep, RejectsMismatchedHeadersAcrossPoints) {
   EXPECT_NE(err.find("emitted CSV header"), std::string::npos);
 }
 
+TEST(RunSweep, RaggedRowPassesThroughTheRawAggregateVerbatim) {
+  SweepOptions sweep;
+  sweep.axes = {{"ragged", {"true"}}};
+  sweep.replicate = 1;
+  EXPECT_EQ(run_probe_sweep(sweep),
+            "ragged,x,y,product\n"
+            "true,1,2,3,4\n");
+}
+
+TEST(RunSweep, RaggedRowFailsTheReplicatedAggregateWithItsRunLabel) {
+  SweepOptions sweep;
+  sweep.axes = {{"ragged", {"true"}}};
+  sweep.replicate = 2;
+  sweep.base.seed = 5;
+  std::string err;
+  EXPECT_TRUE(run_probe_sweep(sweep, 1, &err).empty());
+  EXPECT_NE(err.find("cells but the header"), std::string::npos) << err;
+  EXPECT_NE(err.find("(sweep point ragged=true replicate 1/2 (seed 5))"),
+            std::string::npos)
+      << err;
+}
+
 TEST(RunSweep, RejectsDuplicateAxisKeys) {
   // set_param is last-write-wins, so a second axis for the same key would
   // run different values than the first axis' column claims.
@@ -296,8 +324,7 @@ TEST(RunSweep, RejectsDuplicateAxisKeys) {
 }
 
 TEST(RunSweep, RejectsOversizedGridProduct) {
-  // Each axis is within the per-axis limit, but the product is not; every
-  // point's output is buffered, so the cap guards peak memory.
+  // Each axis is within the per-axis limit, but the product is not.
   const std::vector<std::string> thousand(1000, "1");
   SweepOptions sweep;
   sweep.axes = {{"x", thousand}, {"y", thousand}, {"delay_ms", thousand}};

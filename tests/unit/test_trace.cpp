@@ -1,6 +1,5 @@
-// Unit tests for the compact per-run trace (sim/trace.hpp): commentary
-// stripping, cell/row access, byte-identical row re-joining, and the
-// length-prefixed binary encoding's round trip and corruption diagnostics.
+// Unit tests for the per-run trace (sim/trace.hpp): commentary stripping,
+// header/row splitting, and empty and ragged cells surviving the split.
 
 #include "sim/trace.hpp"
 
@@ -21,46 +20,29 @@ constexpr const char* kSampleText =
     "beta,1.5,240.25\n"
     "NOTE: run complete\n";
 
+using Row = std::vector<std::string>;
+
 TEST(RunTrace, ParsesHeaderAndRowsDroppingCommentary) {
   const RunTrace t = RunTrace::parse_text(kSampleText);
-  ASSERT_TRUE(t.has_header());
-  EXPECT_EQ(t.header_line(), "flow,time_s,kbps");
-  EXPECT_EQ(t.header_cells(), 3u);
-  ASSERT_EQ(t.n_rows(), 2u);
-  EXPECT_EQ(t.cell(0, 0), "alpha");
-  EXPECT_EQ(t.cell(0, 2), "120");
-  EXPECT_EQ(t.cell(1, 1), "1.5");
-  EXPECT_EQ(t.row_cells(1),
-            (std::vector<std::string>{"beta", "1.5", "240.25"}));
-}
-
-TEST(RunTrace, RowLineReproducesTheEmittedLineByteForByte) {
-  const RunTrace t = RunTrace::parse_text(kSampleText);
-  EXPECT_EQ(t.row_line(0), "alpha,0.5,120");
-  EXPECT_EQ(t.row_line(1), "beta,1.5,240.25");
+  EXPECT_EQ(t.header, "flow,time_s,kbps");
+  EXPECT_EQ(t.rows, (std::vector<Row>{{"alpha", "0.5", "120"},
+                                      {"beta", "1.5", "240.25"}}));
 }
 
 TEST(RunTrace, EmptyCellsAndRaggedRowsSurvive) {
   const RunTrace t = RunTrace::parse_text("a,b\n1,,3\n,\n");
-  ASSERT_EQ(t.n_rows(), 2u);
-  EXPECT_EQ(t.row_size(0), 3u);
-  EXPECT_EQ(t.cell(0, 1), "");
-  EXPECT_EQ(t.row_line(0), "1,,3");
-  EXPECT_EQ(t.row_size(1), 2u);
-  EXPECT_EQ(t.row_line(1), ",");
+  EXPECT_EQ(t.rows, (std::vector<Row>{{"1", "", "3"}, {"", ""}}));
 }
 
 TEST(RunTrace, CommentaryOnlyOutputYieldsEmptyTrace) {
   const RunTrace t = RunTrace::parse_text("# nothing\nNOTE: but talk\n\n");
-  EXPECT_FALSE(t.has_header());
-  EXPECT_EQ(t.n_rows(), 0u);
-  EXPECT_EQ(t.header_line(), "");
+  EXPECT_EQ(t.header, "");
+  EXPECT_TRUE(t.rows.empty());
 }
 
 TEST(RunTrace, LastLineWithoutTrailingNewlineIsKept) {
   const RunTrace t = RunTrace::parse_text("h1,h2\n5,6");
-  ASSERT_EQ(t.n_rows(), 1u);
-  EXPECT_EQ(t.row_line(0), "5,6");
+  EXPECT_EQ(t.rows, (std::vector<Row>{{"5", "6"}}));
 }
 
 TEST(RunTrace, IsCommentaryMatchesTheScenarioConventions) {
@@ -70,58 +52,6 @@ TEST(RunTrace, IsCommentaryMatchesTheScenarioConventions) {
   EXPECT_TRUE(RunTrace::is_commentary("NOTE: warming up"));
   EXPECT_FALSE(RunTrace::is_commentary("flow,kbps"));
   EXPECT_FALSE(RunTrace::is_commentary("CHECKED,1"));
-}
-
-TEST(RunTraceBinary, EncodeDecodeRoundTripIsExact) {
-  const RunTrace original = RunTrace::parse_text(kSampleText);
-  std::string blob;
-  original.encode(blob);
-  RunTrace decoded;
-  std::string err;
-  ASSERT_TRUE(RunTrace::decode(blob, decoded, err)) << err;
-  EXPECT_EQ(decoded, original);
-  EXPECT_EQ(decoded.row_line(1), "beta,1.5,240.25");
-}
-
-TEST(RunTraceBinary, EmptyTraceRoundTrips) {
-  const RunTrace original = RunTrace::parse_text("");
-  std::string blob;
-  original.encode(blob);
-  RunTrace decoded;
-  std::string err;
-  ASSERT_TRUE(RunTrace::decode(blob, decoded, err)) << err;
-  EXPECT_FALSE(decoded.has_header());
-  EXPECT_EQ(decoded, original);
-}
-
-TEST(RunTraceBinary, BadMagicIsDiagnosed) {
-  RunTrace out;
-  std::string err;
-  EXPECT_FALSE(RunTrace::decode("NOPE\x01more-bytes", out, err));
-  EXPECT_NE(err.find("magic"), std::string::npos) << err;
-}
-
-TEST(RunTraceBinary, TruncationAtEveryPrefixIsDiagnosedNotCrashed) {
-  std::string blob;
-  RunTrace::parse_text(kSampleText).encode(blob);
-  for (std::size_t len = 0; len < blob.size(); ++len) {
-    RunTrace out;
-    std::string err;
-    EXPECT_FALSE(
-        RunTrace::decode(std::string_view{blob}.substr(0, len), out, err))
-        << "prefix of length " << len << " decoded successfully";
-    EXPECT_FALSE(err.empty());
-  }
-}
-
-TEST(RunTraceBinary, TrailingBytesAreRejected) {
-  std::string blob;
-  RunTrace::parse_text("a,b\n1,2\n").encode(blob);
-  blob += "x";
-  RunTrace out;
-  std::string err;
-  EXPECT_FALSE(RunTrace::decode(blob, out, err));
-  EXPECT_NE(err.find("trailing"), std::string::npos) << err;
 }
 
 }  // namespace
