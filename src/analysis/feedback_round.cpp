@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "tfmcc/feedback_timer.hpp"
+#include "tfmcc/receiver_core.hpp"
 
 namespace tfmcc::feedback_round {
 
@@ -61,8 +62,7 @@ RoundResult simulate(std::span<const double> values, const RoundConfig& cfg,
     bool suppressed = false;
     if (heard > 0) {
       const double v = best_by_send[heard - 1];
-      // §2.5.2: cancel iff v - x <= delta * v.
-      suppressed = (v - e.value) <= cfg.delta * v;
+      suppressed = delta_cancels(v, e.value, cfg.delta);
     }
 
     if (keep_outcomes) {

@@ -73,6 +73,20 @@ class MulticastSession {
   /// Inject a packet at the source and replicate it down the tree.
   void send_from_source(const PacketPtr& p) { topo_.node(source_).send(p); }
 
+  /// Unicast a TFMCC receiver report of `bytes` from `member` to the
+  /// source's control port.
+  void send_report(NodeId member, std::int32_t bytes,
+                   const TfmccFeedbackHeader& h) {
+    auto fb = topo_.sim().make_packet();
+    fb->src = member;
+    fb->dst = source_;
+    fb->sport = data_port_;
+    fb->dport = control_port_;
+    fb->size_bytes = bytes;
+    fb->header = h;
+    topo_.node(member).send(std::move(fb));
+  }
+
  private:
   Topology& topo_;
   NodeId source_;

@@ -1,13 +1,6 @@
 #include "tfmcc/receiver.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
-#include <memory>
-
 #include "tfmcc/feedback_timer.hpp"
-#include "tfrc/equation.hpp"
-#include "util/log.hpp"
 
 namespace tfmcc {
 
@@ -20,7 +13,7 @@ TfmccReceiver::TfmccReceiver(Simulator& sim, MulticastSession& session,
       id_{receiver_id},
       cfg_{cfg},
       rng_{std::move(rng)},
-      loss_{cfg.loss_history_depth},
+      core_{cfg},
       rtt_{cfg.initial_rtt} {}
 
 TfmccReceiver::~TfmccReceiver() {
@@ -37,46 +30,24 @@ void TfmccReceiver::join() {
   // a phantom loss burst, and a stale RTT/loss estimate would skew the
   // first reports of the new membership.  State is reset here (not in
   // leave()) so post-leave inspection of the final membership stays valid.
-  if (ever_left_) reset_membership_state();
+  // feedback_sent_ is a lifetime counter, not membership state: harnesses
+  // sum it across the whole run, so it survives rejoins.
+  if (ever_left_) {
+    core_ = ReceiverCore{cfg_};
+    rtt_ = cfg_.initial_rtt;
+    has_owd_ = false;
+  }
   session_.topology().node(self_).attach_agent(session_.data_port(), this);
   session_.join(self_);
   joined_ = true;
-}
-
-void TfmccReceiver::reset_membership_state() {
-  round_ = -1;
-  seq_ = SeqnoTracker{};
-  loss_ = LossHistory{cfg_.loss_history_depth};
-  recv_rate_.clear();
-  rtt_ = cfg_.initial_rtt;
-  has_rtt_ = false;
-  owd_rs_ = SimTime::zero();
-  has_owd_ = false;
-  is_clr_ = false;
-  last_data_send_ts_ = SimTime::zero();
-  last_data_arrival_ = SimTime::infinity();
-  last_send_rate_ = 0.0;
-  // feedback_sent_ is a lifetime counter, not membership state: harnesses
-  // sum it across the whole run, so it survives rejoins.
 }
 
 void TfmccReceiver::leave() {
   if (!joined_) return;
   // Explicit leave report (§4.2): lets the sender react in one RTT instead
   // of waiting for the CLR silence timeout.
-  auto fb = sim_.make_packet();
-  fb->src = self_;
-  fb->dst = session_.source();
-  fb->sport = session_.data_port();
-  fb->dport = session_.control_port();
-  fb->size_bytes = cfg_.feedback_bytes;
-  TfmccFeedbackHeader h;
-  h.receiver = id_;
-  h.round = round_;
-  h.leaving = true;
-  h.ts = sim_.now();
-  fb->header = h;
-  session_.topology().node(self_).send(std::move(fb));
+  session_.send_report(self_, cfg_.feedback_bytes,
+                       core_.leave_report(id_, sim_.now()));
   ++feedback_sent_;
 
   session_.leave(self_);
@@ -88,73 +59,24 @@ void TfmccReceiver::leave() {
   sim_.cancel(clr_timer_);
 }
 
-double TfmccReceiver::calc_rate_Bps() const {
-  const double p = loss_.loss_event_rate();
-  if (p <= 0.0) return std::numeric_limits<double>::infinity();
-  return cfg_.equation->throughput_Bps(cfg_.packet_bytes, rtt_, p);
-}
-
 void TfmccReceiver::handle_packet(const Packet& p) {
-  if (const auto* h = p.tfmcc_data()) on_data(p, *h);
-}
-
-void TfmccReceiver::on_data(const Packet& p, const TfmccDataHeader& h) {
+  const auto* data = p.tfmcc_data();
+  if (data == nullptr) return;
+  const TfmccDataHeader& h = *data;
   const SimTime now = sim_.now();
-
-  // Optional clock-sync RTT initialisation (§2.4.1): with (approximately)
-  // synchronised clocks the one-way delay gives a first RTT estimate of
-  // 2*(d_sr + sync error).  Simulator clocks are perfectly aligned, so the
-  // configured error bound models the NTP dispersion term.
-  if (cfg_.use_clock_sync && !has_rtt_ && seq_.received() == 0) {
-    const SimTime owd = now - h.send_ts;
-    rtt_ = 2.0 * (owd + cfg_.clock_sync_error);
-  }
-
-  // Loss detection must precede counting this packet as received, so the
-  // loss interval boundaries stay exact.
-  const auto seq_result = seq_.on_seqno(h.seqno);
-  if (seq_result.duplicate) return;
-  if (seq_result.lost > 0) process_losses(p, h, seq_result.lost);
-  loss_.on_packet_received();
-  recv_rate_.on_packet(now, p.size_bytes);
+  if (const auto init = core_.clock_sync_rtt(h, now, cfg_)) rtt_ = *init;
+  if (!core_.on_data(h, p.size_bytes, now, rtt_, cfg_)) return;
   if (observer_) observer_(now, p.size_bytes);
   if (data_observer_) data_observer_(now, h);
-
-  last_data_send_ts_ = h.send_ts;
-  last_data_arrival_ = now;
-  last_send_rate_ = h.send_rate_Bps;
 
   process_echo(h, now);
   process_one_way_delay(h, now);
   update_clr_status(h);
 
-  if (h.round != round_) on_new_round(h, now);
-  check_suppression(h);
-}
-
-void TfmccReceiver::process_losses(const Packet& p, const TfmccDataHeader& h,
-                                   std::int64_t lost) {
-  (void)p;
-  const SimTime now = sim_.now();
-  const bool first_ever = !loss_.has_loss();
-  bool new_event = false;
-  for (std::int64_t i = 0; i < lost; ++i) {
-    new_event |= loss_.on_packet_lost(now, rtt_);
-  }
-  if (first_ever && new_event) {
-    // Appendix B: synthesise the initial loss interval from the rate at
-    // which the first loss occurred.  During slowstart the sender may
-    // overshoot to at most 2x the bottleneck bandwidth, so the receive rate
-    // at first loss ~= the bottleneck rate; inverting the control equation
-    // at that rate yields the interval that makes the calculated rate equal
-    // the available bandwidth.
-    double rate_at_loss = recv_rate_.rate_Bps(now);
-    if (rate_at_loss <= 0.0) rate_at_loss = h.send_rate_Bps * 0.5;
-    if (rate_at_loss > 0.0) {
-      const double p_init = cfg_.equation->loss_for_throughput(
-          cfg_.packet_bytes, rtt_, rate_at_loss);
-      loss_.init_first_interval(1.0 / p_init);
-    }
+  if (h.round != core_.round) on_new_round(h, now);
+  if (fb_timer_.pending() &&
+      core_.suppressed(SuppressionEcho::of(h), now, rtt_, cfg_)) {
+    sim_.cancel(fb_timer_);
   }
 }
 
@@ -163,15 +85,10 @@ void TfmccReceiver::process_echo(const TfmccDataHeader& h, SimTime now) {
   const SimTime sample = now - h.echo.ts - h.echo.delay;
   if (sample <= SimTime::zero()) return;
 
-  if (!has_rtt_) {
-    const SimTime init = rtt_;
+  if (!core_.rtt_measured) {
+    const SimTime prior = rtt_;
     rtt_ = sample;
-    has_rtt_ = true;
-    // Appendix A: the loss history was aggregated with the (too high)
-    // initial RTT; remodel it with the measured RTT, then rescale the
-    // synthetic initial interval (Appendix B).
-    loss_.reaggregate(rtt_);
-    loss_.rescale_initial_interval(rtt_, init);
+    core_.on_first_rtt(rtt_, rtt_, prior);
   } else {
     const double alpha = is_clr_ ? cfg_.rtt_ewma_clr : cfg_.rtt_ewma_non_clr;
     rtt_ = sample * alpha + rtt_ * (1.0 - alpha);
@@ -185,7 +102,7 @@ void TfmccReceiver::process_echo(const TfmccDataHeader& h, SimTime now) {
 
 void TfmccReceiver::process_one_way_delay(const TfmccDataHeader& h,
                                           SimTime now) {
-  if (!has_rtt_ || !has_owd_) return;
+  if (!core_.rtt_measured || !has_owd_) return;
   if (h.echo.valid() && h.echo.receiver == id_) return;  // real sample wins
   const SimTime owd_sr = now - h.send_ts;
   const SimTime rtt_adj = owd_rs_ + owd_sr;
@@ -215,100 +132,24 @@ void TfmccReceiver::schedule_clr_feedback() {
   });
 }
 
-double TfmccReceiver::bias_ratio(const TfmccDataHeader& h) const {
-  if (h.slowstart) {
-    // §2.6: receivers cannot compute a TCP-friendly rate yet; bias by the
-    // ratio of receive rate to sending rate instead.
-    if (h.send_rate_Bps <= 0.0) return 1.0;
-    return std::clamp(recv_rate_.rate_Bps(sim_.now()) / h.send_rate_Bps, 0.0,
-                      1.0);
-  }
-  if (h.send_rate_Bps <= 0.0) return 1.0;
-  const double calc = calc_rate_Bps();
-  if (!std::isfinite(calc)) return 1.0;
-  return std::clamp(calc / h.send_rate_Bps, 0.0, 1.0);
-}
-
 void TfmccReceiver::on_new_round(const TfmccDataHeader& h, SimTime now) {
-  round_ = h.round;
+  core_.round = h.round;
   sim_.cancel(fb_timer_);
   if (is_clr_) return;  // CLR feedback is periodic, not per-round
 
-  // Eligibility: only receivers whose state is *useful* to the sender set a
-  // timer.  In steady state that means a calculated rate below the sending
-  // rate (§2.2); during slowstart every receiver's receive rate matters for
-  // the min() in the target-rate computation (§2.6).
-  bool eligible;
-  if (h.slowstart) {
-    eligible = recv_rate_.has_estimate();
-  } else {
-    const double calc = calc_rate_Bps();
-    eligible = std::isfinite(calc) && calc < h.send_rate_Bps;
-  }
-  if (!eligible) return;
-
-  const double t_units = feedback_timer::draw(bias_ratio(h), cfg_.timer, rng_);
-  (void)now;
-  const SimTime delay = h.fb_deadline * t_units;
-  fb_timer_ = sim_.in(delay, [this] { send_feedback(); });
-}
-
-void TfmccReceiver::check_suppression(const TfmccDataHeader& h) {
-  if (!fb_timer_.pending()) return;
-  if (h.round != round_ || h.supp_rate_Bps < 0.0) return;
-
-  // §2.5.2: cancel when the echoed rate r and own rate r_calc satisfy
-  //   r - r_calc <= delta * r
-  // i.e. our report would not improve on the best one by more than delta.
-  double own;
-  if (h.slowstart) {
-    // §2.6: a loss report can only be suppressed by other loss reports.
-    if (loss_.has_loss() && !h.supp_has_loss) return;
-    if (!loss_.has_loss() && h.supp_has_loss) {
-      sim_.cancel(fb_timer_);  // a loss report always beats our no-loss one
-      return;
-    }
-    own = recv_rate_.rate_Bps(sim_.now());
-  } else {
-    own = calc_rate_Bps();
-  }
-  if (h.supp_rate_Bps - own <= cfg_.delta * h.supp_rate_Bps) {
-    sim_.cancel(fb_timer_);
-  }
+  // Only receivers whose state is useful to the sender set a timer.
+  const double rate = core_.own_rate_Bps(h.slowstart, now, rtt_, cfg_);
+  if (!core_.eligible(h.slowstart, rate, h.send_rate_Bps)) return;
+  const double t_units = feedback_timer::draw(
+      bias_ratio(rate, h.send_rate_Bps), cfg_.timer, rng_);
+  fb_timer_ = sim_.in(h.fb_deadline * t_units, [this] { send_feedback(); });
 }
 
 void TfmccReceiver::send_feedback() {
   if (!joined_) return;
-  const SimTime now = sim_.now();
-
-  auto fb = sim_.make_packet();
-  fb->src = self_;
-  fb->dst = session_.source();
-  fb->sport = session_.data_port();
-  fb->dport = session_.control_port();
-  fb->size_bytes = cfg_.feedback_bytes;
-
-  TfmccFeedbackHeader h;
-  h.receiver = id_;
-  h.round = round_;
-  // -1 is the "no estimate yet" sentinel: the sender treats any negative
-  // calc rate as a keepalive / receive-rate-only report (its eff < 0
-  // branches), so the two sides agree on the encoding.
-  const double calc = calc_rate_Bps();
-  h.calc_rate_Bps = std::isfinite(calc) ? calc : -1.0;
-  h.recv_rate_Bps = recv_rate_.rate_Bps(now);
-  h.loss_event_rate = loss_.loss_event_rate();
-  h.has_rtt = has_rtt_;
-  h.rtt = rtt_;
-  h.has_loss = loss_.has_loss();
-  h.ts = now;
-  h.echo_ts = last_data_send_ts_;
-  h.echo_delay = last_data_arrival_.is_infinite()
-                     ? SimTime::zero()
-                     : now - last_data_arrival_;
-  fb->header = h;
-
-  session_.topology().node(self_).send(std::move(fb));
+  session_.send_report(self_, cfg_.feedback_bytes,
+                       core_.report(id_, rtt_, core_.rtt_measured, sim_.now(),
+                                    SimTime::zero(), cfg_));
   ++feedback_sent_;
 }
 

@@ -7,16 +7,16 @@
 #include "net/node.hpp"
 #include "sim/simulator.hpp"
 #include "tfmcc/config.hpp"
-#include "tfrc/loss_history.hpp"
-#include "tfrc/seqno_tracker.hpp"
+#include "tfmcc/receiver_core.hpp"
 #include "util/rng.hpp"
-#include "util/stats.hpp"
 
 namespace tfmcc {
 
 /// A TFMCC receiver (§2): measures its loss event rate and RTT, computes the
 /// TCP-friendly rate from the control equation, and participates in the
 /// biased feedback-suppression protocol.  Attach one per member node.
+/// The §2.3–§2.6 rules live in ReceiverCore; this agent adds the timers,
+/// the RTT estimate with its §2.4.3 adjustment, and the packet IO.
 class TfmccReceiver final : public Agent {
  public:
   TfmccReceiver(Simulator& sim, MulticastSession& session, NodeId self,
@@ -48,35 +48,26 @@ class TfmccReceiver final : public Agent {
   // --- state inspection (tests / experiment harnesses) ---------------------
   std::int32_t id() const { return id_; }
   bool joined() const { return joined_; }
-  bool has_rtt_measurement() const { return has_rtt_; }
+  bool has_rtt_measurement() const { return core_.rtt_measured; }
   SimTime rtt() const { return rtt_; }
-  double loss_event_rate() const { return loss_.loss_event_rate(); }
-  bool has_loss() const { return loss_.has_loss(); }
+  double loss_event_rate() const { return core_.loss.loss_event_rate(); }
+  bool has_loss() const { return core_.loss.has_loss(); }
   /// Rate from the control equation with current p and RTT; +inf before the
   /// first loss event.
-  double calc_rate_Bps() const;
-  double recv_rate_Bps() const { return recv_rate_.rate_Bps(sim_.now()); }
+  double calc_rate_Bps() const { return core_.calc_rate_Bps(rtt_, cfg_); }
+  double recv_rate_Bps() const { return core_.recv_rate.rate_Bps(sim_.now()); }
   bool is_clr() const { return is_clr_; }
   std::int64_t feedback_sent() const { return feedback_sent_; }
-  std::int64_t packets_received() const { return seq_.received(); }
-  std::int64_t packets_lost() const { return seq_.lost(); }
+  std::int64_t packets_received() const { return core_.seq.received(); }
+  std::int64_t packets_lost() const { return core_.seq.lost(); }
 
  private:
-  void on_data(const Packet& p, const TfmccDataHeader& h);
-  void process_losses(const Packet& p, const TfmccDataHeader& h,
-                      std::int64_t lost);
   void process_echo(const TfmccDataHeader& h, SimTime now);
   void process_one_way_delay(const TfmccDataHeader& h, SimTime now);
   void on_new_round(const TfmccDataHeader& h, SimTime now);
-  void check_suppression(const TfmccDataHeader& h);
   void update_clr_status(const TfmccDataHeader& h);
   void send_feedback();
   void schedule_clr_feedback();
-  /// Restore all per-membership measurement/round state to its
-  /// freshly-constructed values (called when rejoining after a leave).
-  void reset_membership_state();
-  /// Bias ratio x for the feedback timer (§2.5.1, §2.6).
-  double bias_ratio(const TfmccDataHeader& h) const;
 
   Simulator& sim_;
   MulticastSession& session_;
@@ -88,24 +79,15 @@ class TfmccReceiver final : public Agent {
   bool joined_{false};
   bool ever_left_{false};  // a later join() is a rejoin and resets state
 
-  // Loss measurement.
-  SeqnoTracker seq_;
-  LossHistory loss_;
-  WindowedRateMeter recv_rate_;
+  // Loss measurement, echo snapshot and round (§2.3, §2.5).
+  ReceiverCore core_;
 
   // RTT state (§2.4).
   SimTime rtt_;
-  bool has_rtt_{false};
   SimTime owd_rs_{};       // receiver->sender one-way delay (incl. skew)
   bool has_owd_{false};
 
-  // Snapshot of the latest data packet (for feedback echo fields).
-  SimTime last_data_send_ts_{};
-  SimTime last_data_arrival_{SimTime::infinity()};
-  double last_send_rate_{0.0};
-
-  // Feedback-round state (§2.5).
-  std::int32_t round_{-1};
+  // Feedback-round timers (§2.5).
   EventId fb_timer_{};
   bool is_clr_{false};
   EventId clr_timer_{};

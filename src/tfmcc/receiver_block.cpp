@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "analysis/feedback_model.hpp"
 #include "tfmcc/feedback_timer.hpp"
-#include "tfrc/equation.hpp"
 
 namespace tfmcc {
 
@@ -20,14 +18,12 @@ ModeledReceiverBlock::ModeledReceiverBlock(Simulator& sim,
       bcfg_{block_cfg},
       cfg_{cfg},
       rng_{std::move(rng)},
-      loss_{cfg.loss_history_depth} {
+      core_{cfg} {
   const auto n = static_cast<std::size_t>(bcfg_.count);
-  rtt_.assign(n, cfg_.initial_rtt);
+  reset_receivers();
   extra_owd_.resize(n);
-  flags_.assign(n, 0);
   ps_scratch_.resize(n);
   calc_scratch_.resize(n);
-  rtt_sum_s_ = cfg_.initial_rtt.to_seconds() * static_cast<double>(bcfg_.count);
   // Stratify the virtual access delays evenly over the configured span:
   // deterministic coverage of the RTT range beats sampling it (the modeled
   // tier aggregates, it does not replicate one random draw).
@@ -45,8 +41,23 @@ ModeledReceiverBlock::~ModeledReceiverBlock() {
   }
 }
 
+void ModeledReceiverBlock::reset_receivers() {
+  const auto n = static_cast<std::size_t>(bcfg_.count);
+  rtt_.assign(n, cfg_.initial_rtt);
+  flags_.assign(n, 0);
+  rtt_sum_s_ = cfg_.initial_rtt.to_seconds() * static_cast<double>(bcfg_.count);
+  with_rtt_ = 0;
+}
+
 void ModeledReceiverBlock::join() {
   if (joined_) return;
+  // A rejoin starts a fresh membership, as for the full receiver: the
+  // sequence space, loss history, RTT estimates and flags of the previous
+  // one must not leak in (the seqno gap would read as a loss burst).
+  if (ever_left_) {
+    core_ = ReceiverCore{cfg_};
+    reset_receivers();
+  }
   session_.topology().node(tap_).attach_agent(session_.data_port(), this);
   session_.join(tap_);
   session_.add_modeled(bcfg_.count);
@@ -61,25 +72,15 @@ void ModeledReceiverBlock::leave() {
   for (int i = 0; i < bcfg_.count; ++i) {
     if ((flags_[static_cast<std::size_t>(i)] & ModeledRxInfo::kReported) == 0)
       continue;
-    auto fb = sim_.make_packet();
-    fb->src = tap_;
-    fb->dst = session_.source();
-    fb->sport = session_.data_port();
-    fb->dport = session_.control_port();
-    fb->size_bytes = cfg_.feedback_bytes;
-    TfmccFeedbackHeader h;
-    h.receiver = bcfg_.base_id + i;
-    h.round = round_;
-    h.leaving = true;
-    h.ts = now;
-    fb->header = h;
-    session_.topology().node(tap_).send(std::move(fb));
+    session_.send_report(tap_, cfg_.feedback_bytes,
+                         core_.leave_report(bcfg_.base_id + i, now));
     ++feedback_sent_;
   }
   session_.remove_modeled(bcfg_.count);
   session_.leave(tap_);
   session_.topology().node(tap_).detach_agent(session_.data_port());
   joined_ = false;
+  ever_left_ = true;
   sim_.cancel(cand_timer_);
   sim_.cancel(clr_timer_);
   if (clr_idx_ >= 0) {
@@ -125,67 +126,25 @@ void ModeledReceiverBlock::set_rtt(int idx, SimTime rtt) {
   rtt_[i] = rtt;
 }
 
-double ModeledReceiverBlock::calc_rate_Bps(int idx) const {
-  const double p = loss_.loss_event_rate();
-  if (p <= 0.0) return std::numeric_limits<double>::infinity();
-  return cfg_.equation->throughput_Bps(cfg_.packet_bytes,
-                                       rtt_[static_cast<std::size_t>(idx)], p);
-}
-
 void ModeledReceiverBlock::handle_packet(const Packet& p) {
-  if (const auto* h = p.tfmcc_data()) on_data(p, *h);
-}
-
-void ModeledReceiverBlock::on_data(const Packet& p, const TfmccDataHeader& h) {
+  const auto* data = p.tfmcc_data();
+  if (data == nullptr) return;
+  const TfmccDataHeader& h = *data;
   const SimTime now = sim_.now();
-
   // Clock-sync RTT initialisation (§2.4.1), per modeled receiver: the tap's
-  // one-way delay plus each receiver's virtual access detour.
-  if (cfg_.use_clock_sync && !block_has_rtt_ && seq_.received() == 0) {
-    const SimTime owd = now - h.send_ts;
+  // estimate plus each receiver's virtual access detour.
+  if (const auto init = core_.clock_sync_rtt(h, now, cfg_)) {
     for (int i = 0; i < bcfg_.count; ++i) {
-      set_rtt(i, (owd + cfg_.clock_sync_error) * 2.0 +
-                     extra_owd_[static_cast<std::size_t>(i)] * 2.0);
+      set_rtt(i, *init + extra_owd_[static_cast<std::size_t>(i)] * 2.0);
     }
   }
-
-  const auto seq_result = seq_.on_seqno(h.seqno);
-  if (seq_result.duplicate) return;
-  if (seq_result.lost > 0) process_losses(h, seq_result.lost);
-  loss_.on_packet_received();
-  recv_rate_.on_packet(now, p.size_bytes);
-
-  last_data_send_ts_ = h.send_ts;
-  last_data_arrival_ = now;
-  last_send_rate_ = h.send_rate_Bps;
+  if (!core_.on_data(h, p.size_bytes, now, representative_rtt(), cfg_)) return;
 
   process_echo(h, now);
   update_clr_status(h);
 
-  if (h.round != round_) on_new_round(h, now);
-  observe_suppression(h);
-}
-
-void ModeledReceiverBlock::process_losses(const TfmccDataHeader& h,
-                                          std::int64_t lost) {
-  const SimTime now = sim_.now();
-  const SimTime rep = representative_rtt();
-  const bool first_ever = !loss_.has_loss();
-  bool new_event = false;
-  for (std::int64_t i = 0; i < lost; ++i) {
-    new_event |= loss_.on_packet_lost(now, rep);
-  }
-  if (first_ever && new_event) {
-    // Appendix B, shared across the block: the receivers all observed the
-    // same pre-loss receive rate.
-    double rate_at_loss = recv_rate_.rate_Bps(now);
-    if (rate_at_loss <= 0.0) rate_at_loss = h.send_rate_Bps * 0.5;
-    if (rate_at_loss > 0.0) {
-      const double p_init = cfg_.equation->loss_for_throughput(
-          cfg_.packet_bytes, rep, rate_at_loss);
-      loss_.init_first_interval(1.0 / p_init);
-    }
-  }
+  if (h.round != core_.round) on_new_round(h, now);
+  supp_.observe(h);
 }
 
 void ModeledReceiverBlock::process_echo(const TfmccDataHeader& h,
@@ -201,13 +160,13 @@ void ModeledReceiverBlock::process_echo(const TfmccDataHeader& h,
   if ((flags_[i] & ModeledRxInfo::kHasRtt) == 0) {
     flags_[i] |= ModeledRxInfo::kHasRtt;
     ++with_rtt_;
+    const SimTime prior = representative_rtt();
     set_rtt(idx, sample);
-    if (!block_has_rtt_) {
-      // Appendix A/B, once per block: the shared history was aggregated
-      // with the (too high) initial RTT; remodel with a measured one.
-      block_has_rtt_ = true;
-      loss_.reaggregate(representative_rtt());
-      loss_.rescale_initial_interval(sample, cfg_.initial_rtt);
+    // Appendix A/B, once per block: the shared history was aggregated (and
+    // its first interval synthesised) with the block's prior estimate;
+    // remodel it with a measured one.
+    if (!core_.rtt_measured) {
+      core_.on_first_rtt(representative_rtt(), sample, prior);
     }
   } else {
     const double alpha =
@@ -241,21 +200,10 @@ void ModeledReceiverBlock::schedule_clr_feedback() {
   });
 }
 
-void ModeledReceiverBlock::observe_suppression(const TfmccDataHeader& h) {
-  if (h.round != round_) return;
-  slowstart_round_ = h.slowstart;
-  if (h.supp_rate_Bps >= 0.0) {
-    supp_rate_Bps_ = h.supp_rate_Bps;
-    supp_has_loss_ = h.supp_has_loss;
-  }
-}
-
 void ModeledReceiverBlock::on_new_round(const TfmccDataHeader& h,
                                         SimTime now) {
-  round_ = h.round;
-  slowstart_round_ = h.slowstart;
-  supp_rate_Bps_ = h.supp_rate_Bps;
-  supp_has_loss_ = h.supp_has_loss;
+  core_.round = h.round;
+  supp_ = SuppressionEcho{};  // handle_packet() then observes this header
   sim_.cancel(cand_timer_);
   candidates_.clear();
   next_candidate_ = 0;
@@ -270,15 +218,13 @@ void ModeledReceiverBlock::on_new_round(const TfmccDataHeader& h,
   if (h.slowstart) {
     // §2.6: every receiver's receive rate matters; the rate (and therefore
     // the bias ratio) is shared across the block.
-    if (!recv_rate_.has_estimate()) return;
-    in.rate_Bps = recv_rate_.rate_Bps(now);
-    if (in.send_rate_Bps > 0.0) {
-      in.x = std::clamp(in.rate_Bps / in.send_rate_Bps, 0.0, 1.0);
-    }
+    in.rate_Bps = core_.recv_rate.rate_Bps(now);
+    if (!core_.eligible(true, in.rate_Bps, in.send_rate_Bps)) return;
+    in.x = bias_ratio(in.rate_Bps, in.send_rate_Bps);
   } else {
     // Steady state: one batched equation evaluation over the contiguous RTT
     // array (shared p) decides each receiver's eligibility.
-    const double p = loss_.loss_event_rate();
+    const double p = core_.loss.loss_event_rate();
     if (p <= 0.0) return;  // calc rate infinite: nothing useful to report
     std::fill(ps_scratch_.begin(), ps_scratch_.end(), p);
     cfg_.equation->throughput_batch(cfg_.packet_bytes, rtt_.data(),
@@ -317,15 +263,13 @@ void draw_candidates(const RoundDrawInput& in, const FeedbackTimerConfig& timer,
     double rate = in.rate_Bps;
     if (in.calc_Bps != nullptr) {
       rate = in.calc_Bps[i];
-      if (!(rate < in.send_rate_Bps)) continue;  // ineligible (also filters +inf)
+      // ReceiverCore::eligible's steady-state arm (also filters +inf).
+      if (!(rate < in.send_rate_Bps)) continue;
     }
     const double u = rng.uniform01();
     if (u > u_skip) continue;
-    double x = in.x;
-    if (in.calc_Bps != nullptr) {
-      x = in.send_rate_Bps > 0.0 ? std::clamp(rate / in.send_rate_Bps, 0.0, 1.0)
-                                 : 1.0;
-    }
+    const double x =
+        in.calc_Bps != nullptr ? bias_ratio(rate, in.send_rate_Bps) : in.x;
     const FeedbackCandidate c{
         in.now + in.fb_deadline * feedback_timer::from_uniform(u, x, timer), i,
         rate};
@@ -355,65 +299,30 @@ void ModeledReceiverBlock::fire_candidate() {
   const FeedbackCandidate c = candidates_[next_candidate_++];
   const SimTime now = sim_.now();
   // A receiver promoted to CLR mid-round reports periodically instead.
-  if (joined_ && c.idx != clr_idx_ && !suppressed(c, now)) {
+  // §2.5.2 is evaluated here, at fire time, against the latest echo of the
+  // round; the full tier cancels on the first packet whose echo satisfies
+  // it.  The two agree when the echoed rate only falls within the round
+  // (the rule is monotone in it) and the receiver's own rate is fixed over
+  // the round: a loss event or a moving receive rate between an echo and
+  // the fire time can make them differ.
+  if (joined_ && c.idx != clr_idx_ &&
+      !core_.suppressed(supp_, now, rtt_[static_cast<std::size_t>(c.idx)],
+                        cfg_)) {
     send_feedback(c.idx);
   }
   schedule_next_candidate();
 }
 
-bool ModeledReceiverBlock::suppressed(const FeedbackCandidate& c,
-                                      SimTime now) const {
-  if (supp_rate_Bps_ < 0.0) return false;
-  // §2.5.2 at fire time: within a round the echoed rate r only decreases,
-  // and the cancellation condition own >= r * (1 - delta) is monotone in r,
-  // so evaluating against the latest observed echo is equivalent to the
-  // full tier's cancel-on-first-satisfying-packet.
-  double own;
-  if (slowstart_round_) {
-    // §2.6: loss reports can only be suppressed by other loss reports.
-    if (loss_.has_loss() && !supp_has_loss_) return false;
-    if (!loss_.has_loss() && supp_has_loss_) return true;
-    own = recv_rate_.rate_Bps(now);
-  } else {
-    own = calc_rate_Bps(c.idx);
-  }
-  return supp_rate_Bps_ - own <= cfg_.delta * supp_rate_Bps_;
-}
-
 void ModeledReceiverBlock::send_feedback(int idx) {
   if (!joined_) return;
-  const SimTime now = sim_.now();
   const auto i = static_cast<std::size_t>(idx);
-
-  auto fb = sim_.make_packet();
-  fb->src = tap_;
-  fb->dst = session_.source();
-  fb->sport = session_.data_port();
-  fb->dport = session_.control_port();
-  fb->size_bytes = cfg_.feedback_bytes;
-
-  TfmccFeedbackHeader h;
-  h.receiver = bcfg_.base_id + idx;
-  h.round = round_;
-  const double calc = calc_rate_Bps(idx);
-  h.calc_rate_Bps = std::isfinite(calc) ? calc : -1.0;  // sentinel, as full tier
-  h.recv_rate_Bps = recv_rate_.rate_Bps(now);
-  h.loss_event_rate = loss_.loss_event_rate();
-  h.has_rtt = (flags_[i] & ModeledRxInfo::kHasRtt) != 0;
-  h.rtt = rtt_[i];
-  h.has_loss = loss_.has_loss();
-  h.ts = now;
-  h.echo_ts = last_data_send_ts_;
-  // Reduce the echo hold by the virtual detour so the sender-side sample
+  // The echo hold shrinks by the virtual detour so the sender-side sample
   // comes out at the modeled path RTT (tap RTT + 2 * extra_owd).
-  SimTime hold = last_data_arrival_.is_infinite()
-                     ? SimTime::zero()
-                     : now - last_data_arrival_;
-  hold -= extra_owd_[i] * 2.0;
-  h.echo_delay = std::max(SimTime::zero(), hold);
-  fb->header = h;
-
-  session_.topology().node(tap_).send(std::move(fb));
+  session_.send_report(
+      tap_, cfg_.feedback_bytes,
+      core_.report(bcfg_.base_id + idx, rtt_[i],
+                   (flags_[i] & ModeledRxInfo::kHasRtt) != 0, sim_.now(),
+                   extra_owd_[i] * 2.0, cfg_));
   flags_[i] |= ModeledRxInfo::kReported;
   ++feedback_sent_;
 }

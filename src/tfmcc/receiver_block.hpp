@@ -7,10 +7,8 @@
 #include "net/node.hpp"
 #include "sim/simulator.hpp"
 #include "tfmcc/config.hpp"
-#include "tfrc/loss_history.hpp"
-#include "tfrc/seqno_tracker.hpp"
+#include "tfmcc/receiver_core.hpp"
 #include "util/rng.hpp"
-#include "util/stats.hpp"
 
 namespace tfmcc {
 
@@ -71,10 +69,11 @@ void draw_candidates(const RoundDrawInput& in, const FeedbackTimerConfig& timer,
 /// heap-of-objects agents each with its own feedback timer, the block keeps
 /// flat SoA arrays of the per-receiver state that actually differs — RTT
 /// estimate, virtual access-delay offset, a flags byte (see ModeledRxInfo) —
-/// and shares the state that is identical behind one tap by construction:
-/// sequence space, loss-interval history and receive-rate meter (all loss
-/// happens upstream of the tap, so every modeled receiver observes the same
-/// packet stream).
+/// and shares the state that is identical behind one tap by construction in
+/// one ReceiverCore: sequence space, loss-interval history and receive-rate
+/// meter (all loss happens upstream of the tap, so every modeled receiver
+/// observes the same packet stream).  The receiver rules are the core's, as
+/// for the full tier.
 ///
 /// Per data packet the block does O(1) work.  Per feedback round it draws
 /// the biased suppression timers over the contiguous receiver arrays (one
@@ -87,9 +86,10 @@ void draw_candidates(const RoundDrawInput& in, const FeedbackTimerConfig& timer,
 /// short-list's uniform ceiling (see draw_candidates), a vanishing share once
 /// the list fills.  Only the contenders materialise as scheduler events and
 /// feedback packets; the silent majority never touches the scheduler.
-/// Receivers the sender singles out (the CLR, echo targets) are
-/// tracked individually through the same arrays, so CLR duty, RTT
-/// acquisition and suppression dynamics match the full tier.
+/// Receivers the sender singles out (the CLR, echo targets) are tracked
+/// individually through the same arrays.  A one-receiver block reports
+/// exactly like a full receiver only under ReceiverCore's equivalence
+/// conditions (no §2.4.3 adjustment here; §2.5.2 applied at fire time).
 ///
 /// Virtual access delays: modeled receiver i's path RTT is the tap's
 /// physical RTT plus 2 * extra_owd(i), with the offsets stratified evenly
@@ -133,11 +133,11 @@ class ModeledReceiverBlock final : public Agent {
   }
   int receivers_with_rtt() const { return with_rtt_; }
   std::int64_t feedback_sent() const { return feedback_sent_; }
-  std::int64_t packets_received() const { return seq_.received(); }
-  std::int64_t packets_lost() const { return seq_.lost(); }
-  double loss_event_rate() const { return loss_.loss_event_rate(); }
-  bool has_loss() const { return loss_.has_loss(); }
-  double recv_rate_Bps() const { return recv_rate_.rate_Bps(sim_.now()); }
+  std::int64_t packets_received() const { return core_.seq.received(); }
+  std::int64_t packets_lost() const { return core_.seq.lost(); }
+  double loss_event_rate() const { return core_.loss.loss_event_rate(); }
+  bool has_loss() const { return core_.loss.has_loss(); }
+  double recv_rate_Bps() const { return core_.recv_rate.rate_Bps(sim_.now()); }
   std::int32_t clr_id() const {
     return clr_idx_ >= 0 ? bcfg_.base_id + clr_idx_ : kInvalidReceiver;
   }
@@ -148,19 +148,16 @@ class ModeledReceiverBlock final : public Agent {
   int candidate_cap();
 
  private:
-  void on_data(const Packet& p, const TfmccDataHeader& h);
-  void process_losses(const TfmccDataHeader& h, std::int64_t lost);
   void process_echo(const TfmccDataHeader& h, SimTime now);
   void update_clr_status(const TfmccDataHeader& h);
   void on_new_round(const TfmccDataHeader& h, SimTime now);
-  void observe_suppression(const TfmccDataHeader& h);
   void fire_candidate();
-  bool suppressed(const FeedbackCandidate& c, SimTime now) const;
   void send_feedback(int idx);
   void schedule_clr_feedback();
   void schedule_next_candidate();
-  /// Calculated rate of receiver `idx` with the shared p and its own RTT.
-  double calc_rate_Bps(int idx) const;
+  /// Every receiver back to its initial RTT estimate and no flags (the
+  /// constructor, and a rejoin after leave()).
+  void reset_receivers();
   /// RTT the shared loss history aggregates with (mean over the block).
   SimTime representative_rtt() const;
   void set_rtt(int idx, SimTime rtt);
@@ -173,12 +170,11 @@ class ModeledReceiverBlock final : public Agent {
   Rng rng_;
 
   bool joined_{false};
+  bool ever_left_{false};  // a later join() is a rejoin and resets state
 
-  // Shared measurement state (identical for every receiver behind the tap).
-  SeqnoTracker seq_;
-  LossHistory loss_;
-  WindowedRateMeter recv_rate_;
-  bool block_has_rtt_{false};  // first echo re-aggregates the shared history
+  // Shared measurement state (identical for every receiver behind the tap);
+  // its rtt_measured is set by the block's first echo.
+  ReceiverCore core_;
 
   // Flat SoA per-receiver state (the only state that differs per receiver).
   std::vector<SimTime> rtt_;        // current estimate (initial_rtt at start)
@@ -191,16 +187,8 @@ class ModeledReceiverBlock final : public Agent {
   std::vector<double> ps_scratch_;
   std::vector<double> calc_scratch_;
 
-  // Snapshot of the latest data packet (feedback echo fields).
-  SimTime last_data_send_ts_{};
-  SimTime last_data_arrival_{SimTime::infinity()};
-  double last_send_rate_{0.0};
-
   // Feedback-round state.
-  std::int32_t round_{-1};
-  bool slowstart_round_{false};
-  double supp_rate_Bps_{-1.0};
-  bool supp_has_loss_{false};
+  SuppressionEcho supp_;  // latest suppression signal of this round
   std::vector<FeedbackCandidate> candidates_;  // ascending by due time
   std::size_t next_candidate_{0};
   EventId cand_timer_{};

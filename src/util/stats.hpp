@@ -103,11 +103,6 @@ class WindowedRateMeter {
   double rate_Bps(SimTime now) const;
 
   bool has_estimate() const { return size_ >= 2; }
-  void clear() {
-    head_ = 0;
-    size_ = 0;
-    window_bytes_ = 0;
-  }
 
  private:
   // Fixed ring buffer: this runs once per delivered packet for every

@@ -5,6 +5,7 @@
 #include "mcast/session.hpp"
 #include "net/builders.hpp"
 #include "sim/simulator.hpp"
+#include "tfmcc/receiver.hpp"
 #include "tfmcc/receiver_block.hpp"
 #include "util/stats.hpp"
 
@@ -14,13 +15,17 @@ namespace {
 using namespace tfmcc::time_literals;
 
 /// White-box tests of the modeled-receiver tier: craft data packets and
-/// inspect the block's shared and per-receiver (SoA) state directly.
+/// inspect the block's shared and per-receiver (SoA) state directly.  The
+/// star's second leaf hosts an optional full receiver that add_full()
+/// creates with the same id as the block's first receiver; deliver() then
+/// feeds both, for side-by-side comparisons.
 struct BlockFixture {
-  explicit BlockFixture(int count = 5) : sim{43}, topo{sim} {
+  explicit BlockFixture(int count = 5, TfmccConfig tcfg = {})
+      : sim{43}, topo{sim}, tcfg{tcfg} {
     LinkConfig cfg;
     cfg.rate_bps = 1e9;
     cfg.delay = 1_ms;
-    star = make_star(topo, cfg, {cfg});
+    star = make_star(topo, cfg, {cfg, cfg});
     session = std::make_unique<MulticastSession>(topo, star.sender,
                                                  kTfmccDataPort);
     ModeledReceiverBlock::BlockConfig bc;
@@ -29,8 +34,14 @@ struct BlockFixture {
     bc.extra_owd_min = SimTime::zero();
     bc.extra_owd_max = 40_ms;  // stratified: receiver i gets i * 10 ms
     block = std::make_unique<ModeledReceiverBlock>(
-        sim, *session, star.leaves[0], bc, TfmccConfig{}, sim.make_rng(67));
+        sim, *session, star.leaves[0], bc, tcfg, sim.make_rng(67));
     block->join();
+  }
+
+  void add_full() {
+    full = std::make_unique<TfmccReceiver>(sim, *session, star.leaves[1], 100,
+                                           tcfg, sim.make_rng(68));
+    full->join();
   }
 
   /// Deliver a crafted data packet directly to the block.
@@ -45,6 +56,7 @@ struct BlockFixture {
     if (h.fb_deadline == SimTime::zero()) h.fb_deadline = 2_sec;
     p.header = h;
     block->handle_packet(p);
+    if (full) full->handle_packet(p);
   }
 
   TfmccDataHeader data(std::int64_t seqno, double rate_kbps = 1000.0) {
@@ -61,7 +73,9 @@ struct BlockFixture {
   Topology topo;
   Star star;
   std::unique_ptr<MulticastSession> session;
+  TfmccConfig tcfg;
   std::unique_ptr<ModeledReceiverBlock> block;
+  std::unique_ptr<TfmccReceiver> full;
   std::int32_t round{1};
 };
 
@@ -211,6 +225,63 @@ TEST(ModeledReceiverBlockUnit, MulticastDeliveryCountsAllEndpoints) {
   // One physical delivery, five logical endpoints reached.
   EXPECT_EQ(tap.delivered_local(), 1);
   EXPECT_EQ(tap.delivered_endpoints(), 5);
+}
+
+TEST(ModeledReceiverBlockUnit, ClockSyncRescaleMatchesFullReceiver) {
+  // With clock sync the Appendix B first interval is synthesised with the
+  // clock-sync RTT, so the first echo must rescale it against that RTT and
+  // not against initial_rtt.
+  TfmccConfig cfg;
+  cfg.use_clock_sync = true;
+  BlockFixture f{1, cfg};
+  f.add_full();
+  for (int i = 0; i < 20; ++i) {
+    f.deliver(f.data(i));
+    f.advance(10_ms);
+  }
+  f.deliver(f.data(23));  // packets 20..22 lost
+  f.advance(10_ms);
+  ASSERT_TRUE(f.block->has_loss());
+  EXPECT_DOUBLE_EQ(f.block->loss_event_rate(), f.full->loss_event_rate());
+  auto h = f.data(24);
+  h.echo.receiver = 100;
+  h.echo.ts = f.sim.now() - 80_ms;
+  h.echo.delay = 20_ms;  // sample 60 ms
+  f.deliver(h);
+  ASSERT_TRUE(f.full->has_rtt_measurement());
+  EXPECT_EQ(f.full->rtt(), 60_ms);
+  EXPECT_EQ(f.block->rx_info(0).rtt_us, 60'000u);
+  EXPECT_LT(f.full->loss_event_rate(), 0.1);
+  EXPECT_DOUBLE_EQ(f.block->loss_event_rate(), f.full->loss_event_rate());
+}
+
+TEST(ModeledReceiverBlockUnit, RejoinStartsAFreshMembership) {
+  BlockFixture f;
+  for (int i = 0; i < 20; ++i) {
+    f.deliver(f.data(i));
+    f.advance(10_ms);
+  }
+  auto h = f.data(20);
+  h.echo.receiver = 102;
+  h.echo.ts = f.sim.now() - 80_ms;
+  f.deliver(h);
+  ASSERT_EQ(f.block->receivers_with_rtt(), 1);
+  f.block->leave();
+  f.advance(1_sec);
+  f.block->join();
+  // The sequence space moved on while the block was away; the gap is not a
+  // loss of the new membership, and no RTT of the old one survives.
+  for (int i = 500; i < 510; ++i) {
+    f.deliver(f.data(i));
+    f.advance(10_ms);
+  }
+  EXPECT_EQ(f.block->packets_received(), 10);
+  EXPECT_EQ(f.block->packets_lost(), 0);
+  EXPECT_FALSE(f.block->has_loss());
+  EXPECT_DOUBLE_EQ(f.block->loss_event_rate(), 0.0);
+  EXPECT_EQ(f.block->receivers_with_rtt(), 0);
+  EXPECT_FALSE(f.block->rx_info(2).has_rtt());
+  EXPECT_EQ(f.block->rx_info(2).rtt_us, 500'000u);
 }
 
 }  // namespace
