@@ -1,6 +1,7 @@
 // Google-benchmark microbenchmarks for the hot paths of the library:
 // control-equation evaluation, loss-history updates, scheduler throughput,
-// feedback-timer draws, whole feedback rounds and modeled-block rounds.
+// multicast fan-out, feedback-timer draws, whole feedback rounds and
+// modeled-block rounds.
 // These guard against
 // performance regressions that would make the large-scale figure benches
 // (1000-receiver simulations) impractical.
@@ -129,6 +130,44 @@ void BM_PacketPoolChurn(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_PacketPoolChurn)->Arg(16)->Arg(256);
+
+void BM_MulticastFanout(benchmark::State& state) {
+  // One multicast packet in per iteration, all n leaf deliveries out,
+  // through an n-leaf star: the hub's fan-out, the leaf links' shared
+  // transmit completion and one arrival event per copy.  Items are
+  // delivered copies; ns_per_copy is the time per delivered copy.
+  const int n = static_cast<int>(state.range(0));
+  Simulator sim{7};
+  Topology topo{sim};
+  LinkConfig link;
+  link.rate_bps = 1e9;
+  link.delay = SimTime::millis(1);
+  const Star star = make_star(topo, link, std::vector<LinkConfig>(n, link));
+  const GroupId g = topo.create_group(star.sender);
+  struct Sink final : Agent {
+    void handle_packet(const Packet&) override { ++copies; }
+    std::int64_t copies{0};
+  } sink;
+  for (NodeId leaf : star.leaves) {
+    topo.node(leaf).attach_agent(kTfmccDataPort, &sink);
+    topo.join(g, leaf);
+  }
+  for (auto _ : state) {
+    auto p = sim.make_packet();
+    p->src = star.sender;
+    p->group = g;
+    p->dport = kTfmccDataPort;
+    p->size_bytes = kDataPacketBytes;
+    topo.node(star.sender).send(p);
+    sim.run();
+    benchmark::DoNotOptimize(sink.copies);
+  }
+  state.SetItemsProcessed(sink.copies);
+  state.counters["ns_per_copy"] = benchmark::Counter(
+      static_cast<double>(sink.copies),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_MulticastFanout)->Arg(64)->Arg(1024);
 
 void BM_MembershipChurn(benchmark::State& state, MembershipMode mode) {
   // Tree maintenance under sustained membership churn: a dumbbell with n

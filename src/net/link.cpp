@@ -1,5 +1,7 @@
 #include "net/link.hpp"
 
+#include <cassert>
+
 #include "net/node.hpp"
 
 namespace tfmcc {
@@ -19,7 +21,7 @@ Link::Link(Simulator& sim, Node& to, LinkConfig cfg, Rng rng)
   }
 }
 
-void Link::send(const PacketPtr& p) {
+void Link::send(const PacketPtr& p, TransmitBatch* batch) {
   if (cfg_.loss_rate > 0.0 && rng_.bernoulli(cfg_.loss_rate)) {
     ++loss_drops_;
     return;
@@ -27,18 +29,30 @@ void Link::send(const PacketPtr& p) {
   const bool accepted = droptail_ != nullptr ? droptail_->enqueue(p)
                                              : queue_->enqueue(p);
   if (!accepted) return;
-  if (!transmitting_) start_transmission();
+  if (!transmitting_) start_transmission(batch);
 }
 
-void Link::start_transmission() {
+void Link::start_transmission(TransmitBatch* batch) {
   PacketPtr p =
       droptail_ != nullptr ? droptail_->dequeue() : queue_->dequeue();
   if (!p) return;
   transmitting_ = true;
   const SimTime tx = transmission_time(p->size_bytes);
+  // An idle link's queue is empty, so the packet just dequeued is the one
+  // the fan-out is sending.
+  if (batch != nullptr && (batch->links.empty() || batch->tx == tx)) {
+    assert(p == batch->packet);
+    batch->tx = tx;
+    batch->links.push_back(this);
+    return;
+  }
   sim_.in(tx, [this, p = std::move(p)]() mutable {
     on_transmit_complete(std::move(p));
   });
+}
+
+void Link::complete(const TransmitBatch& b) {
+  for (Link* l : b.links) l->on_transmit_complete(b.packet);
 }
 
 void Link::on_transmit_complete(PacketPtr p) {

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "net/packet.hpp"
 #include "net/queue.hpp"
@@ -31,6 +32,18 @@ struct LinkConfig {
   SimTime jitter{SimTime::zero()};
 };
 
+class Link;
+
+/// The links one multicast fan-out takes from idle to busy with the same
+/// transmission time `tx`, all sending `packet`.  Their transmissions end
+/// at the same instant and complete together in one scheduler event
+/// (Node::forward_multicast states why that keeps event order exact).
+struct TransmitBatch {
+  PacketPtr packet;
+  SimTime tx{};
+  std::vector<Link*> links;  // in fan-out order
+};
+
 /// A unidirectional point-to-point link: output queue + transmitter +
 /// propagation delay + optional Bernoulli loss model.
 ///
@@ -39,6 +52,11 @@ struct LinkConfig {
 /// the destination node.  The loss model drops packets on arrival at the
 /// link (before queueing), modelling ns-2's error-model-on-link setup used
 /// for the paper's lossy-path experiments.
+///
+/// Each transmission costs a transmit-complete event and an arrival event,
+/// except on a multicast fan-out hop: there the links the fan-out starts
+/// transmitting share one completion event (a TransmitBatch), so a copy
+/// costs about one event, its arrival.
 class Link {
  public:
   Link(Simulator& sim, Node& to, LinkConfig cfg, Rng rng);
@@ -49,8 +67,15 @@ class Link {
   /// Submit a packet for transmission (may be dropped by loss model/queue).
   /// Takes a reference so multicast fan-out shares one PacketPtr across all
   /// branches without per-branch refcount churn; the queue copies once on
-  /// accept.
-  void send(const PacketPtr& p);
+  /// accept.  With a `batch` whose packet is `p`, a transmission this call
+  /// starts joins the batch instead of scheduling its own completion when
+  /// the batch is empty or has the same transmission time; the caller then
+  /// schedules the batch's one completion event.
+  void send(const PacketPtr& p, TransmitBatch* batch = nullptr);
+
+  /// Completes every transmission in `b`, in its link order: exactly what
+  /// the links' own completion events would have done back to back.
+  static void complete(const TransmitBatch& b);
 
   const LinkConfig& config() const { return cfg_; }
   Node& destination() { return to_; }
@@ -74,7 +99,7 @@ class Link {
   void set_delay(SimTime d) { cfg_.delay = d; }
 
  private:
-  void start_transmission();
+  void start_transmission(TransmitBatch* batch = nullptr);
   void on_transmit_complete(PacketPtr p);
 
   Simulator& sim_;

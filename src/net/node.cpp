@@ -76,7 +76,7 @@ void Node::deliver_local(const PacketPtr& p) {
 void Node::forward_unicast(const PacketPtr& p) {
   Link* l = route(p->dst);
   if (l == nullptr) {
-    TFMCC_LOG(LogLevel::kWarn, SimTime::zero(), "node",
+    TFMCC_LOG(LogLevel::kWarn, topo_.sim().now(), "node",
               "node %d: no route to %d, packet dropped", id_, p->dst);
     return;
   }
@@ -85,10 +85,46 @@ void Node::forward_unicast(const PacketPtr& p) {
 }
 
 void Node::forward_multicast(const PacketPtr& p) {
-  for (Link* l : topo_.mcast_out_links(p->group, id_)) {
-    ++forwarded_;
-    l->send(p);
+  const std::vector<Link*>& out = topo_.mcast_out_links(p->group, id_);
+  if (out.empty()) return;
+  std::unique_ptr<TransmitBatch> batch;
+  if (free_batches_.empty()) {
+    batch = std::make_unique<TransmitBatch>();
+  } else {
+    batch = std::move(free_batches_.back());
+    free_batches_.pop_back();
   }
+  batch->packet = p;
+  for (Link* l : out) {
+    ++forwarded_;
+    l->send(p, batch.get());
+  }
+  if (batch->links.empty()) {
+    recycle(std::move(batch));
+    return;
+  }
+  // Why one event for the whole batch is exact: nothing but the links'
+  // completion events is scheduled while the loop above runs, so the
+  // per-link completions the batched links would each have scheduled get
+  // consecutive sequence numbers at one timestamp, now + tx.  Any other
+  // event at that time was scheduled before the loop (and runs before
+  // them) or after it (and runs after them), and whatever a completion
+  // schedules gets a later sequence number, so those events always ran
+  // back to back in link order.  Link::complete runs them in that order
+  // inside one event: arrival insertions, jitter draws, set_delay
+  // sampling and the follow-on start_transmission calls all happen in the
+  // same order as before.  Only Scheduler::executed() sees the difference.
+  const SimTime tx = batch->tx;
+  topo_.sim().in(tx, [this, b = std::move(batch)]() mutable {
+    Link::complete(*b);
+    recycle(std::move(b));
+  });
+}
+
+void Node::recycle(std::unique_ptr<TransmitBatch> b) {
+  b->packet = nullptr;
+  b->links.clear();
+  free_batches_.push_back(std::move(b));
 }
 
 }  // namespace tfmcc

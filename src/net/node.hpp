@@ -1,15 +1,16 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
+#include "net/link.hpp"
 #include "net/packet.hpp"
 #include "util/sim_time.hpp"
 
 namespace tfmcc {
 
-class Link;
 class Topology;
 
 /// A protocol endpoint attached to a node port (TCP sender/sink, TFMCC
@@ -62,6 +63,7 @@ class Node {
   void deliver_local(const PacketPtr& p);
   void forward_unicast(const PacketPtr& p);
   void forward_multicast(const PacketPtr& p);
+  void recycle(std::unique_ptr<TransmitBatch> b);
 
   Topology& topo_;
   NodeId id_;
@@ -69,6 +71,9 @@ class Node {
   // beats a hash map for the per-delivery port lookup.
   std::vector<std::pair<PortId, Agent*>> agents_;
   std::vector<Link*> routes_;  // indexed by destination NodeId
+  // Cleared fan-out batches for reuse: one per fan-out still in
+  // transmission at peak, so steady-state fan-out allocates nothing.
+  std::vector<std::unique_ptr<TransmitBatch>> free_batches_;
   std::int64_t forwarded_{0};
   std::int64_t delivered_local_{0};
   std::int64_t delivered_endpoints_{0};

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "net/builders.hpp"
@@ -196,6 +197,55 @@ TEST(Node, ForwardsThroughIntermediateNode) {
   ASSERT_EQ(agent.uids.size(), 1u);
   EXPECT_GT(topo.node(mid).forwarded(), 0);
   EXPECT_GE(agent.times[0], 4_ms);  // two propagation hops
+}
+
+TEST(Node, NoRouteWarningCarriesTheCurrentTime) {
+  Simulator sim{1};
+  Topology topo{sim};
+  const NodeId a = topo.add_node();
+  const NodeId b = topo.add_node();  // no link: unreachable from a
+  topo.compute_routes();
+  sim.at(SimTime::millis(2500), [&] {
+    topo.node(a).send(make_unicast(sim, a, b, 5, 100));
+  });
+  testing::internal::CaptureStderr();
+  sim.run();
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("no route"), std::string::npos) << err;
+  EXPECT_NE(err.find("[  2.500000]"), std::string::npos) << err;
+  EXPECT_EQ(err.find("[  0.000000]"), std::string::npos) << err;
+}
+
+TEST(Node, MulticastFanoutCompletesInOneEvent) {
+  // One multicast packet through a 64-leaf star with equal leaf rates: the
+  // sender hop costs its transmit-complete and arrival events, then the
+  // hub's fan-out costs one shared completion event plus one arrival per
+  // leaf.
+  constexpr int kLeaves = 64;
+  Simulator sim{1};
+  Topology topo{sim};
+  LinkConfig cfg;
+  cfg.rate_bps = 10e6;
+  cfg.delay = 2_ms;
+  const Star star =
+      make_star(topo, cfg, std::vector<LinkConfig>(kLeaves, cfg));
+  const GroupId g = topo.create_group(star.sender);
+  std::vector<std::unique_ptr<RecordingAgent>> agents;
+  for (NodeId leaf : star.leaves) {
+    agents.push_back(std::make_unique<RecordingAgent>(sim));
+    topo.node(leaf).attach_agent(5, agents.back().get());
+    topo.join(g, leaf);
+  }
+  auto p = make_heap_packet();
+  p->uid = sim.next_uid();
+  p->src = star.sender;
+  p->group = g;
+  p->dport = 5;
+  p->size_bytes = 1000;
+  topo.node(star.sender).send(p);
+  sim.run();
+  for (const auto& agent : agents) EXPECT_EQ(agent->uids.size(), 1u);
+  EXPECT_EQ(sim.scheduler().executed(), 2u + 1u + kLeaves);
 }
 
 }  // namespace

@@ -2,8 +2,9 @@
 // overhaul: generation-counted handles (no ABA through slot reuse), true
 // in-place cancellation, the small-buffer EventCallback, and the
 // zero-heap-allocation steady state of schedule_in + step and of the
-// per-simulator packet pool.  The allocation tests count through a global
-// operator new override, which is why this suite lives in its own binary.
+// per-simulator packet pool and of multicast fan-out.  The allocation tests
+// count through a global operator new override, which is why this suite
+// lives in its own binary.
 
 #include "sim/scheduler.hpp"
 
@@ -14,6 +15,8 @@
 #include <new>
 #include <vector>
 
+#include "net/builders.hpp"
+#include "net/topology.hpp"
 #include "sim/simulator.hpp"
 
 namespace {
@@ -32,19 +35,47 @@ struct AllocationCounter {
 
 }  // namespace
 
-void* operator new(std::size_t size) {
+// Kept out of line: once a replacement is inlined, GCC sees malloc() or
+// free() paired with operator new/delete and warns (-Wmismatched-new-delete).
+[[gnu::noinline]] void* operator new(std::size_t size) {
   ++g_allocations;
   void* p = std::malloc(size == 0 ? 1 : size);
   if (p == nullptr) throw std::bad_alloc{};
   return p;
 }
 
-void* operator new[](std::size_t size) { return ::operator new(size); }
+[[gnu::noinline]] void* operator new[](std::size_t size) {
+  return ::operator new(size);
+}
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// The nothrow forms (std::stable_sort's temporary buffer uses them) must
+// come from the same malloc the replaced deletes free into.
+[[gnu::noinline]] void* operator new(std::size_t size,
+                                     const std::nothrow_t&) noexcept {
+  ++g_allocations;
+  return std::malloc(size == 0 ? 1 : size);
+}
+[[gnu::noinline]] void* operator new[](std::size_t size,
+                                       const std::nothrow_t& tag) noexcept {
+  return ::operator new(size, tag);
+}
+
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p,
+                                       const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p,
+                                         const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace tfmcc {
 namespace {
@@ -298,6 +329,52 @@ TEST(SchedulerPool, PacketPoolRecyclesSteadyStateCheckouts) {
   EXPECT_EQ(sim.packet_pool().heap_allocations(), warm_heap)
       << "pool checkout touched the global heap in steady state";
   EXPECT_EQ(counter.delta(), 0u);
+}
+
+// --- multicast fan-out --------------------------------------------------------
+
+TEST(SchedulerPool, MulticastFanoutDoesNotAllocateAfterWarmup) {
+  // Bursts of multicast packets through a 64-leaf star: besides scheduler
+  // slots and pooled packets, each fan-out takes a completion batch from
+  // the hub's free list, several of them in flight at once.
+  constexpr int kLeaves = 64;
+  constexpr int kBurst = 4;
+  Simulator sim{1};
+  Topology topo{sim};
+  LinkConfig cfg;
+  cfg.rate_bps = 10e6;
+  cfg.delay = 2_ms;
+  const Star star =
+      make_star(topo, cfg, std::vector<LinkConfig>(kLeaves, cfg));
+  const GroupId g = topo.create_group(star.sender);
+  struct CountingAgent final : Agent {
+    void handle_packet(const Packet&) override { ++count; }
+    std::int64_t count{0};
+  } agent;
+  for (NodeId leaf : star.leaves) {
+    topo.node(leaf).attach_agent(5, &agent);
+    topo.join(g, leaf);
+  }
+  auto fan_out = [&](int rounds) {
+    for (int r = 0; r < rounds; ++r) {
+      for (int i = 0; i < kBurst; ++i) {
+        auto p = sim.make_packet();
+        p->src = star.sender;
+        p->group = g;
+        p->dport = 5;
+        p->size_bytes = 1000;
+        topo.node(star.sender).send(p);
+      }
+      sim.run();
+    }
+  };
+  fan_out(4);  // warm-up
+  const std::size_t warm_heap = sim.packet_pool().heap_allocations();
+  AllocationCounter counter;
+  fan_out(50);
+  EXPECT_EQ(counter.delta(), 0u) << "multicast fan-out allocated in steady state";
+  EXPECT_EQ(sim.packet_pool().heap_allocations(), warm_heap);
+  EXPECT_EQ(agent.count, std::int64_t{54} * kBurst * kLeaves);
 }
 
 TEST(SchedulerPool, PacketPoolStampsUidAndCreationTime) {
