@@ -77,7 +77,6 @@ TFMCC_SCENARIO(
   mobile.delay = 60_ms;
   mobile.loss_rate = mobile_loss;
   const Star star = make_star(topo, trunk, {campus, cable, dsl, mobile});
-  topo.compute_routes();
 
   TfmccFlow stream{sim, topo, star.sender, cfg};
   for (int i = 0; i < 3; ++i) {

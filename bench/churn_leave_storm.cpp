@@ -54,7 +54,6 @@ TFMCC_SCENARIO(
   acc.delay = 2_ms;
   acc.jitter = bench::kPhaseJitter;
   Dumbbell d = make_dumbbell(topo, 1, n_rx, bn, acc);
-  topo.compute_routes();
 
   TfmccFlow tfmcc{sim, topo, d.left_hosts[0], cfg};
   std::vector<int> ids;

@@ -1,7 +1,7 @@
 // Google-benchmark microbenchmarks for the hot paths of the library:
 // control-equation evaluation, loss-history updates, scheduler throughput,
-// multicast fan-out, feedback-timer draws, whole feedback rounds and
-// modeled-block rounds.
+// multicast fan-out, route computation, feedback-timer draws, whole
+// feedback rounds and modeled-block rounds.
 // These guard against
 // performance regressions that would make the large-scale figure benches
 // (1000-receiver simulations) impractical.
@@ -168,6 +168,40 @@ void BM_MulticastFanout(benchmark::State& state) {
       benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_MulticastFanout)->Arg(64)->Arg(1024);
+
+void BM_ComputeRoutes(benchmark::State& state) {
+  // Unicast route computation on a fig. 12-shaped topology: a sender and
+  // two core routers joined by a bottleneck, then n leaf hosts on the far
+  // router with access delays spread over 8..48 ms.  The two routers run
+  // Dijkstra; every leaf (and the sender) takes its one link as a default
+  // route.  Items are nodes routed.
+  const int n = static_cast<int>(state.range(0));
+  Simulator sim{7};
+  Topology topo{sim};
+  LinkConfig access;
+  access.rate_bps = 1e9;
+  access.delay = SimTime::millis(2);
+  LinkConfig bottleneck = access;
+  bottleneck.rate_bps = 1e6;
+  bottleneck.delay = SimTime::millis(20);
+  const NodeId src = topo.add_node();
+  const NodeId left = topo.add_node();
+  const NodeId right = topo.add_node();
+  topo.add_duplex_link(src, left, access);
+  topo.add_duplex_link(left, right, bottleneck);
+  Rng rng{3};
+  for (int i = 0; i < n; ++i) {
+    LinkConfig a = access;
+    a.delay = SimTime::millis(rng.uniform_int(8, 48));
+    topo.add_duplex_link(right, topo.add_node(), a);
+  }
+  for (auto _ : state) {
+    topo.compute_routes();
+    benchmark::DoNotOptimize(topo.node(src).route(right));
+  }
+  state.SetItemsProcessed(state.iterations() * topo.node_count());
+}
+BENCHMARK(BM_ComputeRoutes)->Arg(1000)->Arg(4000);
 
 void BM_MembershipChurn(benchmark::State& state, MembershipMode mode) {
   // Tree maintenance under sustained membership churn: a dumbbell with n

@@ -53,7 +53,6 @@ TFMCC_SCENARIO(
   acc.delay = 2_ms;
   acc.jitter = bench::kPhaseJitter;
   Dumbbell d = make_dumbbell(topo, n_sessions, n_rx, bn, acc);
-  topo.compute_routes();
 
   SessionManager mgr{sim, topo};
   for (int s = 0; s < n_sessions; ++s) {

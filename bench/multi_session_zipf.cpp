@@ -56,7 +56,6 @@ TFMCC_SCENARIO(
   acc.delay = 2_ms;
   acc.jitter = bench::kPhaseJitter;
   Dumbbell d = make_dumbbell(topo, n_sessions, max_rx, bn, acc);
-  topo.compute_routes();
 
   SessionManager mgr{sim, topo};
   std::vector<int> sizes;

@@ -6,6 +6,9 @@
 
 namespace tfmcc {
 
+// Both builders return with routes computed (Topology::compute_routes has
+// run), so callers need not call it again unless they add nodes or links.
+
 /// The classic single-bottleneck ("dumbbell") topology of fig. 8: n_left
 /// sender hosts and n_right receiver hosts joined by one bottleneck link
 /// between two routers.

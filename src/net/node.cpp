@@ -25,13 +25,24 @@ void Node::detach_agent(PortId port) {
   }
 }
 
-void Node::set_route(NodeId dst, Link* next_hop) {
-  const auto idx = static_cast<std::size_t>(dst);
-  if (routes_.size() <= idx) routes_.resize(idx + 1, nullptr);
-  routes_[idx] = next_hop;
+void Node::set_route_table(std::vector<Link*> table) {
+  default_route_ = nullptr;
+  default_route_span_ = 0;
+  routes_ = std::move(table);
+}
+
+void Node::set_default_route(Link* next_hop, NodeId span) {
+  default_route_ = next_hop;
+  default_route_span_ = span;
+  routes_ = {};
 }
 
 Link* Node::route(NodeId dst) const {
+  if (default_route_ != nullptr) {
+    return (dst >= 0 && dst < default_route_span_ && dst != id_)
+               ? default_route_
+               : nullptr;
+  }
   const auto idx = static_cast<std::size_t>(dst);
   return idx < routes_.size() ? routes_[idx] : nullptr;
 }

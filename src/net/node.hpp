@@ -48,8 +48,8 @@ class Node {
   /// Entry point for agents sending a packet originating at this node.
   void send(const PacketPtr& p);
 
-  /// Routing: next-hop link for a unicast destination.
-  void set_route(NodeId dst, Link* next_hop);
+  /// Routing: next-hop link for a unicast destination, nullptr when there
+  /// is none (unreachable, the node itself, or out of range).
   Link* route(NodeId dst) const;
 
   std::int64_t forwarded() const { return forwarded_; }
@@ -60,6 +60,14 @@ class Node {
   std::int64_t delivered_endpoints() const { return delivered_endpoints_; }
 
  private:
+  // Routing state is written only by Topology::compute_routes; each setter
+  // replaces the other kind, so a node never holds both.
+  friend class Topology;
+  /// A dense next-hop table indexed by destination NodeId.
+  void set_route_table(std::vector<Link*> table);
+  /// `next_hop` for every destination in [0, span) except this node.
+  void set_default_route(Link* next_hop, NodeId span);
+
   void deliver_local(const PacketPtr& p);
   void forward_unicast(const PacketPtr& p);
   void forward_multicast(const PacketPtr& p);
@@ -70,6 +78,11 @@ class Node {
   // A node hosts a handful of agents at most; a flat (port, agent) table
   // beats a hash map for the per-delivery port lookup.
   std::vector<std::pair<PortId, Agent*>> agents_;
+  // A node with one outgoing link whose neighbour reaches every node has
+  // no routing choice and keeps only that link; any other node keeps a
+  // table.
+  Link* default_route_{nullptr};
+  NodeId default_route_span_{0};
   std::vector<Link*> routes_;  // indexed by destination NodeId
   // Cleared fan-out batches for reuse: one per fan-out still in
   // transmission at peak, so steady-state fan-out allocates nothing.

@@ -59,11 +59,10 @@ Link* Topology::link_between(NodeId from, NodeId to) {
 }
 
 void Topology::compute_routes() {
-  // Dijkstra from every node.  Cost = (propagation delay, hop count); the
+  // Per-source Dijkstra.  Cost = (propagation delay, hop count); the
   // heap's deterministic tie-break on node id keeps route choice stable
-  // across runs.  The distance table and heap storage are hoisted out of
-  // the per-source loop and reused, so an n-node topology does O(1)
-  // allocations here instead of O(n).
+  // across runs.  The distance table and heap storage are shared by all
+  // sources.
   const int n = node_count();
   struct Dist {
     std::int64_t delay_ns = std::numeric_limits<std::int64_t>::max();
@@ -75,17 +74,20 @@ void Topology::compute_routes() {
   std::vector<QE> pq;
   pq.reserve(static_cast<std::size_t>(n) * 2);
   const auto heap_greater = std::greater<>{};
-  for (NodeId src = 0; src < n; ++src) {
+  // Installs src's route table; returns whether src reaches all n nodes.
+  const auto dijkstra = [&](NodeId src) {
     dist.assign(static_cast<std::size_t>(n), Dist{});
     pq.clear();
     dist[static_cast<std::size_t>(src)] = {0, 0, nullptr};
     pq.emplace_back(0, 0, src);
+    int reached = 0;
     while (!pq.empty()) {
       std::pop_heap(pq.begin(), pq.end(), heap_greater);
       const auto [d, h, u] = pq.back();
       pq.pop_back();
       auto& du = dist[static_cast<std::size_t>(u)];
       if (d != du.delay_ns || h != du.hops) continue;  // stale entry
+      ++reached;
       for (auto& [v, l] : adjacency_[static_cast<std::size_t>(u)]) {
         const std::int64_t nd = d + l->config().delay.count_nanos();
         const int nh = h + 1;
@@ -99,10 +101,33 @@ void Topology::compute_routes() {
         }
       }
     }
-    for (NodeId dst = 0; dst < n; ++dst) {
-      if (dst != src) {
-        node(src).set_route(dst, dist[static_cast<std::size_t>(dst)].first_link);
-      }
+    std::vector<Link*> table(static_cast<std::size_t>(n));
+    for (std::size_t dst = 0; dst < table.size(); ++dst) {
+      table[dst] = dist[dst].first_link;  // nullptr for src itself
+    }
+    node(src).set_route_table(std::move(table));
+    return reached == n;
+  };
+  std::vector<char> reaches_all(static_cast<std::size_t>(n), 0);
+  for (NodeId src = 0; src < n; ++src) {
+    if (adjacency_[static_cast<std::size_t>(src)].size() != 1) {
+      reaches_all[static_cast<std::size_t>(src)] = dijkstra(src) ? 1 : 0;
+    }
+  }
+  // A node with exactly one outgoing link has no routing choice: every
+  // path from it starts with that link, so its first hop to each
+  // destination is that link and it reaches exactly what its neighbour
+  // reaches.  When the neighbour reached every node, one default route is
+  // the whole table.  Other single-link nodes (chains, a one-way link, a
+  // disconnected part) run their own Dijkstra.
+  for (NodeId src = 0; src < n; ++src) {
+    const auto& out = adjacency_[static_cast<std::size_t>(src)];
+    if (out.size() != 1) continue;
+    const auto [next, link] = out.front();
+    if (reaches_all[static_cast<std::size_t>(next)] != 0) {
+      node(src).set_default_route(link, n);
+    } else {
+      dijkstra(src);
     }
   }
   // Routing change can alter multicast trees.

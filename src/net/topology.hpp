@@ -39,9 +39,14 @@ class Topology {
   std::pair<Link*, Link*> add_duplex_link(NodeId a, NodeId b,
                                           const LinkConfig& cfg);
 
-  /// (Re)compute all unicast routing tables.  Must be called after the last
-  /// link is added and before traffic starts.  Cost metric: propagation
-  /// delay, ties broken by hop count, then by node id (deterministic).
+  /// (Re)compute all unicast routes.  Must be called after the last link is
+  /// added and before traffic starts.  Cost metric: propagation delay, ties
+  /// broken by hop count, then by node id (deterministic).  A node with one
+  /// outgoing link whose neighbour reaches every node keeps just that link
+  /// as its default route; every other node (the hubs, plus chains and
+  /// one-way or disconnected leaves) runs Dijkstra and keeps a next-hop
+  /// table.  Cost: O(hubs x E log V) time and O(hubs x N) memory, so N leaf
+  /// hosts on a few routers no longer pay the all-pairs O(N^2).
   void compute_routes();
 
   // --- access --------------------------------------------------------------

@@ -58,7 +58,7 @@ SCENARIOS = [
 MICRO_FILTER = ("BM_SchedulerChurn|BM_EquationFull|BM_EquationInverse|"
                 "BM_EquationBatch|BM_LossHistoryReceive|BM_MembershipChurn|"
                 "BM_PacketPoolChurn|BM_FeedbackTimerDraw|BM_FeedbackRound|"
-                "BM_ModeledBlockRound|BM_MulticastFanout")
+                "BM_ModeledBlockRound|BM_MulticastFanout|BM_ComputeRoutes")
 
 
 def run_micro(build_dir, min_time):
