@@ -1,12 +1,8 @@
 #include "analysis/summary.hpp"
 
-#include <algorithm>
 #include <cmath>
-#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <istream>
 #include <map>
 #include <ostream>
 #include <utility>
@@ -22,28 +18,6 @@ std::string format_value(double v) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%g", v);
   return buf;
-}
-
-// Doubles travel as their raw IEEE-754 bit pattern in hex, making every
-// round trip bit-exact.
-
-void write_double_bits(std::ostream& os, double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof bits);
-  char buf[19];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(bits));
-  os << buf;
-}
-
-bool read_double_bits(std::istream& is, double& v) {
-  std::string hex;
-  if (!(is >> hex) || hex.size() != 16) return false;
-  char* end = nullptr;
-  const std::uint64_t bits = std::strtoull(hex.c_str(), &end, 16);
-  if (end != hex.c_str() + hex.size()) return false;
-  std::memcpy(&v, &bits, sizeof v);
-  return true;
 }
 
 }  // namespace
@@ -99,20 +73,6 @@ bool parse_stats(std::string_view text, std::vector<Stat>& out,
 
 std::vector<Stat> default_stats() { return {Stat::kMean, Stat::kCov}; }
 
-void write_str(std::ostream& os, std::string_view s) {
-  os << s.size() << ':' << s;
-}
-
-bool read_str(std::istream& is, std::string& out) {
-  std::size_t len = 0;
-  char sep = 0;
-  if (!(is >> len) || !is.get(sep) || sep != ':') return false;
-  if (len > (1u << 30)) return false;  // absurd length = corrupt stream
-  out.resize(len);
-  is.read(out.data(), static_cast<std::streamsize>(len));
-  return static_cast<std::size_t>(is.gcount()) == len;
-}
-
 bool parse_number(std::string_view text, double& out) {
   std::string buf{text};
   char* end = nullptr;
@@ -132,41 +92,6 @@ void Welford::add(double x) {
   const double delta = x - mean_;
   mean_ += delta / static_cast<double>(n_);
   m2_ += delta * (x - mean_);
-}
-
-void Welford::merge(const Welford& o) {
-  if (o.n_ == 0) return;
-  if (n_ == 0) {
-    *this = o;  // bit-for-bit: the exact case the shard contract relies on
-    return;
-  }
-  const double na = static_cast<double>(n_);
-  const double nb = static_cast<double>(o.n_);
-  const double delta = o.mean_ - mean_;
-  mean_ += delta * nb / (na + nb);
-  m2_ += o.m2_ + delta * delta * na * nb / (na + nb);
-  n_ += o.n_;
-  if (o.min_ < min_) min_ = o.min_;
-  if (o.max_ > max_) max_ = o.max_;
-}
-
-void Welford::save(std::ostream& os) const {
-  os << "W1 " << n_ << ' ';
-  write_double_bits(os, mean_);
-  os << ' ';
-  write_double_bits(os, m2_);
-  os << ' ';
-  write_double_bits(os, min_);
-  os << ' ';
-  write_double_bits(os, max_);
-}
-
-bool Welford::load(std::istream& is, Welford& out) {
-  out = Welford{};
-  std::string tag;
-  if (!(is >> tag) || tag != "W1" || !(is >> out.n_)) return false;
-  return read_double_bits(is, out.mean_) && read_double_bits(is, out.m2_) &&
-         read_double_bits(is, out.min_) && read_double_bits(is, out.max_);
 }
 
 double Welford::stddev() const {
@@ -196,6 +121,15 @@ double Welford::value(Stat s) const {
   return 0.0;
 }
 
+std::string join_csv(const std::vector<std::string>& cells) {
+  std::string line;
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    if (i != 0) line += ',';
+    line += cells[i];
+  }
+  return line;
+}
+
 std::vector<std::string> split_csv(std::string_view line) {
   std::vector<std::string> cells;
   std::size_t start = 0;
@@ -223,69 +157,6 @@ bool ColumnSummary::add_row(std::vector<std::string> cells,
     if (numeric_[i] && !parse_number(cells[i], v)) numeric_[i] = false;
   }
   rows_.push_back(std::move(cells));
-  return true;
-}
-
-void ColumnSummary::add_row_unchecked(std::vector<std::string> cells) {
-  const std::size_t n = std::min(cells.size(), columns_.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    double v = 0.0;
-    if (numeric_[i] && !parse_number(cells[i], v)) numeric_[i] = false;
-  }
-  rows_.push_back(std::move(cells));
-}
-
-bool ColumnSummary::absorb(const ColumnSummary& other, std::ostream& err) {
-  if (other.columns_ != columns_) {
-    err << "error: cannot merge accumulators with different headers\n";
-    return false;
-  }
-  rows_.reserve(rows_.size() + other.rows_.size());
-  for (const auto& row : other.rows_) {
-    // Replaying through add_row_unchecked re-derives the numeric mask, so
-    // the merged state equals a single accumulator fed both row sequences.
-    add_row_unchecked(row);
-  }
-  return true;
-}
-
-void ColumnSummary::save(std::ostream& os) const {
-  os << "CS1 " << columns_.size() << ' ';
-  for (const auto& c : columns_) write_str(os, c);
-  os << ' ' << rows_.size() << '\n';
-  for (const auto& row : rows_) {
-    os << row.size() << ' ';
-    for (const auto& cell : row) write_str(os, cell);
-    os << '\n';
-  }
-}
-
-bool ColumnSummary::load(std::istream& is, ColumnSummary& out,
-                         std::string& err) {
-  err = "truncated or malformed accumulator state";
-  std::string tag;
-  std::size_t n_cols = 0, n_rows = 0;
-  if (!(is >> tag) || tag != "CS1" || !(is >> n_cols) || n_cols > (1u << 20)) {
-    return false;
-  }
-  std::vector<std::string> columns(n_cols);
-  for (auto& c : columns) {
-    if (!read_str(is, c)) return false;
-  }
-  out = ColumnSummary{std::move(columns)};
-  if (!(is >> n_rows) || n_rows > (1u << 30)) return false;
-  for (std::size_t r = 0; r < n_rows; ++r) {
-    std::size_t n_cells = 0;
-    if (!(is >> n_cells) || n_cells > (1u << 20)) return false;
-    std::vector<std::string> cells(n_cells);
-    for (auto& cell : cells) {
-      if (!read_str(is, cell)) return false;
-    }
-    // Unchecked on purpose: the raw path may have stored ragged rows, and
-    // replay must reproduce the saved state exactly either way.
-    out.add_row_unchecked(std::move(cells));
-  }
-  err.clear();
   return true;
 }
 

@@ -44,13 +44,6 @@ std::vector<Stat> default_stats();
 /// Full-string parse of a finite double; the numeric-column criterion.
 bool parse_number(std::string_view text, double& out);
 
-/// Length-prefixed string IO ("<len>:<bytes>", no quoting or escaping)
-/// shared by the accumulator serializers and the sweep checkpoint/partial
-/// file formats.  read_str returns false on a truncated or absurd-length
-/// stream.
-void write_str(std::ostream& os, std::string_view s);
-bool read_str(std::istream& is, std::string& out);
-
 /// Streaming mean/variance/extrema of one sample sequence (Welford's
 /// one-pass update).  stddev is the sample standard deviation (n-1
 /// denominator); with fewer than two samples stddev and cov are 0, so a
@@ -58,19 +51,6 @@ bool read_str(std::istream& is, std::string& out);
 class Welford {
  public:
   void add(double x);
-
-  /// Folds another accumulator in (Chan et al.'s parallel combine).
-  /// Merging with an empty side copies the other bit-for-bit; merging two
-  /// non-empty sides is mathematically exact but, like any floating-point
-  /// reassociation, not guaranteed bitwise-equal to feeding the samples
-  /// sequentially — the sweep shard/merge machinery therefore partitions
-  /// work so that cross-shard merges always have an empty side.
-  void merge(const Welford& o);
-
-  /// Bit-exact text serialization (count plus the four doubles as raw
-  /// IEEE-754 bit patterns in hex): load(save(w)) reproduces w exactly.
-  void save(std::ostream& os) const;
-  static bool load(std::istream& is, Welford& out);
 
   std::size_t count() const { return n_; }
   double mean() const { return n_ == 0 ? 0.0 : mean_; }
@@ -95,6 +75,9 @@ class Welford {
 /// emit commas inside a cell).
 std::vector<std::string> split_csv(std::string_view line);
 
+/// Joins cells with ','; the inverse of split_csv, byte for byte.
+std::string join_csv(const std::vector<std::string>& cells);
+
 /// Grouped per-column statistics over CSV data rows sharing one header.
 /// Rows are buffered; classification (numeric vs label) is monotone —
 /// numeric until the first cell that does not parse — and grouping happens
@@ -107,39 +90,7 @@ class ColumnSummary {
   /// when the cell count does not match the header.
   bool add_row(std::vector<std::string> cells, std::ostream& err);
 
-  /// Buffers one data row without the cell-count check: the raw-aggregate
-  /// path stores rows verbatim (and never groups them), so a ragged row is
-  /// passed through rather than rejected.
-  void add_row_unchecked(std::vector<std::string> cells);
-
   std::size_t row_count() const { return rows_.size(); }
-
-  /// The header columns this summary was constructed from.
-  const std::vector<std::string>& columns() const { return columns_; }
-
-  /// The buffered rows, in feed order; the raw sweep aggregate re-joins
-  /// them with ',' (cells never contain commas, so that is byte-exact).
-  const std::vector<std::vector<std::string>>& rows() const { return rows_; }
-
-  /// Appends another summary's rows, in their feed order, behind this
-  /// one's.  Row replay makes the merge *exactly* associative — merging
-  /// shard partials in any grouping yields bitwise-identical state — at
-  /// the cost of carrying rows rather than collapsed moments.  Returns
-  /// false after a diagnostic on `err` when the headers differ.
-  bool absorb(const ColumnSummary& other, std::ostream& err);
-
-  /// Versioned, length-prefixed serialization of the full accumulator
-  /// state (header, classification, rows).  load() returns false with a
-  /// diagnostic in `err` on a truncated or malformed stream; a round trip
-  /// reproduces the state exactly, so a resumed or merged sweep emits
-  /// byte-identical output.
-  void save(std::ostream& os) const;
-  static bool load(std::istream& is, ColumnSummary& out, std::string& err);
-
-  /// Per-column classification, parallel to the header: true while every
-  /// fed cell parsed as a finite double.  Cheap to compare across summaries
-  /// sharing a header (same mask <=> same expanded header).
-  const std::vector<bool>& numeric_mask() const { return numeric_; }
 
   /// Expanded column names, in header order: label columns keep their bare
   /// name, numeric columns become `<col>_<stat>` per requested statistic.

@@ -82,7 +82,7 @@ struct ShardProc {
   int relaunches{0};
   Clock::time_point next_launch{};   // meaningful in kBackoff
   Clock::time_point last_advance{};  // meaningful in kRunning
-  CheckpointProgress progress{};     // last observed progress header
+  CheckpointProgress progress{};     // last observed checkpoint progress
   bool have_progress{false};
   std::string ckpt_path;
   std::string part_path;
@@ -348,7 +348,7 @@ int run_campaign(const Scenario& scenario, const CampaignOptions& opts,
             }
             break;
           }
-          // Still running: poll the checkpoint's progress header.  Any
+          // Still running: poll the checkpoint's last record.  Any
           // heartbeat or fold-frontier change counts as advance.
           CheckpointProgress p;
           std::string perr;

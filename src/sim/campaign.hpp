@@ -7,11 +7,11 @@
 //
 // Supervision model:
 //
-//   * Liveness is observed through the checkpoint files.  Every shard
+//   * Liveness is observed through the checkpoint logs.  Every shard
 //     checkpoints (`--checkpoint-every`, default 1 under a campaign), and
-//     each write bumps the monotone heartbeat in the checkpoint's progress
-//     header; the supervisor polls that two-line header
-//     (read_checkpoint_progress) without deserializing accumulators.
+//     each append bumps the monotone heartbeat in the log's newest record;
+//     the supervisor polls the last complete record
+//     (read_checkpoint_progress).
 //
 //   * A shard that exits nonzero or dies on a signal is relaunched with
 //     `--resume` from its last checkpoint, under exponential backoff
@@ -35,10 +35,11 @@
 //     missing (every point the failed shards own), leaves the surviving
 //     partials and checkpoints in the campaign directory, and exits 2.
 //
-// Resumes are byte-exact (the checkpoint is a prefix of the deterministic
-// fold order) and the merge path is the shared emit_sweep_aggregate, so a
-// campaign's merged CSV is byte-identical to the unsharded `--jobs 1`
-// sweep no matter how many times its shards crashed or stalled.
+// Resumes are byte-exact (a resume re-runs every unfinished point on its
+// deterministic seeds) and the merge path is the shared
+// emit_sweep_aggregate, so a campaign's merged CSV is byte-identical to the
+// unsharded `--jobs 1` sweep no matter how many times its shards crashed or
+// stalled.
 
 #include <iosfwd>
 #include <string>

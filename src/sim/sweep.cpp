@@ -30,10 +30,11 @@ namespace {
 std::atomic<bool> g_sweep_interrupt{false};
 
 /// Cap on scheduled scenario runs (grid points times replicates).  Purely a
-/// task-count guard against typo-sized grids: replicated sweeps stream each
-/// run's output into the statistics accumulators as it completes, so peak
-/// memory holds the in-flight runs and the accumulated data rows, not all
-/// grid x N outputs.
+/// task-count guard against typo-sized grids: each run's output folds into
+/// its point as it completes, and a finished point is reduced to its
+/// aggregate lines at once, so peak memory holds the in-flight runs, one
+/// open point's rows and the finished points' lines, not all grid x N
+/// outputs.
 constexpr std::size_t kMaxGridPoints = 1'000'000;
 
 std::string format_value(double v, bool integral) {
@@ -314,8 +315,8 @@ int run_sweep(const Scenario& scenario, const SweepOptions& sweep,
         return 2;
       }
     }
-    // Cap the grid product, not just each axis: every point keeps a
-    // summary and its accumulated rows until the aggregate is written.
+    // Cap the grid product, not just each axis: every finished point keeps
+    // its aggregate lines until the aggregate is written.
     if (axis.values.size() > kMaxGridPoints / n_points) {
       err << "error: sweep grid exceeds " << kMaxGridPoints << " points\n";
       return 2;
@@ -374,12 +375,13 @@ int run_sweep(const Scenario& scenario, const SweepOptions& sweep,
   // pool.  One task is one scenario run; task t is replicate t % n_rep of
   // grid point t / n_rep, and the shard owns the task iff it owns the
   // point.  Completed tasks stream: whenever the next *owned task in task
-  // order* has completed, its trace is folded into its grid point's
-  // accumulator and the capture released, so the accumulators see rows in
-  // exactly the order a serial unsharded sweep would feed them —
-  // byte-identical output, independent of completion order and of the
-  // cost-ordered scheduling below — while peak memory holds only the
-  // in-flight window.
+  // order* has completed, its trace is folded into its grid point and the
+  // capture released, so every point sees rows in exactly the order a
+  // serial unsharded sweep would feed it — byte-identical output,
+  // independent of completion order and of the cost-ordered scheduling
+  // below.  A point's replicates are consecutive tasks, so at most one
+  // point is open at a time; when its last replicate folds, the point is
+  // reduced to its final aggregate lines and its accumulator freed.
   const SweepManifest manifest = SweepManifest::from(scenario, sweep);
   const std::size_t n_tasks = grid.size() * static_cast<std::size_t>(n_rep);
   std::vector<double> point_cost(grid.size());
@@ -389,24 +391,26 @@ int run_sweep(const Scenario& scenario, const SweepOptions& sweep,
   auto task_point = [n_rep](std::size_t t) {
     return t / static_cast<std::size_t>(n_rep);
   };
-  std::vector<std::size_t> owned_tasks;
-  for (std::size_t t = 0; t < n_tasks; ++t) {
-    if (shard_owns_point(manifest, task_point(t))) owned_tasks.push_back(t);
-  }
 
   // Fold state (guarded by fold_mu once workers start).
-  std::vector<char> folded(n_tasks, 0);
+  std::uint64_t n_folded = 0;
   std::string header;
-  std::vector<summary::ColumnSummary> per_point;
-  // Monotone across resumes: every checkpoint write bumps it, so a
+  std::vector<std::optional<FinishedPoint>> finished(grid.size());
+  // Finished points not yet in the checkpoint log, in grid order.
+  std::vector<std::size_t> unlogged;
+  // The open point: raw lines accumulate in `open`, replicated rows in
+  // `open_acc` (created by the point's first CSV row).
+  FinishedPoint open;
+  std::optional<summary::ColumnSummary> open_acc;
+  // Monotone across resumes: every checkpoint append bumps it, so a
   // supervisor polling read_checkpoint_progress sees strictly increasing
-  // heartbeats from a live shard even when no new task folded.
+  // heartbeats from a live shard even when no new point finished.
   std::uint64_t heartbeat = 0;
 
   if (!sweep.resume_path.empty()) {
-    SweepStateFile ckpt;
-    if (!load_state_file(sweep.resume_path, ckpt, err)) return 2;
-    if (ckpt.kind != SweepStateFile::Kind::kCheckpoint) {
+    SweepLog ckpt;
+    if (!read_sweep_log(sweep.resume_path, ckpt, err)) return 2;
+    if (ckpt.kind != SweepLogKind::kCheckpoint) {
       err << "error: '" << sweep.resume_path
           << "' is a shard partial, not a checkpoint (merge it with "
              "`tfmcc_sim merge` instead)\n";
@@ -417,31 +421,31 @@ int run_sweep(const Scenario& scenario, const SweepOptions& sweep,
                                err)) {
       return 2;
     }
-    if (ckpt.header.empty() && !ckpt.points.empty()) {
-      err << "error: cannot load '" << sweep.resume_path
-          << "': point state without a CSV header\n";
-      return 2;
-    }
-    folded = std::move(ckpt.folded);
-    header = std::move(ckpt.header);
     heartbeat = ckpt.heartbeat;
-    if (!header.empty()) {
-      per_point.assign(grid.size(),
-                       summary::ColumnSummary{summary::split_csv(header)});
-      for (auto& [idx, state] : ckpt.points) {
-        per_point[idx] = std::move(state);
-      }
+    for (FinishedPoint& p : ckpt.points) {
+      n_folded += static_cast<std::uint64_t>(n_rep);
+      if (header.empty()) header = p.csv_header;
+      // A new log starts with the first append, so it re-carries these.
+      unlogged.push_back(p.index);
+      finished[p.index] = std::move(p);
     }
   }
 
-  std::size_t restored = 0;
+  // The shard's tasks still to fold, in task order: every replicate of
+  // each owned point that was not restored.
+  std::vector<std::size_t> pending;
+  std::size_t n_owned = 0;
   double restored_weight = 0.0;
   double owned_weight = 0.0;
-  for (std::size_t t : owned_tasks) {
-    owned_weight += point_cost[task_point(t)];
-    if (folded[t] != 0) {
-      ++restored;
-      restored_weight += point_cost[task_point(t)];
+  for (std::size_t t = 0; t < n_tasks; ++t) {
+    const std::size_t p = task_point(t);
+    if (!shard_owns_point(manifest, p)) continue;
+    ++n_owned;
+    owned_weight += point_cost[p];
+    if (finished[p].has_value()) {
+      restored_weight += point_cost[p];
+    } else {
+      pending.push_back(t);
     }
   }
 
@@ -453,10 +457,7 @@ int run_sweep(const Scenario& scenario, const SweepOptions& sweep,
   // every fold hostage to the cheapest task it scheduled last.  This
   // permutes only which worker picks what, never the fold order, so output
   // bytes are unaffected.
-  std::vector<std::size_t> schedule;
-  for (std::size_t t : owned_tasks) {
-    if (folded[t] == 0) schedule.push_back(t);
-  }
+  std::vector<std::size_t> schedule = pending;
   const std::size_t window = std::max<std::size_t>(
       8, 4 * static_cast<std::size_t>(std::max(sweep.jobs, 1)));
   for (std::size_t b = 0; b < schedule.size(); b += window) {
@@ -475,8 +476,8 @@ int run_sweep(const Scenario& scenario, const SweepOptions& sweep,
                       std::to_string(sweep.shard_count);
   }
   const bool err_is_stderr_tty = &err == &std::cerr && stderr_is_tty();
-  ProgressReporter progress(std::move(progress_label), owned_tasks.size(),
-                            owned_weight, restored, restored_weight,
+  ProgressReporter progress(std::move(progress_label), n_owned, owned_weight,
+                            n_owned - pending.size(), restored_weight,
                             sweep.progress || err_is_stderr_tty,
                             err_is_stderr_tty, err);
 
@@ -488,8 +489,12 @@ int run_sweep(const Scenario& scenario, const SweepOptions& sweep,
   std::atomic<std::size_t> next_slot{0};
   std::mutex fold_mu;
   std::vector<char> task_ready(n_tasks, 0);
-  std::size_t fold_cursor = 0;  // index into owned_tasks
+  std::size_t fold_cursor = 0;  // index into pending
   std::size_t folds_since_ckpt = 0;
+  std::optional<SweepLogWriter> ckpt_log_writer;
+  if (!sweep.checkpoint_path.empty()) {
+    ckpt_log_writer.emplace(sweep.checkpoint_path, manifest);
+  }
   std::ostringstream failure_log;
   std::ostringstream merge_log;
   std::ostringstream ckpt_log;
@@ -499,15 +504,20 @@ int run_sweep(const Scenario& scenario, const SweepOptions& sweep,
   // Point-granularity failure tolerance: one failed replicate fails its
   // whole grid point (the point's statistics would be over a different
   // replicate set than its neighbours').  Within --max-point-failures the
-  // sweep keeps running and masks the failed points out of the aggregate.
+  // sweep keeps running and leaves the failed points out of the aggregate.
   const int max_pf = sweep.max_point_failures;
   std::vector<char> point_failed(grid.size(), 0);
   int n_failed_points = 0;
+  auto folding = [&](std::size_t p) {
+    return !merge_failed && point_failed[p] == 0 &&
+           (max_pf == 0 ? !any_failed : n_failed_points <= max_pf);
+  };
 
   // Folds one completed task (caller holds fold_mu; called in task order).
   auto fold_task = [&](std::size_t t) {
     PointResult& res = results[t];
-    const auto& point = grid[task_point(t)];
+    const std::size_t p = task_point(t);
+    const auto& point = grid[p];
     const std::uint64_t rep = t % static_cast<std::size_t>(n_rep);
     if (res.rc != 0) {
       failure_log << "error: sweep point " << point_label(sweep.axes, point)
@@ -519,32 +529,34 @@ int run_sweep(const Scenario& scenario, const SweepOptions& sweep,
       }
       failure_log << '\n';
       any_failed = true;
-      if (point_failed[task_point(t)] == 0) {
-        point_failed[task_point(t)] = 1;
+      if (point_failed[p] == 0) {
+        point_failed[p] = 1;
         ++n_failed_points;
       }
-    } else if (!merge_failed && point_failed[task_point(t)] == 0 &&
-               (max_pf == 0 ? !any_failed : n_failed_points <= max_pf)) {
+    } else if (folding(p) && !res.trace.header.empty()) {
       RunTrace& trace = res.trace;
-      if (!trace.header.empty()) {
-        if (header.empty()) {
-          header = trace.header;
-          per_point.assign(grid.size(),
-                           summary::ColumnSummary{summary::split_csv(header)});
-        } else if (trace.header != header) {
-          merge_log << "error: sweep point " << point_label(sweep.axes, point)
-                    << replicate_label(sweep, rep, n_rep)
-                    << " emitted CSV header '" << trace.header
-                    << "' but earlier points emitted '" << header << "'\n";
-          merge_failed = true;
-        }
-        if (!merge_failed) {
-          auto& acc = per_point[task_point(t)];
+      if (header.empty()) {
+        header = trace.header;
+      } else if (trace.header != header) {
+        merge_log << "error: sweep point " << point_label(sweep.axes, point)
+                  << replicate_label(sweep, rep, n_rep)
+                  << " emitted CSV header '" << trace.header
+                  << "' but earlier points emitted '" << header << "'\n";
+        merge_failed = true;
+      }
+      if (!merge_failed) {
+        open.csv_header = header;
+        if (n_rep == 1) {
+          // The raw aggregate passes rows, ragged ones too, verbatim.
+          for (const auto& row : trace.rows) {
+            open.lines.push_back(summary::join_csv(row));
+          }
+        } else {
+          if (!open_acc.has_value()) {
+            open_acc.emplace(summary::split_csv(header));
+          }
           for (auto& row : trace.rows) {
-            if (n_rep == 1) {
-              // The raw aggregate passes ragged rows through verbatim.
-              acc.add_row_unchecked(std::move(row));
-            } else if (!acc.add_row(std::move(row), merge_log)) {
+            if (!open_acc->add_row(std::move(row), merge_log)) {
               merge_log << "  (sweep point " << point_label(sweep.axes, point)
                         << replicate_label(sweep, rep, n_rep) << ")\n";
               merge_failed = true;
@@ -556,19 +568,35 @@ int run_sweep(const Scenario& scenario, const SweepOptions& sweep,
     }
     // Folded (or unusable): release the capture.
     res.trace = RunTrace{};
+    ++n_folded;
+    if (rep + 1 != static_cast<std::uint64_t>(n_rep)) return;
+    // The point's last replicate: reduce it to its aggregate lines.
+    if (folding(p)) {
+      if (open_acc.has_value() && open_acc->row_count() > 0) {
+        open.stats_header = summary::join_csv(open_acc->header(sweep.stats));
+        for (const auto& srow : open_acc->summarize(sweep.stats)) {
+          open.lines.push_back(summary::join_csv(srow));
+        }
+      }
+      open.index = p;
+      finished[p] = std::move(open);
+      unlogged.push_back(p);
+    }
+    open = FinishedPoint{};
+    open_acc.reset();
   };
 
-  // Snapshot the fold state to the checkpoint file (caller holds fold_mu).
-  // Checkpoints stop once a failure is recorded: persisting a failed task
-  // as folded would let a resume skip it silently.  `force` bypasses the
-  // checkpoint-every gate (but never the failure disarm) for the
-  // interrupt-flush path.
+  // Appends one record to the checkpoint log: the points that finished
+  // since the last one (caller holds fold_mu).  Appends stop once a
+  // failure is recorded: a resume must never skip a failed point.
+  // `force` bypasses the checkpoint-every gate (but never the failure
+  // disarm) for the interrupt-flush path.
   auto write_checkpoint = [&](bool force) {
-    if (sweep.checkpoint_path.empty() || checkpoint_failed || any_failed ||
+    if (!ckpt_log_writer.has_value() || checkpoint_failed || any_failed ||
         merge_failed) {
       return;
     }
-    const bool all_done = fold_cursor == owned_tasks.size();
+    const bool all_done = fold_cursor == pending.size();
     if (!force &&
         folds_since_ckpt <
             static_cast<std::size_t>(sweep.checkpoint_every) &&
@@ -576,19 +604,12 @@ int run_sweep(const Scenario& scenario, const SweepOptions& sweep,
       return;
     }
     folds_since_ckpt = 0;
-    SweepStateFile ck;
-    ck.kind = SweepStateFile::Kind::kCheckpoint;
-    ck.manifest = manifest;
-    ck.header = header;
-    ck.heartbeat = ++heartbeat;
-    ck.folded = folded;
-    for (std::size_t p = 0; p < grid.size(); ++p) {
-      if (shard_owns_point(manifest, p) && !per_point.empty() &&
-          per_point[p].row_count() > 0) {
-        ck.points.emplace_back(p, per_point[p]);
-      }
-    }
-    if (!save_state_file_atomic(ck, sweep.checkpoint_path, ckpt_log)) {
+    std::vector<const FinishedPoint*> delta;
+    delta.reserve(unlogged.size());
+    for (std::size_t p : unlogged) delta.push_back(&*finished[p]);
+    if (ckpt_log_writer->append(++heartbeat, n_folded, delta, ckpt_log)) {
+      unlogged.clear();
+    } else {
       checkpoint_failed = true;
     }
   };
@@ -632,15 +653,10 @@ int run_sweep(const Scenario& scenario, const SweepOptions& sweep,
       {
         std::lock_guard<std::mutex> lock(fold_mu);
         task_ready[t] = 1;
-        while (fold_cursor < owned_tasks.size()) {
-          const std::size_t next = owned_tasks[fold_cursor];
-          if (folded[next] != 0) {  // restored from the checkpoint
-            ++fold_cursor;
-            continue;
-          }
+        while (fold_cursor < pending.size()) {
+          const std::size_t next = pending[fold_cursor];
           if (task_ready[next] == 0) break;
           fold_task(next);
-          folded[next] = 1;
           ++fold_cursor;
           ++folds_since_ckpt;
           write_checkpoint(/*force=*/false);
@@ -665,8 +681,8 @@ int run_sweep(const Scenario& scenario, const SweepOptions& sweep,
   const bool tolerated =
       any_failed && !merge_failed && max_pf > 0 && n_failed_points <= max_pf;
   if (interrupted) {
-    // Best-effort final flush: capture whatever folded past the last
-    // periodic write, so a --resume continues from the interrupt point
+    // Best-effort final flush: capture whatever finished past the last
+    // periodic append, so a --resume continues from the interrupt point
     // instead of the last checkpoint-every boundary.
     if (!sweep.checkpoint_path.empty()) {
       std::lock_guard<std::mutex> lock(fold_mu);
@@ -699,11 +715,10 @@ int run_sweep(const Scenario& scenario, const SweepOptions& sweep,
     err << ckpt_log.str();
     return 2;
   }
-  // A fully-restored resume ran no workers, so the end-of-sweep checkpoint
-  // refresh did not happen in the fold loop; it is a no-op rewrite here.
+  // A fully-restored resume ran no workers, so the end-of-sweep append did
+  // not happen in the fold loop; it writes the restored points here.
   if (!sweep.checkpoint_path.empty() && schedule.empty()) {
     std::lock_guard<std::mutex> lock(fold_mu);
-    fold_cursor = owned_tasks.size();
     write_checkpoint(/*force=*/false);
     if (checkpoint_failed) {
       err << ckpt_log.str();
@@ -711,7 +726,7 @@ int run_sweep(const Scenario& scenario, const SweepOptions& sweep,
     }
   }
   if (tolerated) {
-    // Replay every failure and name every masked point, so the degraded
+    // Replay every failure and name every missing point, so the degraded
     // aggregate can never be mistaken for a complete one.
     err << failure_log.str();
     err << "sweep: " << n_failed_points << " of " << grid.size()
@@ -725,32 +740,19 @@ int run_sweep(const Scenario& scenario, const SweepOptions& sweep,
   }
 
   if (sweep.shard_count > 1) {
-    // Shards do not emit CSV: the partial artifact carries each owned
-    // point's accumulator bitwise, for `tfmcc_sim merge` to place into the
-    // full grid.  Failed (masked) points are left out entirely — their
-    // accumulators may hold a partial replicate set.
-    SweepStateFile part;
-    part.kind = SweepStateFile::Kind::kPartial;
-    part.manifest = manifest;
-    part.header = header;
-    for (std::size_t p = 0; p < grid.size(); ++p) {
-      if (shard_owns_point(manifest, p) && point_failed[p] == 0 &&
-          !per_point.empty() && per_point[p].row_count() > 0) {
-        part.points.emplace_back(p, std::move(per_point[p]));
-      }
+    // Shards do not emit CSV: the partial is a one-record log of the
+    // shard's finished points for `tfmcc_sim merge` to place into the full
+    // grid.  Failed points never finished, so they are absent.
+    std::vector<const FinishedPoint*> done;
+    for (const auto& p : finished) {
+      if (p.has_value()) done.push_back(&*p);
     }
-    part.save(out);
+    const SweepLogEncoder partial{SweepLogKind::kPartial, manifest};
+    out << partial.head() << partial.record(1, n_folded, done);
     return tolerated ? 1 : 0;
   }
 
-  if (per_point.empty()) {
-    // No point produced CSV; emit_sweep_aggregate diagnoses via the empty
-    // header, but needs the vector shaped to the grid.
-    per_point.assign(grid.size(), summary::ColumnSummary{{}});
-  }
-  const int rc =
-      emit_sweep_aggregate(manifest, grid, per_point, header, out, err,
-                           tolerated ? &point_failed : nullptr);
+  const int rc = emit_sweep_aggregate(manifest, grid, finished, out, err);
   if (rc != 0) return rc;
   return tolerated ? 1 : 0;
 }

@@ -19,12 +19,13 @@
 // ScenarioOptions::set_output); the aggregator then emits rows in
 // deterministic grid order — axes vary with the last `--sweep` fastest —
 // regardless of completion order, so `--jobs 1` and `--jobs N` produce
-// byte-identical output.  Replicated sweeps stream: each run's output is
-// folded into its grid point's statistics accumulator as soon as every
-// earlier task (in task order) has completed, and the raw capture is
-// released — the accumulators see rows in the same order a serial sweep
-// would feed them, while peak memory holds the in-flight window instead of
-// all grid x N outputs.  Figure-header/CHECK/NOTE commentary from the
+// byte-identical output.  Sweeps stream: each run's output is folded into
+// its grid point as soon as every earlier task (in task order) has
+// completed, and the raw capture is released — points see rows in the
+// same order a serial sweep would feed them.  A point whose replicates
+// have all folded is reduced to its final aggregate lines at once, so
+// peak memory holds the in-flight window and those lines instead of all
+// grid x N outputs.  Figure-header/CHECK/NOTE commentary from the
 // points is dropped from the aggregate; per-point CSV headers must agree.
 //
 // `--replicate N` runs every grid point N times with per-replicate seeds
@@ -108,13 +109,17 @@ struct SweepOptions {
   /// the byte-identical unsharded aggregate.  shard_count 1 = unsharded.
   int shard_index{0};
   int shard_count{1};
-  /// `--checkpoint <path>`: periodically persist the fold state (atomic
-  /// temp-file + rename) so a killed sweep can continue with --resume.
-  /// Written after every `checkpoint_every` folded tasks.
+  /// `--checkpoint <path>`: log finished grid points so a killed sweep
+  /// can continue with --resume.  After every `checkpoint_every` folded
+  /// tasks, on an interrupt and at the end, one record with the points
+  /// that finished since the last one is appended.  The first append
+  /// creates the file atomically (temp file + rename); later ones are
+  /// fsync'd appends (see SweepLogWriter).
   std::string checkpoint_path;
   int checkpoint_every{8};
-  /// `--resume <path>`: restore a checkpoint and re-run only the unfolded
-  /// suffix.  The checkpoint's manifest must match this sweep exactly.
+  /// `--resume <path>`: restore a checkpoint's finished points and re-run
+  /// only the rest.  The checkpoint's manifest must match this sweep
+  /// exactly.
   std::string resume_path;
   /// `--max-point-failures K`: tolerate up to K failing *grid points*
   /// (a failed replicate fails its whole point) instead of poisoning the

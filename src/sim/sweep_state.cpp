@@ -1,5 +1,6 @@
 #include "sim/sweep_state.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -21,9 +22,11 @@ namespace {
 
 constexpr std::string_view kCheckpointMagic = "TFMCC-SWEEP-CKPT";
 constexpr std::string_view kPartialMagic = "TFMCC-SWEEP-PART";
-// Version 2 added the checkpoint progress header (heartbeat + folded/owned
-// counts) the campaign supervisor polls for liveness.
-constexpr int kFormatVersion = 2;
+// Version 3 is the append-only log of finished points; files of older
+// versions are refused, not read.
+constexpr int kFormatVersion = 3;
+// Same cap run_sweep puts on grid points times replicates.
+constexpr std::size_t kMaxTasks = 1'000'000;
 
 std::string stats_spelling(const std::vector<summary::Stat>& stats) {
   std::string s;
@@ -34,52 +37,35 @@ std::string stats_spelling(const std::vector<summary::Stat>& stats) {
   return s;
 }
 
-std::string join_cells(const std::vector<std::string>& cells) {
-  std::string line;
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    if (i != 0) line += ',';
-    line += cells[i];
-  }
-  return line;
-}
-
-/// Hex bitmap, 4 tasks per character, bit t%4 of nibble t/4.
-std::string encode_bitmap(const std::vector<char>& bits) {
-  static const char hex[] = "0123456789abcdef";
-  std::string out((bits.size() + 3) / 4, '0');
-  for (std::size_t t = 0; t < bits.size(); ++t) {
-    if (bits[t] != 0) {
-      const std::size_t i = t / 4;
-      const int nibble = (out[i] >= 'a' ? out[i] - 'a' + 10 : out[i] - '0') |
-                         (1 << (t % 4));
-      out[i] = hex[nibble];
-    }
-  }
-  return out;
-}
-
-bool decode_bitmap(const std::string& text, std::size_t n,
-                   std::vector<char>& bits) {
-  if (text.size() != (n + 3) / 4) return false;
-  bits.assign(n, 0);
-  for (std::size_t t = 0; t < n; ++t) {
-    const char c = text[t / 4];
-    int nibble;
-    if (c >= '0' && c <= '9') {
-      nibble = c - '0';
-    } else if (c >= 'a' && c <= 'f') {
-      nibble = c - 'a' + 10;
-    } else {
-      return false;
-    }
-    bits[t] = static_cast<char>((nibble >> (t % 4)) & 1);
-  }
-  return true;
-}
-
 bool expect_token(std::istream& is, std::string_view want) {
   std::string tok;
   return (is >> tok) && tok == want;
+}
+
+/// Length-prefixed string IO ("<len>:<bytes>", no quoting or escaping).
+/// read_str reads from an in-memory stream and returns false when the
+/// length exceeds what is left of it, before allocating anything.
+void write_str(std::ostream& os, std::string_view s) {
+  os << s.size() << ':' << s;
+}
+
+bool read_str(std::istream& is, std::string& out) {
+  std::size_t len = 0;
+  char sep = 0;
+  if (!(is >> len) || !is.get(sep) || sep != ':') return false;
+  const std::streamsize left = is.rdbuf()->in_avail();
+  if (len > static_cast<std::size_t>(std::max<std::streamsize>(left, 0))) {
+    return false;
+  }
+  out.resize(len);
+  is.read(out.data(), static_cast<std::streamsize>(len));
+  return static_cast<std::size_t>(is.gcount()) == len;
+}
+
+/// True when nothing but whitespace is left in `is`.
+bool at_end(std::istream& is) {
+  is >> std::ws;
+  return is.peek() == std::istream::traits_type::eof();
 }
 
 /// Tasks the manifest's shard owns: round-robin point ownership times the
@@ -93,10 +79,87 @@ std::uint64_t owned_task_count(const SweepManifest& m) {
          static_cast<std::uint64_t>(m.replicate);
 }
 
-std::uint64_t count_set(const std::vector<char>& bits) {
-  std::uint64_t n = 0;
-  for (char b : bits) n += b != 0;
-  return n;
+constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
+
+/// FNV-1a-64 of `bytes`, continuing from `h` (the offset basis for a fresh
+/// hash, or an earlier hash to chain onto it).
+std::uint64_t fnv1a64(std::string_view bytes, std::uint64_t h = kFnvBasis) {
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// A frame's checksum: the payload's FNV-1a-64 continued from `seed`, as
+/// 16 hex digits.
+std::string checksum(std::string_view payload, std::uint64_t seed) {
+  char sum[17];
+  std::snprintf(sum, sizeof sum, "%016llx",
+                static_cast<unsigned long long>(fnv1a64(payload, seed)));
+  return sum;
+}
+
+/// "<tag> <length> <checksum>\n<payload>".
+std::string frame(std::string_view tag, std::string_view payload,
+                  std::uint64_t seed) {
+  return std::string{tag} + ' ' + std::to_string(payload.size()) + ' ' +
+         checksum(payload, seed) + '\n' + std::string{payload};
+}
+
+constexpr std::string_view kDigits = "0123456789";
+constexpr std::string_view kHexDigits = "0123456789abcdef";
+
+/// True when `s` (the file's last bytes, with no newline) can be the start
+/// of a frame line: what a crash part-way through writing one leaves.
+bool frame_line_prefix(std::string_view s, std::string_view tag) {
+  const std::string lead = std::string{tag} + ' ';
+  if (s.size() <= lead.size()) return lead.compare(0, s.size(), s) == 0;
+  return s.substr(0, lead.size()) == lead &&
+         s.find_first_not_of(" 0123456789abcdef", lead.size()) ==
+             std::string_view::npos;
+}
+
+enum class FrameRead { kOk, kTorn, kBad };
+
+/// Reads the frame tagged `tag` at `pos`, checksummed from `seed`, and
+/// advances `pos` past it.  kTorn means the file ends inside the frame;
+/// kBad (with `err`) is damage.
+FrameRead read_frame(std::string_view bytes, std::size_t& pos,
+                     std::string_view tag, std::uint64_t seed,
+                     std::string_view& payload, std::string& err) {
+  const std::string_view rest = bytes.substr(pos);
+  const std::size_t nl = rest.find('\n');
+  if (nl == std::string_view::npos) {
+    if (frame_line_prefix(rest, tag)) return FrameRead::kTorn;
+    err = "malformed " + std::string{tag} + " frame";
+    return FrameRead::kBad;
+  }
+  const std::string_view line = rest.substr(0, nl);
+  const std::size_t len_at = tag.size() + 1;
+  const std::size_t sp = line.find(' ', len_at);
+  const std::string_view digits =
+      sp == std::string_view::npos ? std::string_view{}
+                                   : line.substr(len_at, sp - len_at);
+  const std::string_view sum =
+      sp == std::string_view::npos ? std::string_view{} : line.substr(sp + 1);
+  if (line.substr(0, len_at) != std::string{tag} + ' ' || digits.empty() ||
+      digits.size() > 12 ||
+      digits.find_first_not_of(kDigits) != std::string_view::npos ||
+      sum.size() != 16 ||
+      sum.find_first_not_of(kHexDigits) != std::string_view::npos) {
+    err = "malformed " + std::string{tag} + " frame";
+    return FrameRead::kBad;
+  }
+  const std::size_t len = std::stoull(std::string{digits});
+  if (len > rest.size() - nl - 1) return FrameRead::kTorn;
+  payload = rest.substr(nl + 1, len);
+  if (sum != checksum(payload, seed)) {
+    err = std::string{tag} + " checksum mismatch";
+    return FrameRead::kBad;
+  }
+  pos += nl + 1 + len;
+  return FrameRead::kOk;
 }
 
 }  // namespace
@@ -125,9 +188,8 @@ std::size_t SweepManifest::n_points() const {
 }
 
 void SweepManifest::save(std::ostream& os) const {
-  os << "manifest " << kFormatVersion << '\n';
   os << "scenario ";
-  summary::write_str(os, scenario);
+  write_str(os, scenario);
   os << "\nduration ";
   if (duration_ns.has_value()) {
     os << *duration_ns;
@@ -141,19 +203,19 @@ void SweepManifest::save(std::ostream& os) const {
     os << 'u';
   }
   os << "\nreplicate " << replicate << "\nstats ";
-  summary::write_str(os, stats_spelling(stats));
+  write_str(os, stats_spelling(stats));
   os << "\nshard " << shard_index << ' ' << shard_count;
   os << "\nparams " << params.size() << '\n';
   for (const auto& [k, v] : params) {
-    summary::write_str(os, k);
-    summary::write_str(os, v);
+    write_str(os, k);
+    write_str(os, v);
     os << '\n';
   }
   os << "axes " << axes.size() << '\n';
   for (const auto& axis : axes) {
-    summary::write_str(os, axis.key);
+    write_str(os, axis.key);
     os << ' ' << axis.values.size() << ' ';
-    for (const auto& v : axis.values) summary::write_str(os, v);
+    for (const auto& v : axis.values) write_str(os, v);
     os << '\n';
   }
 }
@@ -162,13 +224,7 @@ bool SweepManifest::load(std::istream& is, SweepManifest& out,
                          std::string& err) {
   out = SweepManifest{};
   err = "truncated or malformed manifest";
-  int version = 0;
-  if (!expect_token(is, "manifest") || !(is >> version) ||
-      version != kFormatVersion) {
-    err = "unsupported manifest version";
-    return false;
-  }
-  if (!expect_token(is, "scenario") || !summary::read_str(is, out.scenario)) {
+  if (!expect_token(is, "scenario") || !read_str(is, out.scenario)) {
     return false;
   }
   std::string tok;
@@ -193,7 +249,7 @@ bool SweepManifest::load(std::istream& is, SweepManifest& out,
     return false;
   }
   std::string stats_text;
-  if (!expect_token(is, "stats") || !summary::read_str(is, stats_text)) {
+  if (!expect_token(is, "stats") || !read_str(is, stats_text)) {
     return false;
   }
   std::ostringstream sink;
@@ -210,7 +266,7 @@ bool SweepManifest::load(std::istream& is, SweepManifest& out,
   }
   for (std::size_t i = 0; i < n_params; ++i) {
     std::string k, v;
-    if (!summary::read_str(is, k) || !summary::read_str(is, v)) return false;
+    if (!read_str(is, k) || !read_str(is, v)) return false;
     out.params.emplace_back(std::move(k), std::move(v));
   }
   std::size_t n_axes = 0;
@@ -220,15 +276,25 @@ bool SweepManifest::load(std::istream& is, SweepManifest& out,
   for (std::size_t a = 0; a < n_axes; ++a) {
     SweepAxis axis;
     std::size_t n_values = 0;
-    if (!summary::read_str(is, axis.key) || !(is >> n_values) ||
+    if (!read_str(is, axis.key) || !(is >> n_values) ||
         n_values > 1'000'000) {
       return false;
     }
     axis.values.resize(n_values);
     for (auto& v : axis.values) {
-      if (!summary::read_str(is, v)) return false;
+      if (!read_str(is, v)) return false;
     }
     out.axes.push_back(std::move(axis));
+  }
+  // The task count bounds every index a record may carry; cap it the way
+  // run_sweep caps a grid, which also keeps n_points() from overflowing.
+  std::size_t tasks = static_cast<std::size_t>(out.replicate);
+  for (const auto& axis : out.axes) {
+    if (tasks > kMaxTasks || axis.values.empty() ||
+        axis.values.size() > kMaxTasks / tasks) {
+      return false;
+    }
+    tasks *= axis.values.size();
   }
   err.clear();
   return true;
@@ -304,120 +370,146 @@ bool shard_owns_point(const SweepManifest& m, std::size_t point) {
          static_cast<std::size_t>(m.shard_index);
 }
 
-void SweepStateFile::save(std::ostream& os) const {
-  os << (kind == Kind::kCheckpoint ? kCheckpointMagic : kPartialMagic) << ' '
-     << kFormatVersion << '\n';
-  if (kind == Kind::kCheckpoint) {
-    // Line 2, before the manifest: the poll-cheap liveness header.
-    os << "progress " << heartbeat << ' ' << count_set(folded) << ' '
-       << owned_task_count(manifest) << '\n';
-  }
-  manifest.save(os);
-  os << "header ";
-  summary::write_str(os, header);
-  os << '\n';
-  if (kind == Kind::kCheckpoint) {
-    os << "folded " << folded.size() << ' ' << encode_bitmap(folded) << '\n';
-  }
-  os << "points " << points.size() << '\n';
-  for (const auto& [idx, state] : points) {
-    os << "point " << idx << '\n';
-    state.save(os);
-  }
-  os << "end\n";
+SweepLogEncoder::SweepLogEncoder(SweepLogKind kind,
+                                 const SweepManifest& manifest) {
+  std::ostringstream m;
+  manifest.save(m);
+  manifest_sum_ = fnv1a64(m.str());
+  head_ = std::string{kind == SweepLogKind::kCheckpoint ? kCheckpointMagic
+                                                        : kPartialMagic} +
+          ' ' + std::to_string(kFormatVersion) + '\n' +
+          frame("manifest", m.str(), kFnvBasis);
 }
 
-bool SweepStateFile::load(std::istream& is, SweepStateFile& out,
-                          std::string& err) {
-  out = SweepStateFile{};
-  err = "truncated or malformed sweep state";
-  std::string magic;
-  int version = 0;
-  if (!(is >> magic) || !(is >> version)) return false;
+std::string SweepLogEncoder::record(
+    std::uint64_t heartbeat, std::uint64_t folded_tasks,
+    const std::vector<const FinishedPoint*>& points) const {
+  std::ostringstream os;
+  os << "heartbeat " << heartbeat << " folded " << folded_tasks << " points "
+     << points.size() << '\n';
+  for (const FinishedPoint* p : points) {
+    os << "point " << p->index << ' ' << p->lines.size() << ' ';
+    write_str(os, p->csv_header);
+    os << ' ';
+    write_str(os, p->stats_header);
+    os << '\n';
+    for (const auto& line : p->lines) {
+      write_str(os, line);
+      os << '\n';
+    }
+  }
+  return frame("record", os.str(), manifest_sum_);
+}
+
+namespace {
+
+/// Parses one record payload, appending its points to `log`.  Points
+/// arrive in grid order, each once.
+bool parse_record(std::string_view payload, SweepLog& log, std::string& err) {
+  err = "malformed record";
+  std::istringstream is{std::string{payload}};
+  std::uint64_t heartbeat = 0, folded = 0;
+  std::size_t n_points = 0;
+  if (!expect_token(is, "heartbeat") || !(is >> heartbeat) ||
+      !expect_token(is, "folded") || !(is >> folded) ||
+      !expect_token(is, "points") || !(is >> n_points) ||
+      n_points > payload.size()) {
+    return false;
+  }
+  const SweepManifest& m = log.manifest;
+  for (std::size_t i = 0; i < n_points; ++i) {
+    FinishedPoint p;
+    std::size_t n_lines = 0;
+    if (!expect_token(is, "point") || !(is >> p.index) ||
+        !(is >> n_lines) || n_lines > payload.size() ||
+        !read_str(is, p.csv_header) || !read_str(is, p.stats_header)) {
+      return false;
+    }
+    if (p.index >= m.n_points() || !shard_owns_point(m, p.index) ||
+        (!log.points.empty() && p.index <= log.points.back().index)) {
+      err = "record holds point " + std::to_string(p.index) +
+            ", which is out of order or not owned by this shard";
+      return false;
+    }
+    p.lines.resize(n_lines);
+    for (auto& line : p.lines) {
+      if (!read_str(is, line)) return false;
+    }
+    if (n_lines > 0 && (p.csv_header.empty() ||
+                        (m.replicate > 1) == p.stats_header.empty())) {
+      err = "record holds rows for point " + std::to_string(p.index) +
+            " without the headers they follow";
+      return false;
+    }
+    log.points.push_back(std::move(p));
+  }
+  if (!at_end(is)) return false;
+  // The counters are cumulative: the heartbeat ticks on every append, and
+  // every recorded point has all its replicates folded.
+  if (heartbeat <= log.heartbeat || folded > owned_task_count(m) ||
+      folded < log.points.size() * static_cast<std::uint64_t>(m.replicate)) {
+    err = "record counters are inconsistent";
+    return false;
+  }
+  log.heartbeat = heartbeat;
+  log.folded_tasks = folded;
+  err.clear();
+  return true;
+}
+
+}  // namespace
+
+bool parse_sweep_log(std::string_view bytes, SweepLog& out, std::string& err) {
+  out = SweepLog{};
+  const std::size_t nl = bytes.find('\n');
+  const std::string_view magic_line = bytes.substr(0, nl);
+  const std::size_t sp = magic_line.find(' ');
+  const std::string_view magic = magic_line.substr(0, sp);
   if (magic == kCheckpointMagic) {
-    out.kind = Kind::kCheckpoint;
+    out.kind = SweepLogKind::kCheckpoint;
   } else if (magic == kPartialMagic) {
-    out.kind = Kind::kPartial;
+    out.kind = SweepLogKind::kPartial;
   } else {
     err = "not a sweep checkpoint or partial (bad magic)";
     return false;
   }
-  if (version != kFormatVersion) {
-    err = "unsupported sweep state version";
+  const std::string_view version =
+      sp == std::string_view::npos ? std::string_view{}
+                                   : magic_line.substr(sp + 1);
+  if (nl == std::string_view::npos ||
+      version != std::to_string(kFormatVersion)) {
+    err = "unsupported sweep state version '" + std::string{version} +
+          "' (this build reads version " + std::to_string(kFormatVersion) +
+          " logs only)";
     return false;
   }
-  std::uint64_t claimed_folded = 0;
-  std::uint64_t claimed_owned = 0;
-  if (out.kind == Kind::kCheckpoint) {
-    if (!expect_token(is, "progress") || !(is >> out.heartbeat) ||
-        !(is >> claimed_folded) || !(is >> claimed_owned)) {
-      err = "truncated or malformed checkpoint progress header";
-      return false;
-    }
-  }
-  if (!SweepManifest::load(is, out.manifest, err)) return false;
-  err = "truncated or malformed sweep state";
-  if (!expect_token(is, "header") || !summary::read_str(is, out.header)) {
+  std::size_t pos = nl + 1;
+  std::string_view payload;
+  const FrameRead head =
+      read_frame(bytes, pos, "manifest", kFnvBasis, payload, err);
+  if (head != FrameRead::kOk) {
+    if (head == FrameRead::kTorn) err = "truncated manifest";
     return false;
   }
-  const std::size_t n_tasks = out.manifest.n_tasks();
-  if (out.kind == Kind::kCheckpoint) {
-    std::size_t n = 0;
-    std::string bitmap;
-    if (!expect_token(is, "folded") || !(is >> n) || n != n_tasks ||
-        !(is >> bitmap) || !decode_bitmap(bitmap, n, out.folded)) {
-      return false;
-    }
-    // The progress header is derived state; a disagreement with the bitmap
-    // or manifest marks a hand-edited or corrupt file.
-    if (claimed_folded != count_set(out.folded) ||
-        claimed_owned != owned_task_count(out.manifest)) {
-      err = "checkpoint progress header disagrees with the folded bitmap";
-      return false;
-    }
-    // The fold is strictly in task order over the shard's owned tasks, so
-    // the bitmap must be a prefix of that sequence: a set bit after a
-    // cleared owned bit (or any bit on an unowned task) marks corruption.
-    bool gap = false;
-    for (std::size_t t = 0; t < n_tasks; ++t) {
-      const std::size_t point =
-          t / static_cast<std::size_t>(out.manifest.replicate);
-      if (!shard_owns_point(out.manifest, point)) {
-        if (out.folded[t] != 0) {
-          err = "checkpoint marks a task its shard does not own";
-          return false;
-        }
-        continue;
-      }
-      if (out.folded[t] != 0 && gap) {
-        err = "checkpoint bitmap is not a prefix of the fold order";
-        return false;
-      }
-      if (out.folded[t] == 0) gap = true;
-    }
-  }
-  std::size_t n_states = 0;
-  if (!expect_token(is, "points") || !(is >> n_states) ||
-      n_states > out.manifest.n_points()) {
+  const std::uint64_t manifest_sum = fnv1a64(payload);
+  std::istringstream ms{std::string{payload}};
+  if (!SweepManifest::load(ms, out.manifest, err)) return false;
+  if (!at_end(ms)) {
+    err = "trailing bytes after the manifest";
     return false;
   }
-  std::set<std::size_t> seen;
-  for (std::size_t i = 0; i < n_states; ++i) {
-    std::size_t idx = 0;
-    if (!expect_token(is, "point") || !(is >> idx) ||
-        idx >= out.manifest.n_points() ||
-        !shard_owns_point(out.manifest, idx) || !seen.insert(idx).second) {
+  for (std::size_t n = 1; pos < bytes.size(); ++n) {
+    const FrameRead r =
+        read_frame(bytes, pos, "record", manifest_sum, payload, err);
+    if (r == FrameRead::kTorn) {
+      out.torn_tail = true;
+      break;
+    }
+    if (r == FrameRead::kBad || !parse_record(payload, out, err)) {
+      err = "record " + std::to_string(n) + ": " + err;
       return false;
     }
-    summary::ColumnSummary state{{}};
-    std::string state_err;
-    if (!summary::ColumnSummary::load(is, state, state_err)) {
-      err = state_err;
-      return false;
-    }
-    out.points.emplace_back(idx, std::move(state));
   }
-  if (!expect_token(is, "end")) return false;
   err.clear();
   return true;
 }
@@ -439,12 +531,24 @@ bool fsync_path(const std::string& path, bool directory) {
   ::close(fd);
   return ok;
 }
+
+bool write_all(int fd, std::string_view bytes) {
+  while (!bytes.empty()) {
+    const ssize_t n = ::write(fd, bytes.data(), bytes.size());
+    if (n < 0) return false;
+    bytes.remove_prefix(static_cast<std::size_t>(n));
+  }
+  return true;
+}
 #endif
 
-}  // namespace
-
-bool save_state_file_atomic(const SweepStateFile& state,
-                            const std::string& path, std::ostream& err) {
+/// Writes `bytes` to `path` via a temp file + rename, so a kill mid-write
+/// can never leave a truncated file behind.  On POSIX the temp file is
+/// fsync'd before the rename and the directory entry fsync'd after it, so
+/// even power loss (not just SIGKILL) cannot surface a torn file, or a
+/// valid-looking stale one, under the final name.
+bool write_file_atomic(const std::string& path, std::string_view bytes,
+                       std::ostream& err) {
   const std::string tmp = path + ".tmp";
   {
     std::ofstream os{tmp, std::ios::binary | std::ios::trunc};
@@ -452,7 +556,7 @@ bool save_state_file_atomic(const SweepStateFile& state,
       err << "error: cannot open '" << tmp << "' for writing\n";
       return false;
     }
-    state.save(os);
+    os << bytes;
     os.flush();
     if (!os) {
       err << "error: failed writing '" << tmp << "'\n";
@@ -460,11 +564,6 @@ bool save_state_file_atomic(const SweepStateFile& state,
     }
   }
 #if defined(__unix__) || defined(__APPLE__)
-  // Durability, not just atomicity: without the fsync a machine crash after
-  // the rename could expose a zero-length or torn file under the final name
-  // (the rename can reach disk before the data does); without the directory
-  // fsync the rename itself may be lost, silently reviving a stale
-  // checkpoint.  SIGKILL alone never needed this — power loss does.
   if (!fsync_path(tmp, /*directory=*/false)) {
     err << "error: cannot fsync '" << tmp << "'\n";
     return false;
@@ -486,111 +585,155 @@ bool save_state_file_atomic(const SweepStateFile& state,
   return true;
 }
 
-bool read_checkpoint_progress(const std::string& path, CheckpointProgress& out,
-                              std::string& err) {
-  out = CheckpointProgress{};
-  std::ifstream is{path, std::ios::binary};
-  if (!is) {
-    err = "cannot open '" + path + "'";
-    return false;
-  }
-  std::string magic;
-  int version = 0;
-  if (!(is >> magic) || magic != kCheckpointMagic) {
-    err = "'" + path + "' is not a sweep checkpoint";
-    return false;
-  }
-  if (!(is >> version) || version != kFormatVersion) {
-    err = "'" + path + "' has an unsupported checkpoint version";
-    return false;
-  }
-  if (!expect_token(is, "progress") || !(is >> out.heartbeat) ||
-      !(is >> out.folded_tasks) || !(is >> out.owned_tasks)) {
-    err = "'" + path + "' has a malformed progress header";
-    return false;
-  }
-  err.clear();
-  return true;
-}
+}  // namespace
 
-bool load_state_file(const std::string& path, SweepStateFile& out,
-                     std::ostream& err) {
+bool read_sweep_log(const std::string& path, SweepLog& out,
+                    std::ostream& err) {
   std::ifstream is{path, std::ios::binary};
   if (!is) {
     err << "error: cannot open '" << path << "'\n";
     return false;
   }
+  std::ostringstream bytes;
+  bytes << is.rdbuf();  // an empty file fails below, as a bad magic line
   std::string why;
-  if (!SweepStateFile::load(is, out, why)) {
+  if (!parse_sweep_log(bytes.str(), out, why)) {
     err << "error: cannot load '" << path << "': " << why << '\n';
     return false;
   }
   return true;
 }
 
+SweepLogWriter::SweepLogWriter(std::string path, const SweepManifest& manifest)
+    : path_{std::move(path)},
+      encoder_{SweepLogKind::kCheckpoint, manifest} {}
+
+SweepLogWriter::~SweepLogWriter() {
+#if defined(__unix__) || defined(__APPLE__)
+  if (fd_ >= 0) ::close(fd_);
+#endif
+}
+
+bool SweepLogWriter::append(std::uint64_t heartbeat,
+                            std::uint64_t folded_tasks,
+                            const std::vector<const FinishedPoint*>& points,
+                            std::ostream& err) {
+  const std::string record =
+      encoder_.record(heartbeat, folded_tasks, points);
+  if (!created_) {
+    if (!write_file_atomic(path_, encoder_.head() + record, err)) {
+      return false;
+    }
+    created_ = true;
+#if defined(__unix__) || defined(__APPLE__)
+    fd_ = ::open(path_.c_str(), O_WRONLY | O_APPEND);
+    if (fd_ < 0) {
+      err << "error: cannot reopen '" << path_ << "' for appending\n";
+      return false;
+    }
+#endif
+    return true;
+  }
+#if defined(__unix__) || defined(__APPLE__)
+  // One write of the whole record: a crash can cut it short (the torn tail
+  // every reader drops) but never interleave it with another.
+#if defined(__APPLE__)
+  const bool synced = write_all(fd_, record) && ::fsync(fd_) == 0;
+#else
+  const bool synced = write_all(fd_, record) && ::fdatasync(fd_) == 0;
+#endif
+  if (!synced) {
+    err << "error: cannot append to '" << path_ << "'\n";
+    return false;
+  }
+#else
+  std::ofstream os{path_, std::ios::binary | std::ios::app};
+  if (!(os << record).flush()) {
+    err << "error: cannot append to '" << path_ << "'\n";
+    return false;
+  }
+#endif
+  return true;
+}
+
+bool read_checkpoint_progress(const std::string& path, CheckpointProgress& out,
+                              std::string& err) {
+  out = CheckpointProgress{};
+  SweepLog log;
+  std::ostringstream why;
+  if (!read_sweep_log(path, log, why)) {
+    err = why.str();
+    return false;
+  }
+  if (log.kind != SweepLogKind::kCheckpoint) {
+    err = "'" + path + "' is a shard partial, not a sweep checkpoint";
+    return false;
+  }
+  out.heartbeat = log.heartbeat;
+  out.folded_tasks = log.folded_tasks;
+  out.owned_tasks = owned_task_count(log.manifest);
+  err.clear();
+  return true;
+}
+
 int emit_sweep_aggregate(const SweepManifest& manifest,
                          const std::vector<std::vector<std::string>>& grid,
-                         const std::vector<summary::ColumnSummary>& per_point,
-                         const std::string& header, std::ostream& out,
-                         std::ostream& err,
-                         const std::vector<char>* skip_points) {
-  if (header.empty()) {
+                         const std::vector<std::optional<FinishedPoint>>& points,
+                         std::ostream& out, std::ostream& err) {
+  const std::vector<SweepAxis>& axes = manifest.axes;
+  // The CSV header comes from the first point that printed one; the
+  // statistics header from the first point with rows (rowless points emit
+  // nothing and are exempt from the comparison).
+  const FinishedPoint* csv_ref = nullptr;
+  const FinishedPoint* stats_ref = nullptr;
+  for (const auto& p : points) {
+    if (!p.has_value()) continue;
+    if (!p->csv_header.empty()) {
+      if (csv_ref == nullptr) {
+        csv_ref = &*p;
+      } else if (p->csv_header != csv_ref->csv_header) {
+        err << "error: sweep point " << point_label(axes, grid[p->index])
+            << " emitted CSV header '" << p->csv_header
+            << "' but earlier points emitted '" << csv_ref->csv_header
+            << "'\n";
+        return 1;
+      }
+    }
+    if (!p->lines.empty()) {
+      if (stats_ref == nullptr) {
+        stats_ref = &*p;
+      } else if (p->stats_header != stats_ref->stats_header) {
+        err << "error: sweep point " << point_label(axes, grid[p->index])
+            << " has a different numeric/label column mix than earlier "
+               "points; cannot aggregate\n";
+        return 1;
+      }
+    }
+  }
+  if (csv_ref == nullptr) {
     err << "error: no CSV trace found in any sweep point's output\n";
     return 1;
   }
-  const std::vector<SweepAxis>& axes = manifest.axes;
-  auto skipped = [&](std::size_t i) {
-    return skip_points != nullptr && (*skip_points)[i] != 0;
-  };
-
-  if (manifest.replicate == 1) {
-    // Raw aggregate: every point's rows verbatim, in grid order, with the
-    // swept values prepended.
-    for (const auto& axis : axes) out << axis.key << ',';
-    out << header << '\n';
-    for (std::size_t i = 0; i < grid.size(); ++i) {
-      if (skipped(i)) continue;
-      for (const auto& row : per_point[i].rows()) {
-        for (const auto& value : grid[i]) out << value << ',';
-        out << join_cells(row) << '\n';
-      }
-    }
-    return 0;
-  }
-
-  // Replicated aggregate: one statistics row per point and label group.
-  // The reference header comes from the first point that produced rows;
-  // rowless (and skipped) points emit nothing and are exempt from the
-  // comparison.
-  const summary::ColumnSummary* reference = nullptr;
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    if (!skipped(i) && per_point[i].row_count() > 0) {
-      reference = &per_point[i];
-      break;
-    }
-  }
-  if (reference == nullptr) reference = &per_point.front();
-  const std::vector<std::string> expanded =
-      reference->header(manifest.stats);
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    if (!skipped(i) && per_point[i].row_count() > 0 &&
-        per_point[i].numeric_mask() != reference->numeric_mask()) {
-      err << "error: sweep point " << point_label(axes, grid[i])
-          << " has a different numeric/label column mix than earlier "
-             "points; cannot aggregate\n";
-      return 1;
-    }
-  }
 
   for (const auto& axis : axes) out << axis.key << ',';
-  for (const auto& name : expanded) out << name << ',';
-  out << "n_rep\n";
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    if (skipped(i)) continue;
-    for (const auto& srow : per_point[i].summarize(manifest.stats)) {
-      for (const auto& value : grid[i]) out << value << ',';
-      for (const auto& cell : srow) out << cell << ',';
-      out << manifest.replicate << '\n';
+  const bool replicated = manifest.replicate > 1;
+  if (!replicated) {
+    out << csv_ref->csv_header << '\n';
+  } else if (stats_ref != nullptr) {
+    out << stats_ref->stats_header << ",n_rep\n";
+  } else {
+    // No point has rows: every column is still numeric.
+    const summary::ColumnSummary all_numeric{
+        summary::split_csv(csv_ref->csv_header)};
+    out << summary::join_csv(all_numeric.header(manifest.stats)) << ",n_rep\n";
+  }
+  for (const auto& p : points) {
+    if (!p.has_value()) continue;
+    for (const auto& line : p->lines) {
+      for (const auto& value : grid[p->index]) out << value << ',';
+      out << line;
+      if (replicated) out << ',' << manifest.replicate;
+      out << '\n';
     }
   }
   return 0;
@@ -617,19 +760,27 @@ int merge_main(int argc, char** argv, std::ostream& err) {
   }
   if (part_paths.empty()) {
     err << "usage: tfmcc_sim merge [--output <path>] <partial>...\n"
-           "Folds the partial-aggregate artifacts written by "
-           "`sweep --shard i/n` — all n of them, each exactly once — into "
-           "the aggregate CSV the unsharded sweep would have written.\n";
+           "Places the finished points of the partial-aggregate artifacts "
+           "written by `sweep --shard i/n` — all n of them, each exactly "
+           "once — into the aggregate CSV the unsharded sweep would have "
+           "written.\n";
     return 2;
   }
 
-  std::vector<SweepStateFile> parts(part_paths.size());
+  std::vector<SweepLog> parts(part_paths.size());
   for (std::size_t i = 0; i < part_paths.size(); ++i) {
-    if (!load_state_file(part_paths[i], parts[i], err)) return 2;
-    if (parts[i].kind != SweepStateFile::Kind::kPartial) {
+    if (!read_sweep_log(part_paths[i], parts[i], err)) return 2;
+    if (parts[i].kind != SweepLogKind::kPartial) {
       err << "error: '" << part_paths[i]
           << "' is a sweep checkpoint, not a shard partial (resume it with "
              "`sweep ... --resume` instead)\n";
+      return 2;
+    }
+    // A partial is written whole when its shard finishes; unlike a
+    // checkpoint, a cut-short one is damage, not a crash to resume from.
+    if (parts[i].torn_tail || parts[i].heartbeat == 0) {
+      err << "error: partial '" << part_paths[i]
+          << "' is truncated (its record is missing or incomplete)\n";
       return 2;
     }
   }
@@ -640,7 +791,6 @@ int merge_main(int argc, char** argv, std::ostream& err) {
     return 2;
   }
   std::set<int> shards_seen;
-  std::string header;
   for (std::size_t i = 0; i < parts.size(); ++i) {
     if (!parts[i].manifest.matches(ref, /*ignore_shard_index=*/true,
                                    "partial '" + part_paths[i] + "'", err)) {
@@ -651,37 +801,16 @@ int merge_main(int argc, char** argv, std::ostream& err) {
           << ref.shard_count << " appears more than once\n";
       return 2;
     }
-    if (!parts[i].header.empty()) {
-      if (header.empty()) {
-        header = parts[i].header;
-      } else if (parts[i].header != header) {
-        err << "error: partial '" << part_paths[i]
-            << "' recorded CSV header '" << parts[i].header
-            << "' but earlier partials recorded '" << header << "'\n";
-        return 2;
-      }
-    }
   }
 
+  // Each point has exactly one owner (validated when the partial was read),
+  // so placing by index reassembles the grid as the owners computed it.
   const auto grid = expand_grid(ref.axes);
-  const std::vector<std::string> columns = summary::split_csv(header);
-  std::vector<summary::ColumnSummary> per_point(
-      grid.size(), summary::ColumnSummary{columns});
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    for (auto& [idx, state] : parts[i].points) {
-      if (idx >= grid.size()) {
-        err << "error: partial '" << part_paths[i]
-            << "' has state for point " << idx << " outside the grid\n";
-        return 2;
-      }
-      if (state.columns() != columns) {
-        err << "error: partial '" << part_paths[i]
-            << "' point state disagrees with the recorded CSV header\n";
-        return 2;
-      }
-      // Each point has exactly one owner (validated at load), so this move
-      // installs the accumulator bitwise as the owning shard folded it.
-      per_point[idx] = std::move(state);
+  std::vector<std::optional<FinishedPoint>> points(grid.size());
+  for (auto& part : parts) {
+    for (auto& p : part.points) {
+      const std::size_t index = p.index;
+      points[index] = std::move(p);
     }
   }
 
@@ -694,8 +823,7 @@ int merge_main(int argc, char** argv, std::ostream& err) {
   SweepManifest unsharded = ref;
   unsharded.shard_index = 0;
   unsharded.shard_count = 1;
-  const int rc = emit_sweep_aggregate(unsharded, grid, per_point, header,
-                                      *out, err);
+  const int rc = emit_sweep_aggregate(unsharded, grid, points, *out, err);
   if (file.is_open() && !finish_output_file(*output_path, file, err)) {
     return 2;
   }

@@ -1,42 +1,54 @@
 #pragma once
 
 // Campaign-scale sweep plumbing: sharding, checkpoint/resume, and the
-// partial-aggregate artifacts `tfmcc_sim merge` folds back together.
+// partial-aggregate artifacts `tfmcc_sim merge` places back together.
 //
-// The determinism contract extends the existing `--jobs N == --jobs 1`
-// byte-identity guarantee in two directions:
+// The unit of persisted state is a *finished grid point*.  Once every
+// replicate of a point has folded, the point's share of the aggregate is a
+// fixed list of CSV lines — its raw rows, or its summary rows — and it
+// never changes again.  So each finished point is written exactly once.
+// Checkpoints and shard partials share one append-only log format (v3):
+//
+//   TFMCC-SWEEP-CKPT 3                (TFMCC-SWEEP-PART 3 for a partial)
+//   manifest <length> <fnv1a64>       the sweep's manifest, framed
+//   <length bytes>
+//   record <length> <fnv1a64>         zero or more records, framed alike
+//   <length bytes>
+//
+// Each frame carries its payload's byte length and FNV-1a-64 checksum.  A
+// record holds the cumulative heartbeat and folded-task count and every
+// point that finished since the previous record (see FinishedPoint).
+//
+// The determinism contract extends the `--jobs N == --jobs 1` byte
+// identity in two directions:
 //
 //   * Sharding.  `--shard i/n` gives shard i every grid point p with
-//     p % n == i (all of a point's replicates stay together).  Each
-//     point's accumulator sees exactly the rows, in exactly the order, the
-//     unsharded sweep would feed it — which other points run alongside it
-//     changes nothing — so a shard's partial state for its points is
-//     bitwise-identical to the unsharded sweep's, and `merge` only ever
-//     places each point's state from its unique owner.  Merged output is
-//     therefore byte-identical (`cmp`) to the unsharded aggregate, and
-//     merging partials is exactly associative.
+//     p % n == i (all of a point's replicates stay together).  A point's
+//     lines are computed by exactly one owner from exactly the rows, in
+//     exactly the order, the unsharded sweep would feed it, so `merge` only
+//     places each point's lines by grid index.  The merged output is
+//     byte-identical (`cmp`) to the unsharded aggregate.
 //
-//   * Resume.  Tasks fold into the accumulators strictly in task order, so
-//     a checkpoint is always a *prefix* of the fold sequence: the folded
-//     bitmap plus each touched point's serialized accumulator.  A resumed
-//     sweep re-runs only the unfolded suffix and continues folding in the
-//     same order, making its output byte-identical to an uninterrupted run.
+//   * Resume.  A resumed sweep restores the finished points and re-runs
+//     only the unfinished ones.  Seeds are a pure function of the grid
+//     point and replicate, so the re-runs reproduce what the killed sweep
+//     would have folded, byte for byte.
 //
-// Both file kinds open with a manifest — scenario, axes, replicate count,
-// stats, base overrides, shard — and a resume or merge that does not match
-// the invoking sweep is refused with a diagnostic rather than silently
-// blended.  Row data inside the files uses the length-prefixed accumulator
-// serialization (analysis/summary), not CSV: nothing is re-parsed on load.
-// Checkpoints additionally open with a two-line progress header (heartbeat
-// save counter, folded/owned task counts) that a campaign supervisor can
-// poll for liveness without loading the accumulators; see
-// read_checkpoint_progress and sim/campaign.hpp.
+// Crash tolerance: a final record cut short (a crash mid-append) is
+// dropped by every reader, and a resumed run's first append rewrites the
+// log without it.  Any other damage — a checksum mismatch, a malformed
+// frame, a record for a point the shard does not own — and any older
+// (v2) file is refused with a diagnostic.  Both file kinds open with the
+// manifest — scenario, axes, replicate count, stats, base overrides,
+// shard — and a resume or merge that does not match the invoking sweep is
+// refused rather than silently blended.
 
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -46,7 +58,7 @@
 namespace tfmcc {
 
 /// Everything that identifies one sweep: the fields two invocations must
-/// agree on for their accumulator states to be interchangeable.
+/// agree on for their finished points to be interchangeable.
 struct SweepManifest {
   std::string scenario;
   std::vector<SweepAxis> axes;
@@ -63,9 +75,6 @@ struct SweepManifest {
                             const SweepOptions& sweep);
 
   std::size_t n_points() const;
-  std::size_t n_tasks() const {
-    return n_points() * static_cast<std::size_t>(replicate);
-  }
 
   void save(std::ostream& os) const;
   static bool load(std::istream& is, SweepManifest& out, std::string& err);
@@ -83,77 +92,119 @@ struct SweepManifest {
 /// across shards instead of handing one shard the whole expensive tail.
 bool shard_owns_point(const SweepManifest& m, std::size_t point);
 
-/// On-disk state shared by checkpoints and shard partials: the manifest,
-/// the CSV header once one was seen, per-point accumulator states, and —
-/// for checkpoints — the completed-task bitmap.
-struct SweepStateFile {
-  enum class Kind { kCheckpoint, kPartial };
-  Kind kind{Kind::kCheckpoint};
-  SweepManifest manifest;
-  std::string header;
-  /// Checkpoints only: monotone save counter.  Incremented by the sweep on
-  /// every checkpoint write (and restored across --resume), it is the
-  /// heartbeat a campaign supervisor polls — see read_checkpoint_progress.
-  std::uint64_t heartbeat{0};
-  /// Checkpoints only: folded[t] != 0 when global task t's output has been
-  /// folded.  Always a prefix of the shard's task order (ascending global
-  /// index over owned tasks); load() enforces that invariant.
-  std::vector<char> folded;
-  /// (global point index, accumulator) for every point with state.
-  std::vector<std::pair<std::size_t, summary::ColumnSummary>> points;
-
-  void save(std::ostream& os) const;
-  static bool load(std::istream& is, SweepStateFile& out, std::string& err);
+/// One finished grid point's share of the aggregate.
+struct FinishedPoint {
+  std::size_t index{0};
+  /// The CSV header the point's runs printed; "" when they printed none.
+  std::string csv_header;
+  /// Replicated sweeps only: the expanded statistics header its summary
+  /// rows follow (`<col>_<stat>` and label names, comma-joined).  "" for
+  /// raw sweeps and for points without rows.
+  std::string stats_header;
+  /// The aggregate lines, without the swept-value prefix: the raw rows, or
+  /// the summary rows without the trailing n_rep cell.
+  std::vector<std::string> lines;
 };
 
-/// The cheap-to-poll progress header a checkpoint file opens with: the
-/// heartbeat save counter, the number of folded tasks, and the number of
-/// tasks the writing shard owns in total.  All three are monotone across a
-/// shard's lifetime (including resumes), so a supervisor can detect a
-/// stalled or dead worker by polling these two lines without parsing the
-/// manifest or deserializing a single accumulator.
+enum class SweepLogKind { kCheckpoint, kPartial };
+
+/// A parsed checkpoint or partial.
+struct SweepLog {
+  SweepLogKind kind{SweepLogKind::kCheckpoint};
+  SweepManifest manifest;
+  /// From the last complete record (0 when there is none).
+  std::uint64_t heartbeat{0};
+  std::uint64_t folded_tasks{0};
+  /// Every finished point, in ascending grid index.
+  std::vector<FinishedPoint> points;
+  /// True when the file ended inside a record; that record was dropped.
+  bool torn_tail{false};
+};
+
+/// Encodes one log: its head (the magic line and the framed manifest),
+/// then records.  A record's checksum also covers the manifest, so records
+/// spliced in from another sweep's log fail their checksum.
+class SweepLogEncoder {
+ public:
+  SweepLogEncoder(SweepLogKind kind, const SweepManifest& manifest);
+
+  const std::string& head() const { return head_; }
+
+  /// One framed record: the cumulative heartbeat and folded-task count,
+  /// and the points that finished since the previous record.
+  std::string record(std::uint64_t heartbeat, std::uint64_t folded_tasks,
+                     const std::vector<const FinishedPoint*>& points) const;
+
+ private:
+  std::string head_;
+  std::uint64_t manifest_sum_{0};
+};
+
+/// Parses a whole log held in memory.  Returns false with a diagnostic in
+/// `err` for anything but a valid log, or a valid log followed by one
+/// incomplete record (which is dropped and reported in `torn_tail`).
+bool parse_sweep_log(std::string_view bytes, SweepLog& out, std::string& err);
+
+/// Reads and parses the log at `path`.  Returns false after an `error:`
+/// diagnostic on `err` for a missing, unreadable or damaged file.
+bool read_sweep_log(const std::string& path, SweepLog& out,
+                    std::ostream& err);
+
+/// Appends records to a checkpoint log.  The first append creates the file
+/// whole — head plus record — through a temp file, fsync, rename and
+/// directory fsync, so "the file exists" always means durable progress and
+/// any older file under the name (a torn tail, or a log being resumed) is
+/// replaced atomically.  Every later append is one O_APPEND write plus one
+/// fdatasync.
+class SweepLogWriter {
+ public:
+  SweepLogWriter(std::string path, const SweepManifest& manifest);
+  ~SweepLogWriter();
+  SweepLogWriter(const SweepLogWriter&) = delete;
+  SweepLogWriter& operator=(const SweepLogWriter&) = delete;
+
+  /// Appends one record (see SweepLogEncoder::record).  Returns false
+  /// after an `error:` diagnostic on `err`.
+  bool append(std::uint64_t heartbeat, std::uint64_t folded_tasks,
+              const std::vector<const FinishedPoint*>& points,
+              std::ostream& err);
+
+ private:
+  std::string path_;
+  SweepLogEncoder encoder_;
+  bool created_{false};
+  int fd_{-1};  // open for O_APPEND once created (POSIX)
+};
+
+/// The liveness view of a checkpoint a campaign supervisor polls: the
+/// heartbeat append counter, the folded-task count, and the number of
+/// tasks the writing shard owns.  The heartbeat is monotone across a
+/// shard's lifetime (resumes included).  The folded count may step back
+/// across a resume by the replicates of points that had not finished.
 struct CheckpointProgress {
   std::uint64_t heartbeat{0};
   std::uint64_t folded_tasks{0};
   std::uint64_t owned_tasks{0};
 };
 
-/// Reads just the magic line and progress header of the checkpoint at
-/// `path`.  Returns false (with a diagnostic in `err`) when the file is
-/// missing, is not a checkpoint, or has a malformed header — callers poll
-/// this in a loop, so the common "no checkpoint yet" case must be cheap.
+/// Reads the last complete record of the checkpoint at `path`.  Returns
+/// false (with a diagnostic in `err`) when the file is missing, is not a
+/// checkpoint, or is damaged.
 bool read_checkpoint_progress(const std::string& path, CheckpointProgress& out,
                               std::string& err);
 
-/// Writes `state` to `path` via a temp file + rename, so a kill mid-write
-/// can never leave a truncated checkpoint behind.  On POSIX the temp file
-/// is fsync'd before the rename and the directory entry fsync'd after it,
-/// so even a machine-level crash (power loss, not just SIGKILL) cannot
-/// surface a torn file — or a valid-looking stale one — under the final
-/// name.  Returns false after a diagnostic on `err`.
-bool save_state_file_atomic(const SweepStateFile& state,
-                            const std::string& path, std::ostream& err);
-
-/// Loads and validates `path`.  Returns false after a diagnostic on `err`
-/// for unreadable, corrupt, or truncated files.
-bool load_state_file(const std::string& path, SweepStateFile& out,
-                     std::ostream& err);
-
-/// Writes the final aggregate CSV from fully-folded per-point state: raw
-/// rows in grid order when replicate == 1, summary-statistics rows
-/// otherwise.  Both the unsharded sweep and `merge` end in this one code
-/// path — which is what makes shard+merge byte-identical to the unsharded
-/// run.  `per_point` is parallel to the expanded grid; `header` is the
-/// shared CSV header ("" means no point produced CSV, an error).
-/// `skip_points`, when non-null, is parallel to the grid and suppresses the
-/// marked points entirely — the degraded `--max-point-failures` path emits
-/// the surviving grid this way.
+/// Writes the final aggregate CSV from the finished points: the header,
+/// then every present point's lines in grid order with the swept values
+/// prepended.  `points` is parallel to the expanded grid; a missing point
+/// (failed under --max-point-failures, or owned by no partial) emits
+/// nothing.  The unsharded sweep, a resume and `merge` all end in this one
+/// code path, which is what makes them byte-identical.  Returns nonzero
+/// after a diagnostic when no point produced CSV, CSV headers disagree, or
+/// replicated points expand to different statistics headers.
 int emit_sweep_aggregate(const SweepManifest& manifest,
                          const std::vector<std::vector<std::string>>& grid,
-                         const std::vector<summary::ColumnSummary>& per_point,
-                         const std::string& header, std::ostream& out,
-                         std::ostream& err,
-                         const std::vector<char>* skip_points = nullptr);
+                         const std::vector<std::optional<FinishedPoint>>& points,
+                         std::ostream& out, std::ostream& err);
 
 /// CLI entry for `tfmcc_sim merge [--output <path>] <partial>...`: loads
 /// the shard partials, refuses mismatched or incomplete shard sets, and

@@ -1,10 +1,11 @@
 // Unit tests for the sweep scale-out plumbing (sim/sweep_state.hpp):
-// manifest round trip and mismatch diagnostics, checkpoint/partial file
-// round trip with the folded-bitmap prefix invariant, checkpoint/resume
-// edge cases (corrupt and truncated files, grid mismatch, checkpoints
-// covering only the first task and all-but-the-last task), shard ownership
-// and out-of-range indices, and library-level shard+merge byte-identity
-// against the unsharded aggregate.
+// manifest round trip and mismatch diagnostics, the v3 log (record round
+// trip, torn-tail tolerance at every cut, mid-file corruption and older
+// versions refused, the writer's create-then-append contract, the
+// campaign's progress poll), checkpoint/resume edge cases (checkpoints
+// covering only the first point and all but the last, a torn tail, grid
+// mismatch), shard ownership and out-of-range indices, and library-level
+// shard+merge byte-identity against the unsharded aggregate.
 
 #include "sim/sweep_state.hpp"
 
@@ -23,7 +24,7 @@ namespace tfmcc {
 namespace {
 
 // Deterministic probe: one CSV row that is a pure function of x, so
-// checkpoint accumulator states can be hand-built and compared exactly.
+// checkpoint logs can be hand-built and compared exactly.
 TFMCC_SCENARIO(test_state_probe, "sweep state probe",
                tfmcc::param("x", 1, "integer factor", 0)) {
   const int x = opts.param_or("x", 1);
@@ -84,7 +85,6 @@ TEST(SweepManifest, SaveLoadRoundTripPreservesEveryField) {
   sweep.shard_count = 2;
   const SweepManifest m = SweepManifest::from(probe(), sweep);
   EXPECT_EQ(m.n_points(), 3u);
-  EXPECT_EQ(m.n_tasks(), 12u);
 
   std::ostringstream os;
   m.save(os);
@@ -146,139 +146,231 @@ TEST(ShardOwnership, RoundRobinByPointIndex) {
   EXPECT_FALSE(shard_owns_point(m, 2));
 }
 
-/// A checkpoint as run_sweep would write it after folding the first
-/// `folded_tasks` tasks of the (unsharded, replicate-1) three-point sweep.
-SweepStateFile checkpoint_after(std::size_t folded_tasks) {
-  SweepStateFile ck;
-  ck.kind = SweepStateFile::Kind::kCheckpoint;
-  ck.manifest = SweepManifest::from(probe(), three_point_sweep());
-  ck.header = "x,sample";
-  ck.folded.assign(3, 0);
-  std::ostringstream err;
-  for (std::size_t t = 0; t < folded_tasks; ++t) {
-    ck.folded[t] = 1;
-    summary::ColumnSummary acc{{"x", "sample"}};
-    const std::string x = std::to_string(t + 1);
-    acc.add_row_unchecked({x, std::to_string(2 * (t + 1))});
-    ck.points.emplace_back(t, std::move(acc));
+/// The points run_sweep finishes for the (unsharded, replicate-1)
+/// three-point probe sweep: point i prints the row "x,2x".
+FinishedPoint probe_point(std::size_t i) {
+  const int x = static_cast<int>(i) + 1;
+  return FinishedPoint{
+      i, "x,sample", "", {std::to_string(x) + "," + std::to_string(2 * x)}};
+}
+
+std::vector<const FinishedPoint*> ptrs(
+    const std::vector<FinishedPoint>& points) {
+  std::vector<const FinishedPoint*> out;
+  for (const auto& p : points) out.push_back(&p);
+  return out;
+}
+
+SweepLogEncoder probe_encoder(SweepLogKind kind = SweepLogKind::kCheckpoint) {
+  return SweepLogEncoder{kind,
+                         SweepManifest::from(probe(), three_point_sweep())};
+}
+
+/// A record of the three-point probe sweep's log (of either kind: the
+/// kind lives in the magic line only).
+std::string record_of(std::uint64_t heartbeat, std::uint64_t folded,
+                      const std::vector<FinishedPoint>& points) {
+  return probe_encoder().record(heartbeat, folded, ptrs(points));
+}
+
+std::string probe_head(SweepLogKind kind = SweepLogKind::kCheckpoint) {
+  return probe_encoder(kind).head();
+}
+
+/// A checkpoint as run_sweep would leave it after the first `finished`
+/// points of the three-point sweep finished: one record per point.
+std::string checkpoint_after(std::size_t finished) {
+  std::string log = probe_head();
+  for (std::size_t i = 0; i < finished; ++i) {
+    log += record_of(i + 1, i + 1, {probe_point(i)});
   }
-  if (folded_tasks == 0) ck.header.clear();
-  return ck;
+  return log;
 }
 
-TEST(SweepStateFile, SaveLoadRoundTripIsExact) {
-  const SweepStateFile ck = checkpoint_after(2);
-  std::ostringstream os;
-  ck.save(os);
-  std::istringstream is{os.str()};
-  SweepStateFile back;
+SweepLog parse_ok(const std::string& bytes) {
+  SweepLog log;
   std::string err;
-  ASSERT_TRUE(SweepStateFile::load(is, back, err)) << err;
-  std::ostringstream os2;
-  back.save(os2);
-  EXPECT_EQ(os2.str(), os.str());
-  EXPECT_EQ(back.kind, SweepStateFile::Kind::kCheckpoint);
-  EXPECT_EQ(back.folded, (std::vector<char>{1, 1, 0}));
-  ASSERT_EQ(back.points.size(), 2u);
-  EXPECT_EQ(back.points[1].first, 1u);
+  EXPECT_TRUE(parse_sweep_log(bytes, log, err)) << err;
+  return log;
 }
 
-TEST(SweepStateFile, LoadEnforcesTheFoldedPrefixInvariant) {
-  SweepStateFile ck = checkpoint_after(1);
-  ck.folded = {0, 0, 1};  // a fold after a gap cannot happen
-  std::ostringstream os;
-  ck.save(os);
-  std::istringstream is{os.str()};
-  SweepStateFile back;
+std::string parse_error(const std::string& bytes) {
+  SweepLog log;
   std::string err;
-  EXPECT_FALSE(SweepStateFile::load(is, back, err));
-  EXPECT_NE(err.find("prefix"), std::string::npos) << err;
+  EXPECT_FALSE(parse_sweep_log(bytes, log, err));
+  EXPECT_FALSE(err.empty());
+  return err;
 }
 
-TEST(SweepStateFile, LoadRejectsFoldsOnUnownedTasks) {
-  SweepStateFile ck = checkpoint_after(1);
-  ck.manifest.shard_index = 1;
-  ck.manifest.shard_count = 2;
-  // Task 0 belongs to shard 0; shard 1 claiming it is corruption.
-  std::ostringstream os;
-  ck.save(os);
-  std::istringstream is{os.str()};
-  SweepStateFile back;
-  std::string err;
-  EXPECT_FALSE(SweepStateFile::load(is, back, err));
-  EXPECT_NE(err.find("does not own"), std::string::npos) << err;
-}
-
-TEST(SweepStateFile, LoadDiagnosesTruncationAtEveryPrefix) {
-  // Every proper prefix except the one missing only the trailing newline
-  // after the "end" trailer (token parsing does not need it) must fail.
-  std::ostringstream os;
-  checkpoint_after(2).save(os);
-  const std::string text = os.str();
-  for (std::size_t len = 0; len + 1 < text.size(); ++len) {
-    std::istringstream is{text.substr(0, len)};
-    SweepStateFile back;
-    std::string err;
-    EXPECT_FALSE(SweepStateFile::load(is, back, err)) << "prefix " << len;
-    EXPECT_FALSE(err.empty());
+TEST(SweepLog, RecordRoundTripIsExact) {
+  SweepOptions sweep = three_point_sweep();
+  sweep.replicate = 2;
+  const SweepManifest m = SweepManifest::from(probe(), sweep);
+  // Lines are length-prefixed, so any bytes survive: newlines, colons,
+  // empty strings.
+  const std::vector<FinishedPoint> first{
+      {0, "x,sample", "x_mean,x_cov", {"1,0", "", "a\nb:c"}},
+      {1, "", "", {}}};
+  const std::vector<FinishedPoint> second{
+      {2, "x,sample", "x_mean,x_cov", {"3,0.5"}}};
+  const SweepLogEncoder enc{SweepLogKind::kCheckpoint, m};
+  const std::string bytes = enc.head() + enc.record(4, 4, ptrs(first)) +
+                            enc.record(5, 6, ptrs(second));
+  const SweepLog log = parse_ok(bytes);
+  EXPECT_EQ(log.kind, SweepLogKind::kCheckpoint);
+  EXPECT_FALSE(log.torn_tail);
+  EXPECT_EQ(log.heartbeat, 5u);
+  EXPECT_EQ(log.folded_tasks, 6u);
+  std::ostringstream diag;
+  EXPECT_TRUE(log.manifest.matches(m, false, "copy", diag)) << diag.str();
+  ASSERT_EQ(log.points.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    const FinishedPoint& want = i < 2 ? first[i] : second[0];
+    EXPECT_EQ(log.points[i].index, want.index);
+    EXPECT_EQ(log.points[i].csv_header, want.csv_header);
+    EXPECT_EQ(log.points[i].stats_header, want.stats_header);
+    EXPECT_EQ(log.points[i].lines, want.lines);
   }
 }
 
-TEST(SweepStateFile, AtomicSaveThenLoadBack) {
-  const std::string path = temp_path("atomic.bin");
-  std::ostringstream err;
-  ASSERT_TRUE(save_state_file_atomic(checkpoint_after(2), path, err))
-      << err.str();
-  SweepStateFile back;
-  ASSERT_TRUE(load_state_file(path, back, err)) << err.str();
-  EXPECT_EQ(back.points.size(), 2u);
+TEST(SweepLog, TornFinalRecordIsDroppedAtEveryCut) {
+  const std::string whole = checkpoint_after(2);
+  const std::size_t last = checkpoint_after(1).size();
+  for (std::size_t len = last + 1; len < whole.size(); ++len) {
+    const SweepLog log = parse_ok(whole.substr(0, len));
+    EXPECT_TRUE(log.torn_tail) << "cut at " << len;
+    EXPECT_EQ(log.points.size(), 1u) << "cut at " << len;
+    EXPECT_EQ(log.heartbeat, 1u) << "cut at " << len;
+  }
+  EXPECT_FALSE(parse_ok(whole.substr(0, last)).torn_tail);
+}
+
+TEST(SweepLog, TruncatedManifestIsRefused) {
+  const std::string head = probe_head();
+  for (std::size_t len = 0; len < head.size(); ++len) {
+    parse_error(head.substr(0, len));
+  }
+}
+
+TEST(SweepLog, MidFileCorruptionIsRefused) {
+  const std::string whole = checkpoint_after(3);
+  // A changed byte inside an earlier record's payload fails its checksum.
+  const std::size_t at = checkpoint_after(1).size() - 3;
+  std::string flipped = whole;
+  flipped[at] = static_cast<char>(flipped[at] ^ 0x01);
+  EXPECT_NE(parse_error(flipped).find("checksum mismatch"), std::string::npos);
+  // So does one inside the manifest.
+  std::string manifest_flip = whole;
+  manifest_flip[probe_head().size() - 2] ^= 0x01;
+  EXPECT_NE(parse_error(manifest_flip).find("checksum"), std::string::npos);
+  // Garbage after the last record is damage, not a torn record.
+  EXPECT_NE(parse_error(whole + "garbage\n").find("malformed"),
+            std::string::npos);
+}
+
+TEST(SweepLog, OlderFormatVersionsAreRefused) {
+  const std::string v2 =
+      "TFMCC-SWEEP-CKPT 2\nprogress 1 1 3\nmanifest 2\nscenario 3:zzz";
+  EXPECT_NE(parse_error(v2).find("unsupported sweep state version"),
+            std::string::npos);
+  EXPECT_NE(parse_error("TFMCC-SWEEP-PART 2\nmanifest 2\n")
+                .find("unsupported sweep state version"),
+            std::string::npos);
+  EXPECT_NE(parse_error("not a log\n").find("bad magic"), std::string::npos);
+}
+
+TEST(SweepLog, RefusesPointsOutOfOrderUnownedOrCountersBackwards) {
+  const std::string head = probe_head();
+  EXPECT_NE(parse_error(head + record_of(1, 2, {probe_point(1)}) +
+                        record_of(2, 3, {probe_point(0)}))
+                .find("out of order"),
+            std::string::npos);
+  EXPECT_NE(parse_error(head + record_of(1, 1, {FinishedPoint{7, "", "", {}}}))
+                .find("out of order or not owned"),
+            std::string::npos);
+  // The heartbeat must tick on every record, and a recorded point counts
+  // its replicates as folded.
+  EXPECT_NE(parse_error(head + record_of(2, 1, {}) + record_of(2, 1, {}))
+                .find("inconsistent"),
+            std::string::npos);
+  EXPECT_NE(parse_error(head + record_of(1, 0, {probe_point(0)}))
+                .find("inconsistent"),
+            std::string::npos);
+
+  SweepOptions sharded = three_point_sweep();
+  sharded.shard_index = 1;
+  sharded.shard_count = 2;
+  const SweepLogEncoder shard{SweepLogKind::kCheckpoint,
+                              SweepManifest::from(probe(), sharded)};
+  EXPECT_NE(parse_error(shard.head() + shard.record(1, 1, ptrs({probe_point(0)})))
+                .find("not owned"),
+            std::string::npos);
+}
+
+TEST(SweepLog, RecordsSplicedFromAnotherSweepFailTheirChecksum) {
+  SweepOptions other = three_point_sweep();
+  other.base.seed = 5;
+  const SweepLogEncoder enc{SweepLogKind::kCheckpoint,
+                            SweepManifest::from(probe(), other)};
+  EXPECT_NE(parse_error(probe_head() + enc.record(1, 1, ptrs({probe_point(0)})))
+                .find("checksum mismatch"),
+            std::string::npos);
+}
+
+TEST(SweepLogWriter, FirstAppendReplacesTheFileLaterOnesExtendIt) {
+  const std::string path = temp_path("writer.log");
+  write_file(path, "stale bytes from an older run");
+  const SweepManifest m = SweepManifest::from(probe(), three_point_sweep());
+  {
+    SweepLogWriter writer{path, m};
+    std::ostringstream err;
+    const std::vector<FinishedPoint> points{probe_point(0), probe_point(1),
+                                            probe_point(2)};
+    ASSERT_TRUE(writer.append(1, 1, {&points[0]}, err)) << err.str();
+    EXPECT_EQ(read_file(path), checkpoint_after(1));
+    ASSERT_TRUE(writer.append(2, 2, {&points[1]}, err));
+    ASSERT_TRUE(writer.append(3, 3, {&points[2]}, err));
+  }
+  EXPECT_EQ(read_file(path), checkpoint_after(3));
   std::remove(path.c_str());
 }
 
-TEST(SweepStateFile, LoadMissingFileIsDiagnosed) {
-  SweepStateFile back;
+TEST(SweepLogWriter, UnwritableDirectoryIsDiagnosed) {
+  SweepLogWriter writer{temp_path("no_such_dir/x.log"),
+                        SweepManifest::from(probe(), three_point_sweep())};
   std::ostringstream err;
-  EXPECT_FALSE(load_state_file(temp_path("nonexistent.bin"), back, err));
+  EXPECT_FALSE(writer.append(1, 0, {}, err));
+  EXPECT_NE(err.str().find("error:"), std::string::npos) << err.str();
+}
+
+TEST(SweepLog, ReadMissingFileIsDiagnosed) {
+  SweepLog back;
+  std::ostringstream err;
+  EXPECT_FALSE(read_sweep_log(temp_path("nonexistent.bin"), back, err));
   EXPECT_NE(err.str().find("cannot open"), std::string::npos) << err.str();
 }
 
-// --- checkpoint progress header (campaign liveness poll) ------------------
+// --- checkpoint progress (campaign liveness poll) -------------------------
 
-TEST(CheckpointProgress, HeartbeatRoundTripsThroughSaveAndLoad) {
-  SweepStateFile ck = checkpoint_after(2);
-  ck.heartbeat = 41;
-  std::ostringstream os;
-  ck.save(os);
-  std::istringstream is{os.str()};
-  SweepStateFile back;
-  std::string err;
-  ASSERT_TRUE(SweepStateFile::load(is, back, err)) << err;
-  EXPECT_EQ(back.heartbeat, 41u);
-  // The header is the literal second line, cheap to read without touching
-  // the accumulators: heartbeat, folded count, owned task count.
-  std::istringstream lines{os.str()};
-  std::string magic_line, progress_line;
-  ASSERT_TRUE(std::getline(lines, magic_line));
-  ASSERT_TRUE(std::getline(lines, progress_line));
-  EXPECT_EQ(progress_line, "progress 41 2 3");
-}
-
-TEST(CheckpointProgress, ReadProgressPollsWithoutLoadingState) {
-  SweepStateFile ck = checkpoint_after(2);
-  ck.heartbeat = 7;
+TEST(CheckpointProgress, ReadsTheLastCompleteRecord) {
   const std::string path = temp_path("progress.bin");
-  std::ostringstream werr;
-  ASSERT_TRUE(save_state_file_atomic(ck, path, werr)) << werr.str();
+  const std::string two = checkpoint_after(2);
+  write_file(path, two);
   CheckpointProgress p;
   std::string err;
   ASSERT_TRUE(read_checkpoint_progress(path, p, err)) << err;
-  EXPECT_EQ(p.heartbeat, 7u);
+  EXPECT_EQ(p.heartbeat, 2u);
   EXPECT_EQ(p.folded_tasks, 2u);
   EXPECT_EQ(p.owned_tasks, 3u);
+  // A torn third record leaves the second as the last complete one.
+  const std::string three = checkpoint_after(3);
+  write_file(path, three.substr(0, (two.size() + three.size()) / 2));
+  ASSERT_TRUE(read_checkpoint_progress(path, p, err)) << err;
+  EXPECT_EQ(p.heartbeat, 2u);
   std::remove(path.c_str());
 }
 
-TEST(CheckpointProgress, ReadProgressRefusesMissingGarbageAndPartials) {
+TEST(CheckpointProgress, RefusesMissingGarbageOlderVersionsAndPartials) {
   CheckpointProgress p;
   std::string err;
   EXPECT_FALSE(read_checkpoint_progress(temp_path("no_ckpt.bin"), p, err));
@@ -286,73 +378,51 @@ TEST(CheckpointProgress, ReadProgressRefusesMissingGarbageAndPartials) {
   const std::string garbage = temp_path("garbage_ckpt.bin");
   write_file(garbage, "not a checkpoint at all\n");
   EXPECT_FALSE(read_checkpoint_progress(garbage, p, err));
-  EXPECT_NE(err.find("not a sweep checkpoint"), std::string::npos) << err;
+  EXPECT_NE(err.find("cannot load"), std::string::npos) << err;
 
-  const std::string truncated = temp_path("truncated_ckpt.bin");
-  write_file(truncated, "TFMCC-SWEEP-CKPT 2\nprogress 9");
-  EXPECT_FALSE(read_checkpoint_progress(truncated, p, err));
+  const std::string v2 = temp_path("v2_ckpt.bin");
+  write_file(v2, "TFMCC-SWEEP-CKPT 2\nprogress 9 3 3\n");
+  EXPECT_FALSE(read_checkpoint_progress(v2, p, err));
 
-  // A shard partial has no progress header; polling one must fail loudly
-  // rather than invent liveness.
-  SweepStateFile part = checkpoint_after(0);
-  part.kind = SweepStateFile::Kind::kPartial;
-  part.folded.clear();
+  // A shard partial is not a liveness signal; polling one must fail
+  // loudly rather than invent progress.
   const std::string ppath = temp_path("part_as_progress.bin");
-  std::ostringstream werr;
-  ASSERT_TRUE(save_state_file_atomic(part, ppath, werr));
+  write_file(ppath, probe_head(SweepLogKind::kPartial) +
+                        record_of(1, 0, {}));
   EXPECT_FALSE(read_checkpoint_progress(ppath, p, err));
+  EXPECT_NE(err.find("shard partial"), std::string::npos) << err;
 
   std::remove(garbage.c_str());
-  std::remove(truncated.c_str());
+  std::remove(v2.c_str());
   std::remove(ppath.c_str());
-}
-
-TEST(CheckpointProgress, LoadRejectsAHeaderDisagreeingWithTheBitmap) {
-  SweepStateFile ck = checkpoint_after(2);
-  std::ostringstream os;
-  ck.save(os);
-  // Tamper: claim 3 folded tasks while the bitmap carries 2.
-  std::string text = os.str();
-  const std::string good = "progress 0 2 3";
-  const auto at = text.find(good);
-  ASSERT_NE(at, std::string::npos) << text;
-  text.replace(at, good.size(), "progress 0 3 3");
-  std::istringstream is{text};
-  SweepStateFile back;
-  std::string err;
-  EXPECT_FALSE(SweepStateFile::load(is, back, err));
-  EXPECT_NE(err.find("disagrees"), std::string::npos) << err;
 }
 
 // --- checkpoint/resume through run_sweep ---------------------------------
 
-TEST(Resume, CheckpointCoveringOnlyTaskZeroYieldsIdenticalOutput) {
+TEST(Resume, CheckpointCoveringOnlyPointZeroYieldsIdenticalOutput) {
   const std::string full = sweep_output(three_point_sweep());
   const std::string path = temp_path("task0.bin");
-  std::ostringstream err;
-  ASSERT_TRUE(save_state_file_atomic(checkpoint_after(1), path, err));
+  write_file(path, checkpoint_after(1));
   SweepOptions resumed = three_point_sweep();
   resumed.resume_path = path;
   EXPECT_EQ(sweep_output(resumed), full);
   std::remove(path.c_str());
 }
 
-TEST(Resume, CheckpointCoveringAllButTheLastTaskYieldsIdenticalOutput) {
+TEST(Resume, CheckpointCoveringAllButTheLastPointYieldsIdenticalOutput) {
   const std::string full = sweep_output(three_point_sweep());
   const std::string path = temp_path("all_but_last.bin");
-  std::ostringstream err;
-  ASSERT_TRUE(save_state_file_atomic(checkpoint_after(2), path, err));
+  write_file(path, checkpoint_after(2));
   SweepOptions resumed = three_point_sweep();
   resumed.resume_path = path;
   EXPECT_EQ(sweep_output(resumed), full);
   std::remove(path.c_str());
 }
 
-TEST(Resume, FullyFoldedCheckpointRunsNothingAndReEmits) {
+TEST(Resume, FullyFinishedCheckpointRunsNothingAndReEmits) {
   const std::string full = sweep_output(three_point_sweep());
   const std::string path = temp_path("complete.bin");
-  std::ostringstream err;
-  ASSERT_TRUE(save_state_file_atomic(checkpoint_after(3), path, err));
+  write_file(path, checkpoint_after(3));
   SweepOptions resumed = three_point_sweep();
   resumed.resume_path = path;
   EXPECT_EQ(sweep_output(resumed), full);
@@ -366,6 +436,11 @@ TEST(Resume, WritingACheckpointThenResumingItIsIdentical) {
   sweep.checkpoint_path = path;
   sweep.checkpoint_every = 1;
   const std::string full = sweep_output(sweep);
+  // One append per fold, each carrying only what finished since the last.
+  const SweepLog log = parse_ok(read_file(path));
+  EXPECT_EQ(log.heartbeat, 9u);
+  EXPECT_EQ(log.folded_tasks, 9u);
+  EXPECT_EQ(log.points.size(), 3u);
   SweepOptions resumed = three_point_sweep();
   resumed.replicate = 3;
   resumed.resume_path = path;
@@ -373,10 +448,45 @@ TEST(Resume, WritingACheckpointThenResumingItIsIdentical) {
   std::remove(path.c_str());
 }
 
+TEST(Resume, TornTailResumesIdenticallyAndTheFirstAppendDropsIt) {
+  const std::string path = temp_path("torn.bin");
+  SweepOptions sweep = three_point_sweep();
+  sweep.replicate = 2;
+  sweep.checkpoint_path = path;
+  sweep.checkpoint_every = 1;
+  const std::string full = sweep_output(sweep);
+  // Keep the records up to point 0 finishing, plus half of the next one.
+  const std::string log = read_file(path);
+  std::size_t cut = 0;
+  for (std::size_t len = 1; len <= log.size(); ++len) {
+    SweepLog probe_log;
+    std::string err;
+    if (parse_sweep_log(log.substr(0, len), probe_log, err) &&
+        !probe_log.torn_tail && probe_log.points.size() == 1) {
+      cut = len;
+      break;
+    }
+  }
+  ASSERT_GT(cut, 0u);
+  const std::size_t next_end = log.find("record ", cut + 1);
+  const std::size_t half =
+      cut + ((next_end == std::string::npos ? log.size() : next_end) - cut) / 2;
+  write_file(path, log.substr(0, half));
+  EXPECT_TRUE(parse_ok(read_file(path)).torn_tail);
+
+  SweepOptions resumed = sweep;
+  resumed.resume_path = path;
+  EXPECT_EQ(sweep_output(resumed), full);
+  const SweepLog after = parse_ok(read_file(path));
+  EXPECT_FALSE(after.torn_tail);
+  EXPECT_EQ(after.points.size(), 3u);
+  EXPECT_EQ(after.folded_tasks, 6u);
+  std::remove(path.c_str());
+}
+
 TEST(Resume, RefusesAGridMismatch) {
   const std::string path = temp_path("mismatch.bin");
-  std::ostringstream werr;
-  ASSERT_TRUE(save_state_file_atomic(checkpoint_after(1), path, werr));
+  write_file(path, checkpoint_after(1));
   SweepOptions resumed;
   resumed.axes = {{"x", {"1", "2"}}};
   resumed.resume_path = path;
@@ -388,20 +498,21 @@ TEST(Resume, RefusesAGridMismatch) {
 
 TEST(Resume, RefusesACorruptCheckpoint) {
   const std::string path = temp_path("corrupt.bin");
-  write_file(path,
-             "TFMCC-SWEEP-CKPT 2\nprogress 1 1 3\nmanifest 2\n"
-             "scenario 3:zzz");
+  std::string bytes = checkpoint_after(2);
+  bytes[probe_head().size() + 20] ^= 0x20;
+  write_file(path, bytes);
   SweepOptions resumed = three_point_sweep();
   resumed.resume_path = path;
   std::string err;
   sweep_output(resumed, 2, &err);
-  EXPECT_NE(err.find("cannot load"), std::string::npos) << err;
+  EXPECT_NE(err.find("error: cannot load"), std::string::npos) << err;
   std::remove(path.c_str());
 }
 
 TEST(Resume, RefusesAnOlderFormatVersion) {
   const std::string path = temp_path("oldver.bin");
-  write_file(path, "TFMCC-SWEEP-CKPT 1\nmanifest 1\nscenario 3:zzz");
+  write_file(path,
+             "TFMCC-SWEEP-CKPT 2\nprogress 1 1 3\nmanifest 2\nscenario 3:zzz");
   SweepOptions resumed = three_point_sweep();
   resumed.resume_path = path;
   std::string err;
@@ -412,12 +523,9 @@ TEST(Resume, RefusesAnOlderFormatVersion) {
 }
 
 TEST(Resume, RefusesAShardPartialFile) {
-  SweepStateFile part = checkpoint_after(0);
-  part.kind = SweepStateFile::Kind::kPartial;
-  part.folded.clear();
   const std::string path = temp_path("partial_as_ckpt.bin");
-  std::ostringstream werr;
-  ASSERT_TRUE(save_state_file_atomic(part, path, werr));
+  write_file(path, probe_head(SweepLogKind::kPartial) +
+                       record_of(1, 0, {}));
   SweepOptions resumed = three_point_sweep();
   resumed.resume_path = path;
   std::string err;
@@ -530,6 +638,37 @@ TEST(MergeCli, DuplicateShardIsRefused) {
   std::string err;
   EXPECT_EQ(run_merge({path, path}, &err), 2);
   EXPECT_NE(err.find("more than once"), std::string::npos) << err;
+  std::remove(path.c_str());
+}
+
+TEST(MergeCli, TruncatedPartialIsRefused) {
+  std::vector<std::string> paths;
+  for (int shard = 0; shard < 2; ++shard) {
+    SweepOptions sweep = three_point_sweep();
+    sweep.shard_index = shard;
+    sweep.shard_count = 2;
+    const std::string part = sweep_output(sweep);
+    paths.push_back(temp_path("cut_part" + std::to_string(shard) + ".bin"));
+    write_file(paths.back(), part);
+  }
+  // Cut inside the record, and exactly before it: both are refused.
+  const std::string part0 = read_file(paths[0]);
+  const std::size_t record_at = part0.find("\nrecord ") + 1;
+  for (std::size_t cut : {part0.size() - 3, record_at}) {
+    write_file(paths[0], part0.substr(0, cut));
+    std::string err;
+    EXPECT_EQ(run_merge(paths, &err), 2);
+    EXPECT_NE(err.find("is truncated"), std::string::npos) << err;
+  }
+  for (const auto& p : paths) std::remove(p.c_str());
+}
+
+TEST(MergeCli, CheckpointInsteadOfPartialIsRefused) {
+  const std::string path = temp_path("ckpt_as_part.bin");
+  write_file(path, checkpoint_after(1));
+  std::string err;
+  EXPECT_EQ(run_merge({path}, &err), 2);
+  EXPECT_NE(err.find("not a shard partial"), std::string::npos) << err;
   std::remove(path.c_str());
 }
 

@@ -9,7 +9,8 @@ Measures the simulator's perf trajectory and writes/updates the
   delivered copy);
 * wall-clock runs of the heavyweight paper scenarios — fig07 (full
   Monte-Carlo ladder), fig12 and fig13 (both dominated by the
-  1000-receiver packet simulations) — best-of-N to shed scheduler noise.
+  1000-receiver packet simulations) — and of one replicated,
+  checkpointed fig07 sweep, best-of-N to shed scheduler noise.
 
 Usage:
   tools/perf_report.py --build-dir build                 # measure, update "current"
@@ -35,6 +36,9 @@ import subprocess
 import sys
 import time
 
+# Stands for a scratch checkpoint path inside the build directory.
+CHECKPOINT = "{checkpoint}"
+
 SCENARIOS = [
     # (entry name, scenario, extra args) — defaults reproduce the paper
     # figures: fig07 runs the full receiver ladder, fig12/fig13 include the
@@ -53,6 +57,13 @@ SCENARIOS = [
     # the incremental graft/prune path — the wall-clock regression probe for
     # membership maintenance (BM_MembershipChurn gates the per-event cost).
     ("churn_flash_crowd_2000rx", "churn_flash_crowd", []),
+    # The sweep engine end to end: 16 grid points x 8 replicates on 2 jobs,
+    # appending to its checkpoint log after every fold — the regression
+    # probe for folding, point reduction and checkpoint appends.
+    ("fig07_sweep_replicated_checkpointed", "sweep",
+     ["fig07_scaling", "--sweep", "n_receivers=2:2000:log16",
+      "--set", "trials=10", "--replicate", "8", "--jobs", "2",
+      "--checkpoint", CHECKPOINT, "--checkpoint-every", "1"]),
 ]
 
 MICRO_FILTER = ("BM_SchedulerChurn|BM_EquationFull|BM_EquationInverse|"
@@ -104,17 +115,26 @@ def run_scenarios(build_dir, repeats):
     binary = os.path.join(build_dir, "bench", "tfmcc_sim")
     if not os.path.exists(binary):
         sys.exit(f"perf_report: {binary} not built")
+    checkpoint = os.path.join(build_dir, "perf_report_sweep.ckpt")
     metrics = {}
     for entry_name, scenario, extra in SCENARIOS:
+        # Flags follow the extra arguments: `sweep` wants its scenario name
+        # first, and a single run takes its flags in any order.
+        argv = [binary, scenario,
+                *[checkpoint if a == CHECKPOINT else a for a in extra],
+                "--output", os.devnull]
         best = None
         for _ in range(repeats):
+            if os.path.exists(checkpoint):
+                os.remove(checkpoint)
             t0 = time.monotonic()
-            subprocess.run([binary, scenario, "--output", os.devnull, *extra],
-                           check=True)
+            subprocess.run(argv, check=True)
             dt = time.monotonic() - t0
             best = dt if best is None else min(best, dt)
         metrics[entry_name] = {"wall_s": round(best, 3), "best_of": repeats}
         print(f"perf_report: {entry_name}: {best:.2f} s (best of {repeats})")
+    if os.path.exists(checkpoint):
+        os.remove(checkpoint)
     return metrics
 
 
