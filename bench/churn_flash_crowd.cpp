@@ -7,9 +7,9 @@
 // At the default size (2000 receivers, 2000 crowd joins + 8000 churn
 // toggles = 10k membership events) the per-event tree maintenance is the
 // difference between this completing and not: a full rebuild per event is
-// O(members x path), incremental graft/prune is O(path).  The `membership`
-// knob switches the two so the cost gap is measurable end to end
-// (BM_MembershipChurn measures it in isolation).
+// O(members x path), incremental graft/prune is O(path).  The scenario runs
+// the incremental path; BM_MembershipChurn measures the gap to the full
+// rebuild in isolation.
 
 #include <string>
 #include <vector>
@@ -24,9 +24,6 @@ TFMCC_SCENARIO(
     tfmcc::param("churn_events", 8000,
                  "random leave/rejoin toggles after the crowd arrives", 0.0),
     tfmcc::param("bottleneck_mbps", 1.0, "bottleneck rate", 0.01),
-    tfmcc::param("membership", "incremental",
-                 "tree maintenance: incremental (graft/prune) or full "
-                 "(rebuild per event)"),
     tfmcc::bench::equation_backend_param()) {
   using namespace tfmcc;
   using namespace tfmcc::time_literals;
@@ -39,12 +36,6 @@ TFMCC_SCENARIO(
   const int n_rx = opts.param_or("n_receivers", 2000);
   const int churn_events = opts.param_or("churn_events", 8000);
   const double bn_bps = opts.param_or("bottleneck_mbps", 1.0) * 1e6;
-  const std::string membership = opts.param_or("membership", "incremental");
-  if (membership != "incremental" && membership != "full") {
-    opts.out() << "error: unknown membership '" << membership
-               << "' (expected incremental or full)\n";
-    return 2;
-  }
   TfmccConfig cfg;
   cfg.equation = eq;
 
@@ -54,9 +45,6 @@ TFMCC_SCENARIO(
   const SimTime T = opts.duration_or(kRefT);
   Simulator sim{opts.seed_or(800)};
   Topology topo{sim};
-  topo.set_membership_mode(membership == "full"
-                               ? MembershipMode::kFullRebuild
-                               : MembershipMode::kIncremental);
 
   LinkConfig bn;
   bn.rate_bps = bn_bps;
@@ -127,7 +115,6 @@ TFMCC_SCENARIO(
                   std::to_string(churn.applied_joins() - crowd_joins) +
                   " rejoins, " + std::to_string(churn.applied_leaves()) +
                   " leaves) = " + std::to_string(total_events));
-  bench::note(opts.out(), "membership mode: " + membership);
   bench::note_schedule(opts.out(), sched);
 
   const SimTime w0 = sched.warped(30_sec);

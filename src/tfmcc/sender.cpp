@@ -318,7 +318,8 @@ void TfmccSender::on_feedback(const TfmccFeedbackHeader& f) {
   auto& info = receivers_[f.receiver];
   const bool causes_clr_switch =
       !slowstart_ && eff >= 0.0 &&
-      (clr_ == kInvalidReceiver || (f.receiver != clr_ && eff < rate_)) &&
+      (clr_ == kInvalidReceiver ||
+       (f.receiver != clr_ && eff < std::min(rate_, clr_rate_))) &&
       f.receiver != clr_;
   info.rate_Bps = eff;
   info.recv_rate_Bps = f.recv_rate_Bps;
@@ -417,9 +418,12 @@ void TfmccSender::on_feedback(const TfmccFeedbackHeader& f) {
     apply_clr_report(info, eff, f.receiver);
     return;
   }
-  if (eff >= 0.0 && eff < rate_) {
+  if (eff >= 0.0 && eff < std::min(rate_, clr_rate_)) {
     // A receiver reports a lower acceptable rate: it becomes the CLR and the
-    // rate drops immediately (§2.2).
+    // rate drops immediately (§2.2).  The comparison is against the CLR's
+    // own rate as well as the sending rate: at the rate floor the sending
+    // rate exceeds the CLR's, and every below-floor report would otherwise
+    // take over the CLR.
     set_clr(f.receiver, eff, /*ramp=*/false);
     rate_ = std::max(eff, min_rate_floor());
   }

@@ -95,6 +95,28 @@ TEST(TfmccSenderUnit, ReportAboveCurrentRateDoesNotSwitchClr) {
   EXPECT_EQ(f.sender->clr(), 0);
 }
 
+TEST(TfmccSenderUnit, ReportsAboveTheClrRateDoNotSwitchAtTheRateFloor) {
+  SenderFixture f;
+  // The floor is half a packet per initial RTT: 1000 B/s = 8 kbit/s.  A
+  // 4 kbit/s CLR holds the sending rate at the floor, above its own rate.
+  f.inject(SenderFixture::report(0, 4.0));
+  ASSERT_EQ(f.sender->clr(), 0);
+  const double floor_rate = f.sender->rate_Bps();
+  ASSERT_DOUBLE_EQ(floor_rate, Bps_from_kbps(8.0));
+  // Reports between the CLR's rate and the floor beat the sending rate but
+  // not the CLR: they must not take it over (no thrash at the floor).
+  for (std::int32_t rx = 1; rx <= 2; ++rx) {
+    f.inject(SenderFixture::report(rx, 6.0));
+    EXPECT_EQ(f.sender->clr(), 0) << "receiver " << rx;
+    EXPECT_DOUBLE_EQ(f.sender->rate_Bps(), floor_rate);
+  }
+  EXPECT_EQ(f.sender->clr_history().size(), 1u);
+  // A report below the CLR's own rate still switches it.
+  f.inject(SenderFixture::report(2, 2.0));
+  EXPECT_EQ(f.sender->clr(), 2);
+  EXPECT_EQ(f.sender->clr_history().size(), 2u);
+}
+
 TEST(TfmccSenderUnit, HigherReportFromNonClrIsIgnored) {
   SenderFixture f;
   f.inject(SenderFixture::report(0, 300.0));
