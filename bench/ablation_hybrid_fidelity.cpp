@@ -124,7 +124,7 @@ TFMCC_SCENARIO(ablation_hybrid_fidelity,
 
     FidelityPoint pt;
     pt.kbps = kbps_from_Bps(static_cast<double>(sent_end - sent_start) *
-                            static_cast<double>(cfg.packet_bytes) /
+                            static_cast<double>(kDataPacketBytes) /
                             (horizon - meas_from).to_seconds());
     pt.acq = static_cast<double>(flow.receivers_with_rtt()) /
              static_cast<double>(n);

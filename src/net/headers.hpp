@@ -16,6 +16,13 @@ constexpr NodeId kInvalidNode = -1;
 constexpr GroupId kNoGroup = -1;
 constexpr std::int32_t kInvalidReceiver = -1;
 
+/// Conventional sizes (bytes) used across the experiments: 1000-byte data
+/// packets as in the paper's ns-2 setup, 40-byte TCP ACKs, and a small
+/// report packet for TFMCC feedback.
+constexpr std::int32_t kDataPacketBytes = 1000;
+constexpr std::int32_t kAckPacketBytes = 40;
+constexpr std::int32_t kFeedbackPacketBytes = 60;
+
 /// TCP segment/ACK header (the fields our Reno model needs).
 struct TcpHeader {
   FlowId flow{0};

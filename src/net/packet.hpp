@@ -177,11 +177,4 @@ inline MutablePacketPtr make_heap_packet() {
   return MutablePacketPtr{new Packet};
 }
 
-/// Conventional sizes (bytes) used across the experiments: 1000-byte data
-/// packets as in the paper's ns-2 setup, 40-byte TCP ACKs, and a small
-/// report packet for TFMCC feedback.
-constexpr std::int32_t kDataPacketBytes = 1000;
-constexpr std::int32_t kAckPacketBytes = 40;
-constexpr std::int32_t kFeedbackPacketBytes = 60;
-
 }  // namespace tfmcc

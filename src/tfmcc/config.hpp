@@ -2,7 +2,7 @@
 
 #include <cstdint>
 
-#include "net/packet.hpp"
+#include "net/headers.hpp"
 #include "tfrc/equation_backend.hpp"
 #include "util/sim_time.hpp"
 
@@ -23,17 +23,24 @@ struct FeedbackTimerConfig {
   BiasMethod method{BiasMethod::kModifiedOffset};
 };
 
-/// All TFMCC protocol constants, defaulted to the paper's values (§ refs in
-/// DESIGN.md §4).  Every knob exists so the ablation benches can move it.
-struct TfmccConfig {
-  std::int32_t packet_bytes{kDataPacketBytes};
-  std::int32_t feedback_bytes{kFeedbackPacketBytes};
+/// Fixed protocol constants shared by the sender and both receiver tiers.
+/// The sender-only ones live next to their rules in sender_core.hpp.
+///
+/// Initial RTT before any measurement (§2.4): one packet per initial RTT
+/// is the starting rate, and unmeasured receivers compute with it.
+constexpr SimTime kInitialRtt = SimTime::millis(500);
+/// RTT EWMA weights (§2.4.2): the CLR measures once per RTT, so its samples
+/// are smoothed hard; other receivers measure rarely and take most of each.
+constexpr double kRttEwmaClr = 0.05;
+constexpr double kRttEwmaNonClr = 0.5;
+/// Feedback round length T in multiples of the largest RTT (§2.5).
+constexpr double kRoundRttMult = 4.0;
 
+/// The TFMCC parameters a scenario, ablation or test moves; everything else
+/// is one of the fixed constants above or in sender_core.hpp.
+struct TfmccConfig {
   // RTT measurement (§2.4).
-  SimTime initial_rtt{SimTime::millis(500)};
-  double rtt_ewma_clr{0.05};       // EWMA weight for the CLR's RTT
-  double rtt_ewma_non_clr{0.5};    // ... for infrequently-measured receivers
-  double rtt_ewma_owd{0.1};        // ... for one-way-delay adjustments
+  double rtt_ewma_owd{0.1};        // EWMA weight for one-way-delay adjustments
   bool use_clock_sync{false};      // NTP/GPS-style initialisation (§2.4.1)
   SimTime clock_sync_error{SimTime::millis(30)};  // worst-case sync error
 
@@ -43,24 +50,14 @@ struct TfmccConfig {
   // Feedback suppression (§2.5).
   FeedbackTimerConfig timer{};
   double delta{0.1};           // δ: cancellation threshold (§2.5.2)
-  double t_mult{4.0};          // T = t_mult * R_max
-  int low_rate_guard{3};       // c: T >= (c+1)*s/rate at low rates (§2.5.3)
 
   // Control-equation backend (receivers' calc rate, Appendix B inversion,
   // the sender's initial-RTT recomputation).  The float backend is the
   // paper-faithful default; "fixed" swaps in the scaled-integer table engine.
   const EquationBackend* equation{&float_equation_backend()};
 
-  // Rate control (§2.2, §2.6).
-  double slowstart_mult{2.0};       // d: slowstart target = d * min recv rate
-  double increase_limit_pkts{1.0};  // packets/RTT cap while ramping to new CLR
-  double recv_rate_cap_mult{2.0};   // never send faster than this * CLR recv rate
-  double clr_timeout_mult{10.0};    // CLR silence timeout, in feedback delays
-  bool halve_on_starvation{true};   // no receivers at all -> halve per round
-
   // Appendix C option: remember the previous CLR for quick switch-back.
   bool remember_previous_clr{false};
-  SimTime previous_clr_hold{SimTime::millis(1500)};  // "a few RTTs"
 };
 
 /// Port conventions used by the TFMCC experiment harnesses.

@@ -28,8 +28,7 @@ class TfmccFlow {
         cfg_{cfg},
         bin_width_{bin_width},
         session_{topo, source, data_port, control_port},
-        sender_{std::make_unique<TfmccSender>(sim, session_, cfg,
-                                              sim.make_rng(rng_stream))},
+        sender_{std::make_unique<TfmccSender>(sim, session_, cfg)},
         rng_stream_{rng_stream} {}
 
   /// Create a receiver on `node` (not yet joined).  Returns its index.

@@ -14,7 +14,7 @@ TfmccReceiver::TfmccReceiver(Simulator& sim, MulticastSession& session,
       cfg_{cfg},
       rng_{std::move(rng)},
       core_{cfg},
-      rtt_{cfg.initial_rtt} {}
+      rtt_{kInitialRtt} {}
 
 TfmccReceiver::~TfmccReceiver() {
   if (joined_) {
@@ -34,7 +34,7 @@ void TfmccReceiver::join() {
   // sum it across the whole run, so it survives rejoins.
   if (ever_left_) {
     core_ = ReceiverCore{cfg_};
-    rtt_ = cfg_.initial_rtt;
+    rtt_ = kInitialRtt;
     has_owd_ = false;
   }
   session_.topology().node(self_).attach_agent(session_.data_port(), this);
@@ -46,7 +46,7 @@ void TfmccReceiver::leave() {
   if (!joined_) return;
   // Explicit leave report (§4.2): lets the sender react in one RTT instead
   // of waiting for the CLR silence timeout.
-  session_.send_report(self_, cfg_.feedback_bytes,
+  session_.send_report(self_, kFeedbackPacketBytes,
                        core_.leave_report(id_, sim_.now()));
   ++feedback_sent_;
 
@@ -90,7 +90,7 @@ void TfmccReceiver::process_echo(const TfmccDataHeader& h, SimTime now) {
     rtt_ = sample;
     core_.on_first_rtt(rtt_, rtt_, prior);
   } else {
-    const double alpha = is_clr_ ? cfg_.rtt_ewma_clr : cfg_.rtt_ewma_non_clr;
+    const double alpha = is_clr_ ? kRttEwmaClr : kRttEwmaNonClr;
     rtt_ = sample * alpha + rtt_ * (1.0 - alpha);
   }
   // Remember the receiver->sender one-way delay implied by this measurement
@@ -147,7 +147,7 @@ void TfmccReceiver::on_new_round(const TfmccDataHeader& h, SimTime now) {
 
 void TfmccReceiver::send_feedback() {
   if (!joined_) return;
-  session_.send_report(self_, cfg_.feedback_bytes,
+  session_.send_report(self_, kFeedbackPacketBytes,
                        core_.report(id_, rtt_, core_.rtt_measured, sim_.now(),
                                     SimTime::zero(), cfg_));
   ++feedback_sent_;

@@ -43,9 +43,9 @@ ModeledReceiverBlock::~ModeledReceiverBlock() {
 
 void ModeledReceiverBlock::reset_receivers() {
   const auto n = static_cast<std::size_t>(bcfg_.count);
-  rtt_.assign(n, cfg_.initial_rtt);
+  rtt_.assign(n, kInitialRtt);
   flags_.assign(n, 0);
-  rtt_sum_s_ = cfg_.initial_rtt.to_seconds() * static_cast<double>(bcfg_.count);
+  rtt_sum_s_ = kInitialRtt.to_seconds() * static_cast<double>(bcfg_.count);
   with_rtt_ = 0;
 }
 
@@ -72,7 +72,7 @@ void ModeledReceiverBlock::leave() {
   for (int i = 0; i < bcfg_.count; ++i) {
     if ((flags_[static_cast<std::size_t>(i)] & ModeledRxInfo::kReported) == 0)
       continue;
-    session_.send_report(tap_, cfg_.feedback_bytes,
+    session_.send_report(tap_, kFeedbackPacketBytes,
                          core_.leave_report(bcfg_.base_id + i, now));
     ++feedback_sent_;
   }
@@ -106,10 +106,10 @@ int ModeledReceiverBlock::candidate_cap() {
     // Size the per-round contender short-list from the analytic model:
     // E[M] is the expected number of reports that survive suppression in a
     // round of n receivers (worst case x = 0: every timer maximally
-    // biased-early; T = t_mult RTTs, suppression signal one RTT behind).
+    // biased-early; T = kRoundRttMult RTTs, suppression signal one RTT behind).
     // 4x that expectation plus slack is a generous tail allowance.
     const double em = feedback_model::expected_messages(
-        bcfg_.count, cfg_.t_mult, 1.0, 0.0, cfg_.timer);
+        bcfg_.count, kRoundRttMult, 1.0, 0.0, cfg_.timer);
     const int k = static_cast<int>(std::ceil(4.0 * em)) + 4;
     cand_cap_ = std::clamp(k, 8, std::max(8, bcfg_.max_candidates));
   }
@@ -170,7 +170,7 @@ void ModeledReceiverBlock::process_echo(const TfmccDataHeader& h,
     }
   } else {
     const double alpha =
-        idx == clr_idx_ ? cfg_.rtt_ewma_clr : cfg_.rtt_ewma_non_clr;
+        idx == clr_idx_ ? kRttEwmaClr : kRttEwmaNonClr;
     set_rtt(idx, sample * alpha + rtt_[i] * (1.0 - alpha));
   }
 }
@@ -227,7 +227,7 @@ void ModeledReceiverBlock::on_new_round(const TfmccDataHeader& h,
     const double p = core_.loss.loss_event_rate();
     if (p <= 0.0) return;  // calc rate infinite: nothing useful to report
     std::fill(ps_scratch_.begin(), ps_scratch_.end(), p);
-    cfg_.equation->throughput_batch(cfg_.packet_bytes, rtt_.data(),
+    cfg_.equation->throughput_batch(kDataPacketBytes, rtt_.data(),
                                     ps_scratch_.data(), calc_scratch_.data(),
                                     static_cast<std::size_t>(in.n));
     in.calc_Bps = calc_scratch_.data();
@@ -319,7 +319,7 @@ void ModeledReceiverBlock::send_feedback(int idx) {
   // The echo hold shrinks by the virtual detour so the sender-side sample
   // comes out at the modeled path RTT (tap RTT + 2 * extra_owd).
   session_.send_report(
-      tap_, cfg_.feedback_bytes,
+      tap_, kFeedbackPacketBytes,
       core_.report(bcfg_.base_id + idx, rtt_[i],
                    (flags_[i] & ModeledRxInfo::kHasRtt) != 0, sim_.now(),
                    extra_owd_[i] * 2.0, cfg_));

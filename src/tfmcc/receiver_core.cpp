@@ -27,7 +27,7 @@ bool ReceiverCore::on_data(const TfmccDataHeader& h, std::int32_t bytes,
       if (rate_at_loss <= 0.0) rate_at_loss = h.send_rate_Bps * 0.5;
       if (rate_at_loss > 0.0) {
         const double p_init =
-            cfg.equation->loss_for_throughput(cfg.packet_bytes, rtt,
+            cfg.equation->loss_for_throughput(kDataPacketBytes, rtt,
                                               rate_at_loss);
         loss.init_first_interval(1.0 / p_init);
       }
@@ -43,7 +43,7 @@ bool ReceiverCore::on_data(const TfmccDataHeader& h, std::int32_t bytes,
 double ReceiverCore::calc_rate_Bps(SimTime rtt, const TfmccConfig& cfg) const {
   const double p = loss.loss_event_rate();
   if (p <= 0.0) return std::numeric_limits<double>::infinity();
-  return cfg.equation->throughput_Bps(cfg.packet_bytes, rtt, p);
+  return cfg.equation->throughput_Bps(kDataPacketBytes, rtt, p);
 }
 
 bool ReceiverCore::suppressed(const SuppressionEcho& e, SimTime now,

@@ -23,8 +23,7 @@ struct SenderFixture {
     star = make_star(topo, cfg, {cfg, cfg, cfg});
     session = std::make_unique<MulticastSession>(topo, star.sender,
                                                  kTfmccDataPort);
-    sender = std::make_unique<TfmccSender>(sim, *session, TfmccConfig{},
-                                           sim.make_rng(55));
+    sender = std::make_unique<TfmccSender>(sim, *session, TfmccConfig{});
     sender->start(SimTime::zero());
     sim.run_until(100_ms);
   }
