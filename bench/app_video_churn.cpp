@@ -116,7 +116,7 @@ TFMCC_SCENARIO(
   };
   std::vector<double> means;
   for (const auto& ph : phases) {
-    OnlineStats stats;
+    summary::Welford stats;
     int flips = 0, last_layer = -2;
     for (const auto& p : stream.goodput(0).series_kbps().points()) {
       if (p.t < ph.from || p.t >= ph.to) continue;

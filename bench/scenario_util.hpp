@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/summary.hpp"
 #include "bench_util.hpp"
 #include "net/builders.hpp"
 #include "sim/schedule.hpp"
@@ -98,7 +99,7 @@ inline void note_schedule(std::ostream& os, const ScheduleBuilder& sched) {
 /// Coefficient of variation of a goodput trace in [from, to).
 inline double trace_cov(const ThroughputBinner& binner, SimTime from,
                         SimTime to) {
-  OnlineStats s;
+  summary::Welford s;
   for (const auto& p : binner.series_kbps().points()) {
     if (p.t >= from && p.t < to) s.add(p.v);
   }

@@ -45,7 +45,8 @@ std::vector<Stat> default_stats();
 bool parse_number(std::string_view text, double& out);
 
 /// Streaming mean/variance/extrema of one sample sequence (Welford's
-/// one-pass update).  stddev is the sample standard deviation (n-1
+/// one-pass update): the sweep aggregate's accumulator and the scenarios'
+/// goodput CoV ("smoothness").  stddev is the sample standard deviation (n-1
 /// denominator); with fewer than two samples stddev and cov are 0, so a
 /// single replicate reports its value with zero dispersion rather than NaN.
 class Welford {

@@ -5,15 +5,6 @@
 
 namespace tfmcc {
 
-void OnlineStats::add(double x) {
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-  min_ = std::min(min_, x);
-  max_ = std::max(max_, x);
-}
-
 double TimeSeries::mean_in(SimTime from, SimTime to) const {
   double sum = 0.0;
   std::int64_t n = 0;

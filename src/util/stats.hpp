@@ -1,7 +1,6 @@
 #pragma once
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <ostream>
 #include <string>
@@ -10,28 +9,6 @@
 #include "util/sim_time.hpp"
 
 namespace tfmcc {
-
-/// Streaming mean/variance/min/max (Welford's algorithm).
-class OnlineStats {
- public:
-  void add(double x);
-
-  std::int64_t count() const { return n_; }
-  double mean() const { return n_ > 0 ? mean_ : 0.0; }
-  double variance() const { return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0; }
-  double stddev() const { return std::sqrt(variance()); }
-  /// Coefficient of variation; the paper's notion of rate "smoothness".
-  double cov() const { return mean() != 0.0 ? stddev() / mean() : 0.0; }
-  double min() const { return min_; }
-  double max() const { return max_; }
-
- private:
-  std::int64_t n_{0};
-  double mean_{0.0};
-  double m2_{0.0};
-  double min_{std::numeric_limits<double>::infinity()};
-  double max_{-std::numeric_limits<double>::infinity()};
-};
 
 /// A (time, value) series with CSV export; used by the figure benches.
 class TimeSeries {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "analysis/summary.hpp"
 #include "net/builders.hpp"
 #include "sim/simulator.hpp"
 #include "tfmcc/flow.hpp"
@@ -105,7 +106,7 @@ TEST(TfmccBasic, RateIsSmoothInSteadyState) {
   BasicFixture f;
   f.flow->sender().start(SimTime::zero());
   f.sim.run_until(120_sec);
-  OnlineStats s;
+  summary::Welford s;
   for (const auto& pt : f.flow->goodput(0).series_kbps().points()) {
     if (pt.t >= 60_sec && pt.t < 120_sec) s.add(pt.v);
   }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "analysis/summary.hpp"
 #include "net/builders.hpp"
 #include "sim/simulator.hpp"
 #include "tcp/tcp.hpp"
@@ -75,7 +76,7 @@ TEST(TfmccFairness, SharesWithFourTcps) {
 TEST(TfmccFairness, SmootherThanTcp) {
   FairnessFixture f{2e6, 1};
   f.run(180_sec);
-  OnlineStats s_tfmcc, s_tcp;
+  summary::Welford s_tfmcc, s_tcp;
   for (const auto& p : f.flow->goodput(0).series_kbps().points()) {
     if (p.t >= 60_sec) s_tfmcc.add(p.v);
   }

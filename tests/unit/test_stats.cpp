@@ -9,29 +9,6 @@ namespace {
 
 using namespace tfmcc::time_literals;
 
-TEST(OnlineStats, MeanAndVariance) {
-  OnlineStats s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
-  EXPECT_EQ(s.count(), 8);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);  // sample variance
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-}
-
-TEST(OnlineStats, EmptyIsSafe) {
-  OnlineStats s;
-  EXPECT_EQ(s.count(), 0);
-  EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-}
-
-TEST(OnlineStats, CovOfConstantIsZero) {
-  OnlineStats s;
-  for (int i = 0; i < 10; ++i) s.add(3.0);
-  EXPECT_DOUBLE_EQ(s.cov(), 0.0);
-}
-
 TEST(TimeSeries, MeanInWindow) {
   TimeSeries ts;
   ts.push(1_sec, 10.0);

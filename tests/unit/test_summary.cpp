@@ -24,6 +24,7 @@ TEST(Welford, MatchesHandComputedStatistics) {
   EXPECT_EQ(w.count(), 8u);
   EXPECT_DOUBLE_EQ(w.mean(), 5.0);
   EXPECT_NEAR(w.stddev(), std::sqrt(32.0 / 7.0), 1e-12);
+  EXPECT_NEAR(w.stddev() * w.stddev(), 32.0 / 7.0, 1e-12);  // sample variance
   EXPECT_NEAR(w.cov(), std::sqrt(32.0 / 7.0) / 5.0, 1e-12);
   EXPECT_DOUBLE_EQ(w.min(), 2.0);
   EXPECT_DOUBLE_EQ(w.max(), 9.0);
@@ -47,6 +48,14 @@ TEST(Welford, ZeroMeanYieldsZeroCov) {
   w.add(1.0);
   EXPECT_DOUBLE_EQ(w.mean(), 0.0);
   EXPECT_GT(w.stddev(), 0.0);
+  EXPECT_DOUBLE_EQ(w.cov(), 0.0);
+}
+
+TEST(Welford, CovOfConstantIsZero) {
+  Welford w;
+  for (int i = 0; i < 10; ++i) w.add(3.0);
+  EXPECT_DOUBLE_EQ(w.mean(), 3.0);
+  EXPECT_DOUBLE_EQ(w.stddev(), 0.0);
   EXPECT_DOUBLE_EQ(w.cov(), 0.0);
 }
 
