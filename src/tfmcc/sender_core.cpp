@@ -39,7 +39,6 @@ SimTime SenderCore::max_rtt_estimate() const {
 }
 
 SenderDecision SenderCore::on_round(SimTime now) {
-  SenderDecision d;
   // Commit the slowstart target from the receive rates reported last round
   // (§2.6: the target increases only when feedback from a new round is in).
   if (slowstart_ && round_min_recv_ > 0.0) {
@@ -48,21 +47,6 @@ SenderDecision SenderCore::on_round(SimTime now) {
     ss_commit_ = now;
   }
   round_min_recv_ = -1.0;
-
-  if (!round_had_feedback_) {
-    ++rounds_without_feedback_;
-  } else {
-    rounds_without_feedback_ = 0;
-  }
-  round_had_feedback_ = false;
-
-  // Starvation safety: with no CLR and no receivers reporting at all, decay
-  // the rate instead of transmitting open-loop.
-  if (clr_ == kInvalidReceiver && receivers_.empty() &&
-      rounds_without_feedback_ >= 2 && !slowstart_) {
-    rate_ = std::max(rate_ * 0.5, kMinRateBps);
-    d |= SenderDecision::kRateHalved;
-  }
 
   ++round_;
   round_min_rate_ = -1.0;
@@ -80,9 +64,9 @@ SenderDecision SenderCore::on_round(SimTime now) {
   // receiver crashed or became unreachable (§4.2).
   if (clr_ != kInvalidReceiver &&
       now - clr_last_fb_ > kClrTimeoutMult * round_T_) {
-    d |= clr_lost(now);
+    return clr_lost(now);
   }
-  return d;
+  return {};
 }
 
 TfmccEcho SenderCore::pick_echo(SimTime now) {
@@ -294,7 +278,6 @@ void SenderCore::note_round_min(const TfmccFeedbackHeader& f, double eff) {
 SenderDecision SenderCore::on_feedback(SimTime now,
                                        const TfmccFeedbackHeader& f) {
   ++feedback_received_;
-  round_had_feedback_ = true;
   if (f.leaving) return on_leave(now, f.receiver);
 
   // Sender-side RTT measurement (§2.4.4): echo of our data timestamp minus

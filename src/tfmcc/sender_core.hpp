@@ -41,7 +41,6 @@ struct SenderDecision {
     kClrLost = 1u << 3,             // the CLR left or fell silent (§4.2)
     kSlowstartExited = 1u << 4,     // first loss report (§2.6)
     kSlowstartReentered = 1u << 5,  // CLR lost, nobody left with a rate
-    kRateHalved = 1u << 6,          // a round without any receiver
   };
   unsigned kinds{0};
 
@@ -165,8 +164,6 @@ class SenderCore {
   SimTime round_T_{};
   double round_min_rate_{-1.0};  // suppression echo value
   bool round_min_has_loss_{false};
-  std::int32_t rounds_without_feedback_{0};
-  bool round_had_feedback_{false};
 
   // Id-ordered: clr_lost()'s lowest-rate pick breaks ties by lowest id.
   std::map<std::int32_t, ReceiverInfo> receivers_;

@@ -6,6 +6,7 @@
 #include "net/builders.hpp"
 #include "sim/simulator.hpp"
 #include "tfmcc/sender.hpp"
+#include "tfmcc/sender_core.hpp"
 #include "util/stats.hpp"
 
 namespace tfmcc {
@@ -237,6 +238,42 @@ TEST(TfmccSenderUnit, KnownReceiverBookkeeping) {
   f.inject(no_rtt);
   EXPECT_EQ(f.sender->known_receivers_with_rtt(), 2);
   EXPECT_EQ(f.sender->known_receivers(), 3);
+}
+
+// The core alone, without a simulator: each call returns what it decided.
+TEST(SenderCoreUnit, ReturnsWhatEachCallDecided) {
+  using D = SenderDecision;
+  SenderCore core{TfmccConfig{}};
+  SimTime now = 10_ms;
+  EXPECT_EQ(core.on_round(now).kinds, 0u);
+  EXPECT_EQ(core.round(), 1);
+
+  auto report = [&](std::int32_t rx, double kbps) {
+    TfmccFeedbackHeader f = SenderFixture::report(rx, kbps);
+    f.round = core.round();
+    f.ts = now;
+    return core.on_feedback(now, f);
+  };
+  EXPECT_EQ(report(0, 400.0).kinds, D::kSlowstartExited | D::kClrSwitched);
+  EXPECT_FALSE(core.in_slowstart());
+  EXPECT_EQ(report(0, 400.0).kinds, unsigned{D::kClrRateUpdated});
+  EXPECT_EQ(report(1, 800.0).kinds, 0u);  // above the CLR: no change
+  EXPECT_EQ(report(1, 100.0).kinds, unsigned{D::kClrSwitched});
+  EXPECT_EQ(core.clr(), 1);
+  // The next packet echoes the new CLR first (§2.4.2).
+  EXPECT_EQ(core.next_data(now).echo.receiver, 1);
+
+  TfmccFeedbackHeader leave;
+  leave.receiver = 1;
+  leave.leaving = true;
+  EXPECT_EQ(core.on_feedback(now, leave).kinds,
+            D::kClrLost | D::kClrSwitched);
+  EXPECT_EQ(core.clr(), 0);
+  // A CLR silent for kClrTimeoutMult rounds is lost; nobody else is left.
+  now += kClrTimeoutMult * core.round_duration() + 1_ms;
+  EXPECT_EQ(core.on_round(now).kinds, D::kClrLost | D::kSlowstartReentered);
+  EXPECT_TRUE(core.in_slowstart());
+  EXPECT_EQ(core.known_receivers(), 0);
 }
 
 }  // namespace
