@@ -157,24 +157,20 @@ SenderDecision SenderCore::clr_lost(SimTime now) {
       best_rate = info.rate_Bps;
     }
   }
-  SenderDecision d;
-  d |= SenderDecision::kClrLost;
   if (best != kInvalidReceiver) {
     set_clr(now, best, best_rate, /*ramp=*/true);
-    d |= SenderDecision::kClrSwitched;
-  } else {
-    // No remaining receiver has a usable rate estimate (e.g. the only
-    // congested receiver left and the others have never seen loss, so they
-    // never report in steady state).  Fall back to the conservative
-    // slowstart probe: receivers answer with receive rates, the rate ramps
-    // bounded by 2x the minimum receive rate, and the first loss event
-    // produces a fresh CLR (§2.6 semantics, re-applied mid-session).
-    slowstart_ = true;
-    ss_target_ = -1.0;
-    round_min_recv_ = -1.0;
-    d |= SenderDecision::kSlowstartReentered;
+    return {SenderDecision::kClrLost | SenderDecision::kClrSwitched};
   }
-  return d;
+  // No remaining receiver has a usable rate estimate (e.g. the only
+  // congested receiver left and the others have never seen loss, so they
+  // never report in steady state).  Fall back to the conservative
+  // slowstart probe: receivers answer with receive rates, the rate ramps
+  // bounded by 2x the minimum receive rate, and the first loss event
+  // produces a fresh CLR (§2.6 semantics, re-applied mid-session).
+  slowstart_ = true;
+  ss_target_ = -1.0;
+  round_min_recv_ = -1.0;
+  return {SenderDecision::kClrLost | SenderDecision::kSlowstartReentered};
 }
 
 SenderDecision SenderCore::apply_clr_report(SimTime now,

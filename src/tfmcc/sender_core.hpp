@@ -45,14 +45,6 @@ struct SenderDecision {
   unsigned kinds{0};
 
   bool has(Kind k) const { return (kinds & k) != 0; }
-  SenderDecision& operator|=(SenderDecision o) {
-    kinds |= o.kinds;
-    return *this;
-  }
-  SenderDecision& operator|=(Kind k) {
-    kinds |= k;
-    return *this;
-  }
 };
 
 /// The sender rules of §2.2–§2.6 over plain state: CLR selection with the
