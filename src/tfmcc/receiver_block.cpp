@@ -106,8 +106,8 @@ int ModeledReceiverBlock::candidate_cap() {
     // Size the per-round contender short-list from the analytic model:
     // E[M] is the expected number of reports that survive suppression in a
     // round of n receivers (worst case x = 0: every timer maximally
-    // biased-early; T = kRoundRttMult RTTs, suppression signal one RTT behind).
-    // 4x that expectation plus slack is a generous tail allowance.
+    // biased-early; T = kRoundRttMult RTTs, suppression signal one RTT
+    // behind).  4x that expectation plus slack is a generous tail allowance.
     const double em = feedback_model::expected_messages(
         bcfg_.count, kRoundRttMult, 1.0, 0.0, cfg_.timer);
     const int k = static_cast<int>(std::ceil(4.0 * em)) + 4;
