@@ -15,7 +15,6 @@
 #include <cstring>
 #include <iostream>
 
-#include "sim/campaign.hpp"
 #include "sim/scenario.hpp"
 #include "sim/sweep.hpp"
 #include "sim/sweep_state.hpp"
@@ -31,14 +30,8 @@ void print_usage(std::ostream& os) {
         "                       [--replicate N] [--stats mean,cov,...]\n"
         "                       [--progress] [--shard i/n]\n"
         "                       [--checkpoint <path>] [--checkpoint-every N]\n"
-        "                       [--resume <path>] [--max-point-failures K]\n"
-        "                       [single-run flags]\n"
+        "                       [--resume <path>] [single-run flags]\n"
         "       tfmcc_sim merge [--output <path>] <partial>...\n"
-        "       tfmcc_sim campaign <scenario> --sweep ... [--shards N]\n"
-        "                       [--stall-timeout S] [--max-retries K]\n"
-        "                       [--backoff-base S] [--backoff-max S]\n"
-        "                       [--dir <path>] [--exec <path>]\n"
-        "                       [sweep and single-run flags]\n"
         "`--list` shows each scenario's tunable parameters with their paper\n"
         "defaults; `--set` overrides them.  Scenarios with scripted event\n"
         "schedules rescale the script proportionally under --duration.\n"
@@ -53,13 +46,7 @@ void print_usage(std::ostream& os) {
         "writes a partial artifact; `merge` folds all n partials into the\n"
         "byte-identical unsharded aggregate.  `--checkpoint`/`--resume`\n"
         "make a killed sweep restartable with byte-identical output.\n"
-        "`campaign` supervises all n shards as child processes: it polls\n"
-        "their checkpoint heartbeats, relaunches crashed shards with\n"
-        "--resume under exponential backoff, kills and restarts stalled\n"
-        "stragglers, and merges on completion — the merged CSV is\n"
-        "byte-identical to the unsharded sweep.  If a shard exhausts its\n"
-        "retries the campaign names the missing grid points and exits 2\n"
-        "with the surviving partials preserved.\n";
+        "Any failed run fails the sweep.\n";
 }
 
 void print_list() {
@@ -99,11 +86,14 @@ int main(int argc, char** argv) {
   if (cmd == "merge") {
     return tfmcc::merge_main(argc - 2, argv + 2, std::cerr);
   }
-  if (cmd == "campaign") {
-    return tfmcc::campaign_main(argc - 2, argv + 2, std::cerr);
-  }
 
+  // The name is checked before its flags, so a mistyped or removed
+  // subcommand is reported as an unknown scenario with the known ones listed.
   tfmcc::ScenarioOptions opts;
+  if (tfmcc::ScenarioRegistry::instance().find(cmd) == nullptr) {
+    tfmcc::ScenarioRegistry::instance().run(cmd, opts, std::cerr);
+    return 2;
+  }
   if (!tfmcc::parse_scenario_options(argc - 2, argv + 2, opts, std::cerr)) {
     return 2;
   }

@@ -4,23 +4,16 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <limits>
 #include <string>
 
+#include "analysis/summary.hpp"
+
 namespace tfmcc {
 
 namespace {
-
-bool parse_f64(std::string_view text, double& out) {
-  // std::from_chars for double is flaky across stdlibs; strtod is enough here.
-  std::string buf{text};
-  char* end = nullptr;
-  out = std::strtod(buf.c_str(), &end);
-  return end == buf.c_str() + buf.size() && !buf.empty();
-}
 
 bool parse_u64(std::string_view text, std::uint64_t& out) {
   auto [p, ec] = std::from_chars(text.data(), text.data() + text.size(), out);
@@ -28,8 +21,8 @@ bool parse_u64(std::string_view text, std::uint64_t& out) {
   // Accept scientific/decimal spellings of whole numbers ("2e6", "1000.0")
   // so link rates and receiver counts read naturally on the command line.
   double d = 0;
-  if (!parse_f64(text, d) || !std::isfinite(d) || d < 0.0 ||
-      d > 1.8e19 || d != std::floor(d)) {
+  if (!summary::parse_number(text, d) || d < 0.0 || d > 1.8e19 ||
+      d != std::floor(d)) {
     return false;
   }
   out = static_cast<std::uint64_t>(d);
@@ -40,7 +33,7 @@ bool parse_i64(std::string_view text, std::int64_t& out) {
   auto [p, ec] = std::from_chars(text.data(), text.data() + text.size(), out);
   if (ec == std::errc{} && p == text.data() + text.size()) return true;
   double d = 0;
-  if (!parse_f64(text, d) || !std::isfinite(d) || std::fabs(d) > 9.0e18 ||
+  if (!summary::parse_number(text, d) || std::fabs(d) > 9.0e18 ||
       d != std::floor(d)) {
     return false;
   }
@@ -78,7 +71,7 @@ bool value_coerces(ParamType type, std::string_view value, double& numeric) {
     }
     case ParamType::kDouble: {
       double d;
-      if (!parse_f64(value, d) || !std::isfinite(d)) return false;
+      if (!summary::parse_number(value, d)) return false;
       numeric = d;
       return true;
     }
@@ -190,7 +183,7 @@ double ScenarioOptions::param_or<double>(std::string_view name,
   auto it = params_.find(name);
   if (it == params_.end()) return dflt;
   double v = 0;
-  return parse_f64(it->second, v) && std::isfinite(v) ? v : dflt;
+  return summary::parse_number(it->second, v) ? v : dflt;
 }
 
 template <>
@@ -340,8 +333,8 @@ bool parse_scenario_options(int argc, char** argv, ScenarioOptions& opts,
       // int64 nanoseconds (~292 years); it also rejects inf.
       constexpr double kMaxSeconds = 9.0e9;
       double secs = 0;
-      if (!has_value || !parse_f64(argv[i + 1], secs) ||
-          !std::isfinite(secs) || secs <= 0 || secs > kMaxSeconds) {
+      if (!has_value || !summary::parse_number(argv[i + 1], secs) ||
+          secs <= 0 || secs > kMaxSeconds) {
         err << "error: --duration expects a positive number of seconds\n";
         return false;
       }

@@ -348,10 +348,6 @@ int run_sweep(const Scenario& scenario, const SweepOptions& sweep,
     err << "error: --checkpoint-every must be at least 1\n";
     return 2;
   }
-  if (sweep.max_point_failures < 0) {
-    err << "error: --max-point-failures must be non-negative\n";
-    return 2;
-  }
   g_sweep_interrupt.store(false, std::memory_order_relaxed);
   const auto grid = expand_grid(sweep.axes);
 
@@ -402,9 +398,9 @@ int run_sweep(const Scenario& scenario, const SweepOptions& sweep,
   // `open_acc` (created by the point's first CSV row).
   FinishedPoint open;
   std::optional<summary::ColumnSummary> open_acc;
-  // Monotone across resumes: every checkpoint append bumps it, so a
-  // supervisor polling read_checkpoint_progress sees strictly increasing
-  // heartbeats from a live shard even when no new point finished.
+  // Monotone across resumes: every checkpoint append bumps it, so
+  // read_checkpoint_progress sees strictly increasing heartbeats from a
+  // live sweep even when no new point finished.
   std::uint64_t heartbeat = 0;
 
   if (!sweep.resume_path.empty()) {
@@ -501,17 +497,6 @@ int run_sweep(const Scenario& scenario, const SweepOptions& sweep,
   bool any_failed = false;
   bool merge_failed = false;
   bool checkpoint_failed = false;
-  // Point-granularity failure tolerance: one failed replicate fails its
-  // whole grid point (the point's statistics would be over a different
-  // replicate set than its neighbours').  Within --max-point-failures the
-  // sweep keeps running and leaves the failed points out of the aggregate.
-  const int max_pf = sweep.max_point_failures;
-  std::vector<char> point_failed(grid.size(), 0);
-  int n_failed_points = 0;
-  auto folding = [&](std::size_t p) {
-    return !merge_failed && point_failed[p] == 0 &&
-           (max_pf == 0 ? !any_failed : n_failed_points <= max_pf);
-  };
 
   // Folds one completed task (caller holds fold_mu; called in task order).
   auto fold_task = [&](std::size_t t) {
@@ -529,11 +514,7 @@ int run_sweep(const Scenario& scenario, const SweepOptions& sweep,
       }
       failure_log << '\n';
       any_failed = true;
-      if (point_failed[p] == 0) {
-        point_failed[p] = 1;
-        ++n_failed_points;
-      }
-    } else if (folding(p) && !res.trace.header.empty()) {
+    } else if (!any_failed && !merge_failed && !res.trace.header.empty()) {
       RunTrace& trace = res.trace;
       if (header.empty()) {
         header = trace.header;
@@ -571,7 +552,7 @@ int run_sweep(const Scenario& scenario, const SweepOptions& sweep,
     ++n_folded;
     if (rep + 1 != static_cast<std::uint64_t>(n_rep)) return;
     // The point's last replicate: reduce it to its aggregate lines.
-    if (folding(p)) {
+    if (!any_failed && !merge_failed) {
       if (open_acc.has_value() && open_acc->row_count() > 0) {
         open.stats_header = summary::join_csv(open_acc->header(sweep.stats));
         for (const auto& srow : open_acc->summarize(sweep.stats)) {
@@ -678,8 +659,6 @@ int run_sweep(const Scenario& scenario, const SweepOptions& sweep,
   progress.finish();
 
   const bool interrupted = g_sweep_interrupt.load(std::memory_order_relaxed);
-  const bool tolerated =
-      any_failed && !merge_failed && max_pf > 0 && n_failed_points <= max_pf;
   if (interrupted) {
     // Best-effort final flush: capture whatever finished past the last
     // periodic append, so a --resume continues from the interrupt point
@@ -698,13 +677,8 @@ int run_sweep(const Scenario& scenario, const SweepOptions& sweep,
     }
     return 1;
   }
-  if (any_failed && !tolerated) {
+  if (any_failed) {
     err << failure_log.str();
-    if (max_pf > 0) {
-      err << "error: " << n_failed_points
-          << " grid point(s) failed, exceeding --max-point-failures "
-          << max_pf << '\n';
-    }
     return 1;
   }
   if (merge_failed) {
@@ -725,36 +699,21 @@ int run_sweep(const Scenario& scenario, const SweepOptions& sweep,
       return 2;
     }
   }
-  if (tolerated) {
-    // Replay every failure and name every missing point, so the degraded
-    // aggregate can never be mistaken for a complete one.
-    err << failure_log.str();
-    err << "sweep: " << n_failed_points << " of " << grid.size()
-        << " grid point(s) failed (within --max-point-failures " << max_pf
-        << "); missing from the aggregate:\n";
-    for (std::size_t p = 0; p < grid.size(); ++p) {
-      if (point_failed[p] != 0) {
-        err << "  " << point_label(sweep.axes, grid[p]) << '\n';
-      }
-    }
-  }
 
   if (sweep.shard_count > 1) {
     // Shards do not emit CSV: the partial is a one-record log of the
-    // shard's finished points for `tfmcc_sim merge` to place into the full
-    // grid.  Failed points never finished, so they are absent.
+    // shard's finished points (every point it owns) for `tfmcc_sim merge`
+    // to place into the full grid.
     std::vector<const FinishedPoint*> done;
     for (const auto& p : finished) {
       if (p.has_value()) done.push_back(&*p);
     }
     const SweepLogEncoder partial{SweepLogKind::kPartial, manifest};
     out << partial.head() << partial.record(1, n_folded, done);
-    return tolerated ? 1 : 0;
+    return 0;
   }
 
-  const int rc = emit_sweep_aggregate(manifest, grid, finished, out, err);
-  if (rc != 0) return rc;
-  return tolerated ? 1 : 0;
+  return emit_sweep_aggregate(manifest, grid, finished, out, err);
 }
 
 int sweep_main(int argc, char** argv, std::ostream& err) {
@@ -763,7 +722,7 @@ int sweep_main(int argc, char** argv, std::ostream& err) {
            "[--sweep key=lo:hi:logN]... [--jobs N] [--replicate N] "
            "[--stats mean,stddev,cov,min,max] [--progress] "
            "[--shard i/n] [--checkpoint <path>] [--checkpoint-every N] "
-           "[--resume <path>] [--max-point-failures K] "
+           "[--resume <path>] "
            "[--duration <s>] [--seed <n>] [--set key=value]... "
            "[--output <path>]\n";
     return 2;
@@ -885,17 +844,6 @@ int sweep_main(int argc, char** argv, std::ostream& err) {
       }
       sweep.resume_path = argv[i + 1];
       ++i;
-    } else if (arg == "--max-point-failures") {
-      char* end = nullptr;
-      const long cap = has_value ? std::strtol(argv[i + 1], &end, 10) : -1;
-      if (!has_value || end == argv[i + 1] || *end != '\0' || cap < 0 ||
-          cap > 1'000'000) {
-        err << "error: --max-point-failures expects an integer between 0 "
-               "and 1e6\n";
-        return 2;
-      }
-      sweep.max_point_failures = static_cast<int>(cap);
-      ++i;
     } else if (arg == "--progress") {
       sweep.progress = true;
     } else {
@@ -924,7 +872,7 @@ int sweep_main(int argc, char** argv, std::ostream& err) {
   // drain, a final checkpoint is flushed, and the process exits nonzero
   // with the state resumable — instead of killing the process between
   // periodic writes.  Handlers are scoped to the run: restored before
-  // returning so a supervisor embedding sweep_main keeps its own disposition.
+  // returning so a caller embedding sweep_main keeps its own disposition.
 #if defined(__unix__) || defined(__APPLE__)
   struct sigaction old_term {};
   struct sigaction old_int {};

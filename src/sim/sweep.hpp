@@ -121,12 +121,6 @@ struct SweepOptions {
   /// only the rest.  The checkpoint's manifest must match this sweep
   /// exactly.
   std::string resume_path;
-  /// `--max-point-failures K`: tolerate up to K failing *grid points*
-  /// (a failed replicate fails its whole point) instead of poisoning the
-  /// sweep on the first worker error.  Failed points are dropped from the
-  /// aggregate, replayed in an end-of-run report, and the sweep still
-  /// exits nonzero.  0 (the default) keeps fail-fast behaviour.
-  int max_point_failures{0};
   /// Applied to every point (duration/seed/--set overrides); its output
   /// sink and output_path are ignored — the aggregate goes to `out`.
   ScenarioOptions base;
@@ -136,10 +130,9 @@ struct SweepOptions {
 /// parameters, runs all points on `jobs` worker threads, and writes the
 /// aggregated CSV — the swept keys prepended as columns, rows in grid
 /// order — to `out`.  Returns 0 on success; nonzero after a diagnostic on
-/// `err` when validation fails, a point exits nonzero (beyond
-/// `max_point_failures`), the per-point traces cannot be merged (no CSV,
-/// or mismatched headers), or the run was interrupted (see
-/// request_sweep_interrupt).
+/// `err` when validation fails, any run exits nonzero or throws, the
+/// per-point traces cannot be merged (no CSV, or mismatched headers), or
+/// the run was interrupted (see request_sweep_interrupt).
 int run_sweep(const Scenario& scenario, const SweepOptions& sweep,
               std::ostream& out, std::ostream& err);
 
@@ -155,9 +148,8 @@ void request_sweep_interrupt();
 /// after the `sweep` token.  Accepts `--sweep key=spec` (repeatable),
 /// `--jobs N`, `--replicate N`, `--stats list`, `--progress`, sharding and
 /// checkpoint flags (`--shard i/n`, `--checkpoint`, `--checkpoint-every`,
-/// `--resume`), `--max-point-failures K`, and every single-run flag
-/// (`--duration`, `--seed`, `--set`, `--output`).  Returns the process
-/// exit code.
+/// `--resume`), and every single-run flag (`--duration`, `--seed`, `--set`,
+/// `--output`).  Returns the process exit code.
 int sweep_main(int argc, char** argv, std::ostream& err);
 
 }  // namespace tfmcc

@@ -671,7 +671,6 @@ bool read_checkpoint_progress(const std::string& path, CheckpointProgress& out,
   }
   out.heartbeat = log.heartbeat;
   out.folded_tasks = log.folded_tasks;
-  out.owned_tasks = owned_task_count(log.manifest);
   err.clear();
   return true;
 }
@@ -812,6 +811,19 @@ int merge_main(int argc, char** argv, std::ostream& err) {
       const std::size_t index = p.index;
       points[index] = std::move(p);
     }
+  }
+  // Every shard is present exactly once, so a point no partial holds was
+  // left out by its owner: its shard did not finish it.
+  for (std::size_t p = 0; p < grid.size(); ++p) {
+    if (points[p].has_value()) continue;
+    for (std::size_t i = 0; i < parts.size(); ++i) {
+      if (!shard_owns_point(parts[i].manifest, p)) continue;
+      err << "error: partial '" << part_paths[i] << "' (shard "
+          << parts[i].manifest.shard_index << "/" << ref.shard_count
+          << ") lacks grid point " << point_label(ref.axes, grid[p])
+          << " that its shard owns\n";
+    }
+    return 2;
   }
 
   std::ofstream file;

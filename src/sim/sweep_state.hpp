@@ -1,6 +1,6 @@
 #pragma once
 
-// Campaign-scale sweep plumbing: sharding, checkpoint/resume, and the
+// Sweep state on disk: sharding, checkpoint/resume, and the
 // partial-aggregate artifacts `tfmcc_sim merge` places back together.
 //
 // The unit of persisted state is a *finished grid point*.  Once every
@@ -176,15 +176,14 @@ class SweepLogWriter {
   int fd_{-1};  // open for O_APPEND once created (POSIX)
 };
 
-/// The liveness view of a checkpoint a campaign supervisor polls: the
-/// heartbeat append counter, the folded-task count, and the number of
-/// tasks the writing shard owns.  The heartbeat is monotone across a
-/// shard's lifetime (resumes included).  The folded count may step back
-/// across a resume by the replicates of points that had not finished.
+/// The progress view of a checkpoint, for tools that watch a running
+/// sweep: the heartbeat append counter and the folded-task count.  The
+/// heartbeat is monotone across a sweep's lifetime (resumes included).  The
+/// folded count may step back across a resume by the replicates of points
+/// that had not finished.
 struct CheckpointProgress {
   std::uint64_t heartbeat{0};
   std::uint64_t folded_tasks{0};
-  std::uint64_t owned_tasks{0};
 };
 
 /// Reads the last complete record of the checkpoint at `path`.  Returns
@@ -195,9 +194,9 @@ bool read_checkpoint_progress(const std::string& path, CheckpointProgress& out,
 
 /// Writes the final aggregate CSV from the finished points: the header,
 /// then every present point's lines in grid order with the swept values
-/// prepended.  `points` is parallel to the expanded grid; a missing point
-/// (failed under --max-point-failures, or owned by no partial) emits
-/// nothing.  The unsharded sweep, a resume and `merge` all end in this one
+/// prepended.  `points` is parallel to the expanded grid and its callers
+/// fill every entry; an empty one would emit nothing.  The unsharded
+/// sweep, a resume and `merge` all end in this one
 /// code path, which is what makes them byte-identical.  Returns nonzero
 /// after a diagnostic when no point produced CSV, CSV headers disagree, or
 /// replicated points expand to different statistics headers.
@@ -207,8 +206,9 @@ int emit_sweep_aggregate(const SweepManifest& manifest,
                          std::ostream& out, std::ostream& err);
 
 /// CLI entry for `tfmcc_sim merge [--output <path>] <partial>...`: loads
-/// the shard partials, refuses mismatched or incomplete shard sets, and
-/// emits the combined aggregate CSV.  Returns the process exit code.
+/// the shard partials, refuses mismatched or incomplete shard sets and any
+/// partial that lacks a point its shard owns, and emits the combined
+/// aggregate CSV.  Returns the process exit code.
 int merge_main(int argc, char** argv, std::ostream& err);
 
 }  // namespace tfmcc

@@ -251,7 +251,13 @@ TEST_F(HostileInputs, LogReaderYieldsAnErrorOrTrueFinishedPoints) {
     if (polled) {
       EXPECT_EQ(progress.heartbeat, log.heartbeat);
       EXPECT_EQ(progress.folded_tasks, log.folded_tasks);
-      EXPECT_LE(progress.folded_tasks, progress.owned_tasks);
+      std::uint64_t owned_tasks = 0;
+      for (std::size_t p = 0; p < log.manifest.n_points(); ++p) {
+        if (shard_owns_point(log.manifest, p)) {
+          owned_tasks += static_cast<std::uint64_t>(log.manifest.replicate);
+        }
+      }
+      EXPECT_LE(progress.folded_tasks, owned_tasks);
     }
   }
   std::remove(path.c_str());

@@ -282,6 +282,19 @@ TEST(RunSweep, ReportsFailingPointsByLabel) {
   EXPECT_NE(err.find("sweep point x=2,fail=true failed"), std::string::npos);
 }
 
+TEST(RunSweep, ShardWithAFailedPointWritesNoPartial) {
+  SweepOptions sweep;
+  sweep.axes = {{"x", {"1", "2"}}, {"fail", {"false", "true"}}};
+  // Shard 1/2 owns grid points 1 and 3: x=1,fail=true and x=2,fail=true.
+  sweep.shard_index = 1;
+  sweep.shard_count = 2;
+  std::string err;
+  const std::string out = run_probe_sweep(sweep, 1, &err);
+  EXPECT_TRUE(out.empty());
+  EXPECT_NE(err.find("sweep point x=1,fail=true failed"), std::string::npos);
+  EXPECT_NE(err.find("sweep point x=2,fail=true failed"), std::string::npos);
+}
+
 TEST(RunSweep, RejectsMismatchedHeadersAcrossPoints) {
   SweepOptions sweep;
   sweep.axes = {{"alt_header", {"false", "true"}}};
@@ -567,69 +580,6 @@ TEST(RunSweep, UnshardedProgressKeepsThePlainLabel) {
   ASSERT_EQ(run_sweep(probe(), sweep, out, err), 0) << err.str();
   EXPECT_NE(err.str().find("sweep: 2/2 runs (100%)"), std::string::npos)
       << err.str();
-}
-
-// --- graceful degradation (--max-point-failures) --------------------------
-
-TEST(RunSweep, MaxPointFailuresMasksFailedPointsAndStillExitsNonzero) {
-  SweepOptions sweep;
-  sweep.axes = {{"x", {"1", "2"}}, {"fail", {"false", "true"}}};
-  sweep.max_point_failures = 2;
-  std::string err;
-  const std::string out = run_probe_sweep(sweep, 1, &err);
-  // The two failing points are dropped; the survivors keep grid order.
-  EXPECT_EQ(out,
-            "x,fail,x,y,product\n"
-            "1,false,1,1,1\n"
-            "2,false,2,1,2\n");
-  EXPECT_NE(err.find("sweep point x=1,fail=true failed"), std::string::npos)
-      << err;
-  EXPECT_NE(err.find("missing from the aggregate:"), std::string::npos)
-      << err;
-  EXPECT_NE(err.find("  x=1,fail=true\n"), std::string::npos) << err;
-  EXPECT_NE(err.find("  x=2,fail=true\n"), std::string::npos) << err;
-}
-
-TEST(RunSweep, MaxPointFailuresExceededPoisonsTheRun) {
-  SweepOptions sweep;
-  sweep.axes = {{"x", {"1", "2"}}, {"fail", {"false", "true"}}};
-  sweep.max_point_failures = 1;
-  std::string err;
-  const std::string out = run_probe_sweep(sweep, 1, &err);
-  EXPECT_TRUE(out.empty());
-  EXPECT_NE(
-      err.find("2 grid point(s) failed, exceeding --max-point-failures 1"),
-      std::string::npos)
-      << err;
-}
-
-TEST(RunSweep, MaxPointFailuresDropsTheWholeReplicatedPoint) {
-  SweepOptions sweep;
-  sweep.axes = {{"fail", {"false", "true"}}};
-  sweep.replicate = 2;
-  sweep.max_point_failures = 1;
-  std::string err;
-  const std::string out = run_probe_sweep(sweep, 1, &err);
-  // Only the surviving point summarizes; the failed point contributes no
-  // partial replicate set.
-  std::istringstream is{out};
-  std::string header, row, extra;
-  ASSERT_TRUE(std::getline(is, header)) << out;
-  ASSERT_TRUE(std::getline(is, row)) << out;
-  EXPECT_FALSE(std::getline(is, extra)) << out;
-  EXPECT_EQ(row.rfind("false,", 0), 0u) << row;
-  EXPECT_NE(err.find("  fail=true\n"), std::string::npos) << err;
-}
-
-TEST(RunSweep, NegativeMaxPointFailuresIsRefused) {
-  SweepOptions sweep;
-  sweep.axes = {{"x", {"1"}}};
-  sweep.max_point_failures = -1;
-  std::string err;
-  run_probe_sweep(sweep, 2, &err);
-  EXPECT_NE(err.find("--max-point-failures must be non-negative"),
-            std::string::npos)
-      << err;
 }
 
 // --- graceful shutdown (request_sweep_interrupt) --------------------------

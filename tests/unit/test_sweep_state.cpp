@@ -2,7 +2,7 @@
 // manifest round trip and mismatch diagnostics, the v3 log (record round
 // trip, torn-tail tolerance at every cut, mid-file corruption and older
 // versions refused, the writer's create-then-append contract, the
-// campaign's progress poll), checkpoint/resume edge cases (checkpoints
+// checkpoint progress reader), checkpoint/resume edge cases (checkpoints
 // covering only the first point and all but the last, a torn tail, grid
 // mismatch), shard ownership and out-of-range indices, and library-level
 // shard+merge byte-identity against the unsharded aggregate.
@@ -350,7 +350,7 @@ TEST(SweepLog, ReadMissingFileIsDiagnosed) {
   EXPECT_NE(err.str().find("cannot open"), std::string::npos) << err.str();
 }
 
-// --- checkpoint progress (campaign liveness poll) -------------------------
+// --- checkpoint progress (read_checkpoint_progress) -----------------------
 
 TEST(CheckpointProgress, ReadsTheLastCompleteRecord) {
   const std::string path = temp_path("progress.bin");
@@ -361,7 +361,6 @@ TEST(CheckpointProgress, ReadsTheLastCompleteRecord) {
   ASSERT_TRUE(read_checkpoint_progress(path, p, err)) << err;
   EXPECT_EQ(p.heartbeat, 2u);
   EXPECT_EQ(p.folded_tasks, 2u);
-  EXPECT_EQ(p.owned_tasks, 3u);
   // A torn third record leaves the second as the last complete one.
   const std::string three = checkpoint_after(3);
   write_file(path, three.substr(0, (two.size() + three.size()) / 2));
@@ -384,7 +383,7 @@ TEST(CheckpointProgress, RefusesMissingGarbageOlderVersionsAndPartials) {
   write_file(v2, "TFMCC-SWEEP-CKPT 2\nprogress 9 3 3\n");
   EXPECT_FALSE(read_checkpoint_progress(v2, p, err));
 
-  // A shard partial is not a liveness signal; polling one must fail
+  // A shard partial is not a progress signal; reading one must fail
   // loudly rather than invent progress.
   const std::string ppath = temp_path("part_as_progress.bin");
   write_file(ppath, probe_head(SweepLogKind::kPartial) +
@@ -661,6 +660,34 @@ TEST(MergeCli, TruncatedPartialIsRefused) {
     EXPECT_NE(err.find("is truncated"), std::string::npos) << err;
   }
   for (const auto& p : paths) std::remove(p.c_str());
+}
+
+TEST(MergeCli, PartialLackingAnOwnedPointIsRefused) {
+  // Shard 0/2 of the three-point sweep owns x=1 and x=3; this partial is
+  // well-formed but holds only x=1.
+  SweepOptions shard0 = three_point_sweep();
+  shard0.shard_count = 2;
+  const SweepLogEncoder enc{SweepLogKind::kPartial,
+                            SweepManifest::from(probe(), shard0)};
+  const std::vector<FinishedPoint> only_first{probe_point(0)};
+  const std::string path0 = temp_path("short_part0.bin");
+  write_file(path0, enc.head() + enc.record(1, 1, ptrs(only_first)));
+
+  SweepOptions shard1 = shard0;
+  shard1.shard_index = 1;
+  const std::string path1 = temp_path("short_part1.bin");
+  write_file(path1, sweep_output(shard1));
+
+  const std::string out_path = temp_path("short_merged.csv");
+  std::string err;
+  EXPECT_EQ(run_merge({"--output", out_path, path0, path1}, &err), 2);
+  EXPECT_NE(err.find("partial '" + path0 + "' (shard 0/2) lacks grid point "
+                     "x=3"),
+            std::string::npos)
+      << err;
+  std::remove(path0.c_str());
+  std::remove(path1.c_str());
+  std::remove(out_path.c_str());
 }
 
 TEST(MergeCli, CheckpointInsteadOfPartialIsRefused) {
