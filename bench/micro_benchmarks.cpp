@@ -1,7 +1,7 @@
 // Google-benchmark microbenchmarks for the hot paths of the library:
 // control-equation evaluation, loss-history updates, scheduler throughput,
-// multicast fan-out, route computation, feedback-timer draws, whole
-// feedback rounds and modeled-block rounds.
+// multicast fan-out, route computation, uniform draws, feedback-timer
+// draws, whole feedback rounds and modeled-block rounds.
 // These guard against
 // performance regressions that would make the large-scale figure benches
 // (1000-receiver simulations) impractical.
@@ -241,6 +241,23 @@ BENCHMARK_CAPTURE(BM_MembershipChurn, incremental, MembershipMode::kIncremental)
 BENCHMARK_CAPTURE(BM_MembershipChurn, full_rebuild, MembershipMode::kFullRebuild)
     ->Arg(256)
     ->Arg(2048);
+
+void BM_RngUniform01(benchmark::State& state) {
+  // Enough draws per iteration to amortise the state refill, which comes
+  // once every 312; ns_per_draw is the time per uniform01().
+  constexpr int kDraws = 4096;
+  Rng rng{1};
+  for (auto _ : state) {
+    double sum = 0.0;
+    for (int i = 0; i < kDraws; ++i) sum += rng.uniform01();
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(state.iterations() * kDraws);
+  state.counters["ns_per_draw"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * kDraws,
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_RngUniform01);
 
 void BM_FeedbackTimerDraw(benchmark::State& state) {
   FeedbackTimerConfig cfg;

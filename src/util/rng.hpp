@@ -1,9 +1,64 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <random>
 
 namespace tfmcc {
+
+/// MT19937-64: the generator, seeding and output stream of
+/// `std::mt19937_64`, bit for bit.
+///
+/// libstdc++'s state refill picks the twist constant with a branch on the
+/// low bit of random data, which mispredicts on about half of all words.
+/// This refill selects it with a mask instead, and splits the loop where
+/// the x[k + m] index wraps so the first half vectorises.
+class Mt19937_64 {
+ public:
+  using result_type = std::uint64_t;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+
+  explicit Mt19937_64(result_type seed) {
+    x_[0] = seed;
+    for (std::size_t i = 1; i < kN; ++i) {
+      x_[i] = 6364136223846793005ULL * (x_[i - 1] ^ (x_[i - 1] >> 62)) + i;
+    }
+  }
+
+  result_type operator()() {
+    if (p_ >= kN) refill();
+    result_type z = x_[p_++];
+    z ^= (z >> 29) & 0x5555555555555555ULL;
+    z ^= (z << 17) & 0x71d67fffeda60000ULL;
+    z ^= (z << 37) & 0xfff7eee000000000ULL;
+    return z ^ (z >> 43);
+  }
+
+ private:
+  static constexpr std::size_t kN = 312;
+  static constexpr std::size_t kM = 156;
+  static constexpr std::uint64_t kUpper = ~std::uint64_t{0} << 31;  // r = 31
+
+  /// One twisted word from x[k] (upper bits), x[k+1] (lower bits) and
+  /// x[k+m].
+  static std::uint64_t twist(std::uint64_t hi, std::uint64_t lo,
+                             std::uint64_t far) {
+    const std::uint64_t y = (hi & kUpper) | (lo & ~kUpper);
+    return far ^ (y >> 1) ^ ((0 - (y & 1)) & 0xb5026f5aa96619e9ULL);
+  }
+
+  void refill() {
+    std::size_t k = 0;
+    for (; k < kN - kM; ++k) x_[k] = twist(x_[k], x_[k + 1], x_[k + kM]);
+    for (; k < kN - 1; ++k) x_[k] = twist(x_[k], x_[k + 1], x_[k + kM - kN]);
+    x_[kN - 1] = twist(x_[kN - 1], x_[0], x_[kM - 1]);
+    p_ = 0;
+  }
+
+  std::uint64_t x_[kN];
+  std::size_t p_ = kN;
+};
 
 /// Deterministic random-number stream.
 ///
@@ -60,16 +115,6 @@ class Rng {
     return std::exponential_distribution<double>{1.0 / mean}(gen_);
   }
 
-  /// Geometric number of trials until first success (>= 1), success prob p.
-  std::int64_t geometric_trials(double p) {
-    if (p >= 1.0) return 1;
-    return 1 + std::geometric_distribution<std::int64_t>{p}(gen_);
-  }
-
-  double normal(double mean, double stddev) {
-    return std::normal_distribution<double>{mean, stddev}(gen_);
-  }
-
  private:
   /// splitmix64 finalizer: decorrelates nearby seeds.
   static std::uint64_t mix(std::uint64_t x) {
@@ -79,7 +124,7 @@ class Rng {
     return x ^ (x >> 31);
   }
 
-  std::mt19937_64 gen_;
+  Mt19937_64 gen_;
   std::uint64_t seed_;
 };
 

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <random>
 #include <vector>
 
 namespace tfmcc {
@@ -116,12 +119,69 @@ TEST(Rng, BernoulliFrequency) {
   EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.01);
 }
 
-TEST(Rng, GeometricTrialsMean) {
-  Rng r{11};
-  double sum = 0;
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) sum += static_cast<double>(r.geometric_trials(0.1));
-  EXPECT_NEAR(sum / n, 10.0, 0.3);  // mean trials = 1/p
+// Mt19937_64 must be std::mt19937_64 bit for bit: every golden output
+// depends on this stream.
+
+/// Crosses three refills of the 312-word state.
+constexpr int kExactDraws = 3 * 312 + 17;
+
+std::vector<std::uint64_t> exactness_seeds() {
+  std::vector<std::uint64_t> seeds{0, 1, 5489, ~std::uint64_t{0}};
+  std::uint64_t s = 0;
+  for (int i = 0; i < 1000; ++i) {  // splitmix64
+    std::uint64_t z = (s += 0x9e3779b97f4a7c15ULL);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    seeds.push_back(z ^ (z >> 31));
+  }
+  return seeds;
+}
+
+TEST(Mt19937_64, MatchesStandardEngine) {
+  for (const std::uint64_t seed : exactness_seeds()) {
+    Mt19937_64 ours{seed};
+    std::mt19937_64 ref{seed};
+    for (int i = 0; i < kExactDraws; ++i) {
+      ASSERT_EQ(ours(), ref()) << "seed " << seed << " draw " << i;
+    }
+  }
+}
+
+TEST(Mt19937_64, CopiesContinueInStep) {
+  for (const int at : {0, 311, 312}) {
+    Mt19937_64 ours{42};
+    std::mt19937_64 ref{42};
+    for (int i = 0; i < at; ++i) ours();
+    ref.discard(static_cast<unsigned long long>(at));
+    Mt19937_64 copy = ours;
+    for (int i = 0; i < kExactDraws; ++i) {
+      ASSERT_EQ(copy(), ref()) << "copied at " << at << ", draw " << i;
+    }
+  }
+}
+
+TEST(Mt19937_64, DrivesStandardDistributionsLikeTheStandardEngine) {
+  // Each distribution Rng uses, on both engines; ASSERT_EQ on doubles is
+  // bit equality, not a tolerance.
+  for (const std::uint64_t seed : {std::uint64_t{0}, std::uint64_t{7},
+                                   std::uint64_t{5489}, ~std::uint64_t{0}}) {
+    Mt19937_64 ours{seed};
+    std::mt19937_64 ref{seed};
+    for (int i = 0; i < kExactDraws; ++i) {
+      std::uniform_real_distribution<double> real{-3.0, 7.5};
+      ASSERT_EQ(real(ours), real(ref)) << "uniform_real, draw " << i;
+      std::uniform_int_distribution<std::int64_t> small{0, 3};
+      ASSERT_EQ(small(ours), small(ref)) << "uniform_int, draw " << i;
+      std::uniform_int_distribution<std::int64_t> full{
+          std::numeric_limits<std::int64_t>::min(),
+          std::numeric_limits<std::int64_t>::max()};
+      ASSERT_EQ(full(ours), full(ref)) << "full-range uniform_int, draw " << i;
+      std::bernoulli_distribution coin{0.3};
+      ASSERT_EQ(coin(ours), coin(ref)) << "bernoulli, draw " << i;
+      std::exponential_distribution<double> expo{0.2};
+      ASSERT_EQ(expo(ours), expo(ref)) << "exponential, draw " << i;
+    }
+  }
 }
 
 }  // namespace

@@ -69,7 +69,8 @@ SCENARIOS = [
 MICRO_FILTER = ("BM_SchedulerChurn|BM_EquationFull|BM_EquationInverse|"
                 "BM_EquationBatch|BM_LossHistoryReceive|BM_MembershipChurn|"
                 "BM_PacketPoolChurn|BM_FeedbackTimerDraw|BM_FeedbackRound|"
-                "BM_ModeledBlockRound|BM_MulticastFanout|BM_ComputeRoutes")
+                "BM_ModeledBlockRound|BM_MulticastFanout|BM_ComputeRoutes|"
+                "BM_RngUniform01")
 
 
 def run_micro(build_dir, min_time):
@@ -104,8 +105,9 @@ def run_micro(build_dir, min_time):
         entry = {"ns_per_op": round(bench["real_time"], 3)}
         if "items_per_second" in bench:
             entry["items_per_s"] = round(bench["items_per_second"])
-        if "ns_per_copy" in bench:  # an inverted rate counter, in seconds
-            entry["ns_per_copy"] = round(bench["ns_per_copy"] * 1e9, 3)
+        for counter in ("ns_per_copy", "ns_per_draw"):
+            if counter in bench:  # an inverted rate counter, in seconds
+                entry[counter] = round(bench[counter] * 1e9, 3)
         metrics[name] = entry
     return metrics
 
@@ -280,8 +282,11 @@ def main():
         return
 
     report = load_report(args.output)
-    report.setdefault("unit_notes", {}).setdefault(
+    notes = report.setdefault("unit_notes", {})
+    notes.setdefault(
         "ns_per_copy", "google-benchmark real time per delivered multicast copy")
+    notes.setdefault(
+        "ns_per_draw", "google-benchmark real time per Rng::uniform01() draw")
     measurement = {
         "label": args.label or ("baseline" if args.set_baseline else "current"),
         "scenarios": scenarios,
