@@ -1,12 +1,22 @@
 #include "tfmcc/receiver_block.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "analysis/feedback_model.hpp"
 #include "tfmcc/feedback_timer.hpp"
 
 namespace tfmcc {
+
+namespace {
+
+// Receivers per steady-state round chunk: a chunk's RTTs, p values and
+// calculated rates (24 KB) stay in L1 between the equation batch and the
+// timer draws.
+constexpr int kRoundChunk = 1024;
+
+}  // namespace
 
 ModeledReceiverBlock::ModeledReceiverBlock(Simulator& sim,
                                            MulticastSession& session,
@@ -19,20 +29,7 @@ ModeledReceiverBlock::ModeledReceiverBlock(Simulator& sim,
       cfg_{cfg},
       rng_{std::move(rng)},
       core_{cfg} {
-  const auto n = static_cast<std::size_t>(bcfg_.count);
   reset_receivers();
-  extra_owd_.resize(n);
-  ps_scratch_.resize(n);
-  calc_scratch_.resize(n);
-  // Stratify the virtual access delays evenly over the configured span:
-  // deterministic coverage of the RTT range beats sampling it (the modeled
-  // tier aggregates, it does not replicate one random draw).
-  const SimTime span = bcfg_.extra_owd_max - bcfg_.extra_owd_min;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double frac =
-        n > 1 ? static_cast<double>(i) / static_cast<double>(n - 1) : 0.0;
-    extra_owd_[i] = bcfg_.extra_owd_min + span * frac;
-  }
 }
 
 ModeledReceiverBlock::~ModeledReceiverBlock() {
@@ -96,7 +93,7 @@ ModeledRxInfo ModeledReceiverBlock::rx_info(int i) const {
   info.rtt_us = static_cast<std::uint32_t>(
       std::max<std::int64_t>(0, rtt_[idx].count_nanos() / 1000));
   info.extra_owd_us = static_cast<std::uint32_t>(
-      std::max<std::int64_t>(0, extra_owd_[idx].count_nanos() / 1000));
+      std::max<std::int64_t>(0, extra_owd(i).count_nanos() / 1000));
   info.flags = flags_[idx];
   return info;
 }
@@ -120,6 +117,17 @@ SimTime ModeledReceiverBlock::representative_rtt() const {
   return SimTime::seconds(rtt_sum_s_ / static_cast<double>(bcfg_.count));
 }
 
+SimTime ModeledReceiverBlock::extra_owd(int idx) const {
+  // Stratified evenly over the configured span: deterministic coverage of
+  // the RTT range beats sampling it (the modeled tier aggregates, it does
+  // not replicate one random draw).
+  const int n = bcfg_.count;
+  const double frac =
+      n > 1 ? static_cast<double>(idx) / static_cast<double>(n - 1) : 0.0;
+  return bcfg_.extra_owd_min +
+         (bcfg_.extra_owd_max - bcfg_.extra_owd_min) * frac;
+}
+
 void ModeledReceiverBlock::set_rtt(int idx, SimTime rtt) {
   const auto i = static_cast<std::size_t>(idx);
   rtt_sum_s_ += rtt.to_seconds() - rtt_[i].to_seconds();
@@ -135,7 +143,7 @@ void ModeledReceiverBlock::handle_packet(const Packet& p) {
   // estimate plus each receiver's virtual access detour.
   if (const auto init = core_.clock_sync_rtt(h, now, cfg_)) {
     for (int i = 0; i < bcfg_.count; ++i) {
-      set_rtt(i, *init + extra_owd_[static_cast<std::size_t>(i)] * 2.0);
+      set_rtt(i, *init + extra_owd(i) * 2.0);
     }
   }
   if (!core_.on_data(h, p.size_bytes, now, representative_rtt(), cfg_)) return;
@@ -155,7 +163,7 @@ void ModeledReceiverBlock::process_echo(const TfmccDataHeader& h,
   const SimTime tap_sample = now - h.echo.ts - h.echo.delay;
   if (tap_sample <= SimTime::zero()) return;
   // The modeled path is the tap path plus the receiver's virtual detour.
-  const SimTime sample = tap_sample + extra_owd_[i] * 2.0;
+  const SimTime sample = tap_sample + extra_owd(idx) * 2.0;
 
   if ((flags_[i] & ModeledRxInfo::kHasRtt) == 0) {
     flags_[i] |= ModeledRxInfo::kHasRtt;
@@ -209,12 +217,12 @@ void ModeledReceiverBlock::on_new_round(const TfmccDataHeader& h,
   next_candidate_ = 0;
 
   RoundDrawInput in;
-  in.n = bcfg_.count;
   in.skip = clr_idx_;
   in.send_rate_Bps = h.send_rate_Bps;
   in.cap = candidate_cap();
   in.now = now;
   in.fb_deadline = h.fb_deadline;
+  double p = 0.0;
   if (h.slowstart) {
     // §2.6: every receiver's receive rate matters; the rate (and therefore
     // the bias ratio) is shared across the block.
@@ -222,69 +230,110 @@ void ModeledReceiverBlock::on_new_round(const TfmccDataHeader& h,
     if (!core_.eligible(true, in.rate_Bps, in.send_rate_Bps)) return;
     in.x = bias_ratio(in.rate_Bps, in.send_rate_Bps);
   } else {
-    // Steady state: one batched equation evaluation over the contiguous RTT
-    // array (shared p) decides each receiver's eligibility.
-    const double p = core_.loss.loss_event_rate();
+    p = core_.loss.loss_event_rate();
     if (p <= 0.0) return;  // calc rate infinite: nothing useful to report
-    std::fill(ps_scratch_.begin(), ps_scratch_.end(), p);
-    cfg_.equation->throughput_batch(kDataPacketBytes, rtt_.data(),
-                                    ps_scratch_.data(), calc_scratch_.data(),
-                                    static_cast<std::size_t>(in.n));
-    in.calc_Bps = calc_scratch_.data();
   }
-  draw_candidates(in, cfg_.timer, rng_, candidates_);
+  CandidateDrawer drawer{in, cfg_.timer, candidates_};
+  if (h.slowstart) {
+    drawer.draw(bcfg_.count, nullptr, rng_);  // no rates: one chunk
+  } else {
+    // Steady state streams the block through L1-sized chunks: one batched
+    // equation evaluation over the chunk's contiguous RTTs (shared p)
+    // decides each receiver's eligibility, and the chunk's timers are drawn
+    // while its rates are still in cache.
+    std::array<double, kRoundChunk> ps;
+    ps.fill(p);
+    std::array<double, kRoundChunk> calc{};
+    for (int first = 0; first < bcfg_.count; first += kRoundChunk) {
+      const int count = std::min(kRoundChunk, bcfg_.count - first);
+      cfg_.equation->throughput_batch(kDataPacketBytes, rtt_.data() + first,
+                                      ps.data(), calc.data(),
+                                      static_cast<std::size_t>(count));
+      drawer.draw(count, calc.data(), rng_);
+    }
+  }
+  drawer.finish();
   schedule_next_candidate();
 }
 
-void draw_candidates(const RoundDrawInput& in, const FeedbackTimerConfig& timer,
-                     Rng& rng, std::vector<FeedbackCandidate>& out) {
-  out.clear();
-  const auto cap = static_cast<std::size_t>(std::max(0, in.cap));
-  const double fb_ns = static_cast<double>(in.fb_deadline.count_nanos());
-  // Bounded max-heap keyed on (due, idx): only the earliest `cap` timers can
-  // possibly report (everything later is suppressed by them or by the full
-  // tier), so the other n - cap receivers never materialise as events.
-  auto heap_before = [](const FeedbackCandidate& a, const FeedbackCandidate& b) {
-    return a.due < b.due || (a.due == b.due && a.idx < b.idx);
-  };
-  // Draws come in index order, so a full heap admits only timers due
-  // strictly before its top.  Every u above `u_skip` is due no earlier, so
-  // it is skipped before the timer transform; 2 (above any uniform01)
-  // skips nothing.
-  double u_skip = cap == 0 ? 0.0 : 2.0;
-  auto update_ceiling = [&] {
-    if (!(fb_ns > 0.0)) return;
-    const SimTime top = out.front().due - in.now;
-    u_skip = feedback_timer::uniform_ceiling(
-        static_cast<double>(top.count_nanos()) / fb_ns, timer);
-  };
-  for (int i = 0; i < in.n; ++i) {
-    if (i == in.skip) continue;
-    double rate = in.rate_Bps;
-    if (in.calc_Bps != nullptr) {
-      rate = in.calc_Bps[i];
+namespace {
+
+// Bounded max-heap order on (due, idx): only the earliest `cap` timers can
+// possibly report (everything later is suppressed by them or by the full
+// tier), so the other n - cap receivers never materialise as events.
+bool heap_before(const FeedbackCandidate& a, const FeedbackCandidate& b) {
+  return a.due < b.due || (a.due == b.due && a.idx < b.idx);
+}
+
+}  // namespace
+
+CandidateDrawer::CandidateDrawer(const RoundDrawInput& in,
+                                 const FeedbackTimerConfig& timer,
+                                 std::vector<FeedbackCandidate>& out)
+    : in_{in},
+      timer_{timer},
+      out_{out},
+      cap_{static_cast<std::size_t>(std::max(0, in.cap))},
+      fb_ns_{static_cast<double>(in.fb_deadline.count_nanos())},
+      // 2 (above any uniform01) skips nothing; a zero cap admits nothing.
+      u_skip_{cap_ == 0 ? 0.0 : 2.0} {
+  out_.clear();
+}
+
+void CandidateDrawer::draw(int count, const double* calc_Bps, Rng& rng) {
+  // The chunk's loop reads its inputs and the skip ceiling from locals;
+  // only an admitted draw touches the heap.
+  const int first = next_;
+  const int skip = in_.skip - first;
+  const double send_rate = in_.send_rate_Bps;
+  const double shared_rate = in_.rate_Bps;
+  const double shared_x = in_.x;
+  double u_skip = u_skip_;
+  for (int k = 0; k < count; ++k) {
+    if (k == skip) continue;
+    double rate = shared_rate;
+    if (calc_Bps != nullptr) {
+      rate = calc_Bps[k];
       // ReceiverCore::eligible's steady-state arm (also filters +inf).
-      if (!(rate < in.send_rate_Bps)) continue;
+      if (!(rate < send_rate)) continue;
     }
+    // Draws come in index order, so a full heap admits only timers due
+    // strictly before its top.  Every u above `u_skip` is due no earlier,
+    // so it is skipped before the timer transform.
     const double u = rng.uniform01();
     if (u > u_skip) continue;
     const double x =
-        in.calc_Bps != nullptr ? bias_ratio(rate, in.send_rate_Bps) : in.x;
-    const FeedbackCandidate c{
-        in.now + in.fb_deadline * feedback_timer::from_uniform(u, x, timer), i,
-        rate};
-    if (out.size() < cap) {
-      out.push_back(c);
-      std::push_heap(out.begin(), out.end(), heap_before);
-      if (out.size() == cap) update_ceiling();
-    } else if (heap_before(c, out.front())) {
-      std::pop_heap(out.begin(), out.end(), heap_before);
-      out.back() = c;
-      std::push_heap(out.begin(), out.end(), heap_before);
-      update_ceiling();
-    }
+        calc_Bps != nullptr ? bias_ratio(rate, send_rate) : shared_x;
+    u_skip = admit({in_.now + in_.fb_deadline *
+                                  feedback_timer::from_uniform(u, x, timer_),
+                    first + k, rate},
+                   u_skip);
   }
-  std::sort(out.begin(), out.end(), heap_before);
+  u_skip_ = u_skip;
+  next_ = first + count;
+}
+
+double CandidateDrawer::admit(const FeedbackCandidate& c, double u_skip) {
+  if (out_.size() < cap_) {
+    out_.push_back(c);
+    std::push_heap(out_.begin(), out_.end(), heap_before);
+    if (out_.size() < cap_) return u_skip;
+  } else if (heap_before(c, out_.front())) {
+    std::pop_heap(out_.begin(), out_.end(), heap_before);
+    out_.back() = c;
+    std::push_heap(out_.begin(), out_.end(), heap_before);
+  } else {
+    return u_skip;
+  }
+  // The heap is full and its top is new: tighten the ceiling to it.
+  if (!(fb_ns_ > 0.0)) return u_skip;
+  const SimTime top = out_.front().due - in_.now;
+  return feedback_timer::uniform_ceiling(
+      static_cast<double>(top.count_nanos()) / fb_ns_, timer_);
+}
+
+void CandidateDrawer::finish() {
+  std::sort(out_.begin(), out_.end(), heap_before);
 }
 
 void ModeledReceiverBlock::schedule_next_candidate() {
@@ -322,7 +371,7 @@ void ModeledReceiverBlock::send_feedback(int idx) {
       tap_, kFeedbackPacketBytes,
       core_.report(bcfg_.base_id + idx, rtt_[i],
                    (flags_[i] & ModeledRxInfo::kHasRtt) != 0, sim_.now(),
-                   extra_owd_[i] * 2.0, cfg_));
+                   extra_owd(idx) * 2.0, cfg_));
   flags_[i] |= ModeledRxInfo::kReported;
   ++feedback_sent_;
 }

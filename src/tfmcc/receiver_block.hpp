@@ -13,8 +13,9 @@
 namespace tfmcc {
 
 /// Packed per-receiver view of the modeled tier — the tfrc_rx_info idiom:
-/// everything the hybrid architecture keeps per silent receiver fits in a
-/// dozen bytes (the block's SoA arrays store exactly these fields).
+/// everything the hybrid architecture knows per silent receiver fits in a
+/// dozen bytes (the block's SoA arrays store the RTT and the flags; the
+/// access-delay offset is a function of the receiver's index).
 struct ModeledRxInfo {
   static constexpr std::uint8_t kHasRtt = 1u << 0;    // RTT measured via echo
   static constexpr std::uint8_t kReported = 1u << 1;  // sender has heard us
@@ -37,15 +38,13 @@ struct FeedbackCandidate {
   double calc_Bps;  // rate at draw time (fire-time check recomputes)
 };
 
-/// Plain inputs of one round's draw-and-select step (§2.5.1) over a block
-/// of `n` receivers.  Steady state passes the per-receiver calculated rates:
-/// receiver i is eligible iff calc_Bps[i] < send_rate_Bps, with ratio
-/// clamp(calc_Bps[i] / send_rate_Bps, 0, 1).  Slowstart passes nullptr:
+/// Plain inputs of one round's draw-and-select step (§2.5.1).  Steady state
+/// feeds the drawer the per-receiver calculated rates: receiver i is
+/// eligible iff calc_Bps[i] < send_rate_Bps, with ratio
+/// clamp(calc_Bps[i] / send_rate_Bps, 0, 1).  Slowstart feeds no rates:
 /// every receiver is eligible with the shared ratio `x` and rate `rate_Bps`.
 struct RoundDrawInput {
-  int n{0};
   int skip{-1};  // receiver that draws nothing (the CLR), or -1
-  const double* calc_Bps{nullptr};
   double send_rate_Bps{0.0};
   double x{1.0};
   double rate_Bps{0.0};
@@ -54,38 +53,63 @@ struct RoundDrawInput {
   SimTime fb_deadline{};
 };
 
-/// Draws one uniform per eligible receiver, in index order, and leaves in
-/// `out` the `cap` earliest candidates by (due, idx), ascending — exactly
-/// "draw every timer, sort, take cap".  Once the short-list is full, draws
-/// above feedback_timer::uniform_ceiling of its latest entry cannot enter
-/// it and skip the timer transform entirely.
-void draw_candidates(const RoundDrawInput& in, const FeedbackTimerConfig& timer,
-                     Rng& rng, std::vector<FeedbackCandidate>& out);
+/// One round's draw, fed the block's receivers in index order in chunks of
+/// any size: it draws one uniform per eligible receiver and keeps in `out`
+/// the `cap` earliest candidates by (due, idx) — exactly "draw every timer,
+/// sort, take cap", whatever the chunking.  Once the short-list is full,
+/// draws above feedback_timer::uniform_ceiling of its latest entry cannot
+/// enter it and skip the timer transform entirely.
+class CandidateDrawer {
+ public:
+  /// Clears `out`, which holds the short-list until finish().
+  CandidateDrawer(const RoundDrawInput& in, const FeedbackTimerConfig& timer,
+                  std::vector<FeedbackCandidate>& out);
+
+  /// Draws the next `count` receivers.  Steady state passes their
+  /// calculated rates calc_Bps[0, count); slowstart passes nullptr.
+  void draw(int count, const double* calc_Bps, Rng& rng);
+
+  /// Leaves `out` ascending by (due, idx).
+  void finish();
+
+ private:
+  /// Offers one drawn timer to the short-list; returns the new u_skip.
+  double admit(const FeedbackCandidate& c, double u_skip);
+
+  RoundDrawInput in_;
+  FeedbackTimerConfig timer_;
+  std::vector<FeedbackCandidate>& out_;
+  std::size_t cap_;
+  double fb_ns_;
+  double u_skip_;  // draws above this cannot enter the full short-list
+  int next_{0};  // block index of the next receiver to draw
+};
 
 /// The modeled-receiver tier of the hybrid full/model architecture.
 ///
 /// One block stands in for `count` TFMCC receivers that share a physical
 /// path (the "tap" node's multicast delivery): instead of `count`
 /// heap-of-objects agents each with its own feedback timer, the block keeps
-/// flat SoA arrays of the per-receiver state that actually differs — RTT
-/// estimate, virtual access-delay offset, a flags byte (see ModeledRxInfo) —
-/// and shares the state that is identical behind one tap by construction in
-/// one ReceiverCore: sequence space, loss-interval history and receive-rate
-/// meter (all loss happens upstream of the tap, so every modeled receiver
-/// observes the same packet stream).  The receiver rules are the core's, as
-/// for the full tier.
+/// flat SoA arrays of the per-receiver state that actually differs — the
+/// RTT estimate and a flags byte (see ModeledRxInfo), 9 bytes per receiver
+/// — and shares the state that is identical behind one tap by construction
+/// in one ReceiverCore: sequence space, loss-interval history and
+/// receive-rate meter (all loss happens upstream of the tap, so every
+/// modeled receiver observes the same packet stream).  The receiver rules
+/// are the core's, as for the full tier.
 ///
-/// Per data packet the block does O(1) work.  Per feedback round it draws
-/// the biased suppression timers over the contiguous receiver arrays (one
-/// equation-backend batch call for the calculated rates in steady state,
-/// one RNG draw per eligible receiver) and keeps only the earliest few
+/// Per data packet the block does O(1) work.  Per feedback round it streams
+/// the receivers through fixed L1-sized chunks: one equation-backend batch
+/// call per chunk for the calculated rates in steady state, then that
+/// chunk's biased suppression timers (one RNG draw per eligible receiver)
+/// while the rates are still in cache.  It keeps only the earliest few
 /// contenders — the candidate short-list is sized from the analytic
 /// expected-feedback model (feedback_model::expected_messages), which bounds
 /// how many reports can survive suppression.  A round therefore costs O(n)
 /// RNG draws plus timer evaluations only for the draws below the
-/// short-list's uniform ceiling (see draw_candidates), a vanishing share once
-/// the list fills.  Only the contenders materialise as scheduler events and
-/// feedback packets; the silent majority never touches the scheduler.
+/// short-list's uniform ceiling (see CandidateDrawer), a vanishing share
+/// once the list fills.  Only the contenders materialise as scheduler events
+/// and feedback packets; the silent majority never touches the scheduler.
 /// Receivers the sender singles out (the CLR, echo targets) are tracked
 /// individually through the same arrays.  A one-receiver block reports
 /// exactly like a full receiver only under ReceiverCore's equivalence
@@ -93,10 +117,10 @@ void draw_candidates(const RoundDrawInput& in, const FeedbackTimerConfig& timer,
 ///
 /// Virtual access delays: modeled receiver i's path RTT is the tap's
 /// physical RTT plus 2 * extra_owd(i), with the offsets stratified evenly
-/// over [extra_owd_min, extra_owd_max].  Echoes addressed to i add the
-/// detour when measuring, and feedback reduces its echo-hold time by the
-/// same amount so the sender-side measurement also comes out at the modeled
-/// RTT.
+/// over [extra_owd_min, extra_owd_max] and computed from i, not stored.
+/// Echoes addressed to i add the detour when measuring, and feedback
+/// reduces its echo-hold time by the same amount so the sender-side
+/// measurement also comes out at the modeled RTT.
 class ModeledReceiverBlock final : public Agent {
  public:
   struct BlockConfig {
@@ -160,6 +184,8 @@ class ModeledReceiverBlock final : public Agent {
   void reset_receivers();
   /// RTT the shared loss history aggregates with (mean over the block).
   SimTime representative_rtt() const;
+  /// Receiver `idx`'s virtual access one-way delay offset.
+  SimTime extra_owd(int idx) const;
   void set_rtt(int idx, SimTime rtt);
 
   Simulator& sim_;
@@ -178,14 +204,9 @@ class ModeledReceiverBlock final : public Agent {
 
   // Flat SoA per-receiver state (the only state that differs per receiver).
   std::vector<SimTime> rtt_;        // current estimate (initial_rtt at start)
-  std::vector<SimTime> extra_owd_;  // virtual access one-way delay offset
   std::vector<std::uint8_t> flags_; // ModeledRxInfo flag bits
   double rtt_sum_s_{0.0};           // running sum for representative_rtt()
   int with_rtt_{0};
-
-  // Per-round scratch, reused to keep steady state allocation-free.
-  std::vector<double> ps_scratch_;
-  std::vector<double> calc_scratch_;
 
   // Feedback-round state.
   SuppressionEcho supp_;  // latest suppression signal of this round

@@ -27,9 +27,16 @@ void LossHistory::on_packet_received() {
 }
 
 bool LossHistory::on_packet_lost(SimTime loss_time, SimTime rtt) {
-  loss_log_.push_back({loss_time, recv_gap_});
+  if (log_open_) {
+    const LossRecord rec{loss_time, recv_gap_};
+    if (loss_log_.size() < kMaxLossLog) {
+      loss_log_.push_back(rec);
+    } else {
+      loss_log_[log_head_] = rec;  // overwrite the oldest
+      log_head_ = (log_head_ + 1) % kMaxLossLog;
+    }
+  }
   recv_gap_ = 0.0;
-  if (loss_log_.size() > kMaxLossLog) loss_log_.pop_front();
 
   const bool new_event =
       event_start_.is_infinite() || loss_time - event_start_ > rtt;
@@ -42,7 +49,10 @@ bool LossHistory::on_packet_lost(SimTime loss_time, SimTime rtt) {
 }
 
 void LossHistory::close_open_interval() {
-  intervals_.push_front(open_count_);
+  if (intervals_.capacity() == 0) {
+    intervals_.reserve(static_cast<std::size_t>(depth_) + 1);
+  }
+  intervals_.insert(intervals_.begin(), open_count_);
   open_count_ = 0.0;
   if (intervals_.size() > static_cast<std::size_t>(depth_)) {
     intervals_.pop_back();
@@ -99,13 +109,16 @@ void LossHistory::rescale_initial_interval(SimTime rtt_real, SimTime rtt_init) {
 }
 
 void LossHistory::reaggregate(SimTime rtt) {
+  log_open_ = false;
   if (loss_log_.empty()) return;
 
   std::vector<double> closed;  // oldest -> newest
   double acc = 0.0;
   SimTime ev_start = SimTime::infinity();
   int events = 0;
-  for (const auto& rec : loss_log_) {
+  const std::size_t n = loss_log_.size();
+  for (std::size_t k = 0; k < n; ++k) {
+    const LossRecord& rec = loss_log_[(log_head_ + k) % n];
     acc += rec.pkts_before;
     if (ev_start.is_infinite() || rec.t - ev_start > rtt) {
       closed.push_back(acc);
@@ -131,6 +144,8 @@ void LossHistory::reaggregate(SimTime rtt) {
   recv_gap_ = 0.0;
   event_start_ = ev_start;
   events_ = events;
+  std::vector<LossRecord>{}.swap(loss_log_);
+  log_head_ = 0;
 }
 
 }  // namespace tfmcc

@@ -1,7 +1,6 @@
 #pragma once
 
-#include <cstdint>
-#include <deque>
+#include <cstddef>
 #include <vector>
 
 #include "util/sim_time.hpp"
@@ -51,15 +50,17 @@ class LossHistory {
 
   /// Appendix A: re-aggregate the recorded lost packets into loss events
   /// using a corrected RTT.  Rebuilds the closed intervals from the bounded
-  /// per-loss record; the open interval is preserved.
+  /// per-loss record; the open interval is preserved.  Appendix A applies
+  /// once, at the first RTT measurement, so this consumes the record: later
+  /// losses are no longer logged, and a second call changes nothing.
   void reaggregate(SimTime rtt);
 
   /// Most recent first; index 0 is the newest *closed* interval.
   /// Ref-qualified like TimeSeries::points(): chaining intervals() off a
-  /// temporary LossHistory moves the deque out instead of returning a
+  /// temporary LossHistory moves the vector out instead of returning a
   /// reference into the dying temporary (PR 1's dangling pattern).
-  const std::deque<double>& intervals() const& { return intervals_; }
-  std::deque<double> intervals() && { return std::move(intervals_); }
+  const std::vector<double>& intervals() const& { return intervals_; }
+  std::vector<double> intervals() && { return std::move(intervals_); }
   double open_interval() const { return open_count_; }
 
   /// The TFRC weight profile: 1 for the newest half of the history, then
@@ -71,21 +72,25 @@ class LossHistory {
 
   int depth_;
   std::vector<double> weights_;
-  std::deque<double> intervals_;  // closed intervals, most recent first
-  double open_count_{0.0};        // packets since current event started
+  std::vector<double> intervals_;  // closed intervals, most recent first
+  double open_count_{0.0};         // packets since current event started
   SimTime event_start_{SimTime::infinity()};  // start of current loss event
   int events_{0};
   bool initial_synthetic_{false};  // init_first_interval() value still live
   double synthetic_value_{0.0};
   double recv_gap_{0.0};  // packets received since the last recorded loss
 
-  // Bounded per-lost-packet record for reaggregation (Appendix A): arrival
-  // order with packets received since the previous loss.
+  // Bounded per-lost-packet record for reaggregation (Appendix A): each
+  // loss with the packets received since the previous one, in a ring of the
+  // newest kMaxLossLog whose oldest entry is loss_log_[log_head_].  Empty
+  // until the first loss, and released by reaggregate().
   struct LossRecord {
     SimTime t;
     double pkts_before;
   };
-  std::deque<LossRecord> loss_log_;
+  std::vector<LossRecord> loss_log_;
+  std::size_t log_head_{0};
+  bool log_open_{true};  // reaggregate() has not run yet
   static constexpr std::size_t kMaxLossLog = 256;
 };
 

@@ -79,24 +79,29 @@ class Rng {
 
   std::uint64_t next_u64() { return gen_(); }
 
-  /// Uniform in (0, 1] — never returns 0, safe as a log() argument.
-  ///
-  /// Spelled out as 1 - uniform_real_distribution<double>{0, 1}: the draw
-  /// x / 2^64 correctly rounded, clamped below 1.  The compiler's
-  /// uint64 -> double conversion branches on the sign bit, which mispredicts
-  /// on half of all random draws; hi * 2^32 + lo is exact up to the single
-  /// rounding of the sum, so it yields the same double without the branch.
-  double uniform01() {
-    const std::uint64_t x = gen_();
+  /// x / 2^64 correctly rounded, clamped below 1: what libstdc++'s
+  /// generate_canonical<double, 53> makes of one 64-bit word.  The
+  /// compiler's uint64 -> double conversion branches on the sign bit, which
+  /// mispredicts on half of all random draws; hi * 2^32 + lo is exact up to
+  /// the single rounding of the sum, so it yields the same double without
+  /// the branch.
+  static double canonical(std::uint64_t x) {
     double c = static_cast<double>(static_cast<std::int64_t>(x >> 32)) * 0x1p32 +
                static_cast<double>(static_cast<std::int64_t>(x & 0xffffffffu));
     c *= 0x1p-64;
     if (c >= 1.0) c = 1.0 - 0x1p-53;  // the largest double below 1
-    return 1.0 - c;
+    return c;
   }
 
+  /// Uniform in (0, 1] — never returns 0, safe as a log() argument.
+  /// Spelled out as 1 - uniform_real_distribution<double>{0, 1}.
+  double uniform01() { return 1.0 - canonical(gen_()); }
+
+  /// Uniform between lo and hi, spelled out as
+  /// uniform_real_distribution<double>{lo, hi}: the same expression over the
+  /// same canonical draw.
   double uniform(double lo, double hi) {
-    return std::uniform_real_distribution<double>{lo, hi}(gen_);
+    return canonical(gen_()) * (hi - lo) + lo;
   }
 
   /// Uniform integer in [lo, hi], inclusive.

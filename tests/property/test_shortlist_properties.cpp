@@ -1,9 +1,10 @@
-// Oracle test for the modeled block's feedback short-list: draw_candidates
+// Oracle test for the modeled block's feedback short-list: CandidateDrawer
 // (bounded heap plus the uniform-ceiling filter that skips timers which can
-// no longer enter it) must select exactly what a naive "draw every timer,
-// sort by (due, idx), take cap" selects, and leave the RNG at the same
-// position, for random block shapes, eligibility masks, caps, deadlines,
-// CLR skip indices and all four bias methods.
+// no longer enter it, fed the block in chunks) must select exactly what a
+// naive "draw every timer, sort by (due, idx), take cap" selects, and leave
+// the RNG at the same position, for random block shapes, chunkings,
+// eligibility masks, caps, deadlines, CLR skip indices and all four bias
+// methods.
 
 #include <gtest/gtest.h>
 
@@ -20,16 +21,19 @@
 namespace tfmcc {
 namespace {
 
+/// `calc_Bps` holds the n receivers' rates in steady state, or is nullptr in
+/// slowstart.
 std::vector<FeedbackCandidate> naive_shortlist(const RoundDrawInput& in,
+                                               int n, const double* calc_Bps,
                                                const FeedbackTimerConfig& cfg,
                                                Rng& rng) {
   std::vector<FeedbackCandidate> all;
-  for (int i = 0; i < in.n; ++i) {
+  for (int i = 0; i < n; ++i) {
     if (i == in.skip) continue;
     double x = in.x;
     double rate = in.rate_Bps;
-    if (in.calc_Bps != nullptr) {
-      rate = in.calc_Bps[i];
+    if (calc_Bps != nullptr) {
+      rate = calc_Bps[i];
       if (!(rate < in.send_rate_Bps)) continue;
       x = in.send_rate_Bps > 0.0
               ? std::clamp(rate / in.send_rate_Bps, 0.0, 1.0)
@@ -77,35 +81,79 @@ bool same(const FeedbackCandidate& a, const FeedbackCandidate& b) {
          std::memcmp(&a.calc_Bps, &b.calc_Bps, sizeof a.calc_Bps) == 0;
 }
 
+/// Chunk sizes that split [0, n), including the shapes that break chunked
+/// loops: chunks of 1, a boundary exactly at `skip` or just after it, one
+/// fixed-stride chunk larger than n (the block's own loop when n < its
+/// chunk size), and empty chunks anywhere.
+std::vector<int> random_split(int n, int skip, Rng& gen) {
+  std::vector<int> sizes;
+  const int kind = static_cast<int>(gen.uniform_int(0, 4));
+  if (kind == 0) {
+    sizes.assign(static_cast<std::size_t>(n), 1);
+  } else if (kind == 1 || kind == 2) {
+    // A fixed stride, as the block walks it; kind 2 exceeds n.
+    const int stride = kind == 2 ? n + static_cast<int>(gen.uniform_int(1, 5))
+                                 : static_cast<int>(gen.uniform_int(1, 3000));
+    for (int first = 0; first < n; first += stride) {
+      sizes.push_back(std::min(stride, n - first));
+    }
+  } else {
+    // Random sizes; kind 3 puts a boundary exactly at `skip` or at
+    // skip + 1.
+    int left = n;
+    if (kind == 3 && skip >= 0) {
+      const int boundary = skip + static_cast<int>(gen.uniform_int(0, 1));
+      sizes.push_back(boundary);
+      left -= boundary;
+    }
+    while (left > 0) {
+      const int c = gen.bernoulli(0.1)
+                        ? 0
+                        : static_cast<int>(gen.uniform_int(1, std::min(left, 700)));
+      sizes.push_back(c);
+      left -= c;
+    }
+  }
+  if (gen.bernoulli(0.1)) {
+    sizes.insert(sizes.begin() + gen.uniform_int(0, static_cast<std::int64_t>(
+                                                        sizes.size())),
+                 0);
+  }
+  return sizes;
+}
+
 TEST(ShortlistProperties, FilteredSelectionEqualsNaiveSortAndRngAgrees) {
   Rng gen{2024};
   std::vector<double> calc;
   std::vector<FeedbackCandidate> got;
   int filled = 0;
+  int multi_chunk = 0;
   for (int trial = 0; trial < 3000; ++trial) {
     RoundDrawInput in;
-    in.n = static_cast<int>(gen.bernoulli(0.1) ? gen.uniform_int(0, 20000)
-                                               : gen.uniform_int(0, 2000));
-    in.skip = gen.bernoulli(0.5) && in.n > 0
-                  ? static_cast<int>(gen.uniform_int(0, in.n - 1))
+    const int n = trial % 50 == 0 ? 0  // an empty block
+                  : static_cast<int>(gen.bernoulli(0.1)
+                                         ? gen.uniform_int(0, 20000)
+                                         : gen.uniform_int(0, 2000));
+    in.skip = gen.bernoulli(0.5) && n > 0
+                  ? static_cast<int>(gen.uniform_int(0, n - 1))
                   : -1;
     in.cap = static_cast<int>(gen.bernoulli(0.15)
-                                  ? gen.uniform_int(in.n, in.n + 10)  // cap >= n
+                                  ? gen.uniform_int(n, n + 10)  // cap >= n
                                   : gen.uniform_int(1, 80));
     in.now = SimTime::nanos(gen.uniform_int(0, 1'000'000'000'000));
     in.fb_deadline = random_deadline(gen);
     in.send_rate_Bps = gen.bernoulli(0.05) ? 0.0 : gen.uniform(1e3, 1e7);
+    const double* calc_Bps = nullptr;
     if (gen.bernoulli(0.4)) {
       // Slowstart shape: one shared ratio and rate.
       in.x = gen.bernoulli(0.2) ? static_cast<double>(gen.uniform_int(0, 1))
                                 : gen.uniform01();
       in.rate_Bps = gen.uniform(0.0, 1e7);
-      in.calc_Bps = nullptr;
     } else {
       // Steady-state shape: per-receiver rates, some ineligible (at or
       // above the send rate, or +inf), with a random eligible share.
       const double eligible = gen.uniform01();
-      calc.assign(static_cast<std::size_t>(in.n), 0.0);
+      calc.assign(static_cast<std::size_t>(n), 0.0);
       for (double& c : calc) {
         if (gen.bernoulli(eligible)) {
           c = in.send_rate_Bps * gen.uniform(0.0, 1.0);
@@ -115,15 +163,24 @@ TEST(ShortlistProperties, FilteredSelectionEqualsNaiveSortAndRngAgrees) {
           c = in.send_rate_Bps * gen.uniform(1.0, 3.0);
         }
       }
-      in.calc_Bps = calc.data();
+      calc_Bps = calc.data();
     }
     const FeedbackTimerConfig cfg = random_timer(gen);
+    const std::vector<int> split = random_split(n, in.skip, gen);
 
     const std::uint64_t seed = gen.next_u64();
     Rng fast{seed};
     Rng naive{seed};
-    draw_candidates(in, cfg, fast, got);
-    const auto want = naive_shortlist(in, cfg, naive);
+    CandidateDrawer drawer{in, cfg, got};
+    int first = 0;
+    for (const int count : split) {
+      drawer.draw(count, calc_Bps != nullptr ? calc_Bps + first : nullptr,
+                  fast);
+      first += count;
+    }
+    drawer.finish();
+    ASSERT_EQ(first, n) << "trial " << trial;
+    const auto want = naive_shortlist(in, n, calc_Bps, cfg, naive);
     ASSERT_EQ(got.size(), want.size()) << "trial " << trial;
     for (std::size_t k = 0; k < want.size(); ++k) {
       ASSERT_TRUE(same(got[k], want[k]))
@@ -133,9 +190,12 @@ TEST(ShortlistProperties, FilteredSelectionEqualsNaiveSortAndRngAgrees) {
     }
     ASSERT_EQ(fast.next_u64(), naive.next_u64()) << "trial " << trial;
     filled += got.size() == static_cast<std::size_t>(in.cap);
+    multi_chunk += split.size() > 1;
   }
-  // Most trials overflow the short-list, so the filter was exercised.
+  // Most trials overflow the short-list, so the filter was exercised, and
+  // carry its state across chunk boundaries.
   EXPECT_GT(filled, 1500);
+  EXPECT_GT(multi_chunk, 1500);
 }
 
 TEST(ShortlistProperties, UniformCeilingIsConservative) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace tfmcc {
 namespace {
 
@@ -183,6 +185,72 @@ TEST(LossHistory, ReaggregatePreservesTotalPackets) {
   h.reaggregate(100_ms);  // same RTT: intervals unchanged
   EXPECT_EQ(h.event_count(), 5);
   for (const double iv : h.intervals()) EXPECT_DOUBLE_EQ(iv, 7.0);
+}
+
+TEST(LossHistory, ReaggregateUsesTheNewestLoggedLosses) {
+  // 300 losses, far apart, with k + 1 packets before loss k: the log keeps
+  // the newest 256, so re-aggregating rebuilds 256 events whose newest
+  // closed intervals are 300, 299, ... in that order.
+  LossHistory h{8};
+  SimTime t = SimTime::zero();
+  for (int k = 0; k < 300; ++k) {
+    for (int i = 0; i <= k; ++i) h.on_packet_received();
+    t += 300_ms;
+    h.on_packet_lost(t, 100_ms);
+  }
+  h.reaggregate(100_ms);
+  EXPECT_EQ(h.event_count(), 256);
+  const std::vector<double> want{300, 299, 298, 297, 296, 295, 294, 293};
+  EXPECT_EQ(h.intervals(), want);
+}
+
+TEST(LossHistory, LossesAfterReaggregateCloseIntervalsAsBefore) {
+  // Two histories fed the same packets; one is re-aggregated with the RTT
+  // it aggregated with, which rebuilds identical intervals.  Later losses
+  // must close intervals in both exactly alike.
+  LossHistory plain{8};
+  LossHistory reagg{8};
+  SimTime t = SimTime::zero();
+  auto feed = [&](int received, SimTime gap) {
+    for (int i = 0; i < received; ++i) {
+      plain.on_packet_received();
+      reagg.on_packet_received();
+    }
+    t += gap;
+    EXPECT_EQ(plain.on_packet_lost(t, 100_ms), reagg.on_packet_lost(t, 100_ms));
+  };
+  for (int k = 0; k < 4; ++k) feed(6 + k, 300_ms);
+  reagg.reaggregate(100_ms);
+  ASSERT_EQ(reagg.intervals(), plain.intervals());
+  feed(11, 300_ms);
+  feed(3, 50_ms);  // same event
+  for (int k = 0; k < 10; ++k) feed(9 + k, 250_ms);  // ages out the depth
+  EXPECT_EQ(reagg.intervals(), plain.intervals());
+  EXPECT_EQ(reagg.open_interval(), plain.open_interval());
+  EXPECT_EQ(reagg.event_count(), plain.event_count());
+  EXPECT_EQ(reagg.loss_event_rate(), plain.loss_event_rate());
+}
+
+TEST(LossHistory, SecondReaggregateChangesNothing) {
+  LossHistory h{8};
+  SimTime t = SimTime::zero();
+  for (int k = 0; k < 3; ++k) {
+    for (int i = 0; i < 10; ++i) h.on_packet_received();
+    t += 200_ms;
+    h.on_packet_lost(t, 500_ms);
+  }
+  h.reaggregate(50_ms);
+  // Losses after the first reaggregation are not logged for a second one.
+  for (int k = 0; k < 3; ++k) {
+    for (int i = 0; i < 4; ++i) h.on_packet_received();
+    t += 20_ms;
+    h.on_packet_lost(t, 50_ms);
+  }
+  const std::vector<double> intervals = h.intervals();
+  const double open = h.open_interval();
+  h.reaggregate(1_sec);
+  EXPECT_EQ(h.intervals(), intervals);
+  EXPECT_EQ(h.open_interval(), open);
 }
 
 LossHistory make_history() {

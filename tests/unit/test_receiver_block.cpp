@@ -20,7 +20,9 @@ using namespace tfmcc::time_literals;
 /// creates with the same id as the block's first receiver; deliver() then
 /// feeds both, for side-by-side comparisons.
 struct BlockFixture {
-  explicit BlockFixture(int count = 5, TfmccConfig tcfg = {})
+  explicit BlockFixture(int count = 5, TfmccConfig tcfg = {},
+                        SimTime owd_min = SimTime::zero(),
+                        SimTime owd_max = 40_ms)
       : sim{43}, topo{sim}, tcfg{tcfg} {
     LinkConfig cfg;
     cfg.rate_bps = 1e9;
@@ -31,8 +33,8 @@ struct BlockFixture {
     ModeledReceiverBlock::BlockConfig bc;
     bc.count = count;
     bc.base_id = 100;
-    bc.extra_owd_min = SimTime::zero();
-    bc.extra_owd_max = 40_ms;  // stratified: receiver i gets i * 10 ms
+    bc.extra_owd_min = owd_min;
+    bc.extra_owd_max = owd_max;  // by default receiver i gets i * 10 ms
     block = std::make_unique<ModeledReceiverBlock>(
         sim, *session, star.leaves[0], bc, tcfg, sim.make_rng(67));
     block->join();
@@ -123,6 +125,17 @@ TEST(ModeledReceiverBlockUnit, EchoYieldsPerReceiverVirtualRtt) {
   // The other receivers keep the initial estimate.
   EXPECT_FALSE(f.block->rx_info(0).has_rtt());
   EXPECT_EQ(f.block->rx_info(0).rtt_us, 500'000u);
+}
+
+TEST(ModeledReceiverBlockUnit, AccessDelaysAreStratifiedOverTheSpan) {
+  // extra_owd(i) = min + (max - min) * i / (n - 1): 3 ms + i * 7 ms here.
+  BlockFixture f{7, TfmccConfig{}, 3_ms, 45_ms};
+  EXPECT_EQ(f.block->rx_info(0).extra_owd_us, 3'000u);
+  EXPECT_EQ(f.block->rx_info(3).extra_owd_us, 24'000u);
+  EXPECT_EQ(f.block->rx_info(6).extra_owd_us, 45'000u);
+  // A one-receiver block sits at the bottom of the span.
+  BlockFixture one{1, TfmccConfig{}, 3_ms, 45_ms};
+  EXPECT_EQ(one.block->rx_info(0).extra_owd_us, 3'000u);
 }
 
 TEST(ModeledReceiverBlockUnit, EchoForOutsideReceiverIsIgnored) {

@@ -81,6 +81,67 @@ TEST(Rng, UniformRange) {
   }
 }
 
+TEST(Rng, UniformMatchesStandardDistribution) {
+  // Every link's jitter is one such draw per copy: bit equality with the
+  // standard distribution keeps every golden output.
+  constexpr double kRanges[][2] = {
+      {0.0, 1.0},   {2.0, 3.0},    {-3.0, 7.5},  {0.05, 0.10},
+      {1e3, 1e7},   {-8.0, 0.0},   {5.0, 5.0},   {0.3, 0.7},
+      {0.0, 1e-300}, {-1e300, 1e300}, {0.1, 0.3}, {1.0, 3.0}};
+  for (std::uint64_t seed = 0; seed < 64; ++seed) {
+    for (const auto& range : kRanges) {
+      Rng r{seed};
+      RawBits ref{Rng{seed}};
+      std::uniform_real_distribution<double> dist{range[0], range[1]};
+      for (int i = 0; i < 2000; ++i) {
+        ASSERT_EQ(r.uniform(range[0], range[1]), dist(ref))
+            << "seed " << seed << " range [" << range[0] << ", " << range[1]
+            << "] draw " << i;
+      }
+    }
+  }
+}
+
+/// A generator that yields one fixed word.
+struct FixedWord {
+  using result_type = std::uint64_t;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+  result_type operator()() { return word; }
+  std::uint64_t word;
+};
+
+TEST(Rng, CanonicalMatchesStandardAtEdgeWords) {
+  // The words around 0, the sign bit and the top, where the rounding to 53
+  // bits and the clamp below 1 decide the result.
+  constexpr std::uint64_t kTop = ~std::uint64_t{0};
+  const std::uint64_t words[] = {0,
+                                 1,
+                                 std::uint64_t{1} << 63,
+                                 (std::uint64_t{1} << 63) - 1,
+                                 (std::uint64_t{1} << 63) + 1024,
+                                 kTop - 1023,  // 2^64 - 1024
+                                 kTop - 2047,  // 2^64 - 2048
+                                 kTop - 2048,
+                                 kTop - 1024,
+                                 kTop};
+  constexpr double kRanges[][2] = {
+      {0.0, 1.0}, {-3.0, 7.5}, {1e3, 1e7}, {5.0, 5.0}, {-1e300, 1e300}};
+  for (const std::uint64_t w : words) {
+    FixedWord g{w};
+    const double c = Rng::canonical(w);
+    ASSERT_EQ(c, (std::generate_canonical<double, 53>(g))) << "word " << w;
+    ASSERT_LT(c, 1.0) << "word " << w;
+    for (const auto& range : kRanges) {
+      std::uniform_real_distribution<double> dist{range[0], range[1]};
+      // Rng::uniform's expression on this word.
+      ASSERT_EQ(c * (range[1] - range[0]) + range[0], dist(g))
+          << "word " << w << " range [" << range[0] << ", " << range[1]
+          << "]";
+    }
+  }
+}
+
 TEST(Rng, UniformIntInclusiveBounds) {
   Rng r{6};
   bool saw_lo = false, saw_hi = false;

@@ -53,6 +53,10 @@ SCENARIOS = [
     ("fig07_scaling_100k_ladder", "fig07_scaling",
      ["--set", "n_max=100000"]),
     ("scale_hybrid_100k", "scale_hybrid_receivers", []),
+    # The same at 10^6 receivers, the size of the repository benchmark's
+    # hybrid_1m workload: the per-round chunked draw dominates.
+    ("scale_hybrid_1m", "scale_hybrid_receivers",
+     ["--set", "n_receivers=1000000"]),
     # Dynamic-membership stress: 2000 receivers, >10k join/leave events on
     # the incremental graft/prune path — the wall-clock regression probe for
     # membership maintenance (BM_MembershipChurn gates the per-event cost).
