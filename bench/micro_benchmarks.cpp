@@ -1,7 +1,8 @@
 // Google-benchmark microbenchmarks for the hot paths of the library:
 // control-equation evaluation, loss-history updates, scheduler throughput,
 // multicast fan-out, route computation, uniform draws, feedback-timer
-// draws, whole feedback rounds and modeled-block rounds.
+// draws, whole feedback rounds, modeled-block rounds and the full
+// receiver's per-packet work.
 // These guard against
 // performance regressions that would make the large-scale figure benches
 // (1000-receiver simulations) impractical.
@@ -14,6 +15,7 @@
 #include "sim/scheduler.hpp"
 #include "sim/simulator.hpp"
 #include "tfmcc/feedback_timer.hpp"
+#include "tfmcc/receiver.hpp"
 #include "tfmcc/receiver_block.hpp"
 #include "tfrc/equation.hpp"
 #include "tfrc/equation_backend.hpp"
@@ -337,6 +339,46 @@ void BM_ModeledBlockRound(benchmark::State& state, bool slowstart) {
 }
 BENCHMARK_CAPTURE(BM_ModeledBlockRound, slowstart, true)->Arg(1000)->Arg(100000);
 BENCHMARK_CAPTURE(BM_ModeledBlockRound, steady, false)->Arg(1000)->Arg(100000);
+
+void BM_ReceiverOnData(benchmark::State& state) {
+  // TfmccReceiver::handle_packet on an in-order stream, one packet per
+  // millisecond, that loses every 100th packet and opens a new feedback
+  // round every 256: loss detection, the loss history, the receive-rate
+  // meter, each round's timer draw and the suppression check.  The clock
+  // advance between packets (a scheduler run over the receiver's pending
+  // feedback timer) is included.  Items are packets.
+  Simulator sim{5};
+  Topology topo{sim};
+  LinkConfig link;
+  link.rate_bps = 1e9;
+  link.delay = SimTime::millis(1);
+  const Star star = make_star(topo, link, {link});
+  MulticastSession session{topo, star.sender, kTfmccDataPort};
+  TfmccReceiver receiver{sim,           session, star.leaves[0], 0,
+                         TfmccConfig{}, sim.make_rng(9)};
+  receiver.join();
+  std::int64_t seqno = 0;
+  for (auto _ : state) {
+    if (seqno % 100 == 99) ++seqno;  // lost upstream
+    Packet p;
+    p.src = star.sender;
+    p.group = session.group();
+    p.dport = kTfmccDataPort;
+    p.size_bytes = kDataPacketBytes;
+    TfmccDataHeader h;
+    h.seqno = seqno;
+    h.round = static_cast<std::int32_t>(seqno / 256);
+    h.send_rate_Bps = 1.25e6;
+    h.send_ts = sim.now() - SimTime::millis(20);
+    h.fb_deadline = SimTime::seconds(2.0);
+    p.header = h;
+    receiver.handle_packet(p);
+    ++seqno;
+    sim.run_until(sim.now() + SimTime::millis(1));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ReceiverOnData);
 
 }  // namespace
 

@@ -260,10 +260,13 @@ namespace {
 
 // Bounded max-heap order on (due, idx): only the earliest `cap` timers can
 // possibly report (everything later is suppressed by them or by the full
-// tier), so the other n - cap receivers never materialise as events.
-bool heap_before(const FeedbackCandidate& a, const FeedbackCandidate& b) {
+// tier), so the other n - cap receivers never materialise as events.  A
+// lambda, not a function: the heap algorithms then see its own type, not a
+// function pointer, and inline the comparison.
+constexpr auto heap_before = [](const FeedbackCandidate& a,
+                                const FeedbackCandidate& b) {
   return a.due < b.due || (a.due == b.due && a.idx < b.idx);
-}
+};
 
 }  // namespace
 
@@ -276,7 +279,8 @@ CandidateDrawer::CandidateDrawer(const RoundDrawInput& in,
       cap_{static_cast<std::size_t>(std::max(0, in.cap))},
       fb_ns_{static_cast<double>(in.fb_deadline.count_nanos())},
       // 2 (above any uniform01) skips nothing; a zero cap admits nothing.
-      u_skip_{cap_ == 0 ? 0.0 : 2.0} {
+      u_skip_{cap_ == 0 ? 0.0 : 2.0},
+      w_floor_{Rng::uniform01_floor(u_skip_)} {
   out_.clear();
 }
 
@@ -289,6 +293,7 @@ void CandidateDrawer::draw(int count, const double* calc_Bps, Rng& rng) {
   const double shared_rate = in_.rate_Bps;
   const double shared_x = in_.x;
   double u_skip = u_skip_;
+  std::uint64_t w_floor = w_floor_;
   for (int k = 0; k < count; ++k) {
     if (k == skip) continue;
     double rate = shared_rate;
@@ -298,9 +303,12 @@ void CandidateDrawer::draw(int count, const double* calc_Bps, Rng& rng) {
       if (!(rate < send_rate)) continue;
     }
     // Draws come in index order, so a full heap admits only timers due
-    // strictly before its top.  Every u above `u_skip` is due no earlier,
-    // so it is skipped before the timer transform.
-    const double u = rng.uniform01();
+    // strictly before its top.  Every u = rng.uniform01() above `u_skip` is
+    // due no earlier, so it is skipped before the timer transform; words
+    // below the floor are such draws, decided without their conversion.
+    const std::uint64_t w = rng.next_u64();
+    if (w < w_floor) continue;
+    const double u = 1.0 - Rng::canonical(w);
     if (u > u_skip) continue;
     const double x =
         calc_Bps != nullptr ? bias_ratio(rate, send_rate) : shared_x;
@@ -308,8 +316,10 @@ void CandidateDrawer::draw(int count, const double* calc_Bps, Rng& rng) {
                                   feedback_timer::from_uniform(u, x, timer_),
                     first + k, rate},
                    u_skip);
+    w_floor = Rng::uniform01_floor(u_skip);
   }
   u_skip_ = u_skip;
+  w_floor_ = w_floor;
   next_ = first + count;
 }
 

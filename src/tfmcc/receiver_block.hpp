@@ -58,7 +58,9 @@ struct RoundDrawInput {
 /// the `cap` earliest candidates by (due, idx) — exactly "draw every timer,
 /// sort, take cap", whatever the chunking.  Once the short-list is full,
 /// draws above feedback_timer::uniform_ceiling of its latest entry cannot
-/// enter it and skip the timer transform entirely.
+/// enter it and skip the timer transform entirely; almost all of them are
+/// recognised on the raw 64-bit word, below Rng::uniform01_floor, before
+/// any conversion to double.
 class CandidateDrawer {
  public:
   /// Clears `out`, which holds the short-list until finish().
@@ -82,6 +84,7 @@ class CandidateDrawer {
   std::size_t cap_;
   double fb_ns_;
   double u_skip_;  // draws above this cannot enter the full short-list
+  std::uint64_t w_floor_;  // Rng::uniform01_floor(u_skip_)
   int next_{0};  // block index of the next receiver to draw
 };
 

@@ -93,6 +93,24 @@ class Rng {
     return c;
   }
 
+  /// A word floor for the test `1 - canonical(w) > u`: every w below the
+  /// result passes it, so a caller that skips on that test can skip those
+  /// words without converting them.  1 - canonical(w) only falls as w grows,
+  /// so one exact evaluation at floor - 1 proves the whole range below; the
+  /// estimate (1 - u) * 2^64 less a 2^14-word margin for its rounding passes
+  /// that check, and halving is the fallback if it ever does not.  At
+  /// u >= 1 (or NaN) no word passes and the floor is 0; below 2^-53, the
+  /// least value 1 - canonical takes, every word passes.
+  static std::uint64_t uniform01_floor(double u) {
+    if (!(u < 1.0)) return 0;
+    if (u < 0x1p-53) return ~std::uint64_t{0};
+    const double estimate = (1.0 - u) * 0x1p64 - 0x1p14;
+    std::uint64_t floor =
+        estimate > 0.0 ? static_cast<std::uint64_t>(estimate) : 0;
+    while (floor > 0 && !(1.0 - canonical(floor - 1) > u)) floor /= 2;
+    return floor;
+  }
+
   /// Uniform in (0, 1] — never returns 0, safe as a log() argument.
   /// Spelled out as 1 - uniform_real_distribution<double>{0, 1}.
   double uniform01() { return 1.0 - canonical(gen_()); }

@@ -122,6 +122,36 @@ std::vector<int> random_split(int n, int skip, Rng& gen) {
   return sizes;
 }
 
+/// Draws one round with CandidateDrawer, fed in `split` chunks, into `got`;
+/// it must select exactly what naive_shortlist selects from an Rng on the
+/// same seed, and leave that Rng at the same position.
+void expect_naive_selection(const RoundDrawInput& in, int n,
+                            const double* calc_Bps,
+                            const FeedbackTimerConfig& cfg,
+                            const std::vector<int>& split, std::uint64_t seed,
+                            int trial, std::vector<FeedbackCandidate>& got) {
+  Rng fast{seed};
+  Rng naive{seed};
+  CandidateDrawer drawer{in, cfg, got};
+  int first = 0;
+  for (const int count : split) {
+    drawer.draw(count, calc_Bps != nullptr ? calc_Bps + first : nullptr,
+                fast);
+    first += count;
+  }
+  drawer.finish();
+  ASSERT_EQ(first, n) << "trial " << trial;
+  const auto want = naive_shortlist(in, n, calc_Bps, cfg, naive);
+  ASSERT_EQ(got.size(), want.size()) << "trial " << trial;
+  for (std::size_t k = 0; k < want.size(); ++k) {
+    ASSERT_TRUE(same(got[k], want[k]))
+        << "trial " << trial << " rank " << k << ": got idx " << got[k].idx
+        << " due " << got[k].due.count_nanos() << ", want idx "
+        << want[k].idx << " due " << want[k].due.count_nanos();
+  }
+  ASSERT_EQ(fast.next_u64(), naive.next_u64()) << "trial " << trial;
+}
+
 TEST(ShortlistProperties, FilteredSelectionEqualsNaiveSortAndRngAgrees) {
   Rng gen{2024};
   std::vector<double> calc;
@@ -168,27 +198,8 @@ TEST(ShortlistProperties, FilteredSelectionEqualsNaiveSortAndRngAgrees) {
     const FeedbackTimerConfig cfg = random_timer(gen);
     const std::vector<int> split = random_split(n, in.skip, gen);
 
-    const std::uint64_t seed = gen.next_u64();
-    Rng fast{seed};
-    Rng naive{seed};
-    CandidateDrawer drawer{in, cfg, got};
-    int first = 0;
-    for (const int count : split) {
-      drawer.draw(count, calc_Bps != nullptr ? calc_Bps + first : nullptr,
-                  fast);
-      first += count;
-    }
-    drawer.finish();
-    ASSERT_EQ(first, n) << "trial " << trial;
-    const auto want = naive_shortlist(in, n, calc_Bps, cfg, naive);
-    ASSERT_EQ(got.size(), want.size()) << "trial " << trial;
-    for (std::size_t k = 0; k < want.size(); ++k) {
-      ASSERT_TRUE(same(got[k], want[k]))
-          << "trial " << trial << " rank " << k << ": got idx " << got[k].idx
-          << " due " << got[k].due.count_nanos() << ", want idx "
-          << want[k].idx << " due " << want[k].due.count_nanos();
-    }
-    ASSERT_EQ(fast.next_u64(), naive.next_u64()) << "trial " << trial;
+    ASSERT_NO_FATAL_FAILURE(expect_naive_selection(
+        in, n, calc_Bps, cfg, split, gen.next_u64(), trial, got));
     filled += got.size() == static_cast<std::size_t>(in.cap);
     multi_chunk += split.size() > 1;
   }
@@ -196,6 +207,63 @@ TEST(ShortlistProperties, FilteredSelectionEqualsNaiveSortAndRngAgrees) {
   // carry its state across chunk boundaries.
   EXPECT_GT(filled, 1500);
   EXPECT_GT(multi_chunk, 1500);
+}
+
+TEST(ShortlistProperties, SelectionEqualsNaiveAtExtremeSkipCeilings) {
+  // A one-nanosecond deadline rounds every timer below 1 to the round
+  // start, so the full short-list's top sits at t = 0 and its ceiling is
+  // about 1/N.  N near 2^53 puts the skip ceiling next to the least uniform01
+  // value, 2^-53 (and below it, where every word is skipped); N just above
+  // 1 puts it just below 1, where almost no word is.
+  static constexpr double kLowN[] = {0x1p50, 0x1p52, 0x1p53, 0x1p54, 1e18};
+  static constexpr double kHighN[] = {1.0 + 2e-9, 1.0 + 1e-8, 1.0 + 1e-6,
+                                      1.0 + 1e-4};
+  static constexpr double kZeta[] = {0.0, 0.25, 0.5};
+  Rng gen{4049};
+  std::vector<double> calc;
+  std::vector<FeedbackCandidate> got;
+  int near_low = 0;
+  int near_high = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    RoundDrawInput in;
+    const int n = static_cast<int>(gen.uniform_int(1, 5000));
+    in.skip = gen.bernoulli(0.3) ? static_cast<int>(gen.uniform_int(0, n - 1))
+                                 : -1;
+    in.cap = static_cast<int>(gen.uniform_int(1, 40));
+    in.now = SimTime::nanos(gen.uniform_int(0, 1'000'000'000));
+    in.fb_deadline = SimTime::nanos(1);
+    in.send_rate_Bps = gen.uniform(1e3, 1e7);
+    FeedbackTimerConfig cfg;
+    cfg.method = static_cast<BiasMethod>(gen.uniform_int(0, 2));
+    cfg.zeta = kZeta[gen.uniform_int(0, 2)];
+    const bool low = trial % 2 == 0;
+    cfg.n_estimate = low ? kLowN[gen.uniform_int(0, 4)]
+                         : kHighN[gen.uniform_int(0, 3)];
+    const double* calc_Bps = nullptr;
+    if (gen.bernoulli(0.5)) {
+      in.x = gen.uniform01();
+      in.rate_Bps = gen.uniform(0.0, 1e7);
+    } else {
+      calc.assign(static_cast<std::size_t>(n), 0.0);
+      for (double& c : calc) {
+        c = in.send_rate_Bps * gen.uniform(0.0, gen.bernoulli(0.8) ? 1.0 : 2.0);
+      }
+      calc_Bps = calc.data();
+    }
+    const std::vector<int> split = random_split(n, in.skip, gen);
+    ASSERT_NO_FATAL_FAILURE(expect_naive_selection(
+        in, n, calc_Bps, cfg, split, gen.next_u64(), trial, got));
+    // The drawer's final ceiling is that of the full list's top.
+    if (got.size() < static_cast<std::size_t>(in.cap)) continue;
+    const double ceiling = feedback_timer::uniform_ceiling(
+        static_cast<double>((got.back().due - in.now).count_nanos()) /
+            static_cast<double>(in.fb_deadline.count_nanos()),
+        cfg);
+    near_low += ceiling < 0x1p-50;
+    near_high += ceiling > 1.0 - 1e-5 && ceiling < 1.0;
+  }
+  EXPECT_GT(near_low, 150);
+  EXPECT_GT(near_high, 150);
 }
 
 TEST(ShortlistProperties, UniformCeilingIsConservative) {

@@ -142,6 +142,73 @@ TEST(Rng, CanonicalMatchesStandardAtEdgeWords) {
   }
 }
 
+/// The skip test that Rng::uniform01_floor bounds: uniform01's value on
+/// word w lies above u.
+bool above(std::uint64_t w, double u) { return 1.0 - Rng::canonical(w) > u; }
+
+/// The least word that fails above(., u), by bisection over the words (the
+/// test only turns from true to false as w grows).  Needs a u in
+/// (2^-53, 1): word 0 passes and the top word fails.
+std::uint64_t first_failing_word(double u) {
+  std::uint64_t lo = 0;                  // passes
+  std::uint64_t hi = ~std::uint64_t{0};  // fails
+  while (hi - lo > 1) {
+    const std::uint64_t mid = lo + (hi - lo) / 2;
+    (above(mid, u) ? lo : hi) = mid;
+  }
+  return hi;
+}
+
+TEST(Rng, Uniform01FloorIsSoundAndTight) {
+  std::vector<double> us = {0x1p-60,
+                            0x1p-53,
+                            0x1p-52,
+                            0.5,
+                            std::nextafter(0.5, 0.0),
+                            std::nextafter(0.5, 1.0),
+                            1.0 - 0x1p-53,
+                            0.0,
+                            1.0,
+                            2.0};
+  std::mt19937_64 gen{99};
+  std::uniform_real_distribution<double> unit{0.0, 1.0};
+  for (int i = 0; i < 200000; ++i) {
+    // A third skewed towards 0, where the short-list's ceilings sit.
+    us.push_back(i % 3 == 0 ? std::exp2(-60.0 * unit(gen)) : unit(gen));
+  }
+  int tight_checked = 0;
+  for (const double u : us) {
+    const std::uint64_t w0 = Rng::uniform01_floor(u);
+    const std::uint64_t from = w0 < 4096 ? 0 : w0 - 4096;
+    std::uint64_t misses = 0;  // words below the floor not above u
+    for (std::uint64_t w = from; w < w0; ++w) misses += !above(w, u);
+    ASSERT_EQ(misses, 0u) << "u " << u << " floor " << w0;
+    if (u > 0x1p-53 && u < 1.0) {
+      const std::uint64_t boundary = first_failing_word(u);
+      ASSERT_LE(w0, boundary) << "u " << u;
+      ASSERT_LE(boundary - w0, std::uint64_t{1} << 16)
+          << "u " << u << " floor " << w0 << " boundary " << boundary;
+      ++tight_checked;
+    }
+  }
+  EXPECT_GT(tight_checked, 190000);
+}
+
+TEST(Rng, Uniform01FloorEdges) {
+  constexpr std::uint64_t kTop = ~std::uint64_t{0};
+  // No word lies above u >= 1 (or NaN): nothing is filtered.
+  EXPECT_EQ(Rng::uniform01_floor(1.0), 0u);
+  EXPECT_EQ(Rng::uniform01_floor(2.0), 0u);
+  EXPECT_EQ(Rng::uniform01_floor(std::nan("")), 0u);
+  // Every word lies above u < 2^-53: everything is filtered, the top word
+  // (which no floor covers) by the exact test.
+  for (const double u : {-1.0, 0.0, 0x1p-60, std::nextafter(0x1p-53, 0.0)}) {
+    EXPECT_EQ(Rng::uniform01_floor(u), kTop) << "u " << u;
+    EXPECT_TRUE(above(kTop, u)) << "u " << u;
+  }
+  EXPECT_LT(Rng::uniform01_floor(0x1p-53), kTop);
+}
+
 TEST(Rng, UniformIntInclusiveBounds) {
   Rng r{6};
   bool saw_lo = false, saw_hi = false;

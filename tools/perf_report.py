@@ -74,7 +74,7 @@ MICRO_FILTER = ("BM_SchedulerChurn|BM_EquationFull|BM_EquationInverse|"
                 "BM_EquationBatch|BM_LossHistoryReceive|BM_MembershipChurn|"
                 "BM_PacketPoolChurn|BM_FeedbackTimerDraw|BM_FeedbackRound|"
                 "BM_ModeledBlockRound|BM_MulticastFanout|BM_ComputeRoutes|"
-                "BM_RngUniform01")
+                "BM_RngUniform01|BM_ReceiverOnData")
 
 
 def run_micro(build_dir, min_time):
