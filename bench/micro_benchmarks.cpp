@@ -2,7 +2,7 @@
 // control-equation evaluation, loss-history updates, scheduler throughput,
 // multicast fan-out, route computation, uniform draws, feedback-timer
 // draws, whole feedback rounds, modeled-block rounds and the full
-// receiver's per-packet work.
+// receiver's per-packet work, alone and fanned out to many receivers.
 // These guard against
 // performance regressions that would make the large-scale figure benches
 // (1000-receiver simulations) impractical.
@@ -15,6 +15,7 @@
 #include "sim/scheduler.hpp"
 #include "sim/simulator.hpp"
 #include "tfmcc/feedback_timer.hpp"
+#include "tfmcc/flow.hpp"
 #include "tfmcc/receiver.hpp"
 #include "tfmcc/receiver_block.hpp"
 #include "tfrc/equation.hpp"
@@ -379,6 +380,52 @@ void BM_ReceiverOnData(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ReceiverOnData);
+
+void BM_ReceiverFanout(benchmark::State& state) {
+  // One TFMCC data packet per iteration from the hub of an n-leaf star to
+  // n real TfmccReceivers (a TfmccFlow, so receivers, links and queues sit
+  // where a scenario puts them): the fan-out, each leaf link's jitter draw,
+  // and each receiver's per-packet work with its goodput binner.  Every
+  // 100th packet is lost upstream and every 256th opens a feedback round,
+  // whose timer draws build every receiver's RNG engine.  Unlike
+  // BM_MulticastFanout's stateless sink, this sees the per-host memory
+  // footprint.  Items are deliveries; ns_per_delivery is the time per one.
+  const int n = static_cast<int>(state.range(0));
+  Simulator sim{11};
+  Topology topo{sim};
+  LinkConfig link;
+  link.rate_bps = 1e9;
+  link.delay = SimTime::millis(1);
+  link.jitter = SimTime::micros(20);
+  const Star star = make_star(topo, link, std::vector<LinkConfig>(n, link));
+  TfmccFlow flow{sim, topo, star.hub};
+  for (NodeId leaf : star.leaves) flow.add_joined_receiver(leaf);
+  std::int64_t seqno = 0;
+  for (auto _ : state) {
+    if (seqno % 100 == 99) ++seqno;  // lost upstream
+    auto p = sim.make_packet();
+    p->src = star.hub;
+    p->group = flow.session().group();
+    p->dport = flow.session().data_port();
+    p->size_bytes = kDataPacketBytes;
+    TfmccDataHeader h;
+    h.seqno = seqno;
+    h.round = static_cast<std::int32_t>(seqno / 256);
+    h.send_rate_Bps = 1.25e6;
+    h.send_ts = sim.now();
+    h.fb_deadline = SimTime::seconds(2.0);
+    p->header = h;
+    flow.session().send_from_source(p);
+    ++seqno;
+    sim.run_until(sim.now() + SimTime::millis(2));
+    benchmark::DoNotOptimize(flow.receiver(n - 1).packets_received());
+  }
+  const auto deliveries = static_cast<double>(state.iterations()) * n;
+  state.SetItemsProcessed(state.iterations() * n);
+  state.counters["ns_per_delivery"] = benchmark::Counter(
+      deliveries, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_ReceiverFanout)->Arg(200)->Arg(1000)->Arg(4000);
 
 }  // namespace
 

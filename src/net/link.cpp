@@ -13,9 +13,11 @@ Link::Link(Simulator& sim, Node& to, LinkConfig cfg, Rng rng)
     red.limit_packets = cfg_.queue_limit_packets;
     red.max_th = static_cast<double>(cfg_.queue_limit_packets) * 0.5;
     red.min_th = red.max_th / 3.0;
-    queue_ = std::make_unique<RedQueue>(red, rng_.substream(1));
+    queue_ = sim_.arena().make<RedQueue>(red, rng_.substream(1),
+                                         &sim_.arena());
   } else {
-    auto dt = std::make_unique<DropTailQueue>(cfg_.queue_limit_packets);
+    auto dt = sim_.arena().make<DropTailQueue>(cfg_.queue_limit_packets,
+                                               &sim_.arena());
     droptail_ = dt.get();
     queue_ = std::move(dt);
   }
@@ -75,7 +77,9 @@ void Link::on_transmit_complete(PacketPtr p) {
     node->receive(p);
   });
   transmitting_ = false;
-  if (!queue_->empty()) start_transmission();
+  const bool queued = droptail_ != nullptr ? droptail_->size_packets() != 0
+                                           : !queue_->empty();
+  if (queued) start_transmission();
 }
 
 }  // namespace tfmcc

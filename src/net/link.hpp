@@ -106,7 +106,7 @@ class Link {
   Node& to_;
   LinkConfig cfg_;
   Rng rng_;
-  std::unique_ptr<Queue> queue_;
+  ArenaPtr<Queue> queue_;
   // Non-null when queue_ is the (overwhelmingly common) drop-tail queue:
   // lets the two per-hop queue calls go direct instead of virtual.
   DropTailQueue* droptail_{nullptr};

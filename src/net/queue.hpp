@@ -2,9 +2,9 @@
 
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "net/packet.hpp"
+#include "util/arena.hpp"
 #include "util/rng.hpp"
 
 namespace tfmcc {
@@ -13,11 +13,25 @@ namespace detail {
 
 /// Fixed-capacity FIFO ring of PacketPtrs.  Queues have a hard packet
 /// limit, so a preallocated ring replaces per-node deque traffic on the
-/// enqueue/dequeue hot path (two queue ops per packet hop).
+/// enqueue/dequeue hot path (two queue ops per packet hop).  The slots live
+/// in `arena` when one is given (next to the link that owns the queue), on
+/// the heap otherwise.
 class PacketRing {
  public:
-  explicit PacketRing(std::size_t capacity)
-      : ring_(round_up_pow2(capacity)), mask_{ring_.size() - 1} {}
+  PacketRing(std::size_t capacity, Arena* arena)
+      : mask_{round_up_pow2(capacity) - 1}, heap_{arena == nullptr} {
+    const std::size_t bytes = (mask_ + 1) * sizeof(PacketPtr);
+    void* mem = heap_ ? ::operator new(bytes)
+                      : arena->allocate(bytes, alignof(PacketPtr));
+    ring_ = static_cast<PacketPtr*>(mem);
+    std::uninitialized_value_construct_n(ring_, mask_ + 1);
+  }
+  PacketRing(const PacketRing&) = delete;
+  PacketRing& operator=(const PacketRing&) = delete;
+  ~PacketRing() {
+    std::destroy_n(ring_, mask_ + 1);
+    if (heap_) ::operator delete(ring_);
+  }
 
   std::size_t size() const { return size_; }
 
@@ -42,10 +56,11 @@ class PacketRing {
     return c;
   }
 
-  std::vector<PacketPtr> ring_;
+  PacketPtr* ring_;
   std::size_t mask_;
   std::size_t head_{0};
   std::size_t size_{0};
+  bool heap_;
 };
 
 }  // namespace detail
@@ -79,8 +94,9 @@ class Queue {
 /// the routers", §4).
 class DropTailQueue final : public Queue {
  public:
-  explicit DropTailQueue(std::size_t limit_packets)
-      : limit_{limit_packets}, q_{limit_packets} {}
+  /// `arena` (optional) holds the packet slots.
+  explicit DropTailQueue(std::size_t limit_packets, Arena* arena = nullptr)
+      : limit_{limit_packets}, q_{limit_packets, arena} {}
 
   bool enqueue(const PacketPtr& p) override;
   PacketPtr dequeue() override;
@@ -110,8 +126,9 @@ class RedQueue final : public Queue {
     double weight{0.002}; // EWMA weight for the average queue size
   };
 
-  RedQueue(Config cfg, Rng rng)
-      : cfg_{cfg}, rng_{std::move(rng)}, q_{cfg.limit_packets} {}
+  /// `arena` (optional) holds the packet slots.
+  RedQueue(Config cfg, Rng rng, Arena* arena = nullptr)
+      : cfg_{cfg}, rng_{std::move(rng)}, q_{cfg.limit_packets, arena} {}
 
   bool enqueue(const PacketPtr& p) override;
   PacketPtr dequeue() override;

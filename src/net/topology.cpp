@@ -10,7 +10,7 @@ namespace tfmcc {
 
 NodeId Topology::add_node() {
   const auto id = static_cast<NodeId>(nodes_.size());
-  nodes_.push_back(std::make_unique<Node>(*this, id));
+  nodes_.push_back(sim_.arena().make<Node>(*this, id));
   adjacency_.emplace_back();
   return id;
 }
@@ -23,7 +23,7 @@ NodeId Topology::add_nodes(int count) {
 
 Link& Topology::add_link(NodeId from, NodeId to, const LinkConfig& cfg) {
   auto& dst = node(to);
-  links_.push_back(std::make_unique<Link>(
+  links_.push_back(sim_.arena().make<Link>(
       sim_, dst, cfg, sim_.make_rng(rng_stream_counter_++)));
   Link* l = links_.back().get();
   adjacency_.at(static_cast<std::size_t>(from)).emplace_back(to, l);

@@ -129,8 +129,11 @@ class Topology {
   void ensure_group_capacity(GroupState& g);
 
   Simulator& sim_;
-  std::vector<std::unique_ptr<Node>> nodes_;
-  std::vector<std::unique_ptr<Link>> links_;
+  // Nodes, links and their queues live in the Simulator's arena, so a
+  // fan-out walks densely packed host state; the Topology must not
+  // outlive the Simulator.
+  std::vector<ArenaPtr<Node>> nodes_;
+  std::vector<ArenaPtr<Link>> links_;
   // adjacency[from] = {(to, link)} for tree building and diagnostics.
   // Insertion order is meaningful (Dijkstra relaxation order, parallel-link
   // precedence) and must not be sorted in place.

@@ -4,6 +4,7 @@
 
 #include "net/packet.hpp"
 #include "sim/scheduler.hpp"
+#include "util/arena.hpp"
 #include "util/pool.hpp"
 #include "util/rng.hpp"
 #include "util/sim_time.hpp"
@@ -11,11 +12,12 @@
 namespace tfmcc {
 
 /// Simulation context handed to every component: the event scheduler plus a
-/// root RNG from which components derive their private streams, and the
-/// packet pool behind make_packet().
+/// root RNG from which components derive their private streams, the packet
+/// pool behind make_packet(), and the arena that holds per-host state.
 class Simulator {
  public:
-  explicit Simulator(std::uint64_t seed = 1) : root_rng_{seed}, seed_{seed} {}
+  explicit Simulator(std::uint64_t seed = 1)
+      : root_rng_{seed, &arena_}, seed_{seed} {}
 
   Scheduler& scheduler() { return sched_; }
   SimTime now() const { return sched_.now(); }
@@ -34,7 +36,9 @@ class Simulator {
   std::uint64_t seed() const { return seed_; }
 
   /// Fresh deterministic RNG stream; callers pass a unique stream id
-  /// (conventionally derived from component kind + instance index).
+  /// (conventionally derived from component kind + instance index).  Its
+  /// engine is built in the arena on its first draw, so the stream must
+  /// not draw after the Simulator is gone.
   Rng make_rng(std::uint64_t stream_id) const {
     return root_rng_.substream(stream_id);
   }
@@ -56,10 +60,17 @@ class Simulator {
 
   const FixedBlockPool& packet_pool() const { return packet_pool_; }
 
+  /// Storage for per-host state (nodes, links, queues, receivers, goodput
+  /// binners, RNG engines) that lives as long as the simulation.  Objects placed here
+  /// are held by ArenaPtr and must not outlive the Simulator.
+  Arena& arena() { return arena_; }
+
  private:
-  // Destruction is reverse declaration order: the pool is declared before
-  // the scheduler so packets captured in still-pending events are returned
-  // to a live pool when the scheduler is torn down.
+  // Destruction is reverse declaration order: the arena goes last, after
+  // every member that may hold an RNG stream built in it; the pool is
+  // declared before the scheduler so packets captured in still-pending
+  // events are returned to a live pool when the scheduler is torn down.
+  Arena arena_;
   FixedBlockPool packet_pool_;
   Scheduler sched_;
   Rng root_rng_;

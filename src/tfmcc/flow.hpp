@@ -34,9 +34,9 @@ class TfmccFlow {
   /// Create a receiver on `node` (not yet joined).  Returns its index.
   int add_receiver(NodeId node) {
     const auto id = static_cast<std::int32_t>(receivers_.size());
-    receivers_.push_back(std::make_unique<TfmccReceiver>(
+    receivers_.push_back(sim_.arena().make<TfmccReceiver>(
         sim_, session_, node, id, cfg_, sim_.make_rng(rng_stream_ + 1 + id)));
-    goodput_.push_back(std::make_unique<ThroughputBinner>(bin_width_));
+    goodput_.push_back(sim_.arena().make<ThroughputBinner>(bin_width_));
     auto* binner = goodput_.back().get();
     receivers_.back()->set_delivery_observer(
         [binner](SimTime t, std::int32_t bytes) { binner->add(t, bytes); });
@@ -122,8 +122,10 @@ class TfmccFlow {
   SimTime bin_width_;
   MulticastSession session_;
   std::unique_ptr<TfmccSender> sender_;
-  std::vector<std::unique_ptr<TfmccReceiver>> receivers_;
-  std::vector<std::unique_ptr<ThroughputBinner>> goodput_;
+  // Receivers and their goodput binners live in the Simulator's arena next
+  // to the hosts' links, so the flow must not outlive the Simulator.
+  std::vector<ArenaPtr<TfmccReceiver>> receivers_;
+  std::vector<ArenaPtr<ThroughputBinner>> goodput_;
   std::vector<std::unique_ptr<ModeledReceiverBlock>> blocks_;
   std::uint64_t rng_stream_;
   std::int32_t next_modeled_id_{0};

@@ -234,8 +234,9 @@ void ModeledReceiverBlock::on_new_round(const TfmccDataHeader& h,
     if (p <= 0.0) return;  // calc rate infinite: nothing useful to report
   }
   CandidateDrawer drawer{in, cfg_.timer, candidates_};
+  Mt19937_64& gen = rng_.engine();
   if (h.slowstart) {
-    drawer.draw(bcfg_.count, nullptr, rng_);  // no rates: one chunk
+    drawer.draw(bcfg_.count, nullptr, gen);  // no rates: one chunk
   } else {
     // Steady state streams the block through L1-sized chunks: one batched
     // equation evaluation over the chunk's contiguous RTTs (shared p)
@@ -249,7 +250,7 @@ void ModeledReceiverBlock::on_new_round(const TfmccDataHeader& h,
       cfg_.equation->throughput_batch(kDataPacketBytes, rtt_.data() + first,
                                       ps.data(), calc.data(),
                                       static_cast<std::size_t>(count));
-      drawer.draw(count, calc.data(), rng_);
+      drawer.draw(count, calc.data(), gen);
     }
   }
   drawer.finish();
@@ -284,7 +285,8 @@ CandidateDrawer::CandidateDrawer(const RoundDrawInput& in,
   out_.clear();
 }
 
-void CandidateDrawer::draw(int count, const double* calc_Bps, Rng& rng) {
+void CandidateDrawer::draw(int count, const double* calc_Bps,
+                           Mt19937_64& gen) {
   // The chunk's loop reads its inputs and the skip ceiling from locals;
   // only an admitted draw touches the heap.
   const int first = next_;
@@ -303,10 +305,10 @@ void CandidateDrawer::draw(int count, const double* calc_Bps, Rng& rng) {
       if (!(rate < send_rate)) continue;
     }
     // Draws come in index order, so a full heap admits only timers due
-    // strictly before its top.  Every u = rng.uniform01() above `u_skip` is
+    // strictly before its top.  Every u = 1 - canonical(w) above `u_skip` is
     // due no earlier, so it is skipped before the timer transform; words
     // below the floor are such draws, decided without their conversion.
-    const std::uint64_t w = rng.next_u64();
+    const std::uint64_t w = gen();
     if (w < w_floor) continue;
     const double u = 1.0 - Rng::canonical(w);
     if (u > u_skip) continue;

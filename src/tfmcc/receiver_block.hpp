@@ -67,9 +67,11 @@ class CandidateDrawer {
   CandidateDrawer(const RoundDrawInput& in, const FeedbackTimerConfig& timer,
                   std::vector<FeedbackCandidate>& out);
 
-  /// Draws the next `count` receivers.  Steady state passes their
-  /// calculated rates calc_Bps[0, count); slowstart passes nullptr.
-  void draw(int count, const double* calc_Bps, Rng& rng);
+  /// Draws the next `count` receivers from `gen` (the block's
+  /// Rng::engine(), taken once per round rather than once per draw).
+  /// Steady state passes their calculated rates calc_Bps[0, count);
+  /// slowstart passes nullptr.
+  void draw(int count, const double* calc_Bps, Mt19937_64& gen);
 
   /// Leaves `out` ascending by (due, idx).
   void finish();

@@ -3,6 +3,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <random>
+#include <utility>
+
+#include "util/arena.hpp"
 
 namespace tfmcc {
 
@@ -68,16 +71,50 @@ class Mt19937_64 {
 /// randomness consumed by one component independent of how often another
 /// component draws, so adding a flow to a scenario does not perturb the
 /// loss pattern seen by existing flows.
+///
+/// An `Rng` keeps only its seed until its first draw, which builds the
+/// 2.5 KB MT19937-64 state out of line: in the Rng's arena when it has one
+/// (every stream from Simulator::make_rng, and their substreams), on the
+/// heap otherwise.  A host's link and receiver stay small, and a stream
+/// that never draws (an idle uplink, a receiver that never reports) never
+/// builds its state.  Copies are deep.  An arena-backed Rng must not draw
+/// or be copied after its arena is gone.
 class Rng {
  public:
-  explicit Rng(std::uint64_t seed) : gen_{mix(seed)}, seed_{seed} {}
+  explicit Rng(std::uint64_t seed) : seed_{seed} {}
+  /// Builds its engine in `arena` (nullptr: on the heap).
+  Rng(std::uint64_t seed, Arena* arena) : seed_{seed}, arena_{arena} {}
 
-  /// Derive an independent child stream.  Deterministic in (seed, id).
-  Rng substream(std::uint64_t stream_id) const {
-    return Rng{mix(seed_ + 0x9e3779b97f4a7c15ULL * (stream_id + 1))};
+  Rng(const Rng& o) : seed_{o.seed_}, arena_{o.arena_} {
+    if (o.gen_ != nullptr) gen_ = new_engine(*o.gen_);
+  }
+  Rng(Rng&& o) noexcept
+      : gen_{std::exchange(o.gen_, nullptr)},
+        seed_{o.seed_},
+        arena_{o.arena_} {}
+  Rng& operator=(Rng o) noexcept {
+    // `o` leaves with this stream's old engine and the arena it came from.
+    std::swap(gen_, o.gen_);
+    std::swap(arena_, o.arena_);
+    seed_ = o.seed_;
+    return *this;
+  }
+  ~Rng() {
+    if (arena_ == nullptr) delete gen_;
   }
 
-  std::uint64_t next_u64() { return gen_(); }
+  /// Derive an independent child stream.  Deterministic in (seed, id), and
+  /// independent of how far this stream has drawn.  The child builds its
+  /// engine where this one does.
+  Rng substream(std::uint64_t stream_id) const {
+    return Rng{mix(seed_ + 0x9e3779b97f4a7c15ULL * (stream_id + 1)), arena_};
+  }
+
+  /// The engine behind the stream, built on first use.  Hot loops take it
+  /// once and draw from it directly; its draws advance this stream.
+  Mt19937_64& engine() { return gen_ != nullptr ? *gen_ : build(); }
+
+  std::uint64_t next_u64() { return engine()(); }
 
   /// x / 2^64 correctly rounded, clamped below 1: what libstdc++'s
   /// generate_canonical<double, 53> makes of one 64-bit word.  The
@@ -113,29 +150,29 @@ class Rng {
 
   /// Uniform in (0, 1] — never returns 0, safe as a log() argument.
   /// Spelled out as 1 - uniform_real_distribution<double>{0, 1}.
-  double uniform01() { return 1.0 - canonical(gen_()); }
+  double uniform01() { return 1.0 - canonical(next_u64()); }
 
   /// Uniform between lo and hi, spelled out as
   /// uniform_real_distribution<double>{lo, hi}: the same expression over the
   /// same canonical draw.
   double uniform(double lo, double hi) {
-    return canonical(gen_()) * (hi - lo) + lo;
+    return canonical(next_u64()) * (hi - lo) + lo;
   }
 
   /// Uniform integer in [lo, hi], inclusive.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) {
-    return std::uniform_int_distribution<std::int64_t>{lo, hi}(gen_);
+    return std::uniform_int_distribution<std::int64_t>{lo, hi}(engine());
   }
 
   bool bernoulli(double p) {
     if (p <= 0.0) return false;
     if (p >= 1.0) return true;
-    return std::bernoulli_distribution{p}(gen_);
+    return std::bernoulli_distribution{p}(engine());
   }
 
   /// Exponential with the given mean.
   double exponential(double mean) {
-    return std::exponential_distribution<double>{1.0 / mean}(gen_);
+    return std::exponential_distribution<double>{1.0 / mean}(engine());
   }
 
  private:
@@ -147,8 +184,21 @@ class Rng {
     return x ^ (x >> 31);
   }
 
-  Mt19937_64 gen_;
+  /// A fresh engine copied from `from`, in the arena or on the heap.
+  Mt19937_64* new_engine(const Mt19937_64& from) const {
+    if (arena_ == nullptr) return new Mt19937_64(from);
+    return ::new (arena_->allocate(sizeof(Mt19937_64), 64)) Mt19937_64(from);
+  }
+
+  /// Seeds the engine on the first draw; kept out of the draw's inline path.
+  [[gnu::noinline]] Mt19937_64& build() {
+    gen_ = new_engine(Mt19937_64{mix(seed_)});
+    return *gen_;
+  }
+
+  Mt19937_64* gen_{nullptr};
   std::uint64_t seed_;
+  Arena* arena_{nullptr};
 };
 
 }  // namespace tfmcc

@@ -72,7 +72,6 @@ double ThroughputBinner::mean_kbps(SimTime from, SimTime to) const {
 }
 
 void WindowedRateMeter::on_packet(SimTime t, std::int64_t bytes) {
-  if (ring_.empty()) ring_.resize(max_packets_ + 1);
   ring_[wrap(head_ + size_)] = {t, bytes};
   ++size_;
   window_bytes_ += bytes;

@@ -1,8 +1,10 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <ostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -70,9 +72,17 @@ class ThroughputBinner {
 /// expose a time horizon so low-rate flows do not average over minutes.
 class WindowedRateMeter {
  public:
-  explicit WindowedRateMeter(std::size_t max_packets = 64,
+  /// The largest window, in packets.
+  static constexpr std::size_t kMaxPackets = 64;
+
+  explicit WindowedRateMeter(std::size_t max_packets = kMaxPackets,
                              SimTime max_horizon = SimTime::seconds(4.0))
-      : max_packets_{max_packets}, horizon_{max_horizon} {}
+      : max_packets_{max_packets}, horizon_{max_horizon} {
+    if (max_packets > kMaxPackets) {
+      throw std::invalid_argument(
+          "WindowedRateMeter: window above kMaxPackets");
+    }
+  }
 
   void on_packet(SimTime t, std::int64_t bytes);
 
@@ -92,7 +102,7 @@ class WindowedRateMeter {
     std::int64_t bytes;
   };
   std::size_t wrap(std::size_t i) const {  // i < 2 * capacity
-    return i >= ring_.size() ? i - ring_.size() : i;
+    return i > max_packets_ ? i - (max_packets_ + 1) : i;
   }
   const Arrival& at(std::size_t i) const {  // i-th oldest
     return ring_[wrap(head_ + i)];
@@ -105,10 +115,11 @@ class WindowedRateMeter {
 
   std::size_t max_packets_;
   SimTime horizon_;
-  // Exact capacity max_packets_ + 1, lazily sized; the wrap is a
-  // well-predicted compare, and the tight capacity keeps the per-receiver
-  // footprint small (a 1000-receiver run holds 1000 of these rings).
-  std::vector<Arrival> ring_;
+  // Capacity max_packets_ + 1 of the inline slots; the wrap is a
+  // well-predicted compare.  Inline, the ring sits in the receiver that
+  // owns the meter, which a TfmccFlow places in the Simulator's arena next
+  // to the host's other state: it is touched on every delivery.
+  std::array<Arrival, kMaxPackets + 1> ring_{};
   std::size_t head_{0};
   std::size_t size_{0};
   std::int64_t window_bytes_{0};

@@ -136,7 +136,7 @@ void expect_naive_selection(const RoundDrawInput& in, int n,
   int first = 0;
   for (const int count : split) {
     drawer.draw(count, calc_Bps != nullptr ? calc_Bps + first : nullptr,
-                fast);
+                fast.engine());
     first += count;
   }
   drawer.finish();

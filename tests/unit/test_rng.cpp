@@ -8,6 +8,8 @@
 #include <random>
 #include <vector>
 
+#include "util/arena.hpp"
+
 namespace tfmcc {
 namespace {
 
@@ -263,6 +265,71 @@ std::vector<std::uint64_t> exactness_seeds() {
     seeds.push_back(z ^ (z >> 31));
   }
   return seeds;
+}
+
+/// The seed Rng{seed} hands its engine: the splitmix64 finalizer of seed.
+std::uint64_t engine_seed(std::uint64_t seed) {
+  std::uint64_t z = seed + 0x9e3779b97f4a7c15ULL;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
+TEST(Rng, CopiesBeforeAndAfterFirstDrawStayInStep) {
+  // On the heap and in an arena: a copy taken before the engine exists
+  // starts the stream from the top, one taken mid-stream continues from
+  // the copied position, and neither disturbs the original.
+  Arena arena;
+  for (Arena* where : {static_cast<Arena*>(nullptr), &arena}) {
+    Rng rng{77, where};
+    const Rng before = rng;
+    std::mt19937_64 ref{engine_seed(77)};
+    for (int i = 0; i < 400; ++i) ASSERT_EQ(rng.next_u64(), ref());
+    Rng after{1};
+    after = rng;  // copy-assignment over a heap stream
+    Rng copy = rng;
+    Rng moved = std::move(copy);
+    std::mt19937_64 ref_before{engine_seed(77)};
+    Rng from_before = before;
+    for (int i = 0; i < kExactDraws; ++i) {
+      const std::uint64_t want = ref();
+      ASSERT_EQ(rng.next_u64(), want) << "original, draw " << i;
+      ASSERT_EQ(after.next_u64(), want) << "copy after, draw " << i;
+      ASSERT_EQ(moved.next_u64(), want) << "moved copy, draw " << i;
+      ASSERT_EQ(from_before.next_u64(), ref_before())
+          << "copy before, draw " << i;
+    }
+  }
+}
+
+TEST(Rng, EngineIsBuiltInItsArenaOnFirstDraw) {
+  Arena arena;
+  Rng rng{5, &arena};
+  Rng child = rng.substream(3);
+  EXPECT_EQ(arena.reserved_bytes(), 0u);
+  rng.next_u64();
+  const std::size_t one = arena.reserved_bytes();
+  EXPECT_GE(one, sizeof(Mt19937_64));
+  child.uniform01();  // a substream builds where its parent does
+  EXPECT_GT(arena.reserved_bytes(), one);
+  EXPECT_EQ(&rng.engine(), &rng.engine());
+}
+
+TEST(Rng, SubstreamOfUndrawnStreamEqualsOneTakenAfterDraws) {
+  Arena arena;
+  for (Arena* where : {static_cast<Arena*>(nullptr), &arena}) {
+    const Rng fresh{2024, where};
+    Rng drawn{2024, where};
+    for (int i = 0; i < 1000; ++i) drawn.uniform01();
+    for (const std::uint64_t id : {0, 1, 99}) {
+      Rng a = fresh.substream(id);
+      Rng b = drawn.substream(id);
+      for (int i = 0; i < 700; ++i) {
+        ASSERT_EQ(a.next_u64(), b.next_u64())
+            << "stream " << id << ", draw " << i;
+      }
+    }
+  }
 }
 
 TEST(Mt19937_64, MatchesStandardEngine) {

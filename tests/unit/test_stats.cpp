@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
 
 namespace tfmcc {
 namespace {
@@ -78,6 +79,16 @@ TEST(WindowedRateMeter, HorizonEvictsOldArrivals) {
   // First arrival is far outside the horizon and must have been dropped:
   // rate over [5.0, 5.1] = 1000 B / 0.1 s.
   EXPECT_NEAR(m.rate_Bps(SimTime::millis(5100)), 10000.0, 1.0);
+}
+
+TEST(WindowedRateMeter, FullWindowWrapsItsInlineRing) {
+  WindowedRateMeter m{WindowedRateMeter::kMaxPackets, 100_sec};
+  // 1000 bytes every 10 ms, wrapping the ring three times; the window holds
+  // the last 64 arrivals: 63 intervals carrying 63000 B -> 100 kB/s.
+  for (int i = 0; i < 200; ++i) m.on_packet(SimTime::millis(10 * i), 1000);
+  EXPECT_NEAR(m.rate_Bps(SimTime::millis(1990)), 100000.0, 1.0);
+  EXPECT_THROW(WindowedRateMeter{WindowedRateMeter::kMaxPackets + 1},
+               std::invalid_argument);
 }
 
 TEST(Histogram, QuantileAndCounts) {

@@ -10,7 +10,12 @@ Measures the simulator's perf trajectory and writes/updates the
 * wall-clock runs of the heavyweight paper scenarios — fig07 (full
   Monte-Carlo ladder), fig12 and fig13 (both dominated by the
   1000-receiver packet simulations) — and of one replicated,
-  checkpointed fig07 sweep, best-of-N to shed scheduler noise.
+  checkpointed fig07 sweep.
+
+Every number is the median of N repeats (scenarios: N process runs;
+micros: google-benchmark's ``--benchmark_repetitions``) together with the
+repeats' min and max.  A baseline/current ratio whose two min-max ranges
+overlap is printed and recorded as noise, not as a change.
 
 Usage:
   tools/perf_report.py --build-dir build                 # measure, update "current"
@@ -32,6 +37,7 @@ machine-speed normalisation.
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
 import time
@@ -74,11 +80,16 @@ MICRO_FILTER = ("BM_SchedulerChurn|BM_EquationFull|BM_EquationInverse|"
                 "BM_EquationBatch|BM_LossHistoryReceive|BM_MembershipChurn|"
                 "BM_PacketPoolChurn|BM_FeedbackTimerDraw|BM_FeedbackRound|"
                 "BM_ModeledBlockRound|BM_MulticastFanout|BM_ComputeRoutes|"
-                "BM_RngUniform01|BM_ReceiverOnData")
+                "BM_RngUniform01|BM_ReceiverOnData|BM_ReceiverFanout")
 
 
-def run_micro(build_dir, min_time):
-    """Runs the google-benchmark suite, returns {name: {ns_per_op, items_per_s}}."""
+def run_micro(build_dir, min_time, repetitions):
+    """Runs the google-benchmark suite `repetitions` times per benchmark.
+
+    Returns {name: {ns_per_op, ns_min, ns_max, ...}}: google-benchmark's
+    median aggregate of each value, with the min and max real time over the
+    repetitions.
+    """
     binary = os.path.join(build_dir, "bench", "micro_benchmarks")
     if not os.path.exists(binary):
         print(f"perf_report: {binary} not built (google-benchmark missing?); "
@@ -86,6 +97,8 @@ def run_micro(build_dir, min_time):
         return {}
     out_json = os.path.join(build_dir, "perf_report_micro.json")
     base = [binary, f"--benchmark_filter={MICRO_FILTER}",
+            f"--benchmark_repetitions={repetitions}",
+            "--benchmark_display_aggregates_only=true",
             f"--benchmark_out={out_json}", "--benchmark_out_format=json"]
     # Older google-benchmark rejects the unit-suffixed min_time spelling.
     for min_time_arg in (f"--benchmark_min_time={min_time}s",
@@ -101,15 +114,26 @@ def run_micro(build_dir, min_time):
         return {}
     with open(out_json) as f:
         data = json.load(f)
-    metrics = {}
+    runs = {}
+    medians = {}
     for bench in data.get("benchmarks", []):
-        if bench.get("run_type") == "aggregate":
-            continue
-        name = bench["name"]
-        entry = {"ns_per_op": round(bench["real_time"], 3)}
+        name = bench.get("run_name", bench["name"])
+        if bench.get("run_type") != "aggregate":
+            runs.setdefault(name, []).append(bench)
+        elif bench.get("aggregate_name") == "median":
+            medians[name] = bench
+    metrics = {}
+    for name, reps in runs.items():
+        # One repetition has no aggregate: the run is its own median.
+        bench = medians.get(name, reps[0])
+        times = [r["real_time"] for r in reps]
+        entry = {"ns_per_op": round(bench["real_time"], 3),
+                 "ns_min": round(min(times), 3),
+                 "ns_max": round(max(times), 3),
+                 "repetitions": len(times)}
         if "items_per_second" in bench:
             entry["items_per_s"] = round(bench["items_per_second"])
-        for counter in ("ns_per_copy", "ns_per_draw"):
+        for counter in ("ns_per_copy", "ns_per_draw", "ns_per_delivery"):
             if counter in bench:  # an inverted rate counter, in seconds
                 entry[counter] = round(bench[counter] * 1e9, 3)
         metrics[name] = entry
@@ -117,7 +141,7 @@ def run_micro(build_dir, min_time):
 
 
 def run_scenarios(build_dir, repeats):
-    """Times each scenario end to end; best-of-N wall-clock seconds."""
+    """Times each scenario end to end: median, min and max over N runs."""
     binary = os.path.join(build_dir, "bench", "tfmcc_sim")
     if not os.path.exists(binary):
         sys.exit(f"perf_report: {binary} not built")
@@ -129,16 +153,20 @@ def run_scenarios(build_dir, repeats):
         argv = [binary, scenario,
                 *[checkpoint if a == CHECKPOINT else a for a in extra],
                 "--output", os.devnull]
-        best = None
+        walls = []
         for _ in range(repeats):
             if os.path.exists(checkpoint):
                 os.remove(checkpoint)
             t0 = time.monotonic()
             subprocess.run(argv, check=True)
-            dt = time.monotonic() - t0
-            best = dt if best is None else min(best, dt)
-        metrics[entry_name] = {"wall_s": round(best, 3), "best_of": repeats}
-        print(f"perf_report: {entry_name}: {best:.2f} s (best of {repeats})")
+            walls.append(time.monotonic() - t0)
+        median = statistics.median(walls)
+        metrics[entry_name] = {"wall_s": round(median, 3),
+                               "wall_min_s": round(min(walls), 3),
+                               "wall_max_s": round(max(walls), 3),
+                               "repeats": repeats}
+        print(f"perf_report: {entry_name}: {median:.2f} s (median of "
+              f"{repeats}, {min(walls):.2f}-{max(walls):.2f})")
     if os.path.exists(checkpoint):
         os.remove(checkpoint)
     return metrics
@@ -148,10 +176,31 @@ def load_report(path):
     if os.path.exists(path):
         with open(path) as f:
             return json.load(f)
-    return {"schema": "tfmcc-hotpath-bench/1", "unit_notes": {
-        "wall_s": "end-to-end scenario wall-clock, best-of-N, seconds",
-        "ns_per_op": "google-benchmark real time per operation",
-    }}
+    return {"schema": "tfmcc-hotpath-bench/1", "unit_notes": {}}
+
+
+def spread(entry, value_key, min_key, max_key):
+    """(median, min, max) of an entry; an entry without a recorded spread
+    (older reports) is one point."""
+    v = entry[value_key]
+    return v, entry.get(min_key, v), entry.get(max_key, v)
+
+
+def compare(base, cur, value_key, min_key, max_key):
+    """Speedup of `cur` over `base` (lower values are better) and its
+    verdict: "faster" or "slower" when the two min-max ranges are
+    disjoint, "noise" when they overlap."""
+    b, b_lo, b_hi = spread(base, value_key, min_key, max_key)
+    c, c_lo, c_hi = spread(cur, value_key, min_key, max_key)
+    if c <= 0:
+        return None, None
+    if c_hi < b_lo:
+        verdict = "faster"
+    elif c_lo > b_hi:
+        verdict = "slower"
+    else:
+        verdict = "noise"
+    return round(b / c, 2), verdict
 
 
 def check(report, fresh_scenarios, tolerance):
@@ -259,8 +308,11 @@ def main():
     ap.add_argument("--set-baseline", action="store_true",
                     help="write the measurements into 'baseline' instead of "
                          "'current'")
-    ap.add_argument("--repeats", type=int, default=3,
-                    help="scenario repetitions, best-of (default 3)")
+    ap.add_argument("--repeats", type=int, default=5,
+                    help="scenario runs; the median is recorded (default 5)")
+    ap.add_argument("--micro-repetitions", type=int, default=5,
+                    help="google-benchmark repetitions per micro benchmark; "
+                         "the median is recorded (default 5)")
     ap.add_argument("--min-time", type=float, default=0.5,
                     help="google-benchmark min time per bench, seconds")
     ap.add_argument("--check", metavar="REPORT",
@@ -277,7 +329,7 @@ def main():
     args = ap.parse_args()
 
     scenarios = run_scenarios(args.build_dir, args.repeats)
-    micro = run_micro(args.build_dir, args.min_time)
+    micro = run_micro(args.build_dir, args.min_time, args.micro_repetitions)
 
     if args.check:
         report = load_report(args.check)
@@ -286,11 +338,22 @@ def main():
         return
 
     report = load_report(args.output)
-    notes = report.setdefault("unit_notes", {})
-    notes.setdefault(
-        "ns_per_copy", "google-benchmark real time per delivered multicast copy")
-    notes.setdefault(
-        "ns_per_draw", "google-benchmark real time per Rng::uniform01() draw")
+    report.setdefault("unit_notes", {}).update({
+        "wall_s": "end-to-end scenario wall-clock, median of N runs, seconds",
+        "wall_min_s": "fastest of the N runs, seconds",
+        "wall_max_s": "slowest of the N runs, seconds",
+        "ns_per_op": "google-benchmark real time per operation, median of "
+                     "the repetitions",
+        "ns_min": "fastest repetition's real time per operation",
+        "ns_max": "slowest repetition's real time per operation",
+        "ns_per_copy": "real time per delivered multicast copy (median)",
+        "ns_per_draw": "real time per Rng::uniform01() draw (median)",
+        "ns_per_delivery": "real time per delivery to a full receiver "
+                           "(median)",
+        "speedup_vs_baseline": "baseline median / current median",
+        "speedup_verdict": "faster or slower when the baseline and current "
+                           "min-max ranges are disjoint, else noise",
+    })
     measurement = {
         "label": args.label or ("baseline" if args.set_baseline else "current"),
         "scenarios": scenarios,
@@ -298,19 +361,25 @@ def main():
     }
     report["baseline" if args.set_baseline else "current"] = measurement
 
-    base = report.get("baseline", {}).get("scenarios", {})
-    cur = report.get("current", {}).get("scenarios", {})
-    if base and cur:
+    base = report.get("baseline", {})
+    cur = report.get("current", {})
+    if base.get("scenarios") and cur.get("scenarios"):
         speedups = {}
-        for name in cur:
-            if name in base and cur[name]["wall_s"] > 0:
-                speedups[name] = round(base[name]["wall_s"] / cur[name]["wall_s"], 2)
-        mb = report.get("baseline", {}).get("micro", {})
-        mc = report.get("current", {}).get("micro", {})
-        for name in mc:
-            if name in mb and mc[name]["ns_per_op"] > 0:
-                speedups[name] = round(mb[name]["ns_per_op"] / mc[name]["ns_per_op"], 2)
+        verdicts = {}
+        for kind, keys in (("scenarios", ("wall_s", "wall_min_s", "wall_max_s")),
+                           ("micro", ("ns_per_op", "ns_min", "ns_max"))):
+            for name, entry in cur.get(kind, {}).items():
+                if name not in base.get(kind, {}):
+                    continue
+                ratio, verdict = compare(base[kind][name], entry, *keys)
+                if ratio is None:
+                    continue
+                speedups[name] = ratio
+                verdicts[name] = verdict
+                print(f"perf_report: {name}: {ratio:.2f}x vs baseline "
+                      f"({verdict})")
         report["speedup_vs_baseline"] = speedups
+        report["speedup_verdict"] = verdicts
 
     with open(args.output, "w") as f:
         json.dump(report, f, indent=2, sort_keys=False)
