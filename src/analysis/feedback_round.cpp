@@ -11,7 +11,9 @@ namespace tfmcc::feedback_round {
 
 std::vector<double> uniform_values(int n, double lo, double hi, Rng& rng) {
   std::vector<double> v(static_cast<std::size_t>(n));
-  for (auto& x : v) x = rng.uniform(lo, hi);
+  // rng.uniform(lo, hi), drawing from the engine taken once.
+  Mt19937_64& gen = rng.engine();
+  for (auto& x : v) x = Rng::canonical(gen()) * (hi - lo) + lo;
   return v;
 }
 
@@ -28,9 +30,12 @@ RoundResult simulate(std::span<const double> values, const RoundConfig& cfg,
   };
   std::vector<Entry> entries;
   entries.reserve(n);
+  // feedback_timer::draw per receiver, drawing from the engine taken once.
+  Mt19937_64& gen = rng.engine();
   for (std::size_t i = 0; i < n; ++i) {
+    const double u = 1.0 - Rng::canonical(gen());
     const double t =
-        feedback_timer::draw(values[i], cfg.timer, rng) * cfg.t_max;
+        feedback_timer::from_uniform(u, values[i], cfg.timer) * cfg.t_max;
     entries.push_back({t, values[i], i});
   }
   std::sort(entries.begin(), entries.end(),

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cmath>
+#include <random>
 #include <stdexcept>
 
 namespace tfmcc::order_stats {
@@ -94,12 +95,15 @@ double expected_min_gamma_mc(double k, double theta, int n, int trials,
   // non-integer k, interpolate by mixing (adequate for cross-checks where
   // k is the integer loss-history depth).
   const int ki = static_cast<int>(k);
+  // rng.exponential(theta) draws, from the engine taken once.
+  Mt19937_64& gen = rng.engine();
+  std::exponential_distribution<double> exponential{1.0 / theta};
   double acc = 0.0;
   for (int t = 0; t < trials; ++t) {
     double mn = 1e308;
     for (int i = 0; i < n; ++i) {
       double g = 0.0;
-      for (int j = 0; j < ki; ++j) g += rng.exponential(theta);
+      for (int j = 0; j < ki; ++j) g += exponential(gen);
       mn = std::min(mn, g);
     }
     acc += mn;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <random>
 
 #include "tfrc/equation.hpp"
 #include "tfrc/loss_history.hpp"
@@ -17,6 +18,8 @@ double expected_min_rate_Bps(const std::vector<double>& loss_rates,
   const auto depth = weights.size();
   std::vector<double> intervals(depth);
 
+  // rng.exponential(mean) draws, from the engine taken once.
+  Mt19937_64& gen = rng.engine();
   double acc = 0.0;
   for (int t = 0; t < cfg.trials; ++t) {
     double min_rate = std::numeric_limits<double>::infinity();
@@ -24,7 +27,8 @@ double expected_min_rate_Bps(const std::vector<double>& loss_rates,
       // TFRC weighted average of `depth` iid exponential intervals with
       // mean 1/p (the §3 independent-loss model); intervals[0] is newest.
       const double mean = 1.0 / p;
-      for (auto& iv : intervals) iv = rng.exponential(mean);
+      std::exponential_distribution<double> exponential{1.0 / mean};
+      for (auto& iv : intervals) iv = exponential(gen);
       double closed = 0.0;
       for (std::size_t i = 0; i < depth; ++i) closed += weights[i] * intervals[i];
       double avg = closed / wsum;
@@ -34,7 +38,7 @@ double expected_min_rate_Bps(const std::vector<double>& loss_rates,
         // lowers the loss estimate.  Including it shifts the closed
         // intervals one weight slot older, exactly as
         // LossHistory::average_interval does.
-        const double open = rng.exponential(mean);
+        const double open = exponential(gen);
         double with_open = weights[0] * open;
         for (std::size_t i = 0; i + 1 < depth; ++i) {
           with_open += weights[i + 1] * intervals[i];

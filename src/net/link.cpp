@@ -8,16 +8,15 @@ namespace tfmcc {
 
 Link::Link(Simulator& sim, Node& to, LinkConfig cfg, Rng rng)
     : sim_{sim}, to_{to}, cfg_{cfg}, rng_{std::move(rng)} {
+  Arena& arena = sim_.arena();
   if (cfg_.use_red) {
     RedQueue::Config red;
     red.limit_packets = cfg_.queue_limit_packets;
     red.max_th = static_cast<double>(cfg_.queue_limit_packets) * 0.5;
     red.min_th = red.max_th / 3.0;
-    queue_ = sim_.arena().make<RedQueue>(red, rng_.substream(1),
-                                         &sim_.arena());
+    queue_ = arena.make<RedQueue>(red, rng_.substream(1), arena);
   } else {
-    auto dt = sim_.arena().make<DropTailQueue>(cfg_.queue_limit_packets,
-                                               &sim_.arena());
+    auto dt = arena.make<DropTailQueue>(cfg_.queue_limit_packets, arena);
     droptail_ = dt.get();
     queue_ = std::move(dt);
   }

@@ -14,24 +14,18 @@ namespace detail {
 /// Fixed-capacity FIFO ring of PacketPtrs.  Queues have a hard packet
 /// limit, so a preallocated ring replaces per-node deque traffic on the
 /// enqueue/dequeue hot path (two queue ops per packet hop).  The slots live
-/// in `arena` when one is given (next to the link that owns the queue), on
-/// the heap otherwise.
+/// in `arena`, next to the link that owns the queue.
 class PacketRing {
  public:
-  PacketRing(std::size_t capacity, Arena* arena)
-      : mask_{round_up_pow2(capacity) - 1}, heap_{arena == nullptr} {
-    const std::size_t bytes = (mask_ + 1) * sizeof(PacketPtr);
-    void* mem = heap_ ? ::operator new(bytes)
-                      : arena->allocate(bytes, alignof(PacketPtr));
-    ring_ = static_cast<PacketPtr*>(mem);
+  PacketRing(std::size_t capacity, Arena& arena)
+      : mask_{round_up_pow2(capacity) - 1} {
+    ring_ = static_cast<PacketPtr*>(
+        arena.allocate((mask_ + 1) * sizeof(PacketPtr), alignof(PacketPtr)));
     std::uninitialized_value_construct_n(ring_, mask_ + 1);
   }
   PacketRing(const PacketRing&) = delete;
   PacketRing& operator=(const PacketRing&) = delete;
-  ~PacketRing() {
-    std::destroy_n(ring_, mask_ + 1);
-    if (heap_) ::operator delete(ring_);
-  }
+  ~PacketRing() { std::destroy_n(ring_, mask_ + 1); }
 
   std::size_t size() const { return size_; }
 
@@ -60,7 +54,6 @@ class PacketRing {
   std::size_t mask_;
   std::size_t head_{0};
   std::size_t size_{0};
-  bool heap_;
 };
 
 }  // namespace detail
@@ -94,8 +87,8 @@ class Queue {
 /// the routers", §4).
 class DropTailQueue final : public Queue {
  public:
-  /// `arena` (optional) holds the packet slots.
-  explicit DropTailQueue(std::size_t limit_packets, Arena* arena = nullptr)
+  /// `arena` holds the packet slots; the queue must not outlive it.
+  DropTailQueue(std::size_t limit_packets, Arena& arena)
       : limit_{limit_packets}, q_{limit_packets, arena} {}
 
   bool enqueue(const PacketPtr& p) override;
@@ -126,8 +119,8 @@ class RedQueue final : public Queue {
     double weight{0.002}; // EWMA weight for the average queue size
   };
 
-  /// `arena` (optional) holds the packet slots.
-  RedQueue(Config cfg, Rng rng, Arena* arena = nullptr)
+  /// `arena` holds the packet slots; the queue must not outlive it.
+  RedQueue(Config cfg, Rng rng, Arena& arena)
       : cfg_{cfg}, rng_{std::move(rng)}, q_{cfg.limit_packets, arena} {}
 
   bool enqueue(const PacketPtr& p) override;

@@ -61,8 +61,8 @@ class Simulator {
   const FixedBlockPool& packet_pool() const { return packet_pool_; }
 
   /// Storage for per-host state (nodes, links, queues, receivers, goodput
-  /// binners, RNG engines) that lives as long as the simulation.  Objects placed here
-  /// are held by ArenaPtr and must not outlive the Simulator.
+  /// binners, RNG engines) that lives as long as the simulation.  Objects
+  /// placed here are held by ArenaPtr and must not outlive the Simulator.
   Arena& arena() { return arena_; }
 
  private:

@@ -2,88 +2,26 @@
 
 #include <algorithm>
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <sys/mman.h>
-#endif
-
 namespace tfmcc {
-
-namespace {
-
-std::size_t round_up(std::size_t n, std::size_t to) {
-  return (n + to - 1) / to * to;
-}
-
-#if defined(MAP_ANONYMOUS)
-/// `bytes` (a multiple of Arena::kHugePage) of fresh memory at a
-/// kHugePage boundary, nullptr if the mapping fails.  Maps one huge page
-/// more and unmaps the unaligned head and the tail.
-void* map_huge_aligned(std::size_t bytes) {
-  const std::size_t span = bytes + Arena::kHugePage;
-  void* raw = ::mmap(nullptr, span, PROT_READ | PROT_WRITE,
-                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-  if (raw == MAP_FAILED) return nullptr;
-  const auto start = reinterpret_cast<std::uintptr_t>(raw);
-  const std::uintptr_t aligned = round_up(start, Arena::kHugePage);
-  const std::size_t head = aligned - start;
-  const std::size_t tail = span - head - bytes;
-  if (head > 0) ::munmap(raw, head);
-  if (tail > 0) ::munmap(reinterpret_cast<void*>(aligned + bytes), tail);
-  return reinterpret_cast<void*>(aligned);
-}
-#endif
-
-}  // namespace
 
 Arena::~Arena() {
   for (const Chunk& c : chunks_) {
 #if defined(TFMCC_ARENA_ASAN)
     ASAN_UNPOISON_MEMORY_REGION(c.base, c.bytes);
 #endif
-#if defined(MAP_ANONYMOUS)
-    if (c.mapped) {
-      ::munmap(c.base, c.bytes);
-      continue;
-    }
-#endif
-    ::operator delete(c.base, std::align_val_t{alignof(std::max_align_t)});
+    ::operator delete(c.base, c.bytes);
   }
 }
 
 void* Arena::grow(std::size_t bytes, std::size_t align) {
   // Room for the request at any alignment the chunk start may have.
-  const std::size_t need = bytes + align;
-  const std::size_t small = std::max(next_small_, round_up(need, kFirstChunk));
+  const std::size_t size = std::max(next_chunk_, bytes + align);
+  next_chunk_ *= 2;
   chunks_.reserve(chunks_.size() + 1);
-  Chunk c{nullptr, small, false};
-  if (reserved_ + small <= kHugePage) {
-    next_small_ *= 2;
-  } else {
-#if defined(MAP_ANONYMOUS)
-    // A mapped chunk starts at a huge-page boundary, which satisfies any
-    // alignment up to kHugePage by itself.
-    const std::size_t mapped =
-        round_up(align <= kHugePage ? bytes : need, kHugePage);
-    c.base = map_huge_aligned(mapped);
-    if (c.base != nullptr) {
-      c.bytes = mapped;
-      c.mapped = true;
-#if defined(MADV_HUGEPAGE)
-      // Best effort: without the advice the chunk keeps ordinary pages.
-      if (::madvise(c.base, c.bytes, MADV_HUGEPAGE) == 0) ++huge_chunks_;
-#endif
-    }
-#endif
-    if (c.base == nullptr) c.bytes = round_up(need, kHugePage);
-  }
-  if (c.base == nullptr) {
-    c.base = ::operator new(c.bytes,
-                            std::align_val_t{alignof(std::max_align_t)});
-  }
-  chunks_.push_back(c);
-  reserved_ += c.bytes;
-  cur_ = reinterpret_cast<std::uintptr_t>(c.base);
-  end_ = cur_ + c.bytes;
+  chunks_.push_back({::operator new(size), size});
+  reserved_ += size;
+  cur_ = reinterpret_cast<std::uintptr_t>(chunks_.back().base);
+  end_ = cur_ + size;
   return allocate(bytes, align);
 }
 

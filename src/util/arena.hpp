@@ -40,21 +40,18 @@ template <class T>
 using ArenaPtr = std::unique_ptr<T, ArenaDelete>;
 
 /// Monotonic arena for a simulation's per-host state: nodes, links, queues,
-/// receivers, goodput binners and RNG engines.  Packing them densely means a fan-out that
-/// touches thousands of hosts touches few pages; backing the bulk with huge
-/// pages lets the TLB map all of it.
+/// receivers, goodput binners and RNG engines.  Packing them densely means
+/// a fan-out that touches thousands of hosts touches few pages, so the TLB
+/// and the caches reach all of them.
 ///
-/// Chunks double from kFirstChunk while the arena stays within kHugePage in
-/// total, so a small simulation (a sweep point, a unit test) never maps a
-/// huge page.  Every chunk after that is kHugePage-aligned, a whole number
-/// of huge pages, and advised MADV_HUGEPAGE; a chunk whose advice fails
-/// keeps ordinary pages.  Nothing is freed before the arena itself.
+/// Chunks come from operator new and double from kFirstChunk, so a small
+/// simulation (a sweep point, a unit test) holds a few KiB and a large one
+/// a handful of chunks.  Nothing is freed before the arena itself.
 ///
 /// Not thread-safe, like the simulator it serves.
 class Arena {
  public:
   static constexpr std::size_t kFirstChunk = std::size_t{4} << 10;
-  static constexpr std::size_t kHugePage = std::size_t{2} << 20;
 
   Arena() = default;
   Arena(const Arena&) = delete;
@@ -77,14 +74,11 @@ class Arena {
 
   /// Bytes held in chunks, used or not.
   std::size_t reserved_bytes() const { return reserved_; }
-  /// Chunks that were advised MADV_HUGEPAGE.
-  std::size_t huge_chunks() const { return huge_chunks_; }
 
  private:
   struct Chunk {
     void* base;
     std::size_t bytes;
-    bool mapped;  // from mmap (a huge-page chunk), else operator new
   };
 
   /// Starts a new chunk big enough for the request and carves it from it.
@@ -94,8 +88,7 @@ class Arena {
   std::uintptr_t cur_{0};
   std::uintptr_t end_{0};
   std::size_t reserved_{0};
-  std::size_t next_small_{kFirstChunk};
-  std::size_t huge_chunks_{0};
+  std::size_t next_chunk_{kFirstChunk};
 };
 
 }  // namespace tfmcc

@@ -24,7 +24,8 @@ PacketPtr mk(std::uint64_t uid, std::int32_t bytes) {
 
 TEST_P(QueueSweep, DropTailInvariantsUnderRandomWorkload) {
   const auto [limit, p_enq, seed] = GetParam();
-  DropTailQueue q{static_cast<std::size_t>(limit)};
+  Arena arena;
+  DropTailQueue q{static_cast<std::size_t>(limit), arena};
   Rng rng{static_cast<std::uint64_t>(seed)};
   std::deque<std::uint64_t> model;  // reference FIFO of accepted uids
   std::int64_t model_bytes = 0;
@@ -63,7 +64,8 @@ TEST_P(QueueSweep, RedNeverExceedsHardLimitAndStaysFifo) {
   cfg.limit_packets = static_cast<std::size_t>(limit);
   cfg.max_th = limit * 0.5;
   cfg.min_th = limit * 0.2;
-  RedQueue q{cfg, Rng{static_cast<std::uint64_t>(seed + 100)}};
+  Arena arena;
+  RedQueue q{cfg, Rng{static_cast<std::uint64_t>(seed + 100)}, arena};
   Rng rng{static_cast<std::uint64_t>(seed)};
   std::deque<std::uint64_t> model;
   std::uint64_t next_uid = 1;

@@ -34,7 +34,8 @@ TEST(Arena, OverAlignedTypesAreAligned) {
 
 TEST(Arena, RequestAboveTwoMegabytes) {
   Arena arena;
-  const std::size_t big = Arena::kHugePage + Arena::kHugePage / 2;
+  arena.allocate(100, 8);  // the request does not fit the first chunk
+  const std::size_t big = std::size_t{3} << 20;
   auto* p = static_cast<unsigned char*>(arena.allocate(big, 64));
   ASSERT_NE(p, nullptr);
   EXPECT_EQ(address(p) % 64, 0u);
@@ -47,26 +48,15 @@ TEST(Arena, RequestAboveTwoMegabytes) {
   EXPECT_TRUE(q + 16 <= p || q >= p + big);
 }
 
-TEST(Arena, SmallArenaStaysOnOrdinaryPages) {
+TEST(Arena, ChunksDoubleFromTheFirst) {
   Arena arena;
-  std::size_t used = 0;
-  while (used + 1024 <= Arena::kHugePage / 2) {
-    arena.allocate(1000, 8);
-    used += 1024;
-  }
-  EXPECT_EQ(arena.huge_chunks(), 0u);
-  EXPECT_LE(arena.reserved_bytes(), Arena::kHugePage);
-}
-
-TEST(Arena, LargeArenaTakesHugePageAlignedChunks) {
-  Arena arena;
-  while (arena.reserved_bytes() < Arena::kHugePage / 2) arena.allocate(512, 8);
-  const std::size_t small = arena.reserved_bytes();
-  // A request no small chunk can take opens a huge-page chunk at a 2 MiB
-  // boundary, exactly as big as the request: the boundary is the alignment.
-  const void* p = arena.allocate(Arena::kHugePage, 64);
-  EXPECT_EQ(address(p) % Arena::kHugePage, 0u);
-  EXPECT_EQ(arena.reserved_bytes(), small + Arena::kHugePage);
+  arena.allocate(8, 8);
+  EXPECT_EQ(arena.reserved_bytes(), Arena::kFirstChunk);
+  // Filling 1 MiB in small requests takes a few doubling chunks, not one
+  // per request: at most twice the bytes used.
+  for (int i = 0; i < 1024; ++i) arena.allocate(1024, 8);
+  EXPECT_GE(arena.reserved_bytes(), std::size_t{1} << 20);
+  EXPECT_LE(arena.reserved_bytes(), std::size_t{2} << 20);
 }
 
 struct Counted {

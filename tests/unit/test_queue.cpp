@@ -15,7 +15,8 @@ PacketPtr make_packet(std::int32_t bytes, std::uint64_t uid = 0) {
 }
 
 TEST(DropTailQueue, FifoOrder) {
-  DropTailQueue q{10};
+  Arena arena;
+  DropTailQueue q{10, arena};
   q.enqueue(make_packet(100, 1));
   q.enqueue(make_packet(100, 2));
   q.enqueue(make_packet(100, 3));
@@ -26,7 +27,8 @@ TEST(DropTailQueue, FifoOrder) {
 }
 
 TEST(DropTailQueue, DropsWhenFull) {
-  DropTailQueue q{2};
+  Arena arena;
+  DropTailQueue q{2, arena};
   EXPECT_TRUE(q.enqueue(make_packet(100)));
   EXPECT_TRUE(q.enqueue(make_packet(100)));
   EXPECT_FALSE(q.enqueue(make_packet(100)));
@@ -36,7 +38,8 @@ TEST(DropTailQueue, DropsWhenFull) {
 }
 
 TEST(DropTailQueue, ByteAccounting) {
-  DropTailQueue q{10};
+  Arena arena;
+  DropTailQueue q{10, arena};
   q.enqueue(make_packet(100));
   q.enqueue(make_packet(250));
   EXPECT_EQ(q.size_bytes(), 350);
@@ -47,7 +50,8 @@ TEST(DropTailQueue, ByteAccounting) {
 }
 
 TEST(DropTailQueue, EmptyPredicate) {
-  DropTailQueue q{2};
+  Arena arena;
+  DropTailQueue q{2, arena};
   EXPECT_TRUE(q.empty());
   q.enqueue(make_packet(1));
   EXPECT_FALSE(q.empty());
@@ -56,7 +60,8 @@ TEST(DropTailQueue, EmptyPredicate) {
 }
 
 TEST(DropTailQueue, DrainAfterDropStillFifo) {
-  DropTailQueue q{2};
+  Arena arena;
+  DropTailQueue q{2, arena};
   q.enqueue(make_packet(1, 1));
   q.enqueue(make_packet(1, 2));
   q.enqueue(make_packet(1, 3));  // dropped
@@ -67,30 +72,33 @@ TEST(DropTailQueue, DrainAfterDropStillFifo) {
 }
 
 TEST(RedQueue, AcceptsBelowMinThreshold) {
+  Arena arena;
   RedQueue::Config cfg;
   cfg.limit_packets = 50;
   cfg.min_th = 5;
   cfg.max_th = 15;
-  RedQueue q{cfg, Rng{1}};
+  RedQueue q{cfg, Rng{1}, arena};
   for (int i = 0; i < 4; ++i) EXPECT_TRUE(q.enqueue(make_packet(100)));
   EXPECT_EQ(q.drops(), 0);
 }
 
 TEST(RedQueue, HardLimitAlwaysDrops) {
+  Arena arena;
   RedQueue::Config cfg;
   cfg.limit_packets = 5;
-  RedQueue q{cfg, Rng{1}};
+  RedQueue q{cfg, Rng{1}, arena};
   for (int i = 0; i < 5; ++i) q.enqueue(make_packet(100));
   EXPECT_FALSE(q.enqueue(make_packet(100)));
 }
 
 TEST(RedQueue, ProbabilisticDropsUnderSustainedLoad) {
+  Arena arena;
   RedQueue::Config cfg;
   cfg.limit_packets = 100;
   cfg.min_th = 2;
   cfg.max_th = 6;
   cfg.weight = 0.5;  // fast-moving average for the test
-  RedQueue q{cfg, Rng{1}};
+  RedQueue q{cfg, Rng{1}, arena};
   int drops = 0;
   for (int i = 0; i < 500; ++i) {
     if (!q.enqueue(make_packet(100))) ++drops;
@@ -101,8 +109,9 @@ TEST(RedQueue, ProbabilisticDropsUnderSustainedLoad) {
 }
 
 TEST(RedQueue, FifoOrderPreserved) {
+  Arena arena;
   RedQueue::Config cfg;
-  RedQueue q{cfg, Rng{2}};
+  RedQueue q{cfg, Rng{2}, arena};
   q.enqueue(make_packet(1, 7));
   q.enqueue(make_packet(1, 8));
   EXPECT_EQ(q.dequeue()->uid, 7u);

@@ -309,10 +309,9 @@ def main():
                     help="write the measurements into 'baseline' instead of "
                          "'current'")
     ap.add_argument("--repeats", type=int, default=5,
-                    help="scenario runs; the median is recorded (default 5)")
-    ap.add_argument("--micro-repetitions", type=int, default=5,
-                    help="google-benchmark repetitions per micro benchmark; "
-                         "the median is recorded (default 5)")
+                    help="runs per scenario and google-benchmark repetitions "
+                         "per micro benchmark; the median is recorded "
+                         "(default 5)")
     ap.add_argument("--min-time", type=float, default=0.5,
                     help="google-benchmark min time per bench, seconds")
     ap.add_argument("--check", metavar="REPORT",
@@ -329,7 +328,7 @@ def main():
     args = ap.parse_args()
 
     scenarios = run_scenarios(args.build_dir, args.repeats)
-    micro = run_micro(args.build_dir, args.min_time, args.micro_repetitions)
+    micro = run_micro(args.build_dir, args.min_time, args.repeats)
 
     if args.check:
         report = load_report(args.check)
