@@ -1,11 +1,10 @@
 // Google-benchmark microbenchmarks for the hot paths of the library:
 // control-equation evaluation, loss-history updates, scheduler throughput,
-// multicast fan-out, route computation, uniform draws, feedback-timer
-// draws, whole feedback rounds, modeled-block rounds and the full
-// receiver's per-packet work, alone and fanned out to many receivers.
-// These guard against
-// performance regressions that would make the large-scale figure benches
-// (1000-receiver simulations) impractical.
+// multicast fan-out, route computation, uniform draws, short RNG streams,
+// feedback-timer draws, whole feedback rounds, modeled-block rounds and the
+// full receiver's per-packet work, alone and fanned out to many receivers.
+// These guard against performance regressions that would make the
+// large-scale figure benches (1000-receiver simulations) impractical.
 
 #include <benchmark/benchmark.h>
 
@@ -261,6 +260,35 @@ void BM_RngUniform01(benchmark::State& state) {
       benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_RngUniform01);
+
+void BM_RngShortStream(benchmark::State& state) {
+  // The life of a short stream, as a receiver's timer stream or an uplink's
+  // jitter stream has it: a fresh arena stream that draws k words.  Each
+  // iteration fills a fresh arena with kStreams such streams, so memory
+  // stays bounded; a stream past Rng::kPrefixWords builds its engine.
+  constexpr int kStreams = 64;
+  const auto words = static_cast<int>(state.range(0));
+  std::uint64_t seed = 0;
+  std::size_t reserved = 0;
+  for (auto _ : state) {
+    Arena arena;
+    const Rng parent{seed++, &arena};
+    std::uint64_t sum = 0;
+    for (int s = 0; s < kStreams; ++s) {
+      Rng rng = parent.substream(static_cast<std::uint64_t>(s));
+      for (int i = 0; i < words; ++i) sum += rng.next_u64();
+    }
+    benchmark::DoNotOptimize(sum);
+    reserved = arena.reserved_bytes();
+  }
+  state.SetItemsProcessed(state.iterations() * kStreams);
+  state.counters["ns_per_stream"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * kStreams,
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.counters["arena_bytes_per_stream"] =
+      static_cast<double>(reserved) / kStreams;
+}
+BENCHMARK(BM_RngShortStream)->Arg(1)->Arg(16)->Arg(64);
 
 void BM_FeedbackTimerDraw(benchmark::State& state) {
   FeedbackTimerConfig cfg;

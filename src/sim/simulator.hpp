@@ -37,8 +37,8 @@ class Simulator {
 
   /// Fresh deterministic RNG stream; callers pass a unique stream id
   /// (conventionally derived from component kind + instance index).  Its
-  /// engine is built in the arena on its first draw, so the stream must
-  /// not draw after the Simulator is gone.
+  /// prefix and engine are built in the arena as it draws, so the stream
+  /// must not draw after the Simulator is gone.
   Rng make_rng(std::uint64_t stream_id) const {
     return root_rng_.substream(stream_id);
   }

@@ -40,9 +40,9 @@ template <class T>
 using ArenaPtr = std::unique_ptr<T, ArenaDelete>;
 
 /// Monotonic arena for a simulation's per-host state: nodes, links, queues,
-/// receivers, goodput binners and RNG engines.  Packing them densely means
-/// a fan-out that touches thousands of hosts touches few pages, so the TLB
-/// and the caches reach all of them.
+/// receivers, goodput binners and RNG prefixes and engines.  Packing them
+/// densely means a fan-out that touches thousands of hosts touches few
+/// pages, so the TLB and the caches reach all of them.
 ///
 /// Chunks come from operator new and double from kFirstChunk, so a small
 /// simulation (a sweep point, a unit test) holds a few KiB and a large one

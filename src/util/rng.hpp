@@ -1,7 +1,9 @@
 #pragma once
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <random>
 #include <utility>
 
@@ -22,26 +24,45 @@ class Mt19937_64 {
   static constexpr result_type min() { return 0; }
   static constexpr result_type max() { return ~result_type{0}; }
 
-  explicit Mt19937_64(result_type seed) {
-    x_[0] = seed;
-    for (std::size_t i = 1; i < kN; ++i) {
-      x_[i] = 6364136223846793005ULL * (x_[i - 1] ^ (x_[i - 1] >> 62)) + i;
-    }
-  }
+  explicit Mt19937_64(result_type seed) { seed_words(seed, x_, kN); }
 
   result_type operator()() {
     if (p_ >= kN) refill();
-    result_type z = x_[p_++];
-    z ^= (z >> 29) & 0x5555555555555555ULL;
-    z ^= (z << 17) & 0x71d67fffeda60000ULL;
-    z ^= (z << 37) & 0xfff7eee000000000ULL;
-    return z ^ (z >> 43);
+    return temper(x_[p_++]);
+  }
+
+  /// The engine's first `k` outputs (k <= n - m = 156), without building
+  /// its state.  Word j < n - m of the first refill depends only on the
+  /// seeded words x[j], x[j+1] and x[j+m], so only x[0..m+k) are seeded.
+  static void first_words(result_type seed, std::size_t k, result_type* out) {
+    assert(k <= kN - kM);
+    std::uint64_t x[kN];
+    seed_words(seed, x, kM + k);
+    for (std::size_t j = 0; j < k; ++j) {
+      out[j] = temper(twist(x[j], x[j + 1], x[j + kM]));
+    }
   }
 
  private:
   static constexpr std::size_t kN = 312;
   static constexpr std::size_t kM = 156;
   static constexpr std::uint64_t kUpper = ~std::uint64_t{0} << 31;  // r = 31
+
+  /// The first `count` words of the seeded state.
+  static void seed_words(result_type seed, std::uint64_t* x,
+                         std::size_t count) {
+    x[0] = seed;
+    for (std::size_t i = 1; i < count; ++i) {
+      x[i] = 6364136223846793005ULL * (x[i - 1] ^ (x[i - 1] >> 62)) + i;
+    }
+  }
+
+  static result_type temper(std::uint64_t z) {
+    z ^= (z >> 29) & 0x5555555555555555ULL;
+    z ^= (z << 17) & 0x71d67fffeda60000ULL;
+    z ^= (z << 37) & 0xfff7eee000000000ULL;
+    return z ^ (z >> 43);
+  }
 
   /// One twisted word from x[k] (upper bits), x[k+1] (lower bits) and
   /// x[k+m].
@@ -72,49 +93,65 @@ class Mt19937_64 {
 /// component draws, so adding a flow to a scenario does not perturb the
 /// loss pattern seen by existing flows.
 ///
-/// An `Rng` keeps only its seed until its first draw, which builds the
-/// 2.5 KB MT19937-64 state out of line: in the Rng's arena when it has one
+/// An `Rng` keeps only its seed until its first draw.  That draw fills a
+/// 256-byte prefix, the stream's first kPrefixWords words computed straight
+/// from the seed (Mt19937_64::first_words), and draws up to kPrefixWords
+/// are served from it.  Only a stream that draws past the prefix, or whose
+/// engine() is taken, builds the 2.5 KB MT19937-64 state, which skips the
+/// words already served.  Most streams in a run draw a handful of words (a
+/// receiver draws one feedback timer per round), so most never build it.
+/// Prefix and engine live out of line: in the Rng's arena when it has one
 /// (every stream from Simulator::make_rng, and their substreams), on the
-/// heap otherwise.  A host's link and receiver stay small, and a stream
-/// that never draws (an idle uplink, a receiver that never reports) never
-/// builds its state.  Copies are deep.  An arena-backed Rng must not draw
-/// or be copied after its arena is gone.
+/// heap otherwise.  Copies are deep.  An arena-backed Rng must not draw or
+/// be copied after its arena is gone.
 class Rng {
  public:
+  /// Words served from the prefix before the engine is built.
+  static constexpr std::size_t kPrefixWords = 32;
+
   explicit Rng(std::uint64_t seed) : seed_{seed} {}
-  /// Builds its engine in `arena` (nullptr: on the heap).
+  /// Keeps its prefix and engine in `arena` (nullptr: on the heap).
   Rng(std::uint64_t seed, Arena* arena) : seed_{seed}, arena_{arena} {}
 
-  Rng(const Rng& o) : seed_{o.seed_}, arena_{o.arena_} {
-    if (o.gen_ != nullptr) gen_ = new_engine(*o.gen_);
+  Rng(const Rng& o) : seed_{o.seed_}, arena_{o.arena_}, pos_{o.pos_} {
+    if (pos_ == kEngine) {
+      state_ = new_engine(*o.gen());
+    } else if (pos_ != kFresh) {
+      state_ = new_prefix();
+      std::memcpy(words(), o.words(), kPrefixWords * sizeof(std::uint64_t));
+    }
   }
   Rng(Rng&& o) noexcept
-      : gen_{std::exchange(o.gen_, nullptr)},
+      : state_{std::exchange(o.state_, nullptr)},
         seed_{o.seed_},
-        arena_{o.arena_} {}
+        arena_{o.arena_},
+        pos_{std::exchange(o.pos_, kFresh)} {}
   Rng& operator=(Rng o) noexcept {
-    // `o` leaves with this stream's old engine and the arena it came from.
-    std::swap(gen_, o.gen_);
+    // `o` leaves with this stream's old state and the arena it came from.
+    std::swap(state_, o.state_);
     std::swap(arena_, o.arena_);
+    std::swap(pos_, o.pos_);
     seed_ = o.seed_;
     return *this;
   }
-  ~Rng() {
-    if (arena_ == nullptr) delete gen_;
-  }
+  ~Rng() { release(); }
 
   /// Derive an independent child stream.  Deterministic in (seed, id), and
-  /// independent of how far this stream has drawn.  The child builds its
-  /// engine where this one does.
+  /// independent of how far this stream has drawn.  The child keeps its
+  /// state where this one does.
   Rng substream(std::uint64_t stream_id) const {
     return Rng{mix(seed_ + 0x9e3779b97f4a7c15ULL * (stream_id + 1)), arena_};
   }
 
   /// The engine behind the stream, built on first use.  Hot loops take it
   /// once and draw from it directly; its draws advance this stream.
-  Mt19937_64& engine() { return gen_ != nullptr ? *gen_ : build(); }
+  Mt19937_64& engine() { return pos_ == kEngine ? *gen() : build(); }
 
-  std::uint64_t next_u64() { return engine()(); }
+  std::uint64_t next_u64() {
+    if (pos_ == kEngine) return (*gen())();
+    if (pos_ < kPrefixWords) return words()[pos_++];
+    return next_slow();
+  }
 
   /// x / 2^64 correctly rounded, clamped below 1: what libstdc++'s
   /// generate_canonical<double, 53> makes of one 64-bit word.  The
@@ -161,21 +198,40 @@ class Rng {
 
   /// Uniform integer in [lo, hi], inclusive.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) {
-    return std::uniform_int_distribution<std::int64_t>{lo, hi}(engine());
+    Bits bits{*this};
+    return std::uniform_int_distribution<std::int64_t>{lo, hi}(bits);
   }
 
   bool bernoulli(double p) {
     if (p <= 0.0) return false;
     if (p >= 1.0) return true;
-    return std::bernoulli_distribution{p}(engine());
+    Bits bits{*this};
+    return std::bernoulli_distribution{p}(bits);
   }
 
   /// Exponential with the given mean.
   double exponential(double mean) {
-    return std::exponential_distribution<double>{1.0 / mean}(engine());
+    Bits bits{*this};
+    return std::exponential_distribution<double>{1.0 / mean}(bits);
   }
 
  private:
+  /// next_u64() as a standard uniform random bit generator: the std::
+  /// distributions draw through the prefix like every other call.
+  struct Bits {
+    using result_type = std::uint64_t;
+    static constexpr result_type min() { return 0; }
+    static constexpr result_type max() { return ~result_type{0}; }
+    result_type operator()() { return rng.next_u64(); }
+    Rng& rng;
+  };
+
+  // pos_ below kPrefixWords: the next draw is words()[pos_].  At
+  // kPrefixWords the prefix is used up; kFresh holds nothing yet, and
+  // kEngine the built engine.
+  static constexpr std::uint32_t kFresh = kPrefixWords + 1;
+  static constexpr std::uint32_t kEngine = kPrefixWords + 2;
+
   /// splitmix64 finalizer: decorrelates nearby seeds.
   static std::uint64_t mix(std::uint64_t x) {
     x += 0x9e3779b97f4a7c15ULL;
@@ -184,21 +240,58 @@ class Rng {
     return x ^ (x >> 31);
   }
 
-  /// A fresh engine copied from `from`, in the arena or on the heap.
-  Mt19937_64* new_engine(const Mt19937_64& from) const {
-    if (arena_ == nullptr) return new Mt19937_64(from);
-    return ::new (arena_->allocate(sizeof(Mt19937_64), 64)) Mt19937_64(from);
+  std::uint64_t* words() const { return static_cast<std::uint64_t*>(state_); }
+  Mt19937_64* gen() const { return static_cast<Mt19937_64*>(state_); }
+
+  /// Storage for a prefix, in the arena or on the heap.
+  std::uint64_t* new_prefix() const {
+    if (arena_ == nullptr) return new std::uint64_t[kPrefixWords];
+    return static_cast<std::uint64_t*>(
+        arena_->allocate(kPrefixWords * sizeof(std::uint64_t), 64));
   }
 
-  /// Seeds the engine on the first draw; kept out of the draw's inline path.
+  /// An engine made from `arg` (a seed or an engine to copy), in the arena
+  /// or on the heap.
+  template <class Arg>
+  Mt19937_64* new_engine(const Arg& arg) const {
+    if (arena_ == nullptr) return new Mt19937_64(arg);
+    return ::new (arena_->allocate(sizeof(Mt19937_64), 64)) Mt19937_64(arg);
+  }
+
+  /// Frees a heap prefix or engine; arena memory goes with the arena.
+  void release() {
+    if (arena_ != nullptr) return;
+    if (pos_ == kEngine) {
+      delete gen();
+    } else {
+      delete[] words();  // null while kFresh
+    }
+  }
+
+  /// The first draw fills the prefix; the draw past it builds the engine.
+  /// Kept out of the draw's inline path.
+  [[gnu::noinline]] std::uint64_t next_slow() {
+    if (pos_ == kPrefixWords) return build()();
+    state_ = new_prefix();
+    Mt19937_64::first_words(mix(seed_), kPrefixWords, words());
+    pos_ = 1;
+    return words()[0];
+  }
+
+  /// Builds the engine, past the words the prefix has served.
   [[gnu::noinline]] Mt19937_64& build() {
-    gen_ = new_engine(Mt19937_64{mix(seed_)});
-    return *gen_;
+    Mt19937_64* built = new_engine(mix(seed_));
+    for (std::uint32_t i = pos_ == kFresh ? 0 : pos_; i > 0; --i) (*built)();
+    release();
+    state_ = built;
+    pos_ = kEngine;
+    return *built;
   }
 
-  Mt19937_64* gen_{nullptr};
+  void* state_{nullptr};  // the prefix's words or the engine, per pos_
   std::uint64_t seed_;
   Arena* arena_{nullptr};
+  std::uint32_t pos_{kFresh};
 };
 
 }  // namespace tfmcc

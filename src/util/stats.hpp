@@ -45,7 +45,13 @@ class TimeSeries {
 /// figure benches are produced (the paper plots 1 s binned rates).
 class ThroughputBinner {
  public:
-  explicit ThroughputBinner(SimTime bin_width) : width_{bin_width} {}
+  /// Throws std::invalid_argument unless `bin_width` is positive.
+  explicit ThroughputBinner(SimTime bin_width) : width_{bin_width} {
+    if (bin_width <= SimTime::zero()) {
+      throw std::invalid_argument(
+          "ThroughputBinner: bin width must be positive");
+    }
+  }
 
   void add(SimTime t, std::int64_t bytes);
 

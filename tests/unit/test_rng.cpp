@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <random>
 #include <vector>
@@ -302,17 +305,201 @@ TEST(Rng, CopiesBeforeAndAfterFirstDrawStayInStep) {
   }
 }
 
-TEST(Rng, EngineIsBuiltInItsArenaOnFirstDraw) {
+static_assert(sizeof(Rng) <= 32, "an idle stream stays small");
+
+TEST(Rng, ShortStreamsKeepToTheirPrefixAndThe33rdDrawBuildsTheEngine) {
+  // Footprint contract: a stream that draws at most kPrefixWords words
+  // holds a 256-byte prefix, not the 2.5 KB engine.
   Arena arena;
   Rng rng{5, &arena};
   Rng child = rng.substream(3);
   EXPECT_EQ(arena.reserved_bytes(), 0u);
-  rng.next_u64();
-  const std::size_t one = arena.reserved_bytes();
-  EXPECT_GE(one, sizeof(Mt19937_64));
-  child.uniform01();  // a substream builds where its parent does
-  EXPECT_GT(arena.reserved_bytes(), one);
-  EXPECT_EQ(&rng.engine(), &rng.engine());
+  child.uniform01();  // a substream keeps its state where its parent does
+  EXPECT_GT(arena.reserved_bytes(), 0u);
+  std::vector<Rng> streams;
+  for (std::uint64_t id = 0; id < 1000; ++id) {
+    streams.push_back(rng.substream(id));
+    for (std::uint64_t i = 0; i <= id % Rng::kPrefixWords; ++i) {
+      streams.back().next_u64();
+    }
+  }
+  EXPECT_LT(arena.reserved_bytes(), std::size_t{512} << 10);
+
+  Arena own;
+  Rng s{5, &own};
+  for (std::size_t i = 0; i < Rng::kPrefixWords; ++i) s.next_u64();
+  const auto mark = reinterpret_cast<std::uintptr_t>(own.allocate(1, 1));
+  s.next_u64();  // the 33rd draw
+  const auto engine = reinterpret_cast<std::uintptr_t>(&s.engine());
+  const auto end = reinterpret_cast<std::uintptr_t>(own.allocate(1, 1));
+  EXPECT_GT(engine, mark);  // built in the arena, after the prefix
+  EXPECT_LT(engine, end);
+  EXPECT_GE(end - engine, sizeof(Mt19937_64));
+  EXPECT_EQ(&s.engine(), &s.engine());
+}
+
+// Known answers for the prefix: every draw, wherever the stream serves it
+// from, equals std::mt19937_64 seeded with the Rng's engine seed and
+// driving the same std distribution.
+
+TEST(Mt19937_64, FirstWordsAreTheEnginesFirstOutputs) {
+  for (const std::uint64_t seed : exactness_seeds()) {
+    for (const std::size_t k : {1, 32, 156}) {
+      std::vector<std::uint64_t> words(k);
+      Mt19937_64::first_words(engine_seed(seed), k, words.data());
+      std::mt19937_64 ref{engine_seed(seed)};
+      for (std::size_t j = 0; j < k; ++j) {
+        ASSERT_EQ(words[j], ref()) << "seed " << seed << " k " << k
+                                   << " word " << j;
+      }
+    }
+  }
+}
+
+/// Every kind of draw an Rng offers.
+enum class Draw {
+  kU64,
+  kUniform01,
+  kUniform,
+  kUniformIntSmall,
+  kUniformIntFull,
+  kBernoulli,
+  kExponential
+};
+constexpr Draw kDraws[] = {Draw::kU64,           Draw::kUniform01,
+                           Draw::kUniform,       Draw::kUniformIntSmall,
+                           Draw::kUniformIntFull, Draw::kBernoulli,
+                           Draw::kExponential};
+constexpr std::int64_t kMinI64 = std::numeric_limits<std::int64_t>::min();
+constexpr std::int64_t kMaxI64 = std::numeric_limits<std::int64_t>::max();
+
+/// One draw of `kind` from the stream, as bits.
+std::uint64_t draw(Draw kind, Rng& rng) {
+  switch (kind) {
+    case Draw::kU64:
+      return rng.next_u64();
+    case Draw::kUniform01:
+      return std::bit_cast<std::uint64_t>(rng.uniform01());
+    case Draw::kUniform:
+      return std::bit_cast<std::uint64_t>(rng.uniform(-3.0, 7.5));
+    case Draw::kUniformIntSmall:
+      return static_cast<std::uint64_t>(rng.uniform_int(8, 48));
+    case Draw::kUniformIntFull:
+      return static_cast<std::uint64_t>(rng.uniform_int(kMinI64, kMaxI64));
+    case Draw::kBernoulli:
+      return rng.bernoulli(0.3);
+    case Draw::kExponential:
+      return std::bit_cast<std::uint64_t>(rng.exponential(5.0));
+  }
+  return 0;
+}
+
+/// The same draw through the std distribution on the reference engine.
+std::uint64_t draw(Draw kind, std::mt19937_64& ref) {
+  std::uniform_real_distribution<double> unit{0.0, 1.0};
+  switch (kind) {
+    case Draw::kU64:
+      return ref();
+    case Draw::kUniform01:
+      return std::bit_cast<std::uint64_t>(1.0 - unit(ref));
+    case Draw::kUniform:
+      return std::bit_cast<std::uint64_t>(
+          std::uniform_real_distribution<double>{-3.0, 7.5}(ref));
+    case Draw::kUniformIntSmall:
+      return static_cast<std::uint64_t>(
+          std::uniform_int_distribution<std::int64_t>{8, 48}(ref));
+    case Draw::kUniformIntFull:
+      return static_cast<std::uint64_t>(
+          std::uniform_int_distribution<std::int64_t>{kMinI64, kMaxI64}(ref));
+    case Draw::kBernoulli:
+      return std::bernoulli_distribution{0.3}(ref);
+    case Draw::kExponential:
+      return std::bit_cast<std::uint64_t>(
+          std::exponential_distribution<double>{0.2}(ref));
+  }
+  return 0;
+}
+
+TEST(Rng, EveryDrawKindMatchesTheStandardEngineAcrossThePrefix) {
+  // n draws of one kind, then raw words past the prefix and one refill.
+  Arena arena;
+  for (Arena* where : {static_cast<Arena*>(nullptr), &arena}) {
+    for (const std::uint64_t seed : {std::uint64_t{1}, std::uint64_t{77}}) {
+      for (const Draw kind : kDraws) {
+        for (int n = 0; n <= 40; ++n) {
+          Rng rng{seed, where};
+          std::mt19937_64 ref{engine_seed(seed)};
+          for (int i = 0; i < n; ++i) {
+            ASSERT_EQ(draw(kind, rng), draw(kind, ref))
+                << "kind " << static_cast<int>(kind) << " n " << n
+                << " draw " << i;
+          }
+          for (int i = 0; i < 320; ++i) {
+            ASSERT_EQ(rng.next_u64(), ref())
+                << "kind " << static_cast<int>(kind) << " n " << n
+                << " word after " << i;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Rng, MixedDrawKindsMatchTheStandardEngine) {
+  Arena arena;
+  for (Arena* where : {static_cast<Arena*>(nullptr), &arena}) {
+    Rng rng{2024, where};
+    std::mt19937_64 ref{engine_seed(2024)};
+    for (int i = 0; i < kExactDraws; ++i) {
+      const Draw kind = kDraws[(i * 5 + i / 7) % std::size(kDraws)];
+      ASSERT_EQ(draw(kind, rng), draw(kind, ref)) << "draw " << i;
+    }
+  }
+}
+
+TEST(Rng, EngineTakenMidPrefixContinuesTheStream) {
+  // The engine skips the words the prefix has served; draws from it and
+  // from the Rng advance one stream.
+  Arena arena;
+  for (Arena* where : {static_cast<Arena*>(nullptr), &arena}) {
+    for (const int served : {0, 1, 31, 32}) {
+      Rng rng{9, where};
+      std::mt19937_64 ref{engine_seed(9)};
+      for (int i = 0; i < served; ++i) ASSERT_EQ(rng.next_u64(), ref());
+      Mt19937_64& gen = rng.engine();
+      for (int i = 0; i < kExactDraws; ++i) {
+        ASSERT_EQ(i % 3 == 0 ? rng.next_u64() : gen(), ref())
+            << "served " << served << " draw " << i;
+      }
+    }
+  }
+}
+
+TEST(Rng, CopiesTakenMidPrefixStayInStep) {
+  // Copy, move and copy-assignment (over a drawn heap stream) at every
+  // point around the prefix; none disturbs the original.
+  Arena arena;
+  for (Arena* where : {static_cast<Arena*>(nullptr), &arena}) {
+    for (const int served : {0, 1, 17, 31, 32, 33}) {
+      Rng rng{31, where};
+      std::mt19937_64 ref{engine_seed(31)};
+      for (int i = 0; i < served; ++i) ASSERT_EQ(rng.next_u64(), ref());
+      Rng copy = rng;
+      Rng moved_from = rng;
+      Rng moved = std::move(moved_from);
+      Rng assigned{1};
+      assigned.next_u64();
+      assigned = rng;
+      for (int i = 0; i < 400; ++i) {
+        const std::uint64_t want = ref();
+        ASSERT_EQ(rng.next_u64(), want) << "served " << served << " " << i;
+        ASSERT_EQ(copy.next_u64(), want) << "served " << served << " " << i;
+        ASSERT_EQ(moved.next_u64(), want) << "served " << served << " " << i;
+        ASSERT_EQ(assigned.next_u64(), want)
+            << "served " << served << " " << i;
+      }
+    }
+  }
 }
 
 TEST(Rng, SubstreamOfUndrawnStreamEqualsOneTakenAfterDraws) {

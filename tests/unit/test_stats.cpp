@@ -49,6 +49,17 @@ TEST(ThroughputBinner, MeanOverWindow) {
   EXPECT_DOUBLE_EQ(b.mean_kbps(0_sec, 2_sec), 10.0);
 }
 
+TEST(ThroughputBinner, RejectsNonPositiveBinWidth) {
+  // A zero width would divide by zero in add(), and a negative one would
+  // turn an arrival into a huge bin index.
+  EXPECT_THROW(ThroughputBinner{SimTime::zero()}, std::invalid_argument);
+  EXPECT_THROW(ThroughputBinner{SimTime::millis(-1)}, std::invalid_argument);
+  EXPECT_THROW(ThroughputBinner{SimTime::nanos(-1)}, std::invalid_argument);
+  ThroughputBinner one_ns{SimTime::nanos(1)};
+  one_ns.add(SimTime::nanos(3), 100);
+  EXPECT_EQ(one_ns.series_kbps().size(), 4u);
+}
+
 TEST(WindowedRateMeter, NoEstimateBeforeTwoPackets) {
   WindowedRateMeter m;
   EXPECT_FALSE(m.has_estimate());

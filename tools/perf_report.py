@@ -13,24 +13,29 @@ Measures the simulator's perf trajectory and writes/updates the
   checkpointed fig07 sweep.
 
 Every number is the median of N repeats (scenarios: N process runs;
-micros: google-benchmark's ``--benchmark_repetitions``) together with the
-repeats' min and max.  A baseline/current ratio whose two min-max ranges
-overlap is printed and recorded as noise, not as a change.
+micros: N runs of the benchmark binary) together with the repeats' min and
+max.  A baseline/current ratio whose two min-max ranges overlap is printed
+and recorded as noise, not as a change.
 
 Usage:
   tools/perf_report.py --build-dir build                 # measure, update "current"
   tools/perf_report.py --build-dir build --label NAME    # ... with a custom label
-  tools/perf_report.py --build-dir build --set-baseline  # measure into "baseline"
+  tools/perf_report.py --build-dir build \
+      --set-baseline ../parent/build                     # measure both sets
   tools/perf_report.py --build-dir build \
       --check BENCH_hotpath.json --tolerance 0.25        # CI: fail on regression
 
 The JSON keeps two measurement sets: ``baseline`` (the pre-optimisation
-reference, captured once per perf PR from the pre-PR tree) and
-``current`` (the tree as committed).  Perf PRs must refresh both — see
-README "Performance".  ``--check`` re-measures the working tree and fails
+reference: a build of the pre-PR tree) and ``current`` (the tree as
+committed).  Perf PRs must refresh both — see README "Performance".
+``--set-baseline PARENT_BUILD_DIR`` measures the two trees in one
+invocation and alternates them run by run (each scenario repeat, each micro
+benchmark run, with the first tree flipping every repeat), so drift of the
+host over the minutes a report takes hits both sets alike instead of
+reading as a change.  ``--check`` re-measures the working tree and fails
 when any scenario wall-clock is more than ``--tolerance`` (default 25%)
-slower than the committed ``current`` entry, or any micro benchmark is
-more than ``--micro-tolerance`` (default 60%) slower ns/op — both after
+slower than the committed ``current`` entry, or any micro benchmark is more
+than ``--micro-tolerance`` (default 60%) slower ns/op — both after
 machine-speed normalisation.
 """
 
@@ -80,25 +85,34 @@ MICRO_FILTER = ("BM_SchedulerChurn|BM_EquationFull|BM_EquationInverse|"
                 "BM_EquationBatch|BM_LossHistoryReceive|BM_MembershipChurn|"
                 "BM_PacketPoolChurn|BM_FeedbackTimerDraw|BM_FeedbackRound|"
                 "BM_ModeledBlockRound|BM_MulticastFanout|BM_ComputeRoutes|"
-                "BM_RngUniform01|BM_ReceiverOnData|BM_ReceiverFanout")
+                "BM_RngUniform01|BM_RngShortStream|BM_ReceiverOnData|"
+                "BM_ReceiverFanout")
 
 
-def run_micro(build_dir, min_time, repetitions):
-    """Runs the google-benchmark suite `repetitions` times per benchmark.
+# Counters google-benchmark reports as inverted rates, in seconds.
+INVERTED_COUNTERS = ("ns_per_copy", "ns_per_draw", "ns_per_delivery",
+                     "ns_per_stream")
+# Counters recorded as they are.
+PLAIN_COUNTERS = ("arena_bytes_per_stream",)
 
-    Returns {name: {ns_per_op, ns_min, ns_max, ...}}: google-benchmark's
-    median aggregate of each value, with the min and max real time over the
-    repetitions.
+
+def summarise(values):
+    """(median, min, max) of a list of numbers."""
+    return statistics.median(values), min(values), max(values)
+
+
+def alternating(indices, rep):
+    """The build dirs' run order in repeat `rep`: reversed on odd repeats,
+    so neither tree always runs first."""
+    return list(indices)[::-1 if rep % 2 else 1]
+
+
+def run_micro_once(binary, out_json, min_time):
+    """One run of the micro benchmark binary, one repetition per benchmark.
+
+    Returns {name: google-benchmark's record of it}, or None if it failed.
     """
-    binary = os.path.join(build_dir, "bench", "micro_benchmarks")
-    if not os.path.exists(binary):
-        print(f"perf_report: {binary} not built (google-benchmark missing?); "
-              "skipping micro benchmarks", file=sys.stderr)
-        return {}
-    out_json = os.path.join(build_dir, "perf_report_micro.json")
     base = [binary, f"--benchmark_filter={MICRO_FILTER}",
-            f"--benchmark_repetitions={repetitions}",
-            "--benchmark_display_aggregates_only=true",
             f"--benchmark_out={out_json}", "--benchmark_out_format=json"]
     # Older google-benchmark rejects the unit-suffixed min_time spelling.
     for min_time_arg in (f"--benchmark_min_time={min_time}s",
@@ -110,65 +124,103 @@ def run_micro(build_dir, min_time, repetitions):
         except subprocess.CalledProcessError:
             continue
     else:
-        print("perf_report: micro benchmark run failed", file=sys.stderr)
-        return {}
+        return None
     with open(out_json) as f:
         data = json.load(f)
-    runs = {}
-    medians = {}
-    for bench in data.get("benchmarks", []):
-        name = bench.get("run_name", bench["name"])
-        if bench.get("run_type") != "aggregate":
-            runs.setdefault(name, []).append(bench)
-        elif bench.get("aggregate_name") == "median":
-            medians[name] = bench
-    metrics = {}
-    for name, reps in runs.items():
-        # One repetition has no aggregate: the run is its own median.
-        bench = medians.get(name, reps[0])
-        times = [r["real_time"] for r in reps]
-        entry = {"ns_per_op": round(bench["real_time"], 3),
-                 "ns_min": round(min(times), 3),
-                 "ns_max": round(max(times), 3),
-                 "repetitions": len(times)}
-        if "items_per_second" in bench:
-            entry["items_per_s"] = round(bench["items_per_second"])
-        for counter in ("ns_per_copy", "ns_per_draw", "ns_per_delivery"):
-            if counter in bench:  # an inverted rate counter, in seconds
-                entry[counter] = round(bench[counter] * 1e9, 3)
-        metrics[name] = entry
+    return {b.get("run_name", b["name"]): b
+            for b in data.get("benchmarks", [])
+            if b.get("run_type") != "aggregate"}
+
+
+def run_micro(build_dirs, min_time, repeats):
+    """Runs the google-benchmark suite of each build dir `repeats` times,
+    alternating between the dirs run by run.
+
+    Returns one {name: {ns_per_op, ns_min, ns_max, ...}} per build dir: the
+    median of each value over the runs, with the min and max real time.  A
+    dir without the binary (no google-benchmark), or whose binary fails,
+    gets an empty dict.
+    """
+    binaries = [os.path.join(d, "bench", "micro_benchmarks")
+                for d in build_dirs]
+    runs = [{} for _ in build_dirs]
+    live = []
+    for i, binary in enumerate(binaries):
+        if os.path.exists(binary):
+            live.append(i)
+        else:
+            print(f"perf_report: {binary} not built (google-benchmark "
+                  "missing?); skipping its micro benchmarks", file=sys.stderr)
+    for rep in range(repeats):
+        for i in alternating(live, rep):
+            out_json = os.path.join(build_dirs[i], "perf_report_micro.json")
+            result = run_micro_once(binaries[i], out_json, min_time)
+            if result is None:
+                print(f"perf_report: {binaries[i]} failed; skipping its "
+                      "micro benchmarks", file=sys.stderr)
+                live.remove(i)
+                runs[i] = {}
+                continue
+            for name, bench in result.items():
+                runs[i].setdefault(name, []).append(bench)
+    metrics = [{} for _ in build_dirs]
+    for i in live:
+        for name, reps in runs[i].items():
+            ns, ns_lo, ns_hi = summarise([r["real_time"] for r in reps])
+            entry = {"ns_per_op": round(ns, 3),
+                     "ns_min": round(ns_lo, 3),
+                     "ns_max": round(ns_hi, 3),
+                     "repetitions": len(reps)}
+            if "items_per_second" in reps[0]:
+                entry["items_per_s"] = round(statistics.median(
+                    r["items_per_second"] for r in reps))
+            for counter in INVERTED_COUNTERS + PLAIN_COUNTERS:
+                if counter in reps[0]:
+                    scale = 1e9 if counter in INVERTED_COUNTERS else 1.0
+                    entry[counter] = round(statistics.median(
+                        r[counter] for r in reps) * scale, 3)
+            metrics[i][name] = entry
     return metrics
 
 
-def run_scenarios(build_dir, repeats):
-    """Times each scenario end to end: median, min and max over N runs."""
-    binary = os.path.join(build_dir, "bench", "tfmcc_sim")
-    if not os.path.exists(binary):
-        sys.exit(f"perf_report: {binary} not built")
-    checkpoint = os.path.join(build_dir, "perf_report_sweep.ckpt")
-    metrics = {}
+def run_scenarios(build_dirs, repeats):
+    """Times each scenario end to end in each build dir: median, min and
+    max over N runs, alternating between the dirs run by run."""
+    binaries = [os.path.join(d, "bench", "tfmcc_sim") for d in build_dirs]
+    for binary in binaries:
+        if not os.path.exists(binary):
+            sys.exit(f"perf_report: {binary} not built")
+    checkpoints = [os.path.join(d, "perf_report_sweep.ckpt")
+                   for d in build_dirs]
+    metrics = [{} for _ in build_dirs]
     for entry_name, scenario, extra in SCENARIOS:
-        # Flags follow the extra arguments: `sweep` wants its scenario name
-        # first, and a single run takes its flags in any order.
-        argv = [binary, scenario,
-                *[checkpoint if a == CHECKPOINT else a for a in extra],
-                "--output", os.devnull]
-        walls = []
-        for _ in range(repeats):
-            if os.path.exists(checkpoint):
-                os.remove(checkpoint)
-            t0 = time.monotonic()
-            subprocess.run(argv, check=True)
-            walls.append(time.monotonic() - t0)
-        median = statistics.median(walls)
-        metrics[entry_name] = {"wall_s": round(median, 3),
-                               "wall_min_s": round(min(walls), 3),
-                               "wall_max_s": round(max(walls), 3),
-                               "repeats": repeats}
-        print(f"perf_report: {entry_name}: {median:.2f} s (median of "
-              f"{repeats}, {min(walls):.2f}-{max(walls):.2f})")
-    if os.path.exists(checkpoint):
-        os.remove(checkpoint)
+        walls = [[] for _ in build_dirs]
+        for rep in range(repeats):
+            for i in alternating(range(len(binaries)), rep):
+                binary = binaries[i]
+                # Flags follow the extra arguments: `sweep` wants its
+                # scenario name first, and a single run takes its flags in
+                # any order.
+                argv = [binary, scenario,
+                        *[checkpoints[i] if a == CHECKPOINT else a
+                          for a in extra],
+                        "--output", os.devnull]
+                if os.path.exists(checkpoints[i]):
+                    os.remove(checkpoints[i])
+                t0 = time.monotonic()
+                subprocess.run(argv, check=True)
+                walls[i].append(time.monotonic() - t0)
+        for i, runs in enumerate(walls):
+            median, lo, hi = summarise(runs)
+            metrics[i][entry_name] = {"wall_s": round(median, 3),
+                                      "wall_min_s": round(lo, 3),
+                                      "wall_max_s": round(hi, 3),
+                                      "repeats": repeats}
+            print(f"perf_report: {build_dirs[i]}: {entry_name}: "
+                  f"{median:.2f} s (median of {repeats}, {lo:.2f}-{hi:.2f})")
+    for checkpoint in checkpoints:
+        if os.path.exists(checkpoint):
+            os.remove(checkpoint)
     return metrics
 
 
@@ -305,13 +357,13 @@ def main():
                     help="report path (default: BENCH_hotpath.json)")
     ap.add_argument("--label", default=None,
                     help="label recorded with the measurement set")
-    ap.add_argument("--set-baseline", action="store_true",
-                    help="write the measurements into 'baseline' instead of "
-                         "'current'")
+    ap.add_argument("--set-baseline", metavar="PARENT_BUILD_DIR",
+                    help="also measure this build of the pre-change tree "
+                         "into 'baseline', alternating its runs with "
+                         "--build-dir's")
     ap.add_argument("--repeats", type=int, default=5,
-                    help="runs per scenario and google-benchmark repetitions "
-                         "per micro benchmark; the median is recorded "
-                         "(default 5)")
+                    help="runs per scenario and per micro benchmark; the "
+                         "median is recorded (default 5)")
     ap.add_argument("--min-time", type=float, default=0.5,
                     help="google-benchmark min time per bench, seconds")
     ap.add_argument("--check", metavar="REPORT",
@@ -327,13 +379,18 @@ def main():
                          "ns-scale benches are noisier (default 0.60)")
     args = ap.parse_args()
 
-    scenarios = run_scenarios(args.build_dir, args.repeats)
-    micro = run_micro(args.build_dir, args.min_time, args.repeats)
+    if args.check and args.set_baseline:
+        sys.exit("perf_report: --check measures one tree; drop --set-baseline")
+    # Current first, then the baseline when one is measured.
+    build_dirs = [args.build_dir] + ([args.set_baseline]
+                                     if args.set_baseline else [])
+    scenarios = run_scenarios(build_dirs, args.repeats)
+    micro = run_micro(build_dirs, args.min_time, args.repeats)
 
     if args.check:
         report = load_report(args.check)
-        check(report, scenarios, args.tolerance)
-        check_micro(report, micro, args.micro_tolerance)
+        check(report, scenarios[0], args.tolerance)
+        check_micro(report, micro[0], args.micro_tolerance)
         return
 
     report = load_report(args.output)
@@ -342,23 +399,26 @@ def main():
         "wall_min_s": "fastest of the N runs, seconds",
         "wall_max_s": "slowest of the N runs, seconds",
         "ns_per_op": "google-benchmark real time per operation, median of "
-                     "the repetitions",
-        "ns_min": "fastest repetition's real time per operation",
-        "ns_max": "slowest repetition's real time per operation",
+                     "N runs",
+        "ns_min": "fastest run's real time per operation",
+        "ns_max": "slowest run's real time per operation",
         "ns_per_copy": "real time per delivered multicast copy (median)",
         "ns_per_draw": "real time per Rng::uniform01() draw (median)",
         "ns_per_delivery": "real time per delivery to a full receiver "
                            "(median)",
+        "ns_per_stream": "real time per short arena stream: its "
+                         "construction and its draws (median)",
+        "arena_bytes_per_stream": "arena bytes reserved per short stream, "
+                                  "chunk slack included (median)",
         "speedup_vs_baseline": "baseline median / current median",
         "speedup_verdict": "faster or slower when the baseline and current "
                            "min-max ranges are disjoint, else noise",
     })
-    measurement = {
-        "label": args.label or ("baseline" if args.set_baseline else "current"),
-        "scenarios": scenarios,
-        "micro": micro,
-    }
-    report["baseline" if args.set_baseline else "current"] = measurement
+    report["current"] = {"label": args.label or "current",
+                         "scenarios": scenarios[0], "micro": micro[0]}
+    if args.set_baseline:
+        report["baseline"] = {"label": "baseline", "scenarios": scenarios[1],
+                              "micro": micro[1]}
 
     base = report.get("baseline", {})
     cur = report.get("current", {})
