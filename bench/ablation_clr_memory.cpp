@@ -23,8 +23,7 @@ struct Outcome {
 // The burst script lives at 90..95 s on the reference 180 s timeline and
 // warps proportionally with --duration.
 Outcome run(bool remember, double clr_loss, double burst_loss,
-            const TimeWarp& warp, std::uint64_t seed,
-            const EquationBackend* eq) {
+            const TimeWarp& warp, std::uint64_t seed) {
   Simulator sim{seed};
   Topology topo{sim};
   LinkConfig trunk;
@@ -41,7 +40,6 @@ Outcome run(bool remember, double clr_loss, double burst_loss,
   Star star = make_star(topo, trunk, {steady, bursty});
   TfmccConfig cfg;
   cfg.remember_previous_clr = remember;
-  cfg.equation = eq;
   TfmccFlow flow{sim, topo, star.sender, cfg};
   flow.add_joined_receiver(star.leaves[0]);
   flow.add_joined_receiver(star.leaves[1]);
@@ -65,23 +63,20 @@ TFMCC_SCENARIO(ablation_clr_memory,
                tfmcc::param("clr_loss", 0.01,
                             "loss rate of the long-term CLR's path", 0.0),
                tfmcc::param("burst_loss", 0.08,
-                            "loss rate during the transient burst", 0.0),
-               tfmcc::bench::equation_backend_param()) {
+                            "loss rate during the transient burst", 0.0)) {
   using tfmcc::bench::check;
   using tfmcc::bench::figure_header;
   using tfmcc::bench::note;
 
   figure_header(opts.out(), "Ablation", "Appendix C: storing the previous CLR");
 
-  const tfmcc::EquationBackend* eq = tfmcc::bench::selected_equation_backend(opts);
-  if (eq == nullptr) return 2;
   const std::uint64_t seed = opts.seed_or(311);
   const double clr_loss = opts.param_or("clr_loss", 0.01);
   const double burst_loss = opts.param_or("burst_loss", 0.08);
   const tfmcc::TimeWarp warp{tfmcc::SimTime::seconds(180),
                              opts.duration_or(tfmcc::SimTime::seconds(180))};
-  const Outcome without = run(false, clr_loss, burst_loss, warp, seed, eq);
-  const Outcome with = run(true, clr_loss, burst_loss, warp, seed, eq);
+  const Outcome without = run(false, clr_loss, burst_loss, warp, seed);
+  const Outcome with = run(true, clr_loss, burst_loss, warp, seed);
 
   tfmcc::CsvWriter csv(opts.out(),
                        {"variant", "mean_after_burst_kbps", "clr_switches"});

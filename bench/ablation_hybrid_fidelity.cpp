@@ -37,18 +37,14 @@ TFMCC_SCENARIO(ablation_hybrid_fidelity,
                             "hybrid runs: modeled-receiver blocks", 1),
                tfmcc::param("bottleneck_bps", 500e3, "bottleneck rate", 1e3),
                tfmcc::param("fidelity_pct", 5.0,
-                            "declared rate-divergence bound, percent", 0.1),
-               tfmcc::bench::equation_backend_param()) {
+                            "declared rate-divergence bound, percent", 0.1)) {
   using namespace tfmcc;
   using namespace tfmcc::time_literals;
 
   bench::figure_header(opts.out(), "Ablation",
                        "Hybrid receiver-tier fidelity vs full simulation");
 
-  const EquationBackend* eq = bench::selected_equation_backend(opts);
-  if (eq == nullptr) return 2;
   TfmccConfig cfg;
-  cfg.equation = eq;
   // 300 s horizon, measuring the final third: fig12 shows the full tier
   // needs ~200 s to finish RTT acquisition at n=1000, and until it does the
   // unacquired receivers' conservative initial-RTT rates depress the CLR.

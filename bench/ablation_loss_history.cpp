@@ -21,8 +21,7 @@ using namespace tfmcc::time_literals;
 /// after the receiver's path loss jumps from 0.5% to 8%.  The settle /
 /// adaptation windows live at 120 s each on the reference 240 s timeline
 /// and warp proportionally with --duration.
-double adapt_seconds(int depth, const TimeWarp& warp, std::uint64_t seed,
-                     const EquationBackend* eq) {
+double adapt_seconds(int depth, const TimeWarp& warp, std::uint64_t seed) {
   Simulator sim{seed};
   Topology topo{sim};
   LinkConfig trunk;
@@ -35,7 +34,6 @@ double adapt_seconds(int depth, const TimeWarp& warp, std::uint64_t seed,
   Star star = make_star(topo, trunk, {leaf});
   TfmccConfig cfg;
   cfg.loss_history_depth = depth;
-  cfg.equation = eq;
   TfmccFlow flow{sim, topo, star.sender, cfg};
   flow.add_joined_receiver(star.leaves[0]);
   flow.sender().start(SimTime::zero());
@@ -57,8 +55,7 @@ TFMCC_SCENARIO(ablation_loss_history,
                "Ablation: loss-history depth, smoothness vs responsiveness",
                tfmcc::param("trials", 150, "Monte-Carlo trials, scaling side", 1),
                tfmcc::param("n_receivers", 1000,
-                            "receiver count, scaling side", 1),
-               tfmcc::bench::equation_backend_param()) {
+                            "receiver count, scaling side", 1)) {
   using tfmcc::bench::check;
   using tfmcc::bench::figure_header;
   using tfmcc::bench::note;
@@ -66,15 +63,12 @@ TFMCC_SCENARIO(ablation_loss_history,
 
   figure_header(opts.out(), "Ablation", "Loss-history depth: smoothness vs responsiveness");
 
-  const tfmcc::EquationBackend* eq = tfmcc::bench::selected_equation_backend(opts);
-  if (eq == nullptr) return 2;
   const std::uint64_t seed = opts.seed_or(301);
   const int n_receivers = opts.param_or("n_receivers", 1000);
   const tfmcc::TimeWarp warp{tfmcc::SimTime::seconds(240),
                              opts.duration_or(tfmcc::SimTime::seconds(240))};
   // (a) Scaling side.
   sc::ModelConfig mc;
-  mc.equation = eq;
   mc.trials = opts.param_or("trials", 150);
   tfmcc::Rng rng{seed + 30};
   tfmcc::CsvWriter csv(opts.out(), {"metric", "depth", "value"});
@@ -89,8 +83,8 @@ TFMCC_SCENARIO(ablation_loss_history,
   }
 
   // (b) Responsiveness side.
-  const double t8 = adapt_seconds(8, warp, seed, eq);
-  const double t32 = adapt_seconds(32, warp, seed, eq);
+  const double t8 = adapt_seconds(8, warp, seed);
+  const double t32 = adapt_seconds(32, warp, seed);
   csv.row("adapt_to_4x_loss_seconds", 8, t8);
   csv.row("adapt_to_4x_loss_seconds", 32, t32);
 

@@ -55,18 +55,14 @@ TFMCC_SCENARIO(ablation_red_queue,
                "Ablation: drop-tail vs RED at the bottleneck",
                tfmcc::param("n_tcp", 4, "competing TCP flows", 1),
                tfmcc::param("bottleneck_bps", 5e6, "shared bottleneck rate",
-                            1e3),
-               tfmcc::bench::equation_backend_param()) {
+                            1e3)) {
   using tfmcc::bench::check;
   using tfmcc::bench::figure_header;
   using tfmcc::bench::note;
 
   figure_header(opts.out(), "Ablation", "Drop-tail vs RED at the bottleneck");
 
-  const tfmcc::EquationBackend* eq = tfmcc::bench::selected_equation_backend(opts);
-  if (eq == nullptr) return 2;
   tfmcc::TfmccConfig cfg;
-  cfg.equation = eq;
   const tfmcc::SimTime horizon = opts.duration_or(180_sec);
   const std::uint64_t seed = opts.seed_or(321);
   const int n_tcp = opts.param_or("n_tcp", 4);

@@ -34,21 +34,17 @@ TFMCC_SCENARIO(
     tfmcc::param("mobile_kbps", 600.0, "mobile access link rate", 10.0),
     tfmcc::param("mobile_loss", 0.01, "mobile access link loss rate", 0.0),
     tfmcc::param("churn_cycles", 1,
-                 "mobile join/leave cycles within the churn window", 1.0),
-    tfmcc::bench::equation_backend_param()) {
+                 "mobile join/leave cycles within the churn window", 1.0)) {
   using namespace tfmcc;
   using namespace tfmcc::time_literals;
 
   bench::figure_header(opts.out(), "App: video churn",
                        "Streaming rate under mobile-viewer churn");
 
-  const EquationBackend* eq = bench::selected_equation_backend(opts);
-  if (eq == nullptr) return 2;
   const double mobile_kbps = opts.param_or("mobile_kbps", 600.0);
   const double mobile_loss = opts.param_or("mobile_loss", 0.01);
   const int cycles = opts.param_or("churn_cycles", 1);
   TfmccConfig cfg;
-  cfg.equation = eq;
 
   // Reference timeline (the example's): fixed receivers only over [0, 120),
   // the churn window [120, 360) split into `churn_cycles` join/leave

@@ -5,7 +5,8 @@
 //   1. a header naming the figure it reproduces,
 //   2. a CSV trace with the same series the paper plots,
 //   3. a "CHECK" summary comparing the measured shape against the paper's
-//      qualitative claim (recorded in EXPERIMENTS.md).
+//      qualitative claim (each CHECK row and its default-seed outcome is
+//      recorded in tests/golden/checks.tsv; the README lists the figures).
 //
 // Benches define their entry point with TFMCC_SCENARIO (sim/scenario.hpp),
 // which registers them as scenarios of the unified `tfmcc_sim` driver.
@@ -15,39 +16,13 @@
 #include <string>
 
 #include "sim/scenario.hpp"
-#include "tfrc/equation_backend.hpp"
 
 namespace tfmcc::bench {
 
-/// The shared `equation_backend` knob: every TFMCC scenario declares it so
-/// any figure can be re-run (or swept) on the scaled-integer engine with
-/// `--set equation_backend=fixed`.  The float default keeps all golden
+/// The hybrid full/model receiver-tier seam: packet-level scenarios declare
+/// `receiver_model` so any of them can run the modeled SoA receiver blocks
+/// with `--set receiver_model=hybrid`.  The full default keeps all golden
 /// outputs byte-identical.
-inline ParamSpec equation_backend_param() {
-  return param("equation_backend", "float",
-               "control-equation backend: float (double Padhye) or fixed "
-               "(table-driven scaled-integer)");
-}
-
-/// Resolves the declared `equation_backend` override; on an unknown name,
-/// diagnoses on the scenario sink and returns nullptr (the scenario should
-/// fail its run).
-inline const EquationBackend* selected_equation_backend(
-    const ScenarioOptions& opts) {
-  const std::string name = opts.param_or("equation_backend", "float");
-  const EquationBackend* backend = find_equation_backend(name);
-  if (backend == nullptr) {
-    opts.out() << "error: unknown equation_backend '" << name
-               << "' (expected float or fixed)\n";
-  }
-  return backend;
-}
-
-/// The hybrid full/model receiver-tier seam, following the equation_backend
-/// template: packet-level scenarios declare `receiver_model` so any of them
-/// can run the modeled SoA receiver blocks with `--set
-/// receiver_model=hybrid`.  The full default keeps all golden outputs
-/// byte-identical.
 enum class ReceiverModel { kFull, kHybrid, kUnknown };
 
 inline ParamSpec receiver_model_param(const char* def = "full") {

@@ -23,21 +23,17 @@ TFMCC_SCENARIO(
     tfmcc::param("n_receivers", 2000, "receiver population", 2.0),
     tfmcc::param("churn_events", 8000,
                  "random leave/rejoin toggles after the crowd arrives", 0.0),
-    tfmcc::param("bottleneck_mbps", 1.0, "bottleneck rate", 0.01),
-    tfmcc::bench::equation_backend_param()) {
+    tfmcc::param("bottleneck_mbps", 1.0, "bottleneck rate", 0.01)) {
   using namespace tfmcc;
   using namespace tfmcc::time_literals;
 
   bench::figure_header(opts.out(), "Churn: flash crowd",
                        "Dense join wave plus sustained random churn");
 
-  const EquationBackend* eq = bench::selected_equation_backend(opts);
-  if (eq == nullptr) return 2;
   const int n_rx = opts.param_or("n_receivers", 2000);
   const int churn_events = opts.param_or("churn_events", 8000);
   const double bn_bps = opts.param_or("bottleneck_mbps", 1.0) * 1e6;
   TfmccConfig cfg;
-  cfg.equation = eq;
 
   // Reference timeline: crowd arrives over [5, 15] s, random churn runs
   // over [20, 55] s, steady-state window is the last half.

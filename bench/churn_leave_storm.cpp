@@ -21,21 +21,17 @@ TFMCC_SCENARIO(
     tfmcc::param("n_receivers", 200, "receiver population", 2.0),
     tfmcc::param("storm_fraction", 0.5,
                  "fraction of receivers leaving in the storm", 0.0),
-    tfmcc::param("bottleneck_mbps", 2.0, "bottleneck rate", 0.01),
-    tfmcc::bench::equation_backend_param()) {
+    tfmcc::param("bottleneck_mbps", 2.0, "bottleneck rate", 0.01)) {
   using namespace tfmcc;
   using namespace tfmcc::time_literals;
 
   bench::figure_header(opts.out(), "Churn: leave storm",
                        "Correlated leave storm and rejoin wave");
 
-  const EquationBackend* eq = bench::selected_equation_backend(opts);
-  if (eq == nullptr) return 2;
   const int n_rx = opts.param_or("n_receivers", 200);
   const double fraction = opts.param_or("storm_fraction", 0.5);
   const double bn_bps = opts.param_or("bottleneck_mbps", 2.0) * 1e6;
   TfmccConfig cfg;
-  cfg.equation = eq;
 
   // Reference timeline: steady [0, 40), storm over [40, 45], depleted
   // [50, 80), rejoin wave [80, 85], recovered [90, 120).

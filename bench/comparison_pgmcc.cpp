@@ -81,18 +81,14 @@ Run run_pgmcc(int n_receivers, double bottleneck_bps, std::uint64_t seed,
 TFMCC_SCENARIO(comparison_pgmcc,
                "Section 5 comparison: TFMCC vs PGMCC on one bottleneck",
                tfmcc::param("n_receivers", 4, "receiver count per protocol", 1),
-               tfmcc::param("bottleneck_bps", 2e6, "bottleneck rate", 1e3),
-               tfmcc::bench::equation_backend_param()) {
+               tfmcc::param("bottleneck_bps", 2e6, "bottleneck rate", 1e3)) {
   using tfmcc::bench::check;
   using tfmcc::bench::figure_header;
   using tfmcc::bench::note;
 
   figure_header(opts.out(), "Comparison (§5)", "TFMCC vs PGMCC on a 2 Mbit/s bottleneck");
 
-  const tfmcc::EquationBackend* eq = tfmcc::bench::selected_equation_backend(opts);
-  if (eq == nullptr) return 2;
   tfmcc::TfmccConfig cfg;
-  cfg.equation = eq;
   const tfmcc::SimTime horizon = opts.duration_or(300_sec);
   const std::uint64_t seed = opts.seed_or(501);
   const int n_receivers = opts.param_or("n_receivers", 4);

@@ -8,7 +8,8 @@
 // was ~1/6), while the stratified case loses only ~30%.  Our standalone
 // model tracks the *instantaneous* minimum of the estimators, which is
 // harsher than the live protocol (feedback delay and CLR stickiness smooth
-// the minimum); EXPERIMENTS.md documents the quantitative difference.
+// the minimum).  The fig07_scaling rows of tests/golden/checks.tsv record
+// the outcome of each claim; the README shows how to sweep the model.
 
 #include <iostream>
 #include <vector>
@@ -27,17 +28,13 @@ TFMCC_SCENARIO(fig07_scaling,
                             "skip receiver counts above this", 1),
                tfmcc::param("n_receivers", 0,
                             "evaluate this single receiver count instead of "
-                            "the paper ladder 1..10^4 (0 = ladder)", 0),
-               tfmcc::bench::equation_backend_param()) {
+                            "the paper ladder 1..10^4 (0 = ladder)", 0)) {
   using namespace tfmcc;
   namespace sc = scaling;
 
   bench::figure_header(opts.out(), "Figure 7", "Scaling under independent loss");
 
-  const EquationBackend* eq = bench::selected_equation_backend(opts);
-  if (eq == nullptr) return 2;
   sc::ModelConfig cfg;
-  cfg.equation = eq;
   cfg.trials = opts.param_or("trials", 150);
   const double loss_rate = opts.param_or("loss_rate", 0.1);
   const int n_max = opts.param_or("n_max", 10000);

@@ -14,18 +14,14 @@ TFMCC_SCENARIO(fig09_single_bottleneck,
                tfmcc::param("n_receivers", 4, "TFMCC receiver count", 1),
                tfmcc::param("n_tcp", 15, "competing TCP flows", 1),
                tfmcc::param("bottleneck_bps", 8e6, "shared bottleneck rate",
-                            1e3),
-               tfmcc::bench::equation_backend_param()) {
+                            1e3)) {
   using namespace tfmcc;
   using namespace tfmcc::time_literals;
 
   bench::figure_header(opts.out(), "Figure 9",
                        "1 TFMCC + 15 TCP over a single 8 Mbit/s bottleneck");
 
-  const EquationBackend* eq = bench::selected_equation_backend(opts);
-  if (eq == nullptr) return 2;
   TfmccConfig cfg;
-  cfg.equation = eq;
   const SimTime T = opts.duration_or(200_sec);
   const SimTime warmup = bench::warmup(60_sec, T);
   const int n_tcp = opts.param_or("n_tcp", 15);

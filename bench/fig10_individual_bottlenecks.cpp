@@ -11,18 +11,14 @@
 TFMCC_SCENARIO(fig10_individual_bottlenecks,
                "Figure 10: TFMCC vs TCP on individual 1 Mbit/s tails",
                tfmcc::param("n_tails", 16, "per-receiver tail circuits", 1),
-               tfmcc::param("tail_bps", 1e6, "tail circuit rate", 1e3),
-               tfmcc::bench::equation_backend_param()) {
+               tfmcc::param("tail_bps", 1e6, "tail circuit rate", 1e3)) {
   using namespace tfmcc;
   using namespace tfmcc::time_literals;
 
   bench::figure_header(opts.out(), "Figure 10",
                        "1 TFMCC vs 16 TCP flows on individual 1 Mbit/s tails");
 
-  const EquationBackend* eq = bench::selected_equation_backend(opts);
-  if (eq == nullptr) return 2;
   TfmccConfig cfg;
-  cfg.equation = eq;
   const SimTime T = opts.duration_or(200_sec);
   const SimTime warmup = bench::warmup(60_sec, T);
   const int kTails = opts.param_or("n_tails", 16);

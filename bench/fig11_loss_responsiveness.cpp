@@ -18,17 +18,13 @@ TFMCC_SCENARIO(fig11_loss_responsiveness,
                tfmcc::param("loss2", 0.005, "loss rate of receiver 2's leaf", 0.0),
                tfmcc::param("loss3", 0.025, "loss rate of receiver 3's leaf", 0.0),
                tfmcc::param("loss4", 0.125, "loss rate of receiver 4's leaf", 0.0),
-               tfmcc::param("trunk_bps", 20e6, "trunk/leaf link rate", 1e3),
-               tfmcc::bench::equation_backend_param()) {
+               tfmcc::param("trunk_bps", 20e6, "trunk/leaf link rate", 1e3)) {
   using namespace tfmcc;
   using namespace tfmcc::time_literals;
 
   bench::figure_header(opts.out(), "Figure 11", "Responsiveness to changes in loss rate");
 
-  const EquationBackend* eq = bench::selected_equation_backend(opts);
-  if (eq == nullptr) return 2;
   TfmccConfig cfg;
-  cfg.equation = eq;
 
   // The join/leave schedule is scripted on the paper's 400 s timeline and
   // rescaled proportionally onto the requested horizon, so short runs still

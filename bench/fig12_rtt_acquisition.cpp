@@ -23,19 +23,15 @@ TFMCC_SCENARIO(fig12_rtt_acquisition,
                tfmcc::param("model_taps", 4,
                             "hybrid mode: modeled-receiver blocks (tap nodes)",
                             1),
-               tfmcc::bench::receiver_model_param(),
-               tfmcc::bench::equation_backend_param()) {
+               tfmcc::bench::receiver_model_param()) {
   using namespace tfmcc;
   using namespace tfmcc::time_literals;
 
   bench::figure_header(opts.out(), "Figure 12", "Rate of initial RTT measurements");
 
-  const EquationBackend* eq = bench::selected_equation_backend(opts);
-  if (eq == nullptr) return 2;
   const bench::ReceiverModel model = bench::selected_receiver_model(opts);
   if (model == bench::ReceiverModel::kUnknown) return 2;
   TfmccConfig cfg;
-  cfg.equation = eq;
   const int horizon_s =
       static_cast<int>(opts.duration_or(200_sec).to_seconds());
   const int kReceivers = opts.param_or("n_receivers", 1000);

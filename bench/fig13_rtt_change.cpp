@@ -63,18 +63,14 @@ TFMCC_SCENARIO(fig13_rtt_change,
                "Figure 13: responsiveness to changes in the RTT",
                tfmcc::param("loss_rate", 0.02, "independent leaf loss rate", 0.0),
                tfmcc::param("n_max", 1000,
-                            "skip receiver-set sizes above this", 1),
-               tfmcc::bench::equation_backend_param()) {
+                            "skip receiver-set sizes above this", 1)) {
   using tfmcc::bench::check;
   using tfmcc::bench::figure_header;
   using tfmcc::bench::note;
 
   figure_header(opts.out(), "Figure 13", "Responsiveness to changes in the RTT");
 
-  const tfmcc::EquationBackend* eq = tfmcc::bench::selected_equation_backend(opts);
-  if (eq == nullptr) return 2;
   tfmcc::TfmccConfig cfg;
-  cfg.equation = eq;
   const std::uint64_t seed = opts.seed_or(131);
   const double loss_rate = opts.param_or("loss_rate", 0.02);
   const int n_max = opts.param_or("n_max", 1000);

@@ -37,18 +37,14 @@ TFMCC_SCENARIO(fig14_slowstart,
                "Figure 14: maximum slowstart rate vs receiver-set size",
                tfmcc::param("base_bps", 1e6, "fair rate in every variant", 1e3),
                tfmcc::param("n_max", 512,
-                            "skip receiver-set sizes above this", 1),
-               tfmcc::bench::equation_backend_param()) {
+                            "skip receiver-set sizes above this", 1)) {
   using tfmcc::bench::check;
   using tfmcc::bench::figure_header;
   using tfmcc::bench::note;
 
   figure_header(opts.out(), "Figure 14", "Maximum slowstart rate");
 
-  const tfmcc::EquationBackend* eq = tfmcc::bench::selected_equation_backend(opts);
-  if (eq == nullptr) return 2;
   tfmcc::TfmccConfig cfg;
-  cfg.equation = eq;
   const tfmcc::SimTime horizon = opts.duration_or(60_sec);
   const std::uint64_t seed = opts.seed_or(141);
   const double base_bps = opts.param_or("base_bps", 1e6);

@@ -18,17 +18,13 @@ TFMCC_SCENARIO(fig15_late_join,
                tfmcc::param("n_tcp", 7, "competing TCP flows", 0),
                tfmcc::param("bottleneck_bps", 8e6, "shared bottleneck rate",
                             1e3),
-               tfmcc::param("slow_bps", 200e3, "late joiner's tail rate", 1e3),
-               tfmcc::bench::equation_backend_param()) {
+               tfmcc::param("slow_bps", 200e3, "late joiner's tail rate", 1e3)) {
   using namespace tfmcc;
   using namespace tfmcc::time_literals;
 
   bench::figure_header(opts.out(), "Figure 15", "Late join of a low-rate receiver");
 
-  const EquationBackend* eq = bench::selected_equation_backend(opts);
-  if (eq == nullptr) return 2;
   TfmccConfig cfg;
-  cfg.equation = eq;
   // Join at 50 s / leave at 100 s on the paper's 140 s timeline; the script
   // warps proportionally onto the requested horizon.
   const SimTime kRefT = 140_sec;

@@ -15,17 +15,13 @@ TFMCC_SCENARIO(fig16_late_join_tcp,
                tfmcc::param("n_tcp", 7, "competing TCP flows", 1),
                tfmcc::param("bottleneck_bps", 8e6, "shared bottleneck rate",
                             1e3),
-               tfmcc::param("slow_bps", 200e3, "late joiner's tail rate", 1e3),
-               tfmcc::bench::equation_backend_param()) {
+               tfmcc::param("slow_bps", 200e3, "late joiner's tail rate", 1e3)) {
   using namespace tfmcc;
   using namespace tfmcc::time_literals;
 
   bench::figure_header(opts.out(), "Figure 16", "Additional TCP flow on the slow link");
 
-  const EquationBackend* eq = bench::selected_equation_backend(opts);
-  if (eq == nullptr) return 2;
   TfmccConfig cfg;
-  cfg.equation = eq;
   const SimTime kRefT = 140_sec;
   const SimTime T = opts.duration_or(kRefT);
   bench::SharedBottleneck s{opts.param_or("bottleneck_bps", 8e6), 18_ms,

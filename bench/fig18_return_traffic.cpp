@@ -56,17 +56,13 @@ Result run(bool with_return_traffic, double bottleneck_bps, std::uint64_t seed,
 
 TFMCC_SCENARIO(fig18_return_traffic,
                "Figure 18: competing bulk TCP on the feedback return paths",
-               tfmcc::param("bottleneck_bps", 5e6, "forward bottleneck rate", 1e3),
-               tfmcc::bench::equation_backend_param()) {
+               tfmcc::param("bottleneck_bps", 5e6, "forward bottleneck rate", 1e3)) {
   using namespace tfmcc;
   using namespace tfmcc::time_literals;
 
   bench::figure_header(opts.out(), "Figure 18", "Competing traffic on return paths");
 
-  const EquationBackend* eq = bench::selected_equation_backend(opts);
-  if (eq == nullptr) return 2;
   TfmccConfig cfg;
-  cfg.equation = eq;
   const SimTime horizon = opts.duration_or(120_sec);
   const std::uint64_t seed = opts.seed_or(181);
   const double bottleneck_bps = opts.param_or("bottleneck_bps", 5e6);

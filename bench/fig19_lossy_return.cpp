@@ -16,17 +16,13 @@ TFMCC_SCENARIO(fig19_lossy_return,
                tfmcc::param("return_loss2", 0.1, "report loss, receiver 2", 0.0),
                tfmcc::param("return_loss3", 0.2, "report loss, receiver 3", 0.0),
                tfmcc::param("return_loss4", 0.3, "report loss, receiver 4", 0.0),
-               tfmcc::param("leaf_bps", 5e6, "forward leaf rate", 1e3),
-               tfmcc::bench::equation_backend_param()) {
+               tfmcc::param("leaf_bps", 5e6, "forward leaf rate", 1e3)) {
   using namespace tfmcc;
   using namespace tfmcc::time_literals;
 
   bench::figure_header(opts.out(), "Figure 19", "Lossy return paths");
 
-  const EquationBackend* eq = bench::selected_equation_backend(opts);
-  if (eq == nullptr) return 2;
   TfmccConfig cfg;
-  cfg.equation = eq;
 
   const SimTime T = opts.duration_or(120_sec);
   const SimTime warm = bench::warmup(30_sec, T);

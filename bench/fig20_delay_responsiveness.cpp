@@ -19,17 +19,13 @@ TFMCC_SCENARIO(fig20_delay_responsiveness,
                tfmcc::param("delay4_ms", 120, "one-way leaf delay, receiver 4",
                             0),
                tfmcc::param("loss_rate", 0.005, "leaf loss rate (equal)", 0.0),
-               tfmcc::param("trunk_bps", 20e6, "trunk/leaf link rate", 1e3),
-               tfmcc::bench::equation_backend_param()) {
+               tfmcc::param("trunk_bps", 20e6, "trunk/leaf link rate", 1e3)) {
   using namespace tfmcc;
   using namespace tfmcc::time_literals;
 
   bench::figure_header(opts.out(), "Figure 20", "Responsiveness to network delay");
 
-  const EquationBackend* eq = bench::selected_equation_backend(opts);
-  if (eq == nullptr) return 2;
   TfmccConfig cfg;
-  cfg.equation = eq;
 
   const SimTime kRefT = 400_sec;
   const SimTime T = opts.duration_or(kRefT);

@@ -16,17 +16,13 @@ TFMCC_SCENARIO(fig21_increased_congestion,
                tfmcc::param("n_receivers", 2, "TFMCC receiver count", 1),
                tfmcc::param("bottleneck_bps", 16e6, "shared bottleneck rate",
                             1e3),
-               tfmcc::param("queue_pkts", 80, "bottleneck queue limit", 1),
-               tfmcc::bench::equation_backend_param()) {
+               tfmcc::param("queue_pkts", 80, "bottleneck queue limit", 1)) {
   using namespace tfmcc;
   using namespace tfmcc::time_literals;
 
   bench::figure_header(opts.out(), "Figure 21", "Responsiveness to increased congestion");
 
-  const EquationBackend* eq = bench::selected_equation_backend(opts);
-  if (eq == nullptr) return 2;
   TfmccConfig cfg;
-  cfg.equation = eq;
   // The flow-count doublings are scripted at 50 s epochs on the paper's
   // 250 s timeline and warp proportionally with --duration.
   const SimTime kRefT = 250_sec;

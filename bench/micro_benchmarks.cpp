@@ -50,9 +50,8 @@ void BM_EquationBatch(benchmark::State& state,
                       const EquationBackend& backend) {
   // The sender-side per-round pattern: one equation evaluation per receiver
   // report, over a receiver set with spread RTTs and loss rates.  Exercises
-  // EquationBackend::throughput_batch — the float backend, which recomputes
-  // its p-only factors for every distinct p, vs the fixed backend's table
-  // lookups with a hoisted numerator.
+  // EquationBackend::throughput_batch, which recomputes its p-only factors
+  // for every distinct p.
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng{7};
   std::vector<SimTime> rtts(n);
@@ -72,9 +71,6 @@ void BM_EquationBatch(benchmark::State& state,
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK_CAPTURE(BM_EquationBatch, float, tfmcc::float_equation_backend())
-    ->Arg(64)
-    ->Arg(1024);
-BENCHMARK_CAPTURE(BM_EquationBatch, fixed, tfmcc::fixed_equation_backend())
     ->Arg(64)
     ->Arg(1024);
 

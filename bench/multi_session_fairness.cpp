@@ -22,21 +22,17 @@ TFMCC_SCENARIO(
     tfmcc::param("n_sessions", 8, "concurrent TFMCC sessions", 2.0),
     tfmcc::param("n_receivers", 4, "receiver hosts (each joins every session)",
                  1.0),
-    tfmcc::param("bottleneck_mbps", 16.0, "bottleneck rate", 0.1),
-    tfmcc::bench::equation_backend_param()) {
+    tfmcc::param("bottleneck_mbps", 16.0, "bottleneck rate", 0.1)) {
   using namespace tfmcc;
   using namespace tfmcc::time_literals;
 
   bench::figure_header(opts.out(), "Multi-session fairness",
                        "Concurrent TFMCC sessions on one bottleneck");
 
-  const EquationBackend* eq = bench::selected_equation_backend(opts);
-  if (eq == nullptr) return 2;
   const int n_sessions = opts.param_or("n_sessions", 8);
   const int n_rx = opts.param_or("n_receivers", 4);
   const double bn_bps = opts.param_or("bottleneck_mbps", 16.0) * 1e6;
   TfmccConfig cfg;
-  cfg.equation = eq;
 
   const SimTime kRefT = 120_sec;
   const SimTime T = opts.duration_or(kRefT);

@@ -24,22 +24,18 @@ TFMCC_SCENARIO(
     tfmcc::param("max_receivers", 16,
                  "receivers of the most popular session", 1.0),
     tfmcc::param("zipf_s", 1.0, "Zipf exponent", 0.0),
-    tfmcc::param("bottleneck_mbps", 16.0, "bottleneck rate", 0.1),
-    tfmcc::bench::equation_backend_param()) {
+    tfmcc::param("bottleneck_mbps", 16.0, "bottleneck rate", 0.1)) {
   using namespace tfmcc;
   using namespace tfmcc::time_literals;
 
   bench::figure_header(opts.out(), "Multi-session Zipf",
                        "Zipf session popularity on one bottleneck");
 
-  const EquationBackend* eq = bench::selected_equation_backend(opts);
-  if (eq == nullptr) return 2;
   const int n_sessions = opts.param_or("n_sessions", 8);
   const int max_rx = opts.param_or("max_receivers", 16);
   const double zipf_s = opts.param_or("zipf_s", 1.0);
   const double bn_bps = opts.param_or("bottleneck_mbps", 16.0) * 1e6;
   TfmccConfig cfg;
-  cfg.equation = eq;
 
   const SimTime kRefT = 120_sec;
   const SimTime T = opts.duration_or(kRefT);

@@ -25,21 +25,17 @@ TFMCC_SCENARIO(scale_hybrid_receivers,
                             "modeled-receiver blocks (tap nodes)", 1),
                tfmcc::param("bottleneck_bps", 500e3, "bottleneck rate", 1e3),
                tfmcc::param("sample_period_s", 10, "sampling interval", 1),
-               tfmcc::bench::receiver_model_param("hybrid"),
-               tfmcc::bench::equation_backend_param()) {
+               tfmcc::bench::receiver_model_param("hybrid")) {
   using namespace tfmcc;
   using namespace tfmcc::time_literals;
 
   bench::figure_header(opts.out(), "Scale",
                        "Hybrid receiver tier at large n");
 
-  const EquationBackend* eq = bench::selected_equation_backend(opts);
-  if (eq == nullptr) return 2;
   const bench::ReceiverModel model =
       bench::selected_receiver_model(opts, "hybrid");
   if (model == bench::ReceiverModel::kUnknown) return 2;
   TfmccConfig cfg;
-  cfg.equation = eq;
   const int horizon_s = static_cast<int>(opts.duration_or(60_sec).to_seconds());
   const int kReceivers = opts.param_or("n_receivers", 100000);
   const int sample_period = opts.param_or("sample_period_s", 10);

@@ -28,17 +28,4 @@ double expected_messages(int n, double t_max, double delay, double x,
   return static_cast<double>(n) * acc / kGrid;
 }
 
-double expected_first_response(int n, double t_max, double x,
-                               const FeedbackTimerConfig& cfg) {
-  // E[min] = ∫ P(min > t) dt = ∫ (1 - F(t))^n dt over [0, t_max].
-  double acc = 0.0;
-  const int grid = 4000;
-  for (int i = 0; i < grid; ++i) {
-    const double t = (static_cast<double>(i) + 0.5) / grid;  // units of T'
-    const double f = feedback_timer::cdf(t, x, cfg);
-    acc += std::pow(1.0 - f, n);
-  }
-  return t_max * acc / grid;
-}
-
 }  // namespace tfmcc::feedback_model

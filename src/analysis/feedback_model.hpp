@@ -22,9 +22,4 @@ namespace tfmcc::feedback_model {
 double expected_messages(int n, double t_max, double delay, double x,
                          const FeedbackTimerConfig& cfg);
 
-/// Expected feedback delay: E[min_i t_i] in RTT units (fig. 5's analytic
-/// counterpart; decreases ~logarithmically in n).
-double expected_first_response(int n, double t_max, double x,
-                               const FeedbackTimerConfig& cfg);
-
 }  // namespace tfmcc::feedback_model

@@ -50,7 +50,7 @@ double expected_min_rate_Bps(const std::vector<double>& loss_rates,
           cfg.use_simple_equation
               ? tcp_model::simple_throughput_Bps(cfg.packet_bytes, cfg.rtt,
                                                  p_est)
-              : cfg.equation->throughput_Bps(cfg.packet_bytes, cfg.rtt, p_est);
+              : tcp_model::throughput_Bps(cfg.packet_bytes, cfg.rtt, p_est);
       min_rate = std::min(min_rate, rate);
     }
     acc += min_rate;
@@ -61,7 +61,7 @@ double expected_min_rate_Bps(const std::vector<double>& loss_rates,
 double fair_rate_Bps(const std::vector<double>& loss_rates,
                      const ModelConfig& cfg) {
   const double worst = *std::max_element(loss_rates.begin(), loss_rates.end());
-  return cfg.equation->throughput_Bps(cfg.packet_bytes, cfg.rtt, worst);
+  return tcp_model::throughput_Bps(cfg.packet_bytes, cfg.rtt, worst);
 }
 
 std::vector<double> constant_losses(int n, double p) {

@@ -2,7 +2,6 @@
 
 #include <vector>
 
-#include "tfrc/equation_backend.hpp"
 #include "util/rng.hpp"
 #include "util/sim_time.hpp"
 
@@ -30,8 +29,6 @@ struct ModelConfig {
   /// Padhye equation.  The full equation collapses much harder at the high
   /// effective loss rates the minimum tracks.
   bool use_simple_equation{false};
-  /// Evaluation backend for the full equation (ignored by the Mathis path).
-  const EquationBackend* equation{&float_equation_backend()};
 };
 
 /// Expected TFMCC throughput (bytes/s) when receiver i has loss event rate

@@ -39,17 +39,4 @@ ScheduleBuilder& ScheduleBuilder::at(SimTime reference_time,
   return *this;
 }
 
-ScheduleBuilder& ScheduleBuilder::at_fraction(double fraction,
-                                              std::function<void()> cb) {
-  const double f = std::clamp(fraction, 0.0, 1.0);
-  ++scheduled_;
-  sim_.at(SimTime::nanos(std::llround(
-              static_cast<double>(warp_.horizon().count_nanos()) * f)),
-          [fired = fired_, cb = std::move(cb)] {
-            ++*fired;
-            cb();
-          });
-  return *this;
-}
-
 }  // namespace tfmcc

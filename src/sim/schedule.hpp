@@ -52,8 +52,6 @@ class ScheduleBuilder {
 
   /// Schedule `cb` at the warped image of `reference_time`.
   ScheduleBuilder& at(SimTime reference_time, std::function<void()> cb);
-  /// Schedule `cb` at `fraction` (in [0, 1]) of the actual horizon.
-  ScheduleBuilder& at_fraction(double fraction, std::function<void()> cb);
 
   /// The warped image of a reference-timeline instant; scenarios also use
   /// this for measurement windows tied to scripted events.

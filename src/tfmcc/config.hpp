@@ -51,9 +51,9 @@ struct TfmccConfig {
   FeedbackTimerConfig timer{};
   double delta{0.1};           // δ: cancellation threshold (§2.5.2)
 
-  // Control-equation backend (receivers' calc rate, Appendix B inversion,
-  // the sender's initial-RTT recomputation).  The float backend is the
-  // paper-faithful default; "fixed" swaps in the scaled-integer table engine.
+  // Control-equation evaluation (receivers' calc rate, Appendix B inversion,
+  // the sender's initial-RTT recomputation).  Always the float Padhye
+  // evaluation; a pointer so a traced run can set a timing decorator.
   const EquationBackend* equation{&float_equation_backend()};
 
   // Appendix C option: remember the previous CLR for quick switch-back.

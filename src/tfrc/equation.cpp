@@ -42,14 +42,6 @@ double simple_throughput_Bps(double packet_bytes, SimTime rtt, double p) {
   return packet_bytes * kMathisConstant / (rtt.to_seconds() * std::sqrt(p));
 }
 
-double simple_loss_for_throughput(double packet_bytes, SimTime rtt,
-                                  double rate_Bps) {
-  if (rate_Bps <= 0.0) return 1.0;
-  const double root = packet_bytes * kMathisConstant /
-                      (rtt.to_seconds() * rate_Bps);
-  return std::clamp(root * root, kMinLossRate, 1.0);
-}
-
 double loss_events_per_rtt(double p, double b) {
   // L = p * (X * R / s); X*R/s is the rate in packets per RTT, so the s and
   // R dependencies cancel and any values may be used.

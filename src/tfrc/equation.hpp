@@ -10,8 +10,8 @@ namespace tfmcc {
 ///
 /// Equation (1) is the full TCP-Reno response function of Padhye et al.
 /// (used by TFRC and TFMCC as the control equation); `simple_` is the
-/// Mathis et al. square-root model of Equation (4) (used for loss-history
-/// initialisation, Appendix B, and by PGMCC-style acker election).
+/// Mathis et al. square-root model of Equation (4) (used by PGMCC-style
+/// acker election and the fig. 7 model's Mathis variant).
 namespace tcp_model {
 
 /// Expected TCP throughput in bytes/second (Padhye model).
@@ -48,10 +48,6 @@ double loss_for_throughput(double packet_bytes, SimTime rtt, double rate_Bps,
 
 /// Simplified (Mathis) model:  X = s * k / (R * sqrt(p)),  k = sqrt(3/2).
 double simple_throughput_Bps(double packet_bytes, SimTime rtt, double p);
-
-/// Inverse of the simplified model:  p = (s*k / (R*X))^2.
-double simple_loss_for_throughput(double packet_bytes, SimTime rtt,
-                                  double rate_Bps);
 
 /// Loss events per RTT at steady state (Appendix A, fig. 17):
 ///   L(p) = p * X(p) * R / s

@@ -7,27 +7,19 @@
 
 namespace tfmcc {
 
-/// Pluggable evaluation strategy for the TCP throughput equation — the one
-/// computation TFMCC performs per receiver per feedback round, and therefore
-/// the kernel the batched-receiver scaling work hinges on.
+/// The seam through which receivers, senders and the modeled receiver tier
+/// evaluate the TCP throughput equation — the one computation TFMCC performs
+/// per receiver per feedback round.
 ///
-/// Two implementations ship:
-///   * "float": double-precision Padhye evaluation (tcp_model::*) — the
-///     reference the paper's figures were produced with; the default, so all
-///     golden scenario outputs stay byte-identical.
-///   * "fixed": scaled-integer table-driven evaluation (fixedpoint::*, the
-///     Linux DCCP/TFRC idiom) — division-light, branch-predictable, and
-///     batchable; agrees with "float" to within table quantisation (see the
-///     ablation_fixedpoint scenario for the measured fidelity envelope).
-///
-/// Scenarios select a backend with `--set equation_backend=float|fixed`; the
-/// choice is carried on TfmccConfig / scaling::ModelConfig into every
-/// receiver, sender and analytic model of the run.
+/// float_equation_backend() is the one implementation: the double-precision
+/// Padhye evaluation of tcp_model::*, which the paper's figures and every
+/// golden output use.  It is an interface so a caller can wrap it: the
+/// benchmark's traced runs set a timing decorator as TfmccConfig::equation.
 class EquationBackend {
  public:
   virtual ~EquationBackend() = default;
 
-  /// Registry name ("float" / "fixed"), as accepted by the scenario knob.
+  /// Name of the evaluation ("float").
   virtual std::string_view name() const = 0;
 
   /// Expected TCP throughput in bytes/second at loss event rate `p`;
@@ -42,19 +34,13 @@ class EquationBackend {
 
   /// Batched SoA evaluation over a receiver block:
   /// out[i] = throughput_Bps(packet_bytes, rtts[i], ps[i]), bit for bit.
-  /// Backends hoist per-batch work: the float backend computes the p-only
-  /// factors once per run of equal p, the fixed backend converts units once
-  /// and runs an integer-only inner loop.
+  /// The float backend computes the p-only factors once per run of equal p.
   virtual void throughput_batch(double packet_bytes, const SimTime* rtts,
                                 const double* ps, double* out_Bps,
                                 std::size_t n) const = 0;
 };
 
-/// The process-wide backend instances (stateless, shareable across threads).
+/// The process-wide backend instance (stateless, shareable across threads).
 const EquationBackend& float_equation_backend();
-const EquationBackend& fixed_equation_backend();
-
-/// Backend registered under `name`, or nullptr when unknown.
-const EquationBackend* find_equation_backend(std::string_view name);
 
 }  // namespace tfmcc

@@ -1,33 +1,8 @@
 #include "util/stats.hpp"
 
 #include <cassert>
-#include <limits>
 
 namespace tfmcc {
-
-double TimeSeries::mean_in(SimTime from, SimTime to) const {
-  double sum = 0.0;
-  std::int64_t n = 0;
-  for (const auto& p : points_) {
-    if (p.t >= from && p.t < to) {
-      sum += p.v;
-      ++n;
-    }
-  }
-  return n > 0 ? sum / static_cast<double>(n) : 0.0;
-}
-
-double TimeSeries::max_value() const {
-  double m = -std::numeric_limits<double>::infinity();
-  for (const auto& p : points_) m = std::max(m, p.v);
-  return points_.empty() ? 0.0 : m;
-}
-
-void TimeSeries::write_csv(std::ostream& os, const std::string& label) const {
-  for (const auto& p : points_) {
-    os << label << ',' << p.t.to_seconds() << ',' << p.v << '\n';
-  }
-}
 
 void ThroughputBinner::add(SimTime t, std::int64_t bytes) {
   assert(t >= SimTime::zero());
@@ -88,35 +63,6 @@ double WindowedRateMeter::rate_Bps(SimTime now) const {
   const SimTime span = std::max(now, at(size_ - 1).t) - ring_[head_].t;
   if (span <= SimTime::zero()) return 0.0;
   return static_cast<double>(bytes) / span.to_seconds();
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_{lo}, hi_{hi}, counts_(bins, 0) {
-  assert(hi > lo && bins > 0);
-}
-
-void Histogram::add(double x) {
-  const double f = (x - lo_) / (hi_ - lo_);
-  auto idx = static_cast<std::int64_t>(f * static_cast<double>(counts_.size()));
-  idx = std::clamp<std::int64_t>(idx, 0, static_cast<std::int64_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-double Histogram::quantile(double q) const {
-  if (total_ == 0) return lo_;
-  const auto target = static_cast<std::int64_t>(q * static_cast<double>(total_));
-  std::int64_t acc = 0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    acc += counts_[i];
-    if (acc > target) return bin_center(i);
-  }
-  return hi_;
-}
-
-double Histogram::bin_center(std::size_t i) const {
-  const double w = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + (static_cast<double>(i) + 0.5) * w;
 }
 
 double quantile(std::vector<double> xs, double q) {

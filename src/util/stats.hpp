@@ -3,16 +3,14 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <ostream>
 #include <stdexcept>
-#include <string>
 #include <vector>
 
 #include "util/sim_time.hpp"
 
 namespace tfmcc {
 
-/// A (time, value) series with CSV export; used by the figure benches.
+/// A (time, value) series; used by the figure benches.
 class TimeSeries {
  public:
   void push(SimTime t, double v) { points_.push_back({t, v}); }
@@ -29,12 +27,6 @@ class TimeSeries {
   // temporary.
   const std::vector<Point>& points() const& { return points_; }
   std::vector<Point> points() && { return std::move(points_); }
-
-  /// Mean of values with t in [from, to).
-  double mean_in(SimTime from, SimTime to) const;
-  double max_value() const;
-
-  void write_csv(std::ostream& os, const std::string& label) const;
 
  private:
   std::vector<Point> points_;
@@ -129,28 +121,6 @@ class WindowedRateMeter {
   std::size_t head_{0};
   std::size_t size_{0};
   std::int64_t window_bytes_{0};
-};
-
-/// Fixed-bin histogram over [lo, hi); out-of-range samples clamp to the
-/// first/last bin.  Used by feedback-delay analyses.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  std::int64_t count() const { return total_; }
-  double quantile(double q) const;
-  // Ref-qualified like TimeSeries::points(): chaining bins() off a
-  // temporary Histogram moves the vector out instead of returning a
-  // reference into the dying temporary (PR 1's dangling pattern).
-  const std::vector<std::int64_t>& bins() const& { return counts_; }
-  std::vector<std::int64_t> bins() && { return std::move(counts_); }
-  double bin_center(std::size_t i) const;
-
- private:
-  double lo_, hi_;
-  std::vector<std::int64_t> counts_;
-  std::int64_t total_{0};
 };
 
 /// Exact quantile of a sample (copies + sorts; fine for analysis code).

@@ -29,13 +29,6 @@ TEST_P(EquationSweep, FullInverseRoundTrips) {
   EXPECT_NEAR(tm::loss_for_throughput(s, rtt, rate), p, p * 1e-3);
 }
 
-TEST_P(EquationSweep, SimpleInverseRoundTrips) {
-  const auto [s, rtt_ms, p] = GetParam();
-  const SimTime rtt = SimTime::millis(rtt_ms);
-  const double rate = tm::simple_throughput_Bps(s, rtt, p);
-  EXPECT_NEAR(tm::simple_loss_for_throughput(s, rtt, rate), p, p * 1e-6);
-}
-
 TEST_P(EquationSweep, FullModelBelowSimpleModel) {
   // The Padhye model includes timeout effects, so it never exceeds the
   // pure-AIMD Mathis bound (for b = 1 both share the sqrt term's constant

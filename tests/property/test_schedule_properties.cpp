@@ -114,21 +114,6 @@ TEST(ScheduleBuilderProperty, EventsFireInScriptOrderWithinTheHorizon) {
   }
 }
 
-TEST(ScheduleBuilderProperty, AtFractionSpansTheActualHorizon) {
-  Simulator sim{1};
-  ScheduleBuilder sched{sim, 100_sec, 10_sec};
-  std::vector<SimTime> fired_at;
-  for (const double f : {0.0, 0.25, 0.5, 1.0}) {
-    sched.at_fraction(f, [&] { fired_at.push_back(sim.now()); });
-  }
-  sim.run_until(10_sec);
-  ASSERT_EQ(fired_at.size(), 4u);
-  EXPECT_EQ(fired_at[0], SimTime::zero());
-  EXPECT_EQ(fired_at[1], SimTime::seconds(2.5));
-  EXPECT_EQ(fired_at[2], 5_sec);
-  EXPECT_EQ(fired_at[3], 10_sec);
-}
-
 TEST(ScheduleBuilderProperty, WarpedAgreesWithTheUnderlyingTimeWarp) {
   Simulator sim{1};
   ScheduleBuilder sched{sim, 400_sec, 20_sec};

@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
+
+#include "tfrc/equation_backend.hpp"
+#include "util/rng.hpp"
 
 namespace tfmcc {
 namespace {
@@ -67,25 +72,6 @@ TEST(Equation, SimpleModelMatchesMathisForm) {
   EXPECT_NEAR(tm::simple_throughput_Bps(s, 100_ms, p), expect, 1e-6);
 }
 
-TEST(Equation, SimpleInverseRoundTrip) {
-  for (double p : {0.001, 0.01, 0.1}) {
-    const double rate = tm::simple_throughput_Bps(1000, 60_ms, p);
-    EXPECT_NEAR(tm::simple_loss_for_throughput(1000, 60_ms, rate), p, p * 1e-9);
-  }
-}
-
-TEST(Equation, SimpleInverseIsMoreConservative) {
-  // Appendix B: for the same target rate the simplified model implies a
-  // *higher* loss rate (smaller initial interval), i.e. a more conservative
-  // loss-history initialisation.
-  for (double rate_kbps : {100.0, 500.0, 2000.0}) {
-    const double rate = rate_kbps * 1000.0 / 8.0;
-    EXPECT_GE(tm::simple_loss_for_throughput(1000, 100_ms, rate),
-              tm::loss_for_throughput(1000, 100_ms, rate) * 0.99)
-        << rate_kbps;
-  }
-}
-
 TEST(Equation, LossEventsPerRttPeaksNearPointOneThree) {
   // Appendix A / fig. 17: max_p L(p) ~ 0.13 loss events per RTT (paper's
   // b = 2 model).
@@ -110,6 +96,68 @@ TEST(Equation, DelayedAckModelIsSlower) {
   const double x2 = tm::throughput_Bps(1000, 100_ms, 0.01, 2.0);
   EXPECT_GT(x1 / x2, 1.2);
   EXPECT_LT(x1 / x2, 1.5);
+}
+
+TEST(EquationBackendSeam, FloatBackendMatchesModelExactly) {
+  const EquationBackend& b = float_equation_backend();
+  EXPECT_EQ(b.name(), "float");
+  for (const double p : {1e-6, 1e-3, 0.05, 0.3}) {
+    EXPECT_EQ(b.throughput_Bps(1000.0, SimTime::millis(80), p),
+              tcp_model::throughput_Bps(1000.0, SimTime::millis(80), p));
+    EXPECT_EQ(b.loss_for_throughput(1000.0, SimTime::millis(80), 1e5),
+              tcp_model::loss_for_throughput(1000.0, SimTime::millis(80),
+                                             1e5));
+  }
+  EXPECT_TRUE(std::isinf(b.throughput_Bps(1000.0, SimTime::millis(80), 0.0)));
+}
+
+TEST(EquationBackendSeam, BatchAgreesWithScalarInterface) {
+  std::vector<SimTime> rtts{SimTime::millis(20), SimTime::millis(80),
+                            SimTime::millis(400)};
+  std::vector<double> ps{0.0, 1e-3, 0.25};
+  std::vector<double> out(rtts.size());
+  const EquationBackend& f = float_equation_backend();
+  f.throughput_batch(1000.0, rtts.data(), ps.data(), out.data(),
+                     rtts.size());
+  for (std::size_t i = 0; i < rtts.size(); ++i) {
+    EXPECT_EQ(out[i], f.throughput_Bps(1000.0, rtts[i], ps[i])) << "i=" << i;
+  }
+}
+
+TEST(EquationBackendSeam, FloatBatchIsBitIdenticalToScalar) {
+  // The float batch hoists the p-only factors across runs of equal p; the
+  // modeled tier's golden outputs need it to equal the scalar call bit for
+  // bit, including the p <= 0 (+inf) and p > 1 (clamped) edges.
+  const EquationBackend& f = float_equation_backend();
+  Rng rng{31};
+  const std::size_t n = 20000;
+  std::vector<SimTime> rtts(n);
+  std::vector<double> ps(n);
+  double p = 0.01;
+  for (std::size_t i = 0; i < n; ++i) {
+    rtts[i] = SimTime::nanos(rng.uniform_int(1, 3'000'000'000));
+    // Runs of equal p (the block's shared-p shape) broken by fresh draws.
+    if (rng.bernoulli(0.2)) {
+      switch (rng.uniform_int(0, 5)) {
+        case 0: p = 0.0; break;
+        case 1: p = -rng.uniform01(); break;
+        case 2: p = 1.0 + 3.0 * rng.uniform01(); break;
+        default: p = std::pow(10.0, rng.uniform(-8.0, 0.0)); break;
+      }
+    }
+    ps[i] = p;
+  }
+  std::vector<double> out(n);
+  f.throughput_batch(1000.0, rtts.data(), ps.data(), out.data(), n);
+  int infinite = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double want = f.throughput_Bps(1000.0, rtts[i], ps[i]);
+    ASSERT_EQ(std::memcmp(&out[i], &want, sizeof want), 0)
+        << "i=" << i << " p=" << ps[i] << " batch=" << out[i]
+        << " scalar=" << want;
+    infinite += std::isinf(out[i]);
+  }
+  EXPECT_GT(infinite, 0);  // the p <= 0 edge was exercised
 }
 
 }  // namespace

@@ -162,19 +162,5 @@ TEST(FeedbackModel, ImplosionWhenNUnderestimated) {
   EXPECT_GT(m, 500.0);
 }
 
-TEST(FeedbackModel, FirstResponseDecreasesLogarithmically) {
-  FeedbackTimerConfig cfg;
-  cfg.method = BiasMethod::kUnbiased;
-  cfg.n_estimate = 10000;
-  const double t10 = feedback_model::expected_first_response(10, 4.0, 0.0, cfg);
-  const double t100 = feedback_model::expected_first_response(100, 4.0, 0.0, cfg);
-  const double t1000 =
-      feedback_model::expected_first_response(1000, 4.0, 0.0, cfg);
-  EXPECT_GT(t10, t100);
-  EXPECT_GT(t100, t1000);
-  // Roughly equal decrements per decade (log-like decay).
-  EXPECT_NEAR((t10 - t100) / (t100 - t1000), 1.0, 0.5);
-}
-
 }  // namespace
 }  // namespace tfmcc

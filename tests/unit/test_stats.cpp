@@ -2,31 +2,12 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <stdexcept>
 
 namespace tfmcc {
 namespace {
 
 using namespace tfmcc::time_literals;
-
-TEST(TimeSeries, MeanInWindow) {
-  TimeSeries ts;
-  ts.push(1_sec, 10.0);
-  ts.push(2_sec, 20.0);
-  ts.push(3_sec, 30.0);
-  EXPECT_DOUBLE_EQ(ts.mean_in(1_sec, 3_sec), 15.0);  // [1, 3) excludes t=3
-  EXPECT_DOUBLE_EQ(ts.mean_in(0_sec, 10_sec), 20.0);
-  EXPECT_DOUBLE_EQ(ts.mean_in(5_sec, 10_sec), 0.0);
-}
-
-TEST(TimeSeries, CsvOutput) {
-  TimeSeries ts;
-  ts.push(1_sec, 2.5);
-  std::ostringstream os;
-  ts.write_csv(os, "flow1");
-  EXPECT_EQ(os.str(), "flow1,1,2.5\n");
-}
 
 TEST(ThroughputBinner, BinsBytesIntoRates) {
   ThroughputBinner b{1_sec};
@@ -102,21 +83,6 @@ TEST(WindowedRateMeter, FullWindowWrapsItsInlineRing) {
                std::invalid_argument);
 }
 
-TEST(Histogram, QuantileAndCounts) {
-  Histogram h{0.0, 10.0, 10};
-  for (int i = 0; i < 100; ++i) h.add(static_cast<double>(i % 10) + 0.5);
-  EXPECT_EQ(h.count(), 100);
-  EXPECT_NEAR(h.quantile(0.5), 5.0, 1.0);
-}
-
-TEST(Histogram, ClampsOutOfRange) {
-  Histogram h{0.0, 1.0, 4};
-  h.add(-5.0);
-  h.add(99.0);
-  EXPECT_EQ(h.bins().front(), 1);
-  EXPECT_EQ(h.bins().back(), 1);
-}
-
 TEST(QuantileFunction, ExactValues) {
   std::vector<double> xs{1, 2, 3, 4, 5};
   EXPECT_DOUBLE_EQ(quantile(xs, 0.0), 1.0);
@@ -148,23 +114,6 @@ TEST(AccessorChains, SeriesKbpsPointsOffATemporaryStaysValid) {
   double sum = 0.0;
   for (const auto& p : binner.series_kbps().points()) sum += p.v;
   EXPECT_GT(sum, 0.0);
-}
-
-Histogram make_histogram() {
-  Histogram h{0.0, 10.0, 5};
-  h.add(1.0);
-  h.add(9.0);
-  return h;
-}
-
-TEST(AccessorChains, HistogramBinsOffATemporaryStaysValid) {
-  std::int64_t total = 0;
-  for (const std::int64_t c : make_histogram().bins()) total += c;
-  EXPECT_EQ(total, 2);
-  // Lvalue access still returns a reference, not a copy.
-  Histogram h = make_histogram();
-  const auto* first = h.bins().data();
-  EXPECT_EQ(h.bins().data(), first);
 }
 
 }  // namespace
