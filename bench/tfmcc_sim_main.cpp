@@ -17,7 +17,6 @@
 
 #include "sim/scenario.hpp"
 #include "sim/sweep.hpp"
-#include "sim/sweep_state.hpp"
 
 namespace {
 
@@ -27,11 +26,9 @@ void print_usage(std::ostream& os) {
         "                            [--set key=value]... [--output <path>]\n"
         "       tfmcc_sim sweep <scenario> --sweep key=v1,v2,...\n"
         "                       [--sweep key=lo:hi:linN|logN]... [--jobs N]\n"
-        "                       [--replicate N] [--stats mean,cov,...]\n"
-        "                       [--progress] [--shard i/n]\n"
+        "                       [--replicate N] [--stats mean,cov,...] [--progress]\n"
         "                       [--checkpoint <path>] [--checkpoint-every N]\n"
         "                       [--resume <path>] [single-run flags]\n"
-        "       tfmcc_sim merge [--output <path>] <partial>...\n"
         "`--list` shows each scenario's tunable parameters with their paper\n"
         "defaults; `--set` overrides them.  Scenarios with scripted event\n"
         "schedules rescale the script proportionally under --duration.\n"
@@ -42,10 +39,8 @@ void print_usage(std::ostream& os) {
         "and emits one summary row per point (mean/cov/... columns per the\n"
         "--stats selection plus n_rep); `--progress` forces the throttled\n"
         "progress/ETA line stderr TTYs get by default.\n"
-        "`--shard i/n` runs only the grid points shard i of n owns and\n"
-        "writes a partial artifact; `merge` folds all n partials into the\n"
-        "byte-identical unsharded aggregate.  `--checkpoint`/`--resume`\n"
-        "make a killed sweep restartable with byte-identical output.\n"
+        "`--checkpoint`/`--resume` make a killed sweep restartable with\n"
+        "byte-identical output.\n"
         "Any failed run fails the sweep.\n";
 }
 
@@ -82,9 +77,6 @@ int main(int argc, char** argv) {
 
   if (cmd == "sweep") {
     return tfmcc::sweep_main(argc - 2, argv + 2, std::cerr);
-  }
-  if (cmd == "merge") {
-    return tfmcc::merge_main(argc - 2, argv + 2, std::cerr);
   }
 
   // The name is checked before its flags, so a mistyped or removed

@@ -89,32 +89,25 @@ bool stderr_is_tty() {
 /// (`--progress` under redirection) each update is its own line.  Uses the
 /// monotonic clock so wall-clock adjustments cannot yield negative ETAs.
 ///
-/// Counts are shard-local (`label` carries the "sweep shard i/n" prefix);
-/// percent and ETA weight each run by its cost hint, so a ladder grid that
-/// finished its cheap half does not claim to be half done.  Tasks restored
-/// from a checkpoint count toward the totals but not toward the observed
-/// rate — they cost this session nothing.
+/// The ETA extrapolates this session's run rate over the runs left.  Runs
+/// restored from a checkpoint count toward k/n but not toward the rate —
+/// they cost this session nothing.
 class ProgressReporter {
  public:
-  ProgressReporter(std::string label, std::size_t total, double total_weight,
-                   std::size_t restored, double restored_weight, bool enabled,
+  ProgressReporter(std::size_t total, std::size_t restored, bool enabled,
                    bool tty, std::ostream& err)
-      : label_{std::move(label)},
-        total_{total},
-        total_weight_{total_weight},
-        restored_weight_{restored_weight},
+      : total_{total},
+        restored_{restored},
         enabled_{enabled},
         tty_{tty},
         err_{err},
         start_{std::chrono::steady_clock::now()},
-        done_{restored},
-        weight_done_{restored_weight} {}
+        done_{restored} {}
 
   /// Thread-safe; called by workers after each completed run.
-  void task_done(double weight) {
+  void task_done() {
     std::lock_guard<std::mutex> lock(mu_);
     ++done_;
-    weight_done_ += weight;
     if (!enabled_) return;
     const auto now = std::chrono::steady_clock::now();
     if (done_ != total_ &&
@@ -125,15 +118,14 @@ class ProgressReporter {
     last_print_ = now;
     const double elapsed =
         std::chrono::duration<double>(now - start_).count();
-    const double eta = weighted_eta_seconds(
-        elapsed, weight_done_ - restored_weight_,
-        total_weight_ - restored_weight_);
-    const double pct =
-        total_weight_ > 0.0 ? 100.0 * weight_done_ / total_weight_ : 100.0;
+    const double eta = elapsed / static_cast<double>(done_ - restored_) *
+                       static_cast<double>(total_ - done_);
+    const double pct = 100.0 * static_cast<double>(done_) /
+                       static_cast<double>(total_);
     char buf[192];
     std::snprintf(buf, sizeof buf,
-                  "%s: %zu/%zu runs (%.0f%%) elapsed %.1fs eta %.1fs",
-                  label_.c_str(), done_, total_, pct, elapsed, eta);
+                  "sweep: %zu/%zu runs (%.0f%%) elapsed %.1fs eta %.1fs",
+                  done_, total_, pct, elapsed, eta);
     if (tty_) {
       err_ << '\r' << buf << "  " << std::flush;
     } else {
@@ -147,17 +139,14 @@ class ProgressReporter {
   }
 
  private:
-  const std::string label_;
   const std::size_t total_;
-  const double total_weight_;
-  const double restored_weight_;
+  const std::size_t restored_;
   const bool enabled_;
   const bool tty_;
   std::ostream& err_;
   const std::chrono::steady_clock::time_point start_;
   std::mutex mu_;
   std::size_t done_;
-  double weight_done_;
   bool printed_{false};
   std::chrono::steady_clock::time_point last_print_{};
 };
@@ -274,21 +263,6 @@ std::string point_label(const std::vector<SweepAxis>& axes,
   return label;
 }
 
-double sweep_point_cost(const std::vector<std::string>& point) {
-  double cost = 1.0;
-  for (const auto& value : point) {
-    double v = 0.0;
-    if (summary::parse_number(value, v) && v > 1.0) cost *= v;
-  }
-  return cost;
-}
-
-double weighted_eta_seconds(double elapsed_s, double weight_done,
-                            double weight_total) {
-  if (weight_done <= 0.0) return 0.0;
-  return elapsed_s / weight_done * std::max(0.0, weight_total - weight_done);
-}
-
 void request_sweep_interrupt() {
   g_sweep_interrupt.store(true, std::memory_order_relaxed);
 }
@@ -337,13 +311,6 @@ int run_sweep(const Scenario& scenario, const SweepOptions& sweep,
     err << "error: --replicate needs at least one statistic\n";
     return 2;
   }
-  if (sweep.shard_count < 1 || sweep.shard_index < 0 ||
-      sweep.shard_index >= sweep.shard_count) {
-    err << "error: shard index " << sweep.shard_index
-        << " is out of range for " << sweep.shard_count
-        << " shard(s) (need 0 <= i < n)\n";
-    return 2;
-  }
   if (sweep.checkpoint_every < 1) {
     err << "error: --checkpoint-every must be at least 1\n";
     return 2;
@@ -367,23 +334,18 @@ int run_sweep(const Scenario& scenario, const SweepOptions& sweep,
     }
   }
 
-  // Run this shard's slice of the grid (times replicates) on a fixed-size
-  // pool.  One task is one scenario run; task t is replicate t % n_rep of
-  // grid point t / n_rep, and the shard owns the task iff it owns the
-  // point.  Completed tasks stream: whenever the next *owned task in task
-  // order* has completed, its trace is folded into its grid point and the
-  // capture released, so every point sees rows in exactly the order a
-  // serial unsharded sweep would feed it — byte-identical output,
-  // independent of completion order and of the cost-ordered scheduling
-  // below.  A point's replicates are consecutive tasks, so at most one
-  // point is open at a time; when its last replicate folds, the point is
-  // reduced to its final aggregate lines and its accumulator freed.
+  // Run the grid (times replicates) on a fixed-size pool.  One task is one
+  // scenario run; task t is replicate t % n_rep of grid point t / n_rep,
+  // and workers claim tasks in task order.  Completed tasks stream:
+  // whenever the next task in task order has completed, its trace is folded
+  // into its grid point and the capture released, so every point sees rows
+  // in exactly the order a serial sweep would feed it — byte-identical
+  // output, independent of completion order.  A point's replicates are
+  // consecutive tasks, so at most one point is open at a time; when its
+  // last replicate folds, the point is reduced to its final aggregate lines
+  // and its accumulator freed.
   const SweepManifest manifest = SweepManifest::from(scenario, sweep);
   const std::size_t n_tasks = grid.size() * static_cast<std::size_t>(n_rep);
-  std::vector<double> point_cost(grid.size());
-  for (std::size_t p = 0; p < grid.size(); ++p) {
-    point_cost[p] = sweep_point_cost(grid[p]);
-  }
   auto task_point = [n_rep](std::size_t t) {
     return t / static_cast<std::size_t>(n_rep);
   };
@@ -406,13 +368,7 @@ int run_sweep(const Scenario& scenario, const SweepOptions& sweep,
   if (!sweep.resume_path.empty()) {
     SweepLog ckpt;
     if (!read_sweep_log(sweep.resume_path, ckpt, err)) return 2;
-    if (ckpt.kind != SweepLogKind::kCheckpoint) {
-      err << "error: '" << sweep.resume_path
-          << "' is a shard partial, not a checkpoint (merge it with "
-             "`tfmcc_sim merge` instead)\n";
-      return 2;
-    }
-    if (!ckpt.manifest.matches(manifest, /*ignore_shard_index=*/false,
+    if (!ckpt.manifest.matches(manifest,
                                "checkpoint '" + sweep.resume_path + "'",
                                err)) {
       return 2;
@@ -427,53 +383,15 @@ int run_sweep(const Scenario& scenario, const SweepOptions& sweep,
     }
   }
 
-  // The shard's tasks still to fold, in task order: every replicate of
-  // each owned point that was not restored.
+  // The tasks still to run, in task order: every replicate of each point
+  // that was not restored.
   std::vector<std::size_t> pending;
-  std::size_t n_owned = 0;
-  double restored_weight = 0.0;
-  double owned_weight = 0.0;
   for (std::size_t t = 0; t < n_tasks; ++t) {
-    const std::size_t p = task_point(t);
-    if (!shard_owns_point(manifest, p)) continue;
-    ++n_owned;
-    owned_weight += point_cost[p];
-    if (finished[p].has_value()) {
-      restored_weight += point_cost[p];
-    } else {
-      pending.push_back(t);
-    }
+    if (!finished[task_point(t)].has_value()) pending.push_back(t);
   }
 
-  // Longest-expected-first scheduling over the still-pending owned tasks:
-  // starting the expensive points early keeps an uneven grid from stalling
-  // the pool on one giant tail run.  The reorder is bounded to blocks of
-  // consecutive tasks — folds (and therefore checkpoints and capture
-  // release) advance strictly in task order, so a global sort would hold
-  // every fold hostage to the cheapest task it scheduled last.  This
-  // permutes only which worker picks what, never the fold order, so output
-  // bytes are unaffected.
-  std::vector<std::size_t> schedule = pending;
-  const std::size_t window = std::max<std::size_t>(
-      8, 4 * static_cast<std::size_t>(std::max(sweep.jobs, 1)));
-  for (std::size_t b = 0; b < schedule.size(); b += window) {
-    const auto first = schedule.begin() + static_cast<std::ptrdiff_t>(b);
-    const auto last =
-        schedule.begin() +
-        static_cast<std::ptrdiff_t>(std::min(b + window, schedule.size()));
-    std::stable_sort(first, last, [&](std::size_t a, std::size_t c) {
-      return point_cost[task_point(a)] > point_cost[task_point(c)];
-    });
-  }
-
-  std::string progress_label = "sweep";
-  if (sweep.shard_count > 1) {
-    progress_label += " shard " + std::to_string(sweep.shard_index) + "/" +
-                      std::to_string(sweep.shard_count);
-  }
   const bool err_is_stderr_tty = &err == &std::cerr && stderr_is_tty();
-  ProgressReporter progress(std::move(progress_label), n_owned, owned_weight,
-                            n_owned - pending.size(), restored_weight,
+  ProgressReporter progress(n_tasks, n_tasks - pending.size(),
                             sweep.progress || err_is_stderr_tty,
                             err_is_stderr_tty, err);
 
@@ -601,8 +519,8 @@ int run_sweep(const Scenario& scenario, const SweepOptions& sweep,
       // and checkpoints) but claims nothing further.
       if (g_sweep_interrupt.load(std::memory_order_relaxed)) return;
       const std::size_t slot = next_slot.fetch_add(1);
-      if (slot >= schedule.size()) return;
-      const std::size_t t = schedule[slot];
+      if (slot >= pending.size()) return;
+      const std::size_t t = pending[slot];
       const std::uint64_t rep = t % static_cast<std::size_t>(n_rep);
       std::ostringstream sink;
       ScenarioOptions opts = point_options(grid[task_point(t)]);
@@ -643,11 +561,11 @@ int run_sweep(const Scenario& scenario, const SweepOptions& sweep,
           write_checkpoint(/*force=*/false);
         }
       }
-      progress.task_done(point_cost[task_point(t)]);
+      progress.task_done();
     }
   };
   const std::size_t n_workers = std::min<std::size_t>(
-      schedule.size(), static_cast<std::size_t>(std::max(sweep.jobs, 1)));
+      pending.size(), static_cast<std::size_t>(std::max(sweep.jobs, 1)));
   if (n_workers <= 1) {
     worker();
   } else {
@@ -691,26 +609,13 @@ int run_sweep(const Scenario& scenario, const SweepOptions& sweep,
   }
   // A fully-restored resume ran no workers, so the end-of-sweep append did
   // not happen in the fold loop; it writes the restored points here.
-  if (!sweep.checkpoint_path.empty() && schedule.empty()) {
+  if (!sweep.checkpoint_path.empty() && pending.empty()) {
     std::lock_guard<std::mutex> lock(fold_mu);
     write_checkpoint(/*force=*/false);
     if (checkpoint_failed) {
       err << ckpt_log.str();
       return 2;
     }
-  }
-
-  if (sweep.shard_count > 1) {
-    // Shards do not emit CSV: the partial is a one-record log of the
-    // shard's finished points (every point it owns) for `tfmcc_sim merge`
-    // to place into the full grid.
-    std::vector<const FinishedPoint*> done;
-    for (const auto& p : finished) {
-      if (p.has_value()) done.push_back(&*p);
-    }
-    const SweepLogEncoder partial{SweepLogKind::kPartial, manifest};
-    out << partial.head() << partial.record(1, n_folded, done);
-    return 0;
   }
 
   return emit_sweep_aggregate(manifest, grid, finished, out, err);
@@ -721,7 +626,7 @@ int sweep_main(int argc, char** argv, std::ostream& err) {
     err << "usage: tfmcc_sim sweep <scenario> --sweep key=v1,v2,... "
            "[--sweep key=lo:hi:logN]... [--jobs N] [--replicate N] "
            "[--stats mean,stddev,cov,min,max] [--progress] "
-           "[--shard i/n] [--checkpoint <path>] [--checkpoint-every N] "
+           "[--checkpoint <path>] [--checkpoint-every N] "
            "[--resume <path>] "
            "[--duration <s>] [--seed <n>] [--set key=value]... "
            "[--output <path>]\n";
@@ -788,36 +693,6 @@ int sweep_main(int argc, char** argv, std::ostream& err) {
         return 2;
       }
       stats_given = true;
-      ++i;
-    } else if (arg == "--shard") {
-      // i/n: this invocation runs shard i of n and writes a partial
-      // artifact for `tfmcc_sim merge`.
-      bool ok = has_value;
-      if (ok) {
-        const std::string_view spec = argv[i + 1];
-        const std::size_t slash = spec.find('/');
-        ok = slash != std::string_view::npos;
-        if (ok) {
-          char* end = nullptr;
-          const std::string text{spec};
-          const long index = std::strtol(text.c_str(), &end, 10);
-          ok = end == text.c_str() + slash;
-          char* end2 = nullptr;
-          const long count =
-              ok ? std::strtol(text.c_str() + slash + 1, &end2, 10) : 0;
-          ok = ok && end2 == text.c_str() + text.size() && count >= 1 &&
-               count <= 10'000 && index >= 0 && index < count;
-          if (ok) {
-            sweep.shard_index = static_cast<int>(index);
-            sweep.shard_count = static_cast<int>(count);
-          }
-        }
-      }
-      if (!ok) {
-        err << "error: --shard expects i/n with 0 <= i < n <= 10000 "
-               "(e.g. --shard 0/3)\n";
-        return 2;
-      }
       ++i;
     } else if (arg == "--checkpoint") {
       if (!has_value) {

@@ -77,21 +77,6 @@ std::vector<std::vector<std::string>> expand_grid(
 std::string point_label(const std::vector<SweepAxis>& axes,
                         const std::vector<std::string>& point);
 
-/// Scheduling/progress cost hint for one grid point: the product of its
-/// axis values that parse as numbers greater than 1 (n_receivers=2000 →
-/// 2000); non-numeric and small values contribute 1, so every hint is
-/// >= 1.  Purely a heuristic — it reorders *scheduling* (longest expected
-/// first, so uneven grids stop tail-stalling the pool) and weights the
-/// progress/ETA line, while fold order stays task order, preserving the
-/// byte-identity contract.
-double sweep_point_cost(const std::vector<std::string>& point);
-
-/// Weighted ETA: elapsed time extrapolated over remaining *work* (cost
-/// hints), not remaining run count — an uneven grid that finished its
-/// cheap half is not half done.  Returns 0 when no work has completed.
-double weighted_eta_seconds(double elapsed_s, double weight_done,
-                            double weight_total);
-
 struct SweepOptions {
   std::vector<SweepAxis> axes;
   int jobs{1};
@@ -103,12 +88,6 @@ struct SweepOptions {
   std::vector<summary::Stat> stats{summary::default_stats()};
   /// Force the progress/ETA line even when stderr is not a TTY.
   bool progress{false};
-  /// `--shard i/n`: run only the grid points this shard owns (point index
-  /// mod shard_count == shard_index) and write a partial-aggregate
-  /// artifact instead of CSV; `tfmcc_sim merge` folds the n partials into
-  /// the byte-identical unsharded aggregate.  shard_count 1 = unsharded.
-  int shard_index{0};
-  int shard_count{1};
   /// `--checkpoint <path>`: log finished grid points so a killed sweep
   /// can continue with --resume.  After every `checkpoint_every` folded
   /// tasks, on an interrupt and at the end, one record with the points
@@ -146,10 +125,10 @@ void request_sweep_interrupt();
 
 /// CLI entry for `tfmcc_sim sweep <scenario> ...`: argv holds everything
 /// after the `sweep` token.  Accepts `--sweep key=spec` (repeatable),
-/// `--jobs N`, `--replicate N`, `--stats list`, `--progress`, sharding and
-/// checkpoint flags (`--shard i/n`, `--checkpoint`, `--checkpoint-every`,
-/// `--resume`), and every single-run flag (`--duration`, `--seed`, `--set`,
-/// `--output`).  Returns the process exit code.
+/// `--jobs N`, `--replicate N`, `--stats list`, `--progress`, the
+/// checkpoint flags (`--checkpoint`, `--checkpoint-every`, `--resume`), and
+/// every single-run flag (`--duration`, `--seed`, `--set`, `--output`).
+/// Returns the process exit code.
 int sweep_main(int argc, char** argv, std::ostream& err);
 
 }  // namespace tfmcc

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <iostream>
 #include <istream>
 #include <ostream>
-#include <set>
 #include <sstream>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -21,7 +19,6 @@ namespace tfmcc {
 namespace {
 
 constexpr std::string_view kCheckpointMagic = "TFMCC-SWEEP-CKPT";
-constexpr std::string_view kPartialMagic = "TFMCC-SWEEP-PART";
 // Version 3 is the append-only log of finished points; files of older
 // versions are refused, not read.
 constexpr int kFormatVersion = 3;
@@ -66,17 +63,6 @@ bool read_str(std::istream& is, std::string& out) {
 bool at_end(std::istream& is) {
   is >> std::ws;
   return is.peek() == std::istream::traits_type::eof();
-}
-
-/// Tasks the manifest's shard owns: round-robin point ownership times the
-/// replicate count.
-std::uint64_t owned_task_count(const SweepManifest& m) {
-  const std::size_t n = m.n_points();
-  const std::size_t c = static_cast<std::size_t>(m.shard_count);
-  const std::size_t i = static_cast<std::size_t>(m.shard_index);
-  const std::size_t owned_points = n > i ? (n - 1 - i) / c + 1 : 0;
-  return static_cast<std::uint64_t>(owned_points) *
-         static_cast<std::uint64_t>(m.replicate);
 }
 
 constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
@@ -176,8 +162,6 @@ SweepManifest SweepManifest::from(const Scenario& scenario,
   }
   m.seed = sweep.base.seed;
   for (const auto& [k, v] : sweep.base.params()) m.params.emplace_back(k, v);
-  m.shard_index = sweep.shard_index;
-  m.shard_count = sweep.shard_count;
   return m;
 }
 
@@ -204,7 +188,9 @@ void SweepManifest::save(std::ostream& os) const {
   }
   os << "\nreplicate " << replicate << "\nstats ";
   write_str(os, stats_spelling(stats));
-  os << "\nshard " << shard_index << ' ' << shard_count;
+  // A fixed token, kept so the v3 log stays byte-identical; load refuses
+  // any other shard.
+  os << "\nshard 0 1";
   os << "\nparams " << params.size() << '\n';
   for (const auto& [k, v] : params) {
     write_str(os, k);
@@ -254,9 +240,15 @@ bool SweepManifest::load(std::istream& is, SweepManifest& out,
   }
   std::ostringstream sink;
   if (!summary::parse_stats(stats_text, out.stats, sink)) return false;
-  if (!expect_token(is, "shard") || !(is >> out.shard_index) ||
-      !(is >> out.shard_count) || out.shard_count < 1 ||
-      out.shard_index < 0 || out.shard_index >= out.shard_count) {
+  int shard_index = 0, shard_count = 0;
+  if (!expect_token(is, "shard") || !(is >> shard_index) ||
+      !(is >> shard_count)) {
+    return false;
+  }
+  if (shard_index != 0 || shard_count != 1) {
+    err = "manifest reads 'shard " + std::to_string(shard_index) + ' ' +
+          std::to_string(shard_count) +
+          "': a log of a sharded sweep, which this build does not read";
     return false;
   }
   std::size_t n_params = 0;
@@ -300,8 +292,8 @@ bool SweepManifest::load(std::istream& is, SweepManifest& out,
   return true;
 }
 
-bool SweepManifest::matches(const SweepManifest& other, bool ignore_shard_index,
-                            std::string_view what, std::ostream& err) const {
+bool SweepManifest::matches(const SweepManifest& other, std::string_view what,
+                            std::ostream& err) const {
   auto fail = [&](std::string_view field, const std::string& recorded,
                   const std::string& current) {
     err << "error: " << what << " does not match this sweep: " << field
@@ -354,30 +346,15 @@ bool SweepManifest::matches(const SweepManifest& other, bool ignore_shard_index,
     return fail("--set overrides", std::to_string(params.size()) + " keys",
                 std::to_string(other.params.size()) + " keys");
   }
-  if (shard_count != other.shard_count) {
-    return fail("shard count", std::to_string(shard_count),
-                std::to_string(other.shard_count));
-  }
-  if (!ignore_shard_index && shard_index != other.shard_index) {
-    return fail("shard index", std::to_string(shard_index),
-                std::to_string(other.shard_index));
-  }
   return true;
 }
 
-bool shard_owns_point(const SweepManifest& m, std::size_t point) {
-  return point % static_cast<std::size_t>(m.shard_count) ==
-         static_cast<std::size_t>(m.shard_index);
-}
-
-SweepLogEncoder::SweepLogEncoder(SweepLogKind kind,
-                                 const SweepManifest& manifest) {
+SweepLogEncoder::SweepLogEncoder(const SweepManifest& manifest) {
   std::ostringstream m;
   manifest.save(m);
   manifest_sum_ = fnv1a64(m.str());
-  head_ = std::string{kind == SweepLogKind::kCheckpoint ? kCheckpointMagic
-                                                        : kPartialMagic} +
-          ' ' + std::to_string(kFormatVersion) + '\n' +
+  head_ = std::string{kCheckpointMagic} + ' ' +
+          std::to_string(kFormatVersion) + '\n' +
           frame("manifest", m.str(), kFnvBasis);
 }
 
@@ -425,10 +402,10 @@ bool parse_record(std::string_view payload, SweepLog& log, std::string& err) {
         !read_str(is, p.csv_header) || !read_str(is, p.stats_header)) {
       return false;
     }
-    if (p.index >= m.n_points() || !shard_owns_point(m, p.index) ||
+    if (p.index >= m.n_points() ||
         (!log.points.empty() && p.index <= log.points.back().index)) {
       err = "record holds point " + std::to_string(p.index) +
-            ", which is out of order or not owned by this shard";
+            ", which is out of order or outside the grid";
       return false;
     }
     p.lines.resize(n_lines);
@@ -446,7 +423,8 @@ bool parse_record(std::string_view payload, SweepLog& log, std::string& err) {
   if (!at_end(is)) return false;
   // The counters are cumulative: the heartbeat ticks on every append, and
   // every recorded point has all its replicates folded.
-  if (heartbeat <= log.heartbeat || folded > owned_task_count(m) ||
+  if (heartbeat <= log.heartbeat ||
+      folded > m.n_points() * static_cast<std::uint64_t>(m.replicate) ||
       folded < log.points.size() * static_cast<std::uint64_t>(m.replicate)) {
     err = "record counters are inconsistent";
     return false;
@@ -465,12 +443,8 @@ bool parse_sweep_log(std::string_view bytes, SweepLog& out, std::string& err) {
   const std::string_view magic_line = bytes.substr(0, nl);
   const std::size_t sp = magic_line.find(' ');
   const std::string_view magic = magic_line.substr(0, sp);
-  if (magic == kCheckpointMagic) {
-    out.kind = SweepLogKind::kCheckpoint;
-  } else if (magic == kPartialMagic) {
-    out.kind = SweepLogKind::kPartial;
-  } else {
-    err = "not a sweep checkpoint or partial (bad magic)";
+  if (magic != kCheckpointMagic) {
+    err = "not a sweep checkpoint (bad magic)";
     return false;
   }
   const std::string_view version =
@@ -605,8 +579,7 @@ bool read_sweep_log(const std::string& path, SweepLog& out,
 }
 
 SweepLogWriter::SweepLogWriter(std::string path, const SweepManifest& manifest)
-    : path_{std::move(path)},
-      encoder_{SweepLogKind::kCheckpoint, manifest} {}
+    : path_{std::move(path)}, encoder_{manifest} {}
 
 SweepLogWriter::~SweepLogWriter() {
 #if defined(__unix__) || defined(__APPLE__)
@@ -663,10 +636,6 @@ bool read_checkpoint_progress(const std::string& path, CheckpointProgress& out,
   std::ostringstream why;
   if (!read_sweep_log(path, log, why)) {
     err = why.str();
-    return false;
-  }
-  if (log.kind != SweepLogKind::kCheckpoint) {
-    err = "'" + path + "' is a shard partial, not a sweep checkpoint";
     return false;
   }
   out.heartbeat = log.heartbeat;
@@ -736,110 +705,6 @@ int emit_sweep_aggregate(const SweepManifest& manifest,
     }
   }
   return 0;
-}
-
-int merge_main(int argc, char** argv, std::ostream& err) {
-  std::optional<std::string> output_path;
-  std::vector<std::string> part_paths;
-  for (int i = 0; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--output") {
-      if (i + 1 >= argc) {
-        err << "error: --output expects a path\n";
-        return 2;
-      }
-      output_path = argv[i + 1];
-      ++i;
-    } else if (arg.substr(0, 2) == "--") {
-      err << "error: unknown merge flag '" << arg << "'\n";
-      return 2;
-    } else {
-      part_paths.emplace_back(arg);
-    }
-  }
-  if (part_paths.empty()) {
-    err << "usage: tfmcc_sim merge [--output <path>] <partial>...\n"
-           "Places the finished points of the partial-aggregate artifacts "
-           "written by `sweep --shard i/n` — all n of them, each exactly "
-           "once — into the aggregate CSV the unsharded sweep would have "
-           "written.\n";
-    return 2;
-  }
-
-  std::vector<SweepLog> parts(part_paths.size());
-  for (std::size_t i = 0; i < part_paths.size(); ++i) {
-    if (!read_sweep_log(part_paths[i], parts[i], err)) return 2;
-    if (parts[i].kind != SweepLogKind::kPartial) {
-      err << "error: '" << part_paths[i]
-          << "' is a sweep checkpoint, not a shard partial (resume it with "
-             "`sweep ... --resume` instead)\n";
-      return 2;
-    }
-    // A partial is written whole when its shard finishes; unlike a
-    // checkpoint, a cut-short one is damage, not a crash to resume from.
-    if (parts[i].torn_tail || parts[i].heartbeat == 0) {
-      err << "error: partial '" << part_paths[i]
-          << "' is truncated (its record is missing or incomplete)\n";
-      return 2;
-    }
-  }
-  const SweepManifest& ref = parts.front().manifest;
-  if (parts.size() != static_cast<std::size_t>(ref.shard_count)) {
-    err << "error: sweep was sharded " << ref.shard_count << " ways but "
-        << parts.size() << " partial(s) were given\n";
-    return 2;
-  }
-  std::set<int> shards_seen;
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    if (!parts[i].manifest.matches(ref, /*ignore_shard_index=*/true,
-                                   "partial '" + part_paths[i] + "'", err)) {
-      return 2;
-    }
-    if (!shards_seen.insert(parts[i].manifest.shard_index).second) {
-      err << "error: shard " << parts[i].manifest.shard_index << "/"
-          << ref.shard_count << " appears more than once\n";
-      return 2;
-    }
-  }
-
-  // Each point has exactly one owner (validated when the partial was read),
-  // so placing by index reassembles the grid as the owners computed it.
-  const auto grid = expand_grid(ref.axes);
-  std::vector<std::optional<FinishedPoint>> points(grid.size());
-  for (auto& part : parts) {
-    for (auto& p : part.points) {
-      const std::size_t index = p.index;
-      points[index] = std::move(p);
-    }
-  }
-  // Every shard is present exactly once, so a point no partial holds was
-  // left out by its owner: its shard did not finish it.
-  for (std::size_t p = 0; p < grid.size(); ++p) {
-    if (points[p].has_value()) continue;
-    for (std::size_t i = 0; i < parts.size(); ++i) {
-      if (!shard_owns_point(parts[i].manifest, p)) continue;
-      err << "error: partial '" << part_paths[i] << "' (shard "
-          << parts[i].manifest.shard_index << "/" << ref.shard_count
-          << ") lacks grid point " << point_label(ref.axes, grid[p])
-          << " that its shard owns\n";
-    }
-    return 2;
-  }
-
-  std::ofstream file;
-  std::ostream* out = &std::cout;
-  if (output_path.has_value()) {
-    if (!open_output_file(*output_path, file, err)) return 2;
-    out = &file;
-  }
-  SweepManifest unsharded = ref;
-  unsharded.shard_index = 0;
-  unsharded.shard_count = 1;
-  const int rc = emit_sweep_aggregate(unsharded, grid, points, *out, err);
-  if (file.is_open() && !finish_output_file(*output_path, file, err)) {
-    return 2;
-  }
-  return rc;
 }
 
 }  // namespace tfmcc

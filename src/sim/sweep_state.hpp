@@ -1,15 +1,14 @@
 #pragma once
 
-// Sweep state on disk: sharding, checkpoint/resume, and the
-// partial-aggregate artifacts `tfmcc_sim merge` places back together.
+// Sweep state on disk: the checkpoint log a killed sweep resumes from.
 //
 // The unit of persisted state is a *finished grid point*.  Once every
 // replicate of a point has folded, the point's share of the aggregate is a
 // fixed list of CSV lines — its raw rows, or its summary rows — and it
-// never changes again.  So each finished point is written exactly once.
-// Checkpoints and shard partials share one append-only log format (v3):
+// never changes again.  So each finished point is written exactly once,
+// into an append-only log (format v3):
 //
-//   TFMCC-SWEEP-CKPT 3                (TFMCC-SWEEP-PART 3 for a partial)
+//   TFMCC-SWEEP-CKPT 3
 //   manifest <length> <fnv1a64>       the sweep's manifest, framed
 //   <length bytes>
 //   record <length> <fnv1a64>         zero or more records, framed alike
@@ -19,29 +18,21 @@
 // record holds the cumulative heartbeat and folded-task count and every
 // point that finished since the previous record (see FinishedPoint).
 //
-// The determinism contract extends the `--jobs N == --jobs 1` byte
-// identity in two directions:
-//
-//   * Sharding.  `--shard i/n` gives shard i every grid point p with
-//     p % n == i (all of a point's replicates stay together).  A point's
-//     lines are computed by exactly one owner from exactly the rows, in
-//     exactly the order, the unsharded sweep would feed it, so `merge` only
-//     places each point's lines by grid index.  The merged output is
-//     byte-identical (`cmp`) to the unsharded aggregate.
-//
-//   * Resume.  A resumed sweep restores the finished points and re-runs
-//     only the unfinished ones.  Seeds are a pure function of the grid
-//     point and replicate, so the re-runs reproduce what the killed sweep
-//     would have folded, byte for byte.
+// Resume extends the `--jobs N == --jobs 1` byte identity: a resumed sweep
+// restores the finished points and re-runs only the unfinished ones.  Seeds
+// are a pure function of the grid point and replicate, so the re-runs
+// reproduce what the killed sweep would have folded, byte for byte.
 //
 // Crash tolerance: a final record cut short (a crash mid-append) is
 // dropped by every reader, and a resumed run's first append rewrites the
 // log without it.  Any other damage — a checksum mismatch, a malformed
-// frame, a record for a point the shard does not own — and any older
-// (v2) file is refused with a diagnostic.  Both file kinds open with the
-// manifest — scenario, axes, replicate count, stats, base overrides,
-// shard — and a resume or merge that does not match the invoking sweep is
-// refused rather than silently blended.
+// frame, a record for a point outside the grid — and any older (v2) file
+// is refused with a diagnostic.  The log opens with the manifest —
+// scenario, axes, replicate count, stats, base overrides — and a resume
+// that does not match the invoking sweep is refused rather than silently
+// blended.  The manifest's `shard 0 1` line is a fixed token kept so v3
+// logs stay byte-identical to those earlier builds wrote; a log whose
+// manifest names any other shard came from a sharded sweep and is refused.
 
 #include <cstddef>
 #include <cstdint>
@@ -68,8 +59,6 @@ struct SweepManifest {
   std::optional<std::uint64_t> seed;
   /// Base `--set` overrides, in the options' (sorted-map) order.
   std::vector<std::pair<std::string, std::string>> params;
-  int shard_index{0};
-  int shard_count{1};
 
   static SweepManifest from(const Scenario& scenario,
                             const SweepOptions& sweep);
@@ -81,16 +70,10 @@ struct SweepManifest {
 
   /// True when `other` describes the same sweep.  Otherwise writes a
   /// diagnostic naming the first differing field, prefixed with `what`
-  /// ("checkpoint" / "partial").  `ignore_shard_index` is set when merging
-  /// partials, which differ in shard index by construction.
-  bool matches(const SweepManifest& other, bool ignore_shard_index,
-               std::string_view what, std::ostream& err) const;
+  /// ("checkpoint '<path>'").
+  bool matches(const SweepManifest& other, std::string_view what,
+               std::ostream& err) const;
 };
-
-/// Shard ownership rule: grid point p belongs to shard p % shard_count.
-/// Round-robin keeps monotone-cost ladders (2..2000 receivers) balanced
-/// across shards instead of handing one shard the whole expensive tail.
-bool shard_owns_point(const SweepManifest& m, std::size_t point);
 
 /// One finished grid point's share of the aggregate.
 struct FinishedPoint {
@@ -106,11 +89,8 @@ struct FinishedPoint {
   std::vector<std::string> lines;
 };
 
-enum class SweepLogKind { kCheckpoint, kPartial };
-
-/// A parsed checkpoint or partial.
+/// A parsed checkpoint.
 struct SweepLog {
-  SweepLogKind kind{SweepLogKind::kCheckpoint};
   SweepManifest manifest;
   /// From the last complete record (0 when there is none).
   std::uint64_t heartbeat{0};
@@ -126,7 +106,7 @@ struct SweepLog {
 /// spliced in from another sweep's log fail their checksum.
 class SweepLogEncoder {
  public:
-  SweepLogEncoder(SweepLogKind kind, const SweepManifest& manifest);
+  explicit SweepLogEncoder(const SweepManifest& manifest);
 
   const std::string& head() const { return head_; }
 
@@ -195,20 +175,14 @@ bool read_checkpoint_progress(const std::string& path, CheckpointProgress& out,
 /// Writes the final aggregate CSV from the finished points: the header,
 /// then every present point's lines in grid order with the swept values
 /// prepended.  `points` is parallel to the expanded grid and its callers
-/// fill every entry; an empty one would emit nothing.  The unsharded
-/// sweep, a resume and `merge` all end in this one
-/// code path, which is what makes them byte-identical.  Returns nonzero
+/// fill every entry; an empty one would emit nothing.  A fresh sweep and a
+/// resume both end in this one code path, which is what makes them
+/// byte-identical.  Returns nonzero
 /// after a diagnostic when no point produced CSV, CSV headers disagree, or
 /// replicated points expand to different statistics headers.
 int emit_sweep_aggregate(const SweepManifest& manifest,
                          const std::vector<std::vector<std::string>>& grid,
                          const std::vector<std::optional<FinishedPoint>>& points,
                          std::ostream& out, std::ostream& err);
-
-/// CLI entry for `tfmcc_sim merge [--output <path>] <partial>...`: loads
-/// the shard partials, refuses mismatched or incomplete shard sets and any
-/// partial that lacks a point its shard owns, and emits the combined
-/// aggregate CSV.  Returns the process exit code.
-int merge_main(int argc, char** argv, std::ostream& err);
 
 }  // namespace tfmcc

@@ -1,7 +1,7 @@
 // Hostile-input harness for everything that parses untrusted bytes in the
-// sweep engine: the checkpoint/partial log reader (through parse_sweep_log,
-// `--resume` and read_checkpoint_progress), `tfmcc_sim merge`, the
-// `--sweep` axis parser and `--set` coercion.
+// sweep engine: the checkpoint log reader (through parse_sweep_log,
+// `--resume` and read_checkpoint_progress), the `--sweep` axis parser and
+// `--set` coercion.
 //
 // Inputs are mutated from valid corpora by a seeded splitmix64 stream:
 // single-byte flips, truncation at every prefix, and splices of one input's
@@ -9,7 +9,7 @@
 // input ends either in a clean `error:` diagnostic or in a valid result.
 // A valid result from a log reader holds only points whose lines are
 // exactly those an uninterrupted sweep produces (a torn final record is
-// dropped, so a prefix is valid); a resume or merge that succeeds emits the
+// dropped, so a prefix is valid); a resume that succeeds emits the
 // uninterrupted sweep's bytes.
 
 #include <gtest/gtest.h>
@@ -123,13 +123,12 @@ const Scenario& scenario(const char* name) {
   return *s;
 }
 
-/// A valid corpus: one sweep's uninterrupted output, its checkpoint log
-/// (one record per fold) and its two shard partials.
+/// A valid corpus: one sweep's uninterrupted output and two checkpoint logs
+/// of it, one record per fold and one per two folds.
 struct SweepCorpus {
   SweepOptions sweep;
   std::string output;
-  std::string checkpoint;
-  std::vector<std::string> partials;
+  std::vector<std::string> checkpoints;
   std::map<std::size_t, FinishedPoint> points;  // by grid index
 };
 
@@ -144,26 +143,19 @@ SweepCorpus make_corpus(std::uint64_t seed, int replicate,
   EXPECT_EQ(run_sweep(probe, c.sweep, plain, err), 0) << err.str();
   c.output = plain.str();
 
-  SweepOptions logged = c.sweep;
-  logged.checkpoint_path = temp_path(tag + ".ckpt");
-  logged.checkpoint_every = 1;
-  std::ostringstream sink;
-  EXPECT_EQ(run_sweep(probe, logged, sink, err), 0) << err.str();
-  c.checkpoint = read_file(logged.checkpoint_path);
-  std::remove(logged.checkpoint_path.c_str());
-
-  for (int shard = 0; shard < 2; ++shard) {
-    SweepOptions sharded = c.sweep;
-    sharded.shard_index = shard;
-    sharded.shard_count = 2;
-    std::ostringstream part;
-    EXPECT_EQ(run_sweep(probe, sharded, part, err), 0) << err.str();
-    c.partials.push_back(part.str());
+  for (int every : {1, 2}) {
+    SweepOptions logged = c.sweep;
+    logged.checkpoint_path = temp_path(tag + ".ckpt");
+    logged.checkpoint_every = every;
+    std::ostringstream sink;
+    EXPECT_EQ(run_sweep(probe, logged, sink, err), 0) << err.str();
+    c.checkpoints.push_back(read_file(logged.checkpoint_path));
+    std::remove(logged.checkpoint_path.c_str());
   }
 
   SweepLog log;
   std::string why;
-  EXPECT_TRUE(parse_sweep_log(c.checkpoint, log, why)) << why;
+  EXPECT_TRUE(parse_sweep_log(c.checkpoints.front(), log, why)) << why;
   EXPECT_EQ(log.points.size(), 5u);
   for (const FinishedPoint& p : log.points) c.points[p.index] = p;
   return c;
@@ -184,12 +176,10 @@ class HostileInputs : public ::testing::Test {
   /// The corpus whose sweep the parsed manifest describes, or null.
   static const SweepCorpus* owner(const SweepManifest& m) {
     for (const SweepCorpus& c : *corpora_) {
-      SweepManifest mine = SweepManifest::from(
+      const SweepManifest mine = SweepManifest::from(
           scenario("test_hostile_probe"), c.sweep);
-      mine.shard_index = m.shard_index;
-      mine.shard_count = m.shard_count;
       std::ostringstream sink;
-      if (mine.matches(m, false, "", sink)) return &c;
+      if (mine.matches(m, "", sink)) return &c;
     }
     return nullptr;
   }
@@ -197,8 +187,7 @@ class HostileInputs : public ::testing::Test {
   static std::vector<std::string> all_logs() {
     std::vector<std::string> logs;
     for (const SweepCorpus& c : *corpora_) {
-      logs.push_back(c.checkpoint);
-      for (const auto& p : c.partials) logs.push_back(p);
+      for (const auto& ckpt : c.checkpoints) logs.push_back(ckpt);
     }
     return logs;
   }
@@ -247,18 +236,12 @@ TEST_F(HostileInputs, LogReaderYieldsAnErrorOrTrueFinishedPoints) {
       EXPECT_TRUE(same_point(p, want->second))
           << "accepted altered lines for point " << p.index;
     }
-    EXPECT_EQ(polled, log.kind == SweepLogKind::kCheckpoint) << perr;
-    if (polled) {
-      EXPECT_EQ(progress.heartbeat, log.heartbeat);
-      EXPECT_EQ(progress.folded_tasks, log.folded_tasks);
-      std::uint64_t owned_tasks = 0;
-      for (std::size_t p = 0; p < log.manifest.n_points(); ++p) {
-        if (shard_owns_point(log.manifest, p)) {
-          owned_tasks += static_cast<std::uint64_t>(log.manifest.replicate);
-        }
-      }
-      EXPECT_LE(progress.folded_tasks, owned_tasks);
-    }
+    ASSERT_TRUE(polled) << perr;
+    EXPECT_EQ(progress.heartbeat, log.heartbeat);
+    EXPECT_EQ(progress.folded_tasks, log.folded_tasks);
+    EXPECT_LE(progress.folded_tasks,
+              log.manifest.n_points() *
+                  static_cast<std::uint64_t>(log.manifest.replicate));
   }
   std::remove(path.c_str());
   // Both outcomes are exercised: every prefix past the head parses.
@@ -270,11 +253,11 @@ TEST_F(HostileInputs, ResumeEndsInAnErrorOrTheUninterruptedOutput) {
   const std::string path = temp_path("resume.log");
   const Scenario& probe = scenario("test_hostile_probe");
   for (const SweepCorpus& c : *corpora_) {
-    std::vector<std::string> corpus{c.checkpoint};
+    std::vector<std::string> corpus{c.checkpoints.front()};
     for (const SweepCorpus& other : *corpora_) {
-      if (&other != &c) corpus.push_back(other.checkpoint);
+      if (&other != &c) corpus.push_back(other.checkpoints.front());
     }
-    corpus.push_back(c.partials.front());
+    corpus.push_back(c.checkpoints.back());
     for (const std::string& bytes : mutations(corpus, 0xc0ffee, 150, 150)) {
       write_file(path, bytes);
       SweepOptions resumed = c.sweep;
@@ -291,41 +274,6 @@ TEST_F(HostileInputs, ResumeEndsInAnErrorOrTheUninterruptedOutput) {
     }
   }
   std::remove(path.c_str());
-}
-
-TEST_F(HostileInputs, MergeEndsInAnErrorOrTheUnshardedOutput) {
-  const std::vector<std::string> paths{temp_path("part0"),
-                                       temp_path("part1")};
-  const std::string merged = temp_path("merged.csv");
-  for (const SweepCorpus& c : *corpora_) {
-    for (std::size_t victim = 0; victim < 2; ++victim) {
-      std::vector<std::string> corpus{c.partials[victim],
-                                      c.partials[1 - victim], c.checkpoint};
-      for (const SweepCorpus& other : *corpora_) {
-        if (&other != &c) corpus.push_back(other.partials[victim]);
-      }
-      write_file(paths[1 - victim], c.partials[1 - victim]);
-      for (const std::string& bytes : mutations(corpus, 0xbad + victim, 150,
-                                                150)) {
-        write_file(paths[victim], bytes);
-        std::remove(merged.c_str());
-        std::vector<std::string> args{"--output", merged, paths[0], paths[1]};
-        std::vector<char*> argv;
-        for (auto& a : args) argv.push_back(a.data());
-        std::ostringstream err;
-        const int rc =
-            merge_main(static_cast<int>(argv.size()), argv.data(), err);
-        if (rc == 0) {
-          EXPECT_EQ(read_file(merged), c.output);
-        } else {
-          EXPECT_EQ(rc, 2);
-          EXPECT_EQ(err.str().rfind("error: ", 0), 0u) << err.str();
-        }
-      }
-    }
-  }
-  for (const auto& p : paths) std::remove(p.c_str());
-  std::remove(merged.c_str());
 }
 
 TEST(HostileArguments, SweepAxisParsesToAnErrorOrAUsableAxis) {

@@ -18,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "sim/sweep_state.hpp"
 #include "util/csv.hpp"
 
 namespace tfmcc {
@@ -282,19 +283,6 @@ TEST(RunSweep, ReportsFailingPointsByLabel) {
   EXPECT_NE(err.find("sweep point x=2,fail=true failed"), std::string::npos);
 }
 
-TEST(RunSweep, ShardWithAFailedPointWritesNoPartial) {
-  SweepOptions sweep;
-  sweep.axes = {{"x", {"1", "2"}}, {"fail", {"false", "true"}}};
-  // Shard 1/2 owns grid points 1 and 3: x=1,fail=true and x=2,fail=true.
-  sweep.shard_index = 1;
-  sweep.shard_count = 2;
-  std::string err;
-  const std::string out = run_probe_sweep(sweep, 1, &err);
-  EXPECT_TRUE(out.empty());
-  EXPECT_NE(err.find("sweep point x=1,fail=true failed"), std::string::npos);
-  EXPECT_NE(err.find("sweep point x=2,fail=true failed"), std::string::npos);
-}
-
 TEST(RunSweep, RejectsMismatchedHeadersAcrossPoints) {
   SweepOptions sweep;
   sweep.axes = {{"alt_header", {"false", "true"}}};
@@ -537,56 +525,49 @@ TEST(PointLabel, JoinsKeysAndValues) {
             "n=8,trials=50");
 }
 
-TEST(SweepPointCost, MultipliesNumericAxisValuesAboveOne) {
-  EXPECT_DOUBLE_EQ(sweep_point_cost({"2000", "50"}), 100000.0);
-  // Non-numeric and <= 1 values contribute a neutral factor.
-  EXPECT_DOUBLE_EQ(sweep_point_cost({"fast", "0.5", "8"}), 8.0);
-  EXPECT_DOUBLE_EQ(sweep_point_cost({}), 1.0);
-  EXPECT_DOUBLE_EQ(sweep_point_cost({"label", "1"}), 1.0);
-}
-
-TEST(WeightedEta, ExtrapolatesOverRemainingWorkNotRunCount) {
-  // Half the *work* done in 10s: 10s remain, regardless of how many runs
-  // produced that weight.
-  EXPECT_DOUBLE_EQ(weighted_eta_seconds(10.0, 50.0, 100.0), 10.0);
-  // 90% of the work in 9s leaves 1s, where a run-count ETA on an uneven
-  // grid could claim far more.
-  EXPECT_NEAR(weighted_eta_seconds(9.0, 90.0, 100.0), 1.0, 1e-12);
-  EXPECT_DOUBLE_EQ(weighted_eta_seconds(5.0, 0.0, 100.0), 0.0);
-  // Weight overrun (cost hints are estimates) clamps to zero, never
-  // negative.
-  EXPECT_DOUBLE_EQ(weighted_eta_seconds(5.0, 120.0, 100.0), 0.0);
-}
-
-TEST(RunSweep, ForcedProgressReportsShardLocalCounts) {
-  SweepOptions sweep;
-  sweep.axes = {{"x", {"1", "2", "3", "4", "5"}}};
-  sweep.progress = true;
-  sweep.shard_index = 1;
-  sweep.shard_count = 3;
-  std::ostringstream out, err;
-  ASSERT_EQ(run_sweep(probe(), sweep, out, err), 0) << err.str();
-  // Shard 1/3 of five points owns x=2 and x=5: two runs, counted locally.
-  EXPECT_NE(err.str().find("sweep shard 1/3: 2/2 runs (100%)"),
-            std::string::npos)
-      << err.str();
-}
-
-TEST(RunSweep, UnshardedProgressKeepsThePlainLabel) {
-  SweepOptions sweep;
-  sweep.axes = {{"x", {"1", "2"}}};
-  sweep.progress = true;
-  std::ostringstream out, err;
-  ASSERT_EQ(run_sweep(probe(), sweep, out, err), 0) << err.str();
-  EXPECT_NE(err.str().find("sweep: 2/2 runs (100%)"), std::string::npos)
-      << err.str();
-}
-
-// --- graceful shutdown (request_sweep_interrupt) --------------------------
-
 std::string sweep_temp(const std::string& name) {
   return ::testing::TempDir() + "tfmcc_sweep_" + name;
 }
+
+TEST(RunSweep, ForcedProgressCountsRunsAndRestoredRuns) {
+  const std::string ckpt = sweep_temp("progress.ckpt");
+  SweepOptions sweep;
+  sweep.axes = {{"x", {"1", "2", "3"}}};
+  sweep.replicate = 2;
+  sweep.progress = true;
+  sweep.checkpoint_path = ckpt;
+  std::ostringstream out, err;
+  ASSERT_EQ(run_sweep(probe(), sweep, out, err), 0) << err.str();
+  // The first update always prints, and so does the last.
+  EXPECT_EQ(err.str().rfind("sweep: 1/6 runs (17%)", 0), 0u) << err.str();
+  EXPECT_NE(err.str().find("sweep: 6/6 runs (100%)"), std::string::npos)
+      << err.str();
+
+  // Keep only point 0 (2 runs) in the checkpoint: a resume counts those
+  // runs toward k/n before it runs anything.
+  SweepLog log;
+  std::ostringstream read_err;
+  ASSERT_TRUE(read_sweep_log(ckpt, log, read_err)) << read_err.str();
+  ASSERT_EQ(log.points.size(), 3u);
+  {
+    SweepLogWriter writer{ckpt, log.manifest};
+    ASSERT_TRUE(writer.append(1, 2, {&log.points[0]}, read_err))
+        << read_err.str();
+  }
+  SweepOptions resumed = sweep;
+  resumed.checkpoint_path.clear();
+  resumed.resume_path = ckpt;
+  std::ostringstream res_out, res_err;
+  ASSERT_EQ(run_sweep(probe(), resumed, res_out, res_err), 0) << res_err.str();
+  EXPECT_EQ(res_out.str(), out.str());
+  EXPECT_EQ(res_err.str().rfind("sweep: 3/6 runs (50%)", 0), 0u)
+      << res_err.str();
+  EXPECT_NE(res_err.str().find("sweep: 6/6 runs (100%)"), std::string::npos)
+      << res_err.str();
+  std::remove(ckpt.c_str());
+}
+
+// --- graceful shutdown (request_sweep_interrupt) --------------------------
 
 TEST(RunSweep, InterruptFlushesAFinalCheckpointAndResumeCompletes) {
   const std::string marker = sweep_temp("intr_marker");

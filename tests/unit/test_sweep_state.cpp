@@ -1,11 +1,10 @@
-// Unit tests for the sweep scale-out plumbing (sim/sweep_state.hpp):
+// Unit tests for the sweep checkpoint state (sim/sweep_state.hpp):
 // manifest round trip and mismatch diagnostics, the v3 log (record round
 // trip, torn-tail tolerance at every cut, mid-file corruption and older
 // versions refused, the writer's create-then-append contract, the
-// checkpoint progress reader), checkpoint/resume edge cases (checkpoints
-// covering only the first point and all but the last, a torn tail, grid
-// mismatch), shard ownership and out-of-range indices, and library-level
-// shard+merge byte-identity against the unsharded aggregate.
+// checkpoint progress reader, logs pinned byte for byte), and
+// checkpoint/resume edge cases (checkpoints covering only the first point
+// and all but the last, a torn tail, grid mismatch).
 
 #include "sim/sweep_state.hpp"
 
@@ -81,8 +80,6 @@ TEST(SweepManifest, SaveLoadRoundTripPreservesEveryField) {
   sweep.stats = {summary::Stat::kMean, summary::Stat::kMax};
   sweep.base.seed = 77;
   sweep.base.set_param("x", "9");
-  sweep.shard_index = 1;
-  sweep.shard_count = 2;
   const SweepManifest m = SweepManifest::from(probe(), sweep);
   EXPECT_EQ(m.n_points(), 3u);
 
@@ -93,11 +90,9 @@ TEST(SweepManifest, SaveLoadRoundTripPreservesEveryField) {
   std::string err;
   ASSERT_TRUE(SweepManifest::load(is, back, err)) << err;
   std::ostringstream diag;
-  EXPECT_TRUE(m.matches(back, /*ignore_shard_index=*/false, "copy", diag))
-      << diag.str();
+  EXPECT_TRUE(m.matches(back, "copy", diag)) << diag.str();
   EXPECT_EQ(back.scenario, "test_state_probe");
   EXPECT_EQ(back.seed, std::optional<std::uint64_t>{77});
-  EXPECT_EQ(back.shard_index, 1);
   EXPECT_EQ(back.params,
             (std::vector<std::pair<std::string, std::string>>{{"x", "9"}}));
 }
@@ -106,7 +101,7 @@ TEST(SweepManifest, MatchesNamesTheDifferingField) {
   const SweepManifest base = SweepManifest::from(probe(), three_point_sweep());
   auto expect_mismatch = [&](SweepManifest other, std::string_view token) {
     std::ostringstream diag;
-    EXPECT_FALSE(base.matches(other, false, "checkpoint", diag));
+    EXPECT_FALSE(base.matches(other, "checkpoint", diag));
     EXPECT_NE(diag.str().find(token), std::string::npos) << diag.str();
   };
   SweepManifest rep = base;
@@ -118,10 +113,6 @@ TEST(SweepManifest, MatchesNamesTheDifferingField) {
   SweepManifest seed = base;
   seed.seed = 3;
   expect_mismatch(seed, "--seed");
-  SweepManifest shard = base;
-  shard.shard_index = 1;
-  shard.shard_count = 2;
-  expect_mismatch(shard, "shard count");
 }
 
 TEST(SweepManifest, LoadRejectsTruncation) {
@@ -136,18 +127,8 @@ TEST(SweepManifest, LoadRejectsTruncation) {
   }
 }
 
-TEST(ShardOwnership, RoundRobinByPointIndex) {
-  SweepOptions sweep = three_point_sweep();
-  sweep.shard_index = 1;
-  sweep.shard_count = 2;
-  const SweepManifest m = SweepManifest::from(probe(), sweep);
-  EXPECT_FALSE(shard_owns_point(m, 0));
-  EXPECT_TRUE(shard_owns_point(m, 1));
-  EXPECT_FALSE(shard_owns_point(m, 2));
-}
-
-/// The points run_sweep finishes for the (unsharded, replicate-1)
-/// three-point probe sweep: point i prints the row "x,2x".
+/// The points run_sweep finishes for the (replicate-1) three-point probe
+/// sweep: point i prints the row "x,2x".
 FinishedPoint probe_point(std::size_t i) {
   const int x = static_cast<int>(i) + 1;
   return FinishedPoint{
@@ -161,21 +142,17 @@ std::vector<const FinishedPoint*> ptrs(
   return out;
 }
 
-SweepLogEncoder probe_encoder(SweepLogKind kind = SweepLogKind::kCheckpoint) {
-  return SweepLogEncoder{kind,
-                         SweepManifest::from(probe(), three_point_sweep())};
+SweepLogEncoder probe_encoder() {
+  return SweepLogEncoder{SweepManifest::from(probe(), three_point_sweep())};
 }
 
-/// A record of the three-point probe sweep's log (of either kind: the
-/// kind lives in the magic line only).
+/// A record of the three-point probe sweep's log.
 std::string record_of(std::uint64_t heartbeat, std::uint64_t folded,
                       const std::vector<FinishedPoint>& points) {
   return probe_encoder().record(heartbeat, folded, ptrs(points));
 }
 
-std::string probe_head(SweepLogKind kind = SweepLogKind::kCheckpoint) {
-  return probe_encoder(kind).head();
-}
+std::string probe_head() { return probe_encoder().head(); }
 
 /// A checkpoint as run_sweep would leave it after the first `finished`
 /// points of the three-point sweep finished: one record per point.
@@ -213,16 +190,15 @@ TEST(SweepLog, RecordRoundTripIsExact) {
       {1, "", "", {}}};
   const std::vector<FinishedPoint> second{
       {2, "x,sample", "x_mean,x_cov", {"3,0.5"}}};
-  const SweepLogEncoder enc{SweepLogKind::kCheckpoint, m};
+  const SweepLogEncoder enc{m};
   const std::string bytes = enc.head() + enc.record(4, 4, ptrs(first)) +
                             enc.record(5, 6, ptrs(second));
   const SweepLog log = parse_ok(bytes);
-  EXPECT_EQ(log.kind, SweepLogKind::kCheckpoint);
   EXPECT_FALSE(log.torn_tail);
   EXPECT_EQ(log.heartbeat, 5u);
   EXPECT_EQ(log.folded_tasks, 6u);
   std::ostringstream diag;
-  EXPECT_TRUE(log.manifest.matches(m, false, "copy", diag)) << diag.str();
+  EXPECT_TRUE(log.manifest.matches(m, "copy", diag)) << diag.str();
   ASSERT_EQ(log.points.size(), 3u);
   for (std::size_t i = 0; i < 3; ++i) {
     const FinishedPoint& want = i < 2 ? first[i] : second[0];
@@ -273,20 +249,17 @@ TEST(SweepLog, OlderFormatVersionsAreRefused) {
       "TFMCC-SWEEP-CKPT 2\nprogress 1 1 3\nmanifest 2\nscenario 3:zzz";
   EXPECT_NE(parse_error(v2).find("unsupported sweep state version"),
             std::string::npos);
-  EXPECT_NE(parse_error("TFMCC-SWEEP-PART 2\nmanifest 2\n")
-                .find("unsupported sweep state version"),
-            std::string::npos);
   EXPECT_NE(parse_error("not a log\n").find("bad magic"), std::string::npos);
 }
 
-TEST(SweepLog, RefusesPointsOutOfOrderUnownedOrCountersBackwards) {
+TEST(SweepLog, RefusesPointsOutOfOrderOutsideTheGridOrCountersBackwards) {
   const std::string head = probe_head();
   EXPECT_NE(parse_error(head + record_of(1, 2, {probe_point(1)}) +
                         record_of(2, 3, {probe_point(0)}))
                 .find("out of order"),
             std::string::npos);
   EXPECT_NE(parse_error(head + record_of(1, 1, {FinishedPoint{7, "", "", {}}}))
-                .find("out of order or not owned"),
+                .find("out of order or outside the grid"),
             std::string::npos);
   // The heartbeat must tick on every record, and a recorded point counts
   // its replicates as folded.
@@ -296,22 +269,12 @@ TEST(SweepLog, RefusesPointsOutOfOrderUnownedOrCountersBackwards) {
   EXPECT_NE(parse_error(head + record_of(1, 0, {probe_point(0)}))
                 .find("inconsistent"),
             std::string::npos);
-
-  SweepOptions sharded = three_point_sweep();
-  sharded.shard_index = 1;
-  sharded.shard_count = 2;
-  const SweepLogEncoder shard{SweepLogKind::kCheckpoint,
-                              SweepManifest::from(probe(), sharded)};
-  EXPECT_NE(parse_error(shard.head() + shard.record(1, 1, ptrs({probe_point(0)})))
-                .find("not owned"),
-            std::string::npos);
 }
 
 TEST(SweepLog, RecordsSplicedFromAnotherSweepFailTheirChecksum) {
   SweepOptions other = three_point_sweep();
   other.base.seed = 5;
-  const SweepLogEncoder enc{SweepLogKind::kCheckpoint,
-                            SweepManifest::from(probe(), other)};
+  const SweepLogEncoder enc{SweepManifest::from(probe(), other)};
   EXPECT_NE(parse_error(probe_head() + enc.record(1, 1, ptrs({probe_point(0)})))
                 .find("checksum mismatch"),
             std::string::npos);
@@ -350,6 +313,122 @@ TEST(SweepLog, ReadMissingFileIsDiagnosed) {
   EXPECT_NE(err.str().find("cannot open"), std::string::npos) << err.str();
 }
 
+// --- pinned v3 bytes --------------------------------------------------------
+
+// v3 logs of the three-point probe sweep, kept byte for byte as earlier
+// builds wrote them: the head and the first record, which holds point 0.
+// kPinnedRaw is the replicate-1 sweep at checkpoint_every 1, and
+// kPinnedReplicated the replicate-2 sweep at checkpoint_every 2.
+const std::string kPinnedRaw =
+    "TFMCC-SWEEP-CKPT 3\n"
+    "manifest 118 13523b739ce83570\n"
+    "scenario 16:test_state_probe\n"
+    "duration u\n"
+    "seed u\n"
+    "replicate 1\n"
+    "stats 8:mean,cov\n"
+    "shard 0 1\n"
+    "params 0\n"
+    "axes 1\n"
+    "1:x 3 1:11:21:3\n"
+    "record 60 59bb6e331be8a595\n"
+    "heartbeat 1 folded 1 points 1\n"
+    "point 0 1 8:x,sample 0:\n"
+    "3:1,2\n";
+const std::string kPinnedRawOutput =
+    "x,x,sample\n"
+    "1,1,2\n"
+    "2,2,4\n"
+    "3,3,6\n";
+const std::string kPinnedReplicated =
+    "TFMCC-SWEEP-CKPT 3\n"
+    "manifest 118 0d85259f464bc9a1\n"
+    "scenario 16:test_state_probe\n"
+    "duration u\n"
+    "seed u\n"
+    "replicate 2\n"
+    "stats 8:mean,cov\n"
+    "shard 0 1\n"
+    "params 0\n"
+    "axes 1\n"
+    "1:x 3 1:11:21:3\n"
+    "record 100 6f23f7fd095a5a87\n"
+    "heartbeat 1 folded 2 points 1\n"
+    "point 0 1 8:x,sample 35:x_mean,x_cov,sample_mean,sample_cov\n"
+    "7:1,0,2,0\n";
+const std::string kPinnedReplicatedOutput =
+    "x,x_mean,x_cov,sample_mean,sample_cov,n_rep\n"
+    "1,1,0,2,0,2\n"
+    "2,2,0,4,0,2\n"
+    "3,3,0,6,0,2\n";
+// The whole checkpoint of shard 1 of a 2-way sharded run of the raw sweep,
+// written by a build that could shard: its manifest reads `shard 1 2`.
+const std::string kShardedCheckpoint =
+    "TFMCC-SWEEP-CKPT 3\n"
+    "manifest 118 6e4e26cbefcfac72\n"
+    "scenario 16:test_state_probe\n"
+    "duration u\n"
+    "seed u\n"
+    "replicate 1\n"
+    "stats 8:mean,cov\n"
+    "shard 1 2\n"
+    "params 0\n"
+    "axes 1\n"
+    "1:x 3 1:11:21:3\n"
+    "record 60 33dd1b54015b5b57\n"
+    "heartbeat 1 folded 1 points 1\n"
+    "point 1 1 8:x,sample 0:\n"
+    "3:2,4\n";
+
+TEST(SweepLog, PinnedV3BytesParseWriteAndResumeIdentically) {
+  struct Pinned {
+    int replicate;
+    const std::string& log;
+    const std::string& output;
+    FinishedPoint point;
+  };
+  const Pinned cases[] = {
+      {1, kPinnedRaw, kPinnedRawOutput, probe_point(0)},
+      {2, kPinnedReplicated, kPinnedReplicatedOutput,
+       FinishedPoint{0, "x,sample", "x_mean,x_cov,sample_mean,sample_cov",
+                     {"1,0,2,0"}}}};
+  for (const Pinned& c : cases) {
+    SCOPED_TRACE("replicate " + std::to_string(c.replicate));
+    SweepOptions sweep = three_point_sweep();
+    sweep.replicate = c.replicate;
+
+    // The pinned bytes parse to the point they hold...
+    const SweepLog log = parse_ok(c.log);
+    EXPECT_FALSE(log.torn_tail);
+    EXPECT_EQ(log.heartbeat, 1u);
+    EXPECT_EQ(log.folded_tasks, static_cast<std::uint64_t>(c.replicate));
+    std::ostringstream diag;
+    EXPECT_TRUE(SweepManifest::from(probe(), sweep)
+                    .matches(log.manifest, "pinned log", diag))
+        << diag.str();
+    ASSERT_EQ(log.points.size(), 1u);
+    EXPECT_EQ(log.points[0].index, c.point.index);
+    EXPECT_EQ(log.points[0].csv_header, c.point.csv_header);
+    EXPECT_EQ(log.points[0].stats_header, c.point.stats_header);
+    EXPECT_EQ(log.points[0].lines, c.point.lines);
+
+    // ...this build writes the same bytes for the same progress...
+    const std::string path = temp_path("pinned.bin");
+    SweepOptions logged = sweep;
+    logged.checkpoint_path = path;
+    logged.checkpoint_every = c.replicate;
+    EXPECT_EQ(sweep_output(logged), c.output);
+    EXPECT_EQ(read_file(path).substr(0, c.log.size()), c.log);
+
+    // ...and resuming from them reproduces the uninterrupted output.
+    write_file(path, c.log);
+    SweepOptions resumed = sweep;
+    resumed.resume_path = path;
+    EXPECT_EQ(sweep_output(resumed), c.output);
+    std::remove(path.c_str());
+  }
+}
+
 // --- checkpoint progress (read_checkpoint_progress) -----------------------
 
 TEST(CheckpointProgress, ReadsTheLastCompleteRecord) {
@@ -383,17 +462,24 @@ TEST(CheckpointProgress, RefusesMissingGarbageOlderVersionsAndPartials) {
   write_file(v2, "TFMCC-SWEEP-CKPT 2\nprogress 9 3 3\n");
   EXPECT_FALSE(read_checkpoint_progress(v2, p, err));
 
-  // A shard partial is not a progress signal; reading one must fail
-  // loudly rather than invent progress.
-  const std::string ppath = temp_path("part_as_progress.bin");
-  write_file(ppath, probe_head(SweepLogKind::kPartial) +
-                        record_of(1, 0, {}));
-  EXPECT_FALSE(read_checkpoint_progress(ppath, p, err));
-  EXPECT_NE(err.find("shard partial"), std::string::npos) << err;
+  // The v3 shard-partial magic and a checkpoint written by a shard, both
+  // produced by builds that could shard a sweep, are not progress signals:
+  // reading either must fail loudly rather than invent progress.
+  const std::string part = temp_path("part_as_progress.bin");
+  const std::string_view magic = "TFMCC-SWEEP-CKPT";
+  write_file(part, "TFMCC-SWEEP-PART" + kPinnedRaw.substr(magic.size()));
+  EXPECT_FALSE(read_checkpoint_progress(part, p, err));
+  EXPECT_NE(err.find("bad magic"), std::string::npos) << err;
+
+  const std::string sharded = temp_path("sharded_ckpt.bin");
+  write_file(sharded, kShardedCheckpoint);
+  EXPECT_FALSE(read_checkpoint_progress(sharded, p, err));
+  EXPECT_NE(err.find("sharded sweep"), std::string::npos) << err;
 
   std::remove(garbage.c_str());
   std::remove(v2.c_str());
-  std::remove(ppath.c_str());
+  std::remove(part.c_str());
+  std::remove(sharded.c_str());
 }
 
 // --- checkpoint/resume through run_sweep ---------------------------------
@@ -518,184 +604,6 @@ TEST(Resume, RefusesAnOlderFormatVersion) {
   sweep_output(resumed, 2, &err);
   EXPECT_NE(err.find("unsupported sweep state version"), std::string::npos)
       << err;
-  std::remove(path.c_str());
-}
-
-TEST(Resume, RefusesAShardPartialFile) {
-  const std::string path = temp_path("partial_as_ckpt.bin");
-  write_file(path, probe_head(SweepLogKind::kPartial) +
-                       record_of(1, 0, {}));
-  SweepOptions resumed = three_point_sweep();
-  resumed.resume_path = path;
-  std::string err;
-  sweep_output(resumed, 2, &err);
-  EXPECT_NE(err.find("shard partial"), std::string::npos) << err;
-  std::remove(path.c_str());
-}
-
-// --- sharding and merge ---------------------------------------------------
-
-TEST(Shard, IndexOutOfRangeIsRefused) {
-  SweepOptions sweep = three_point_sweep();
-  sweep.shard_index = 5;
-  sweep.shard_count = 3;
-  std::string err;
-  sweep_output(sweep, 2, &err);
-  EXPECT_NE(err.find("out of range"), std::string::npos) << err;
-  sweep.shard_index = -1;
-  sweep_output(sweep, 2, &err);
-  EXPECT_NE(err.find("out of range"), std::string::npos) << err;
-}
-
-int run_merge(const std::vector<std::string>& args, std::string* err_out) {
-  std::vector<std::string> owned = args;
-  std::vector<char*> argv;
-  for (auto& a : owned) argv.push_back(a.data());
-  std::ostringstream err;
-  const int rc =
-      merge_main(static_cast<int>(argv.size()), argv.data(), err);
-  if (err_out != nullptr) *err_out = err.str();
-  return rc;
-}
-
-/// Runs the probe sweep sharded n ways, writes each partial to a temp
-/// file, merges with the CLI entry point, and returns the merged CSV.
-std::string shard_and_merge(SweepOptions base, int n_shards,
-                            const std::string& tag) {
-  std::vector<std::string> args;
-  const std::string out_path = temp_path(tag + "_merged.csv");
-  args.push_back("--output");
-  args.push_back(out_path);
-  std::vector<std::string> part_paths;
-  for (int s = 0; s < n_shards; ++s) {
-    SweepOptions sharded = base;
-    sharded.shard_index = s;
-    sharded.shard_count = n_shards;
-    const std::string part = sweep_output(sharded);
-    const std::string path =
-        temp_path(tag + "_part" + std::to_string(s) + ".bin");
-    write_file(path, part);
-    part_paths.push_back(path);
-    args.push_back(path);
-  }
-  std::string err;
-  EXPECT_EQ(run_merge(args, &err), 0) << err;
-  const std::string merged = read_file(out_path);
-  std::remove(out_path.c_str());
-  for (const auto& p : part_paths) std::remove(p.c_str());
-  return merged;
-}
-
-TEST(ShardMerge, RawSweepMergesByteIdenticalToUnsharded) {
-  SweepOptions sweep;
-  sweep.axes = {{"x", {"1", "2", "3", "4", "5"}}};
-  const std::string full = sweep_output(sweep);
-  EXPECT_EQ(shard_and_merge(sweep, 3, "raw"), full);
-}
-
-TEST(ShardMerge, ReplicatedSweepMergesByteIdenticalToUnsharded) {
-  SweepOptions sweep;
-  sweep.axes = {{"x", {"1", "2", "3", "4"}}};
-  sweep.replicate = 3;
-  sweep.stats = {summary::Stat::kMean, summary::Stat::kMin,
-                 summary::Stat::kMax};
-  const std::string full = sweep_output(sweep);
-  EXPECT_EQ(shard_and_merge(sweep, 2, "rep"), full);
-}
-
-TEST(ShardMerge, MoreShardsThanPointsLeavesSomeShardsEmpty) {
-  SweepOptions sweep;
-  sweep.axes = {{"x", {"1", "2"}}};
-  const std::string full = sweep_output(sweep);
-  EXPECT_EQ(shard_and_merge(sweep, 4, "sparse"), full);
-}
-
-TEST(MergeCli, NoArgumentsPrintsUsage) {
-  std::string err;
-  EXPECT_EQ(run_merge({}, &err), 2);
-  EXPECT_NE(err.find("usage:"), std::string::npos) << err;
-}
-
-TEST(MergeCli, IncompleteShardSetIsRefused) {
-  SweepOptions sweep = three_point_sweep();
-  sweep.shard_index = 0;
-  sweep.shard_count = 2;
-  const std::string path = temp_path("lonely_part.bin");
-  write_file(path, sweep_output(sweep));
-  std::string err;
-  EXPECT_EQ(run_merge({path}, &err), 2);
-  EXPECT_NE(err.find("sharded 2 ways but 1"), std::string::npos) << err;
-  std::remove(path.c_str());
-}
-
-TEST(MergeCli, DuplicateShardIsRefused) {
-  SweepOptions sweep = three_point_sweep();
-  sweep.shard_index = 0;
-  sweep.shard_count = 2;
-  const std::string path = temp_path("dup_part.bin");
-  write_file(path, sweep_output(sweep));
-  std::string err;
-  EXPECT_EQ(run_merge({path, path}, &err), 2);
-  EXPECT_NE(err.find("more than once"), std::string::npos) << err;
-  std::remove(path.c_str());
-}
-
-TEST(MergeCli, TruncatedPartialIsRefused) {
-  std::vector<std::string> paths;
-  for (int shard = 0; shard < 2; ++shard) {
-    SweepOptions sweep = three_point_sweep();
-    sweep.shard_index = shard;
-    sweep.shard_count = 2;
-    const std::string part = sweep_output(sweep);
-    paths.push_back(temp_path("cut_part" + std::to_string(shard) + ".bin"));
-    write_file(paths.back(), part);
-  }
-  // Cut inside the record, and exactly before it: both are refused.
-  const std::string part0 = read_file(paths[0]);
-  const std::size_t record_at = part0.find("\nrecord ") + 1;
-  for (std::size_t cut : {part0.size() - 3, record_at}) {
-    write_file(paths[0], part0.substr(0, cut));
-    std::string err;
-    EXPECT_EQ(run_merge(paths, &err), 2);
-    EXPECT_NE(err.find("is truncated"), std::string::npos) << err;
-  }
-  for (const auto& p : paths) std::remove(p.c_str());
-}
-
-TEST(MergeCli, PartialLackingAnOwnedPointIsRefused) {
-  // Shard 0/2 of the three-point sweep owns x=1 and x=3; this partial is
-  // well-formed but holds only x=1.
-  SweepOptions shard0 = three_point_sweep();
-  shard0.shard_count = 2;
-  const SweepLogEncoder enc{SweepLogKind::kPartial,
-                            SweepManifest::from(probe(), shard0)};
-  const std::vector<FinishedPoint> only_first{probe_point(0)};
-  const std::string path0 = temp_path("short_part0.bin");
-  write_file(path0, enc.head() + enc.record(1, 1, ptrs(only_first)));
-
-  SweepOptions shard1 = shard0;
-  shard1.shard_index = 1;
-  const std::string path1 = temp_path("short_part1.bin");
-  write_file(path1, sweep_output(shard1));
-
-  const std::string out_path = temp_path("short_merged.csv");
-  std::string err;
-  EXPECT_EQ(run_merge({"--output", out_path, path0, path1}, &err), 2);
-  EXPECT_NE(err.find("partial '" + path0 + "' (shard 0/2) lacks grid point "
-                     "x=3"),
-            std::string::npos)
-      << err;
-  std::remove(path0.c_str());
-  std::remove(path1.c_str());
-  std::remove(out_path.c_str());
-}
-
-TEST(MergeCli, CheckpointInsteadOfPartialIsRefused) {
-  const std::string path = temp_path("ckpt_as_part.bin");
-  write_file(path, checkpoint_after(1));
-  std::string err;
-  EXPECT_EQ(run_merge({path}, &err), 2);
-  EXPECT_NE(err.find("not a shard partial"), std::string::npos) << err;
   std::remove(path.c_str());
 }
 
