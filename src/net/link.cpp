@@ -7,7 +7,9 @@
 namespace tfmcc {
 
 Link::Link(Simulator& sim, Node& to, LinkConfig cfg, Rng rng)
-    : sim_{sim}, to_{to}, cfg_{cfg}, rng_{std::move(rng)} {
+    : to_{to}, sim_{sim}, cfg_{cfg}, rng_{std::move(rng)} {
+  // Made right after the link, the queue's first line follows the link's
+  // two in the arena.
   Arena& arena = sim_.arena();
   if (cfg_.use_red) {
     RedQueue::Config red;
@@ -16,9 +18,7 @@ Link::Link(Simulator& sim, Node& to, LinkConfig cfg, Rng rng)
     red.min_th = red.max_th / 3.0;
     queue_ = arena.make<RedQueue>(red, rng_.substream(1), arena);
   } else {
-    auto dt = arena.make<DropTailQueue>(cfg_.queue_limit_packets, arena);
-    droptail_ = dt.get();
-    queue_ = std::move(dt);
+    queue_ = arena.make<DropTailQueue>(cfg_.queue_limit_packets, arena);
   }
 }
 
@@ -27,19 +27,30 @@ void Link::send(const PacketPtr& p, TransmitBatch* batch) {
     ++loss_drops_;
     return;
   }
-  const bool accepted = droptail_ != nullptr ? droptail_->enqueue(p)
-                                             : queue_->enqueue(p);
-  if (!accepted) return;
-  if (!transmitting_) start_transmission(batch);
+  DropTailQueue* dt = droptail();
+  if (dt == nullptr) {
+    if (queue_->enqueue(p) && !transmitting_) start_transmission(batch);
+    return;
+  }
+  // An idle link's queue is empty: enqueueing the packet would only pop it
+  // straight back.
+  if (!transmitting_) {
+    if (dt->pass_through()) transmit(p, batch);
+    return;
+  }
+  dt->enqueue(p);
 }
 
 void Link::start_transmission(TransmitBatch* batch) {
-  PacketPtr p =
-      droptail_ != nullptr ? droptail_->dequeue() : queue_->dequeue();
-  if (!p) return;
+  DropTailQueue* dt = droptail();
+  PacketPtr p = dt != nullptr ? dt->dequeue() : queue_->dequeue();
+  if (p) transmit(p, batch);
+}
+
+void Link::transmit(const PacketPtr& p, TransmitBatch* batch) {
   transmitting_ = true;
   const SimTime tx = transmission_time(p->size_bytes);
-  // An idle link's queue is empty, so the packet just dequeued is the one
+  // An idle link's queue is empty, so the packet it transmits is the one
   // the fan-out is sending.
   if (batch != nullptr && (batch->links.empty() || batch->tx == tx)) {
     assert(p == batch->packet);
@@ -47,8 +58,8 @@ void Link::start_transmission(TransmitBatch* batch) {
     batch->links.push_back(this);
     return;
   }
-  sim_.in(tx, [this, p = std::move(p)]() mutable {
-    on_transmit_complete(std::move(p));
+  sim_.in(tx, [this, q = PacketPtr{p}]() mutable {
+    on_transmit_complete(std::move(q));
   });
 }
 
@@ -57,8 +68,6 @@ void Link::complete(const TransmitBatch& b) {
 }
 
 void Link::on_transmit_complete(PacketPtr p) {
-  ++delivered_;
-  delivered_bytes_ += p->size_bytes;
   // Propagation: hand the packet to the destination node after the delay
   // (plus the phase-breaking jitter).  The delay is sampled at
   // transmit-completion time so mid-run delay changes (fig. 13) take
@@ -76,8 +85,9 @@ void Link::on_transmit_complete(PacketPtr p) {
     node->receive(p);
   });
   transmitting_ = false;
-  const bool queued = droptail_ != nullptr ? droptail_->size_packets() != 0
-                                           : !queue_->empty();
+  DropTailQueue* dt = droptail();
+  const bool queued =
+      dt != nullptr ? dt->size_packets() != 0 : !queue_->empty();
   if (queued) start_transmission();
 }
 

@@ -1,5 +1,8 @@
 #include "net/node.hpp"
 
+#include <cassert>
+#include <tuple>
+
 #include "net/link.hpp"
 #include "net/topology.hpp"
 #include "util/log.hpp"
@@ -7,19 +10,35 @@
 namespace tfmcc {
 
 void Node::attach_agent(PortId port, Agent* agent) {
-  for (auto& [p, a] : agents_) {
+  assert(agent != nullptr);
+  if (line_.first_agent == nullptr || line_.first_port == port) {
+    line_.first_port = port;
+    line_.first_agent = agent;
+    return;
+  }
+  for (auto& [p, a] : more_agents_) {
     if (p == port) {
       a = agent;
       return;
     }
   }
-  agents_.emplace_back(port, agent);
+  more_agents_.emplace_back(port, agent);
 }
 
 void Node::detach_agent(PortId port) {
-  for (auto it = agents_.begin(); it != agents_.end(); ++it) {
+  if (line_.first_agent != nullptr && line_.first_port == port) {
+    // Refill the slot from the table, so it is empty only with no agent.
+    if (more_agents_.empty()) {
+      line_.first_agent = nullptr;
+    } else {
+      std::tie(line_.first_port, line_.first_agent) = more_agents_.back();
+      more_agents_.pop_back();
+    }
+    return;
+  }
+  for (auto it = more_agents_.begin(); it != more_agents_.end(); ++it) {
     if (it->first == port) {
-      agents_.erase(it);
+      more_agents_.erase(it);
       return;
     }
   }
@@ -39,7 +58,7 @@ void Node::set_default_route(Link* next_hop, NodeId span) {
 
 Link* Node::route(NodeId dst) const {
   if (default_route_ != nullptr) {
-    return (dst >= 0 && dst < default_route_span_ && dst != id_)
+    return (dst >= 0 && dst < default_route_span_ && dst != line_.id)
                ? default_route_
                : nullptr;
   }
@@ -49,11 +68,11 @@ Link* Node::route(NodeId dst) const {
 
 void Node::receive(const PacketPtr& p) {
   if (p->is_multicast()) {
-    if (topo_.is_member(p->group, id_)) deliver_local(p);
+    if (line_.topo->is_member(p->group, line_.id)) deliver_local(p);
     forward_multicast(p);
     return;
   }
-  if (p->dst == id_) {
+  if (p->dst == line_.id) {
     deliver_local(p);
   } else {
     forward_unicast(p);
@@ -66,7 +85,7 @@ void Node::send(const PacketPtr& p) {
     forward_multicast(p);
     return;
   }
-  if (p->dst == id_) {
+  if (p->dst == line_.id) {
     deliver_local(p);
     return;
   }
@@ -74,29 +93,27 @@ void Node::send(const PacketPtr& p) {
 }
 
 void Node::deliver_local(const PacketPtr& p) {
-  for (const auto& [port, agent] : agents_) {
-    if (port == p->dport) {
-      ++delivered_local_;
-      delivered_endpoints_ += agent->endpoint_count();
-      agent->handle_packet(*p);
-      return;
-    }
-  }
+  Agent* agent = agent_on(p->dport);
+  if (agent == nullptr) return;
+  ++line_.delivered_local;
+  line_.delivered_endpoints += agent->endpoint_count();
+  agent->handle_packet(*p);
 }
 
 void Node::forward_unicast(const PacketPtr& p) {
   Link* l = route(p->dst);
   if (l == nullptr) {
-    TFMCC_LOG(LogLevel::kWarn, topo_.sim().now(), "node",
-              "node %d: no route to %d, packet dropped", id_, p->dst);
+    TFMCC_LOG(LogLevel::kWarn, line_.topo->sim().now(), "node",
+              "node %d: no route to %d, packet dropped", line_.id, p->dst);
     return;
   }
-  ++forwarded_;
+  ++line_.forwarded;
   l->send(p);
 }
 
 void Node::forward_multicast(const PacketPtr& p) {
-  const std::vector<Link*>& out = topo_.mcast_out_links(p->group, id_);
+  const std::vector<Link*>& out =
+      line_.topo->mcast_out_links(p->group, line_.id);
   if (out.empty()) return;
   std::unique_ptr<TransmitBatch> batch;
   if (free_batches_.empty()) {
@@ -107,7 +124,7 @@ void Node::forward_multicast(const PacketPtr& p) {
   }
   batch->packet = p;
   for (Link* l : out) {
-    ++forwarded_;
+    ++line_.forwarded;
     l->send(p, batch.get());
   }
   if (batch->links.empty()) {
@@ -126,7 +143,7 @@ void Node::forward_multicast(const PacketPtr& p) {
   // sampling and the follow-on start_transmission calls all happen in the
   // same order as before.  Only Scheduler::executed() sees the difference.
   const SimTime tx = batch->tx;
-  topo_.sim().in(tx, [this, b = std::move(batch)]() mutable {
+  line_.topo->sim().in(tx, [this, b = std::move(batch)]() mutable {
     Link::complete(*b);
     recycle(std::move(b));
   });

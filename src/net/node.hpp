@@ -29,14 +29,18 @@ class Agent {
 
 /// A network node: forwards packets according to the topology's routing
 /// tables and delivers local traffic to attached agents.
+///
+/// A multicast copy arriving at a host reads the node's first cache line
+/// and nothing else of it: the topology, the id, the first attached agent
+/// and the counters.
 class Node {
  public:
-  Node(Topology& topo, NodeId id) : topo_{topo}, id_{id} {}
+  Node(Topology& topo, NodeId id) : line_{&topo, id} {}
 
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
 
-  NodeId id() const { return id_; }
+  NodeId id() const { return line_.id; }
 
   /// Bind an agent to a local port.  The agent must outlive the node.
   void attach_agent(PortId port, Agent* agent);
@@ -52,12 +56,14 @@ class Node {
   /// is none (unreachable, the node itself, or out of range).
   Link* route(NodeId dst) const;
 
-  std::int64_t forwarded() const { return forwarded_; }
-  std::int64_t delivered_local() const { return delivered_local_; }
+  std::int64_t forwarded() const { return line_.forwarded; }
+  std::int64_t delivered_local() const { return line_.delivered_local; }
   /// Deliveries weighted by the receiving agent's endpoint_count(): the
   /// number of *logical* endpoints reached (equals delivered_local() unless
   /// a modeled-receiver block is attached).
-  std::int64_t delivered_endpoints() const { return delivered_endpoints_; }
+  std::int64_t delivered_endpoints() const {
+    return line_.delivered_endpoints;
+  }
 
  private:
   // Routing state is written only by Topology::compute_routes; each setter
@@ -73,11 +79,36 @@ class Node {
   void forward_multicast(const PacketPtr& p);
   void recycle(std::unique_ptr<TransmitBatch> b);
 
-  Topology& topo_;
-  NodeId id_;
+  /// The agent on `port`, nullptr when none.
+  Agent* agent_on(PortId port) const {
+    if (line_.first_agent != nullptr && line_.first_port == port) {
+      return line_.first_agent;
+    }
+    for (const auto& [p, a] : more_agents_) {
+      if (p == port) return a;
+    }
+    return nullptr;
+  }
+
+  // Everything receive() and deliver_local() touch on a host, on one line.
+  // Ports are unique, so which agent sits in the inline slot does not
+  // matter; it is empty only when no agent is attached.
+  struct alignas(64) DeliveryLine {
+    Topology* topo;
+    NodeId id;
+    PortId first_port{0};
+    Agent* first_agent{nullptr};
+    std::int64_t forwarded{0};
+    std::int64_t delivered_local{0};
+    std::int64_t delivered_endpoints{0};
+  };
+  static_assert(sizeof(DeliveryLine) == 64,
+                "a field added to Node's delivery line spills it");
+  DeliveryLine line_;
+
   // A node hosts a handful of agents at most; a flat (port, agent) table
   // beats a hash map for the per-delivery port lookup.
-  std::vector<std::pair<PortId, Agent*>> agents_;
+  std::vector<std::pair<PortId, Agent*>> more_agents_;
   // A node with one outgoing link whose neighbour reaches every node has
   // no routing choice and keeps only that link; any other node keeps a
   // table.
@@ -87,9 +118,6 @@ class Node {
   // Cleared fan-out batches for reuse: one per fan-out still in
   // transmission at peak, so steady-state fan-out allocates nothing.
   std::vector<std::unique_ptr<TransmitBatch>> free_batches_;
-  std::int64_t forwarded_{0};
-  std::int64_t delivered_local_{0};
-  std::int64_t delivered_endpoints_{0};
 };
 
 }  // namespace tfmcc

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <memory>
 
@@ -94,6 +95,19 @@ class DropTailQueue final : public Queue {
   bool enqueue(const PacketPtr& p) override;
   PacketPtr dequeue() override;
 
+  /// An enqueue into the empty queue and the dequeue that follows, for an
+  /// idle link that transmits the packet at once: counts it as accepted,
+  /// or as dropped at a zero limit, and returns whether it was accepted.
+  bool pass_through() {
+    assert(q_.size() == 0);
+    if (limit_ == 0) {
+      ++drops_;
+      return false;
+    }
+    ++accepted_;
+    return true;
+  }
+
   std::size_t size_packets() const override { return q_.size(); }
   std::int64_t size_bytes() const override { return bytes_; }
   std::size_t limit() const { return limit_; }
@@ -103,6 +117,11 @@ class DropTailQueue final : public Queue {
   detail::PacketRing q_;
   std::int64_t bytes_{0};
 };
+
+// An idle link reads accepted_, limit_ and the ring's size, all in the
+// queue's first line; only bytes_ lies past it.
+static_assert(sizeof(DropTailQueue) == 64 + 8,
+              "DropTailQueue's per-copy fields left its first line");
 
 /// Random Early Detection queue (Floyd & Jacobson 1993, "gentle" variant).
 ///

@@ -12,8 +12,9 @@
 namespace tfmcc {
 
 /// Convenience bundle for experiments: one TFMCC sender plus its receiver
-/// set, each receiver with a goodput binner attached.  This is the public
-/// "just give me a flow" API used by the examples and figure benches.
+/// set, each receiver binning its goodput at the flow's bin width.  This is
+/// the public "just give me a flow" API used by the examples and figure
+/// benches.
 class TfmccFlow {
  public:
   /// `data_port`/`control_port` default to the historical single-session
@@ -35,11 +36,8 @@ class TfmccFlow {
   int add_receiver(NodeId node) {
     const auto id = static_cast<std::int32_t>(receivers_.size());
     receivers_.push_back(sim_.arena().make<TfmccReceiver>(
-        sim_, session_, node, id, cfg_, sim_.make_rng(rng_stream_ + 1 + id)));
-    goodput_.push_back(sim_.arena().make<ThroughputBinner>(bin_width_));
-    auto* binner = goodput_.back().get();
-    receivers_.back()->set_delivery_observer(
-        [binner](SimTime t, std::int32_t bytes) { binner->add(t, bytes); });
+        sim_, session_, node, id, cfg_, sim_.make_rng(rng_stream_ + 1 + id),
+        bin_width_));
     return id;
   }
 
@@ -90,7 +88,7 @@ class TfmccFlow {
     return *receivers_.at(static_cast<std::size_t>(id));
   }
   const ThroughputBinner& goodput(int id) const {
-    return *goodput_.at(static_cast<std::size_t>(id));
+    return receivers_.at(static_cast<std::size_t>(id))->goodput();
   }
   int receiver_count() const { return static_cast<int>(receivers_.size()); }
 
@@ -122,10 +120,9 @@ class TfmccFlow {
   SimTime bin_width_;
   MulticastSession session_;
   std::unique_ptr<TfmccSender> sender_;
-  // Receivers and their goodput binners live in the Simulator's arena next
-  // to the hosts' links, so the flow must not outlive the Simulator.
+  // Receivers live in the Simulator's arena next to the hosts' links, so
+  // the flow must not outlive the Simulator.
   std::vector<ArenaPtr<TfmccReceiver>> receivers_;
-  std::vector<ArenaPtr<ThroughputBinner>> goodput_;
   std::vector<std::unique_ptr<ModeledReceiverBlock>> blocks_;
   std::uint64_t rng_stream_;
   std::int32_t next_modeled_id_{0};

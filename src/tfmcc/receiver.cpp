@@ -6,15 +6,16 @@ namespace tfmcc {
 
 TfmccReceiver::TfmccReceiver(Simulator& sim, MulticastSession& session,
                              NodeId self, std::int32_t receiver_id,
-                             TfmccConfig cfg, Rng rng)
+                             TfmccConfig cfg, Rng rng, SimTime goodput_bin)
     : sim_{sim},
+      id_{receiver_id},
+      rtt_{kInitialRtt},
+      cfg_{cfg},
+      goodput_{goodput_bin},
+      core_{cfg},
       session_{session},
       self_{self},
-      id_{receiver_id},
-      cfg_{cfg},
-      rng_{std::move(rng)},
-      core_{cfg},
-      rtt_{kInitialRtt} {}
+      rng_{std::move(rng)} {}
 
 TfmccReceiver::~TfmccReceiver() {
   if (joined_) {
@@ -66,8 +67,8 @@ void TfmccReceiver::handle_packet(const Packet& p) {
   const SimTime now = sim_.now();
   if (const auto init = core_.clock_sync_rtt(h, now, cfg_)) rtt_ = *init;
   if (!core_.on_data(h, p.size_bytes, now, rtt_, cfg_)) return;
-  if (observer_) observer_(now, p.size_bytes);
-  if (data_observer_) data_observer_(now, h);
+  goodput_.add(now, p.size_bytes);
+  if (observed_) data_observer_(now, h);
 
   process_echo(h, now);
   process_one_way_delay(h, now);

@@ -9,6 +9,7 @@
 #include "tfmcc/config.hpp"
 #include "tfmcc/receiver_core.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 
 namespace tfmcc {
 
@@ -17,10 +18,18 @@ namespace tfmcc {
 /// biased feedback-suppression protocol.  Attach one per member node.
 /// The §2.3–§2.6 rules live in ReceiverCore; this agent adds the timers,
 /// the RTT estimate with its §2.4.3 adjustment, and the packet IO.
-class TfmccReceiver final : public Agent {
+///
+/// Line-aligned, with every field a data packet reads ahead of the meter's
+/// ring: a delivered copy touches six of the receiver's first seven lines
+/// (the echo, OWD and suppression rules' fields, the config, the goodput
+/// bin, the core's per-packet prefix and the meter's cursors) and the two
+/// ring slots it writes and evicts.
+class alignas(64) TfmccReceiver final : public Agent {
  public:
+  /// Goodput is binned into `goodput_bin`-wide bins (see goodput()).
   TfmccReceiver(Simulator& sim, MulticastSession& session, NodeId self,
-                std::int32_t receiver_id, TfmccConfig cfg, Rng rng);
+                std::int32_t receiver_id, TfmccConfig cfg, Rng rng,
+                SimTime goodput_bin = SimTime::seconds(1.0));
   ~TfmccReceiver() override;
 
   TfmccReceiver(const TfmccReceiver&) = delete;
@@ -33,20 +42,19 @@ class TfmccReceiver final : public Agent {
 
   void handle_packet(const Packet& p) override;
 
-  /// Invoked once per delivered data packet: (time, bytes) — goodput hook.
-  void set_delivery_observer(std::function<void(SimTime, std::int32_t)> f) {
-    observer_ = std::move(f);
-  }
-
   /// Invoked once per delivered data packet with the full header — for
   /// applications layered on the stream (e.g. the file-carousel example).
   void set_data_observer(
       std::function<void(SimTime, const TfmccDataHeader&)> f) {
     data_observer_ = std::move(f);
+    observed_ = static_cast<bool>(data_observer_);
   }
 
   // --- state inspection (tests / experiment harnesses) ---------------------
   std::int32_t id() const { return id_; }
+  /// Bytes of every delivered (non-duplicate) data packet, binned by
+  /// arrival time; kept across rejoins.
+  const ThroughputBinner& goodput() const { return goodput_; }
   bool joined() const { return joined_; }
   bool has_rtt_measurement() const { return core_.rtt_measured; }
   SimTime rtt() const { return rtt_; }
@@ -69,32 +77,41 @@ class TfmccReceiver final : public Agent {
   void send_feedback();
   void schedule_clr_feedback();
 
+  // Per-packet state first, in the order the static_assert below budgets.
   Simulator& sim_;
-  MulticastSession& session_;
-  NodeId self_;
   std::int32_t id_;
-  TfmccConfig cfg_;
-  Rng rng_;
-
   bool joined_{false};
-  bool ever_left_{false};  // a later join() is a rejoin and resets state
-
+  bool is_clr_{false};
+  bool has_owd_{false};
+  // data_observer_ is set: the per-packet test reads this line, not the
+  // std::function's.
+  bool observed_{false};
+  // RTT state (§2.4).
+  SimTime rtt_;
+  SimTime owd_rs_{};  // receiver->sender one-way delay (incl. skew)
+  // Feedback-round timer (§2.5).
+  EventId fb_timer_{};
+  TfmccConfig cfg_;
+  ThroughputBinner goodput_;
   // Loss measurement, echo snapshot and round (§2.3, §2.5).
   ReceiverCore core_;
 
-  // RTT state (§2.4).
-  SimTime rtt_;
-  SimTime owd_rs_{};       // receiver->sender one-way delay (incl. skew)
-  bool has_owd_{false};
-
-  // Feedback-round timers (§2.5).
-  EventId fb_timer_{};
-  bool is_clr_{false};
-  EventId clr_timer_{};
-
-  std::function<void(SimTime, std::int32_t)> observer_;
   std::function<void(SimTime, const TfmccDataHeader&)> data_observer_;
+  MulticastSession& session_;
+  NodeId self_;
+  bool ever_left_{false};  // a later join() is a rejoin and resets state
+  EventId clr_timer_{};
   std::int64_t feedback_sent_{0};
+  Rng rng_;
 };
+
+// The receiver's own per-packet fields take 56 bytes after the vtable
+// pointer, then come the config (its EWMA weight in line 0, delta and the
+// equation in line 1), the goodput bin's 32 hot bytes (line 2) and the
+// core's 80-byte per-packet prefix (lines 3-4); the meter's cursors follow
+// the loss history at line 6.  A field added to any of these moves them.
+static_assert(sizeof(TfmccConfig) == 80 && sizeof(ThroughputBinner) == 72 &&
+                  sizeof(ReceiverCore) == 1272,
+              "the receiver's per-packet fields left their lines");
 
 }  // namespace tfmcc

@@ -27,7 +27,7 @@ ModeledReceiverBlock::ModeledReceiverBlock(Simulator& sim,
       tap_{tap},
       bcfg_{block_cfg},
       cfg_{cfg},
-      rng_{std::move(rng)},
+      gen_{rng.engine_copy()},
       core_{cfg} {
   reset_receivers();
 }
@@ -234,9 +234,8 @@ void ModeledReceiverBlock::on_new_round(const TfmccDataHeader& h,
     if (p <= 0.0) return;  // calc rate infinite: nothing useful to report
   }
   CandidateDrawer drawer{in, cfg_.timer, candidates_};
-  Mt19937_64& gen = rng_.engine();
   if (h.slowstart) {
-    drawer.draw(bcfg_.count, nullptr, gen);  // no rates: one chunk
+    drawer.draw(bcfg_.count, nullptr, gen_);  // no rates: one chunk
   } else {
     // Steady state streams the block through L1-sized chunks: one batched
     // equation evaluation over the chunk's contiguous RTTs (shared p)
@@ -250,7 +249,7 @@ void ModeledReceiverBlock::on_new_round(const TfmccDataHeader& h,
       cfg_.equation->throughput_batch(kDataPacketBytes, rtt_.data() + first,
                                       ps.data(), calc.data(),
                                       static_cast<std::size_t>(count));
-      drawer.draw(count, calc.data(), gen);
+      drawer.draw(count, calc.data(), gen_);
     }
   }
   drawer.finish();

@@ -67,8 +67,7 @@ class CandidateDrawer {
   CandidateDrawer(const RoundDrawInput& in, const FeedbackTimerConfig& timer,
                   std::vector<FeedbackCandidate>& out);
 
-  /// Draws the next `count` receivers from `gen` (the block's
-  /// Rng::engine(), taken once per round rather than once per draw).
+  /// Draws the next `count` receivers from `gen` (the block's engine).
   /// Steady state passes their calculated rates calc_Bps[0, count);
   /// slowstart passes nullptr.
   void draw(int count, const double* calc_Bps, Mt19937_64& gen);
@@ -198,7 +197,9 @@ class ModeledReceiverBlock final : public Agent {
   NodeId tap_;
   BlockConfig bcfg_;
   TfmccConfig cfg_;
-  Rng rng_;
+  // The block's stream, held inline: its timer draws are its only draws,
+  // and they come from the engine directly.
+  Mt19937_64 gen_;
 
   bool joined_{false};
   bool ever_left_{false};  // a later join() is a rejoin and resets state

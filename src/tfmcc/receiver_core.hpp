@@ -61,20 +61,25 @@ struct ReceiverCore {
   explicit ReceiverCore(const TfmccConfig& cfg)
       : loss{cfg.loss_history_depth} {}
 
+  // A data packet reads these fields and the per-packet prefixes of the
+  // loss history and the meter, which keep theirs first; beyond them it
+  // touches only the meter's ring slots.
   SeqnoTracker seq;
-  LossHistory loss;
-  WindowedRateMeter recv_rate;
   SimTime last_data_send_ts{};  // echo snapshot of the latest data packet
   SimTime last_data_arrival{SimTime::infinity()};
   std::int32_t round{-1};
   bool rtt_measured{false};  // on_first_rtt() has run
+  LossHistory loss;
+  WindowedRateMeter recv_rate;
 
   /// §2.4.1 clock-sync initialisation from the first data packet, before
   /// any RTT measurement: 2 * (one-way delay + sync error bound).  Call
   /// before on_data().
   std::optional<SimTime> clock_sync_rtt(const TfmccDataHeader& h, SimTime now,
                                         const TfmccConfig& cfg) const {
-    if (!cfg.use_clock_sync || rtt_measured || seq.received() != 0) {
+    // The per-packet fields decide first; the config is read only until
+    // the first packet.
+    if (rtt_measured || seq.received() != 0 || !cfg.use_clock_sync) {
       return std::nullopt;
     }
     return (now - h.send_ts + cfg.clock_sync_error) * 2.0;

@@ -70,15 +70,17 @@ class LossHistory {
  private:
   void close_open_interval();
 
-  int depth_;
-  std::vector<double> weights_;
-  std::vector<double> intervals_;  // closed intervals, most recent first
-  double open_count_{0.0};         // packets since current event started
+  // What every received packet and every loss touch comes first; the
+  // vectors' out-of-line data is read only when p is evaluated.
+  double open_count_{0.0};  // packets since current event started
+  double recv_gap_{0.0};    // packets received since the last recorded loss
   SimTime event_start_{SimTime::infinity()};  // start of current loss event
+  int depth_;
   int events_{0};
   bool initial_synthetic_{false};  // init_first_interval() value still live
   double synthetic_value_{0.0};
-  double recv_gap_{0.0};  // packets received since the last recorded loss
+  std::vector<double> weights_;
+  std::vector<double> intervals_;  // closed intervals, most recent first
 
   // Bounded per-lost-packet record for reaggregation (Appendix A): each
   // loss with the packets received since the previous one, in a ring of the

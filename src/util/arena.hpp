@@ -40,7 +40,7 @@ template <class T>
 using ArenaPtr = std::unique_ptr<T, ArenaDelete>;
 
 /// Monotonic arena for a simulation's per-host state: nodes, links, queues,
-/// receivers, goodput binners and RNG prefixes and engines.  Packing them
+/// receivers (each with its goodput binner) and RNG prefixes and engines.  Packing them
 /// densely means a fan-out that touches thousands of hosts touches few
 /// pages, so the TLB and the caches reach all of them.
 ///

@@ -147,6 +147,16 @@ class Rng {
   /// once and draw from it directly; its draws advance this stream.
   Mt19937_64& engine() { return pos_ == kEngine ? *gen() : build(); }
 
+  /// The engine as engine() would return it now, by value: its draws
+  /// continue this stream where it stands, and this Rng does not move.  For
+  /// an owner that draws only through the engine and keeps it inline.
+  Mt19937_64 engine_copy() const {
+    if (pos_ == kEngine) return *gen();
+    Mt19937_64 e{mix(seed_)};
+    for (std::uint32_t i = pos_ == kFresh ? 0 : pos_; i > 0; --i) e();
+    return e;
+  }
+
   std::uint64_t next_u64() {
     if (pos_ == kEngine) return (*gen())();
     if (pos_ < kPrefixWords) return words()[pos_++];

@@ -4,33 +4,47 @@
 
 namespace tfmcc {
 
-void ThroughputBinner::add(SimTime t, std::int64_t bytes) {
-  assert(t >= SimTime::zero());
-  // Arrivals are time-ordered, so the bin index is almost always the one
-  // from the previous call (or the next few): track the current bin's
-  // bounds and step forward instead of dividing 64-bit nanoseconds per
-  // packet.  Large jumps (long silences, late joins) fall back to the
-  // division once and re-anchor.
-  const std::int64_t ns = t.count_nanos();
-  if (ns < cur_start_ns_ || ns - cur_start_ns_ >= 64 * width_.count_nanos()) {
-    cur_idx_ = static_cast<std::size_t>(ns / width_.count_nanos());
-    cur_start_ns_ = static_cast<std::int64_t>(cur_idx_) * width_.count_nanos();
+void ThroughputBinner::enter_bin(std::int64_t ns) {
+  assert(ns >= 0);
+  const std::int64_t w = width_.count_nanos();
+  const bool started = cur_end_ns_ != 0;
+  if (started) {
+    if (bins_.size() <= cur_idx_) bins_.resize(cur_idx_ + 1, 0);
+    bins_[cur_idx_] += cur_bytes_;
+  }
+  cur_bytes_ = 0;
+  // Arrivals are time-ordered, so the next bin is almost always the one
+  // after the current (or a few later): step forward instead of dividing
+  // 64-bit nanoseconds.  Large jumps (long silences, late joins) and the
+  // first arrival fall back to the division once.
+  if (!started || ns < cur_start_ns_ || ns - cur_start_ns_ >= 64 * w) {
+    cur_idx_ = static_cast<std::size_t>(ns / w);
+    cur_start_ns_ = static_cast<std::int64_t>(cur_idx_) * w;
   } else {
-    while (ns - cur_start_ns_ >= width_.count_nanos()) {
+    while (ns - cur_start_ns_ >= w) {
       ++cur_idx_;
-      cur_start_ns_ += width_.count_nanos();
+      cur_start_ns_ += w;
     }
   }
-  if (bins_.size() <= cur_idx_) bins_.resize(cur_idx_ + 1, 0);
-  bins_[cur_idx_] += bytes;
-  total_bytes_ += bytes;
+  cur_end_ns_ = cur_start_ns_ + w;
+}
+
+std::size_t ThroughputBinner::bin_count() const {
+  if (cur_end_ns_ == 0) return bins_.size();
+  return std::max(bins_.size(), cur_idx_ + 1);
+}
+
+std::int64_t ThroughputBinner::bin_bytes(std::size_t i) const {
+  std::int64_t bytes = i < bins_.size() ? bins_[i] : 0;
+  if (i == cur_idx_) bytes += cur_bytes_;
+  return bytes;
 }
 
 TimeSeries ThroughputBinner::series_kbps() const {
   TimeSeries out;
   const double w_sec = width_.to_seconds();
-  for (std::size_t i = 0; i < bins_.size(); ++i) {
-    const double bps = static_cast<double>(bins_[i]) / w_sec;
+  for (std::size_t i = 0; i < bin_count(); ++i) {
+    const double bps = static_cast<double>(bin_bytes(i)) / w_sec;
     out.push(width_ * static_cast<double>(i), kbps_from_Bps(bps));
   }
   return out;
@@ -39,9 +53,9 @@ TimeSeries ThroughputBinner::series_kbps() const {
 double ThroughputBinner::mean_kbps(SimTime from, SimTime to) const {
   if (to <= from) return 0.0;
   std::int64_t bytes = 0;
-  for (std::size_t i = 0; i < bins_.size(); ++i) {
+  for (std::size_t i = 0; i < bin_count(); ++i) {
     const SimTime start = width_ * static_cast<double>(i);
-    if (start >= from && start < to) bytes += bins_[i];
+    if (start >= from && start < to) bytes += bin_bytes(i);
   }
   return kbps_from_Bps(static_cast<double>(bytes) / (to - from).to_seconds());
 }

@@ -35,6 +35,11 @@ class TimeSeries {
 /// Bins byte arrivals into fixed-width wall-clock bins and reports each bin
 /// as a throughput sample.  This is how all per-flow throughput traces in the
 /// figure benches are produced (the paper plots 1 s binned rates).
+///
+/// A receiver adds every delivered packet, so add() touches only the
+/// current bin's bounds and byte count, which sit first: bins_ is written
+/// when an arrival leaves the current bin, and readers fold the current bin
+/// in.
 class ThroughputBinner {
  public:
   /// Throws std::invalid_argument unless `bin_width` is positive.
@@ -45,7 +50,12 @@ class ThroughputBinner {
     }
   }
 
-  void add(SimTime t, std::int64_t bytes);
+  void add(SimTime t, std::int64_t bytes) {
+    const std::int64_t ns = t.count_nanos();
+    if (ns < cur_start_ns_ || ns >= cur_end_ns_) enter_bin(ns);
+    cur_bytes_ += bytes;
+    total_bytes_ += bytes;
+  }
 
   /// Completed bins as (bin start time, throughput in kbit/s).
   TimeSeries series_kbps() const;
@@ -56,12 +66,24 @@ class ThroughputBinner {
   std::int64_t total_bytes() const { return total_bytes_; }
 
  private:
-  SimTime width_;
-  std::vector<std::int64_t> bins_;  // bytes per bin, bin i covers [i*w,(i+1)*w)
-  std::int64_t total_bytes_{0};
-  // Current-bin anchor for the divisionless fast path in add().
-  std::size_t cur_idx_{0};
+  /// Moves the current bin to the one holding `ns`, flushing the old one.
+  void enter_bin(std::int64_t ns);
+  /// Bins so far: every bin up to the last one an arrival fell in.
+  std::size_t bin_count() const;
+  /// Bytes in bin i, the current bin folded in.
+  std::int64_t bin_bytes(std::size_t i) const;
+
+  // The current bin [cur_start_ns_, cur_end_ns_) and its bytes; an empty
+  // range until the first arrival.
   std::int64_t cur_start_ns_{0};
+  std::int64_t cur_end_ns_{0};
+  std::int64_t cur_bytes_{0};
+  std::int64_t total_bytes_{0};
+  std::size_t cur_idx_{0};
+  SimTime width_;
+  // Bytes per flushed bin, bin i covering [i*w, (i+1)*w); the current bin's
+  // slot, when it has one, excludes cur_bytes_.
+  std::vector<std::int64_t> bins_;
 };
 
 /// Sliding-window receive-rate estimator: rate over the span of the last
@@ -111,6 +133,11 @@ class WindowedRateMeter {
     --size_;
   }
 
+  // Cursor, sum and bounds first: every arrival reads them, and ahead of
+  // the ring they fit one line instead of trailing 1 KB of slots.
+  std::size_t head_{0};
+  std::size_t size_{0};
+  std::int64_t window_bytes_{0};
   std::size_t max_packets_;
   SimTime horizon_;
   // Capacity max_packets_ + 1 of the inline slots; the wrap is a
@@ -118,9 +145,6 @@ class WindowedRateMeter {
   // owns the meter, which a TfmccFlow places in the Simulator's arena next
   // to the host's other state: it is touched on every delivery.
   std::array<Arrival, kMaxPackets + 1> ring_{};
-  std::size_t head_{0};
-  std::size_t size_{0};
-  std::int64_t window_bytes_{0};
 };
 
 /// Exact quantile of a sample (copies + sorts; fine for analysis code).

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -7,8 +8,10 @@
 #include "net/builders.hpp"
 #include "net/link.hpp"
 #include "net/node.hpp"
+#include "net/queue.hpp"
 #include "net/topology.hpp"
 #include "sim/simulator.hpp"
+#include "util/rng.hpp"
 
 namespace tfmcc {
 namespace {
@@ -246,6 +249,214 @@ TEST(Node, MulticastFanoutCompletesInOneEvent) {
   sim.run();
   for (const auto& agent : agents) EXPECT_EQ(agent->uids.size(), 1u);
   EXPECT_EQ(sim.scheduler().executed(), 2u + 1u + kLeaves);
+}
+
+// --- the inline agent slot ---------------------------------------------------
+
+TEST(Node, InlineAgentSlotMatchesAPortTableUnderRandomAttachDetach) {
+  // Random attach, same-port replace and detach over a few ports, checked
+  // after every step against a plain port -> agent table by a local
+  // delivery to every port.  Detaching the slot's agent while others
+  // remain is the common case: with three or more ports in use it happens
+  // on most detaches.
+  Simulator sim{1};
+  Topology topo{sim};
+  const NodeId n = topo.add_node();
+  Node& node = topo.node(n);
+  constexpr int kPorts = 5;
+  std::vector<std::unique_ptr<RecordingAgent>> agents;
+  for (int i = 0; i < 8; ++i) {
+    agents.push_back(std::make_unique<RecordingAgent>(sim));
+  }
+  std::map<PortId, RecordingAgent*> ref;
+  Rng rng{3};
+  for (int step = 0; step < 2000; ++step) {
+    const auto port = static_cast<PortId>(rng.uniform_int(1, kPorts));
+    if (rng.uniform_int(0, 2) == 0) {
+      node.detach_agent(port);
+      ref.erase(port);
+    } else {
+      RecordingAgent* a = agents[static_cast<std::size_t>(
+                                     rng.uniform_int(0, 7))].get();
+      node.attach_agent(port, a);
+      ref[port] = a;
+    }
+    for (auto& a : agents) a->uids.clear();
+    for (PortId p = 1; p <= kPorts; ++p) {
+      auto pkt = make_unicast(sim, n, n, p, 100);
+      node.send(pkt);
+      const auto it = ref.find(p);
+      int hits = 0;
+      for (auto& a : agents) {
+        for (std::uint64_t uid : a->uids) {
+          if (uid != pkt->uid) continue;
+          ++hits;
+          ASSERT_TRUE(it != ref.end() && it->second == a.get())
+              << "step " << step << " port " << p;
+        }
+      }
+      ASSERT_EQ(hits, it == ref.end() ? 0 : 1) << "step " << step;
+    }
+  }
+  EXPECT_EQ(node.delivered_local(), node.delivered_endpoints());
+}
+
+TEST(Node, ReattachingAPortToAProxyAndDetachingItKeepsTheOtherPorts) {
+  // The timing proxies' pattern: a receiver attaches itself, a proxy is
+  // attached over it on the same port, and a leave detaches the port
+  // while another agent (here a sender's control port) stays attached.
+  TwoNodeFixture f{1e9, 1_ms};
+  RecordingAgent control{f.sim};
+  RecordingAgent proxy{f.sim};
+  Node& b = f.topo.node(f.b);
+  b.attach_agent(1, &control);  // f.agent is already on port 5
+  b.attach_agent(5, &proxy);
+  for (PortId p : {5, 1}) {
+    f.topo.node(f.a).send(make_unicast(f.sim, f.a, f.b, p, 100));
+  }
+  f.sim.run();
+  EXPECT_TRUE(f.agent.uids.empty());
+  EXPECT_EQ(proxy.uids.size(), 1u);
+  EXPECT_EQ(control.uids.size(), 1u);
+  b.detach_agent(5);
+  b.attach_agent(5, &f.agent);  // a rejoin, then its proxy again
+  b.attach_agent(5, &proxy);
+  b.detach_agent(1);
+  for (PortId p : {5, 1}) {
+    f.topo.node(f.a).send(make_unicast(f.sim, f.a, f.b, p, 100));
+  }
+  f.sim.run();
+  EXPECT_TRUE(f.agent.uids.empty());
+  EXPECT_EQ(proxy.uids.size(), 2u);
+  EXPECT_EQ(control.uids.size(), 1u);
+  EXPECT_EQ(b.delivered_local(), 3);
+}
+
+// --- the idle-link pass-through ----------------------------------------------
+
+/// A link as it ran before idle drop-tail links passed packets straight to
+/// the transmitter: every packet is enqueued, and an idle link dequeues it
+/// again.  No loss model or jitter, whose paths did not change.
+class RingPathLink {
+ public:
+  RingPathLink(Simulator& sim, std::unique_ptr<Queue> q, double rate_bps,
+               SimTime delay)
+      : sim_{sim}, q_{std::move(q)}, rate_bps_{rate_bps}, delay_{delay} {}
+
+  void send(const PacketPtr& p) {
+    if (!q_->enqueue(p)) return;
+    if (!transmitting_) start();
+  }
+  const Queue& queue() const { return *q_; }
+  std::int64_t delivered() const { return delivered_; }
+  std::vector<std::uint64_t> uids;
+  std::vector<SimTime> times;
+
+ private:
+  void start() {
+    PacketPtr p = q_->dequeue();
+    if (!p) return;
+    transmitting_ = true;
+    const SimTime tx = SimTime::seconds(
+        static_cast<double>(p->size_bytes) * 8.0 / rate_bps_);
+    sim_.in(tx, [this, p = std::move(p)] {
+      ++delivered_;
+      sim_.in(delay_, [this, uid = p->uid] {
+        uids.push_back(uid);
+        times.push_back(sim_.now());
+      });
+      transmitting_ = false;
+      if (!q_->empty()) start();
+    });
+  }
+
+  Simulator& sim_;
+  std::unique_ptr<Queue> q_;
+  double rate_bps_;
+  SimTime delay_;
+  bool transmitting_{false};
+  std::int64_t delivered_{0};
+};
+
+TEST(Link, IdlePassThroughMatchesEnqueueAndDequeue) {
+  // Random bursts and gaps into one link and into the ring-path model, for
+  // drop-tail limits 0, 1, 3 and 50 and for RED (which keeps the ring
+  // path): the queue's accepted, dropped and queued-byte counts, probed
+  // while packets are in flight, and the delivery order and times agree.
+  struct Case {
+    std::size_t limit;
+    bool red;
+  };
+  for (const Case c : {Case{0, false}, Case{1, false}, Case{3, false},
+                       Case{50, false}, Case{20, true}}) {
+    SCOPED_TRACE("limit " + std::to_string(c.limit) +
+                 (c.red ? " RED" : " drop-tail"));
+    LinkConfig cfg;
+    cfg.rate_bps = 8e6;
+    cfg.delay = 3_ms;
+    cfg.queue_limit_packets = c.limit;
+    cfg.use_red = c.red;
+    Simulator sim{1};
+    Topology topo{sim};
+    const NodeId a = topo.add_node();
+    const NodeId b = topo.add_node();
+    RecordingAgent sink{sim};
+    topo.node(b).attach_agent(5, &sink);
+    const Rng link_rng{77};
+    Link link{sim, topo.node(b), cfg, link_rng};
+
+    Simulator ref_sim{1};
+    std::unique_ptr<Queue> ref_queue;
+    if (c.red) {
+      RedQueue::Config red;
+      red.limit_packets = cfg.queue_limit_packets;
+      red.max_th = static_cast<double>(cfg.queue_limit_packets) * 0.5;
+      red.min_th = red.max_th / 3.0;
+      ref_queue = std::make_unique<RedQueue>(red, link_rng.substream(1),
+                                             ref_sim.arena());
+    } else {
+      ref_queue = std::make_unique<DropTailQueue>(cfg.queue_limit_packets,
+                                                  ref_sim.arena());
+    }
+    RingPathLink ref{ref_sim, std::move(ref_queue), cfg.rate_bps, cfg.delay};
+
+    Rng script{static_cast<std::uint64_t>(c.limit) + (c.red ? 100 : 0)};
+    SimTime t = SimTime::zero();
+    int probes = 0;
+    for (int burst = 0; burst < 300; ++burst) {
+      const auto n = script.uniform_int(1, c.red ? 30 : 6);
+      for (std::int64_t i = 0; i < n; ++i) {
+        auto p = make_unicast(sim, a, b, 5,
+                              static_cast<std::int32_t>(
+                                  script.uniform_int(40, 1500)));
+        sim.at(t, [&link, p] { link.send(p); });
+        ref_sim.at(t, [&ref, p] { ref.send(p); });
+      }
+      t += SimTime::micros(script.uniform_int(0, 3000));  // the probe
+      sim.run_until(t);
+      ref_sim.run_until(t);
+      ASSERT_EQ(link.queue().accepted(), ref.queue().accepted());
+      ASSERT_EQ(link.queue().drops(), ref.queue().drops());
+      ASSERT_EQ(link.queue().size_bytes(), ref.queue().size_bytes());
+      ASSERT_EQ(link.queue().size_packets(), ref.queue().size_packets());
+      ASSERT_EQ(link.delivered_packets(), ref.delivered());
+      ++probes;
+    }
+    sim.run();
+    ref_sim.run();
+    EXPECT_EQ(link.queue().accepted(), ref.queue().accepted());
+    EXPECT_EQ(link.queue().drops(), ref.queue().drops());
+    EXPECT_EQ(link.delivered_packets(), ref.delivered());
+    EXPECT_EQ(sink.uids, ref.uids);
+    EXPECT_EQ(sink.times, ref.times);
+    if (c.limit == 0) {
+      EXPECT_TRUE(sink.uids.empty());
+    } else {
+      EXPECT_GT(link.queue().drops(), 0);
+      EXPECT_GT(link.queue().accepted(), 100);
+    }
+    EXPECT_EQ(probes, 300);
+  }
 }
 
 }  // namespace

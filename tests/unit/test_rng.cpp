@@ -475,6 +475,28 @@ TEST(Rng, EngineTakenMidPrefixContinuesTheStream) {
   }
 }
 
+TEST(Rng, EngineCopyContinuesTheStreamWithoutMovingIt) {
+  // engine_copy() at every point around the prefix and after the engine is
+  // built: the copy draws what the stream would draw next, and the stream
+  // itself stays where it was.
+  Arena arena;
+  for (Arena* where : {static_cast<Arena*>(nullptr), &arena}) {
+    for (const int served : {0, 1, 31, 32, 33, 400}) {
+      Rng rng{9, where};
+      std::mt19937_64 ref{engine_seed(9)};
+      for (int i = 0; i < served; ++i) ASSERT_EQ(rng.next_u64(), ref());
+      Mt19937_64 copy = rng.engine_copy();
+      std::mt19937_64 ref_copy = ref;
+      for (int i = 0; i < kExactDraws; ++i) {
+        ASSERT_EQ(copy(), ref_copy()) << "served " << served << " draw " << i;
+      }
+      for (int i = 0; i < 40; ++i) {
+        ASSERT_EQ(rng.next_u64(), ref()) << "served " << served;
+      }
+    }
+  }
+}
+
 TEST(Rng, CopiesTakenMidPrefixStayInStep) {
   // Copy, move and copy-assignment (over a drawn heap stream) at every
   // point around the prefix; none disturbs the original.

@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "util/rng.hpp"
 
 namespace tfmcc {
 namespace {
@@ -39,6 +44,104 @@ TEST(ThroughputBinner, RejectsNonPositiveBinWidth) {
   ThroughputBinner one_ns{SimTime::nanos(1)};
   one_ns.add(SimTime::nanos(3), 100);
   EXPECT_EQ(one_ns.series_kbps().size(), 4u);
+}
+
+/// ThroughputBinner before the inline current bin: every add() indexes
+/// bins_ by division.  Readers are the same formulas over those bins.
+struct NaiveBinner {
+  SimTime width;
+  std::vector<std::int64_t> bins;
+  std::int64_t total{0};
+
+  void add(SimTime t, std::int64_t bytes) {
+    const auto i = static_cast<std::size_t>(t.count_nanos() / width.count_nanos());
+    if (bins.size() <= i) bins.resize(i + 1, 0);
+    bins[i] += bytes;
+    total += bytes;
+  }
+  std::vector<TimeSeries::Point> series_kbps() const {
+    std::vector<TimeSeries::Point> out;
+    for (std::size_t i = 0; i < bins.size(); ++i) {
+      const double bps = static_cast<double>(bins[i]) / width.to_seconds();
+      out.push_back({width * static_cast<double>(i), kbps_from_Bps(bps)});
+    }
+    return out;
+  }
+  double mean_kbps(SimTime from, SimTime to) const {
+    if (to <= from) return 0.0;
+    std::int64_t bytes = 0;
+    for (std::size_t i = 0; i < bins.size(); ++i) {
+      const SimTime start = width * static_cast<double>(i);
+      if (start >= from && start < to) bytes += bins[i];
+    }
+    return kbps_from_Bps(static_cast<double>(bytes) /
+                         (to - from).to_seconds());
+  }
+};
+
+void expect_same_reads(const ThroughputBinner& b, const NaiveBinner& ref,
+                       SimTime horizon, const std::string& where) {
+  SCOPED_TRACE(where);
+  const std::vector<TimeSeries::Point> got = b.series_kbps().points();
+  const std::vector<TimeSeries::Point> want = ref.series_kbps();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].t, want[i].t) << "bin " << i;
+    ASSERT_EQ(got[i].v, want[i].v) << "bin " << i;
+  }
+  EXPECT_EQ(b.total_bytes(), ref.total);
+  const SimTime w = ref.width;
+  for (const auto& [from, to] :
+       {std::pair{SimTime::zero(), horizon}, std::pair{w, w * 3.0},
+        std::pair{horizon * 0.5, horizon}, std::pair{w * 0.5, w * 70.0}}) {
+    ASSERT_EQ(b.mean_kbps(from, to), ref.mean_kbps(from, to));
+  }
+}
+
+TEST(ThroughputBinner, InlineCurrentBinMatchesPerAddBinsOverRandomArrivals) {
+  // Random arrival sequences mixing back-to-back packets, steps of a few
+  // bins, silences longer than 64 bins, the odd arrival in an earlier bin,
+  // zero-byte adds and a late first arrival, with every reader compared
+  // between adds.
+  Rng rng{17};
+  int reads = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    const SimTime w = SimTime::millis(1 + rng.uniform_int(0, 999));
+    ThroughputBinner b{w};
+    NaiveBinner ref{w, {}};
+    const bool late_start = trial % 4 == 1;
+    SimTime t = late_start ? w * static_cast<double>(rng.uniform_int(64, 900))
+                           : SimTime::nanos(rng.uniform_int(0, 1000));
+    const int adds = static_cast<int>(rng.uniform_int(0, 400));
+    if (adds == 0 || trial % 4 == 2) {
+      expect_same_reads(b, ref, w * 10.0, "before the first arrival");
+      ++reads;
+    }
+    for (int i = 0; i < adds; ++i) {
+      const double kind = rng.uniform(0.0, 1.0);
+      if (kind < 0.6) {
+        t += SimTime::nanos(rng.uniform_int(0, w.count_nanos() / 4));
+      } else if (kind < 0.85) {
+        t += w * rng.uniform(0.5, 5.0);
+      } else if (kind < 0.95) {
+        t += w * rng.uniform(64.0, 200.0);  // a silence past the step path
+      } else {
+        // An arrival in an earlier bin, which the binner re-anchors for.
+        t = SimTime::nanos(rng.uniform_int(0, t.count_nanos()));
+      }
+      const std::int64_t bytes = rng.uniform_int(0, 9) == 0
+                                     ? 0
+                                     : rng.uniform_int(1, 1500);
+      b.add(t, bytes);
+      ref.add(t, bytes);
+      if (rng.uniform_int(0, 15) == 0 || i + 1 == adds) {
+        expect_same_reads(b, ref, t + w, "trial " + std::to_string(trial) +
+                                             " add " + std::to_string(i));
+        ++reads;
+      }
+    }
+  }
+  EXPECT_GT(reads, 100);
 }
 
 TEST(WindowedRateMeter, NoEstimateBeforeTwoPackets) {
