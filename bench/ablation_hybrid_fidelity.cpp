@@ -61,57 +61,10 @@ TFMCC_SCENARIO(ablation_hybrid_fidelity,
   // in the full tier.  Same seed both ways: identical sender RNG stream and
   // bottleneck, so the comparison isolates the receiver-tier substitution.
   const auto run_once = [&](int n, bool hybrid) {
-    Simulator sim{opts.seed_or(141)};
-    Topology topo{sim};
-    LinkConfig bn;
-    bn.jitter = bench::kPhaseJitter;
-    bn.rate_bps = bn_bps;
-    bn.delay = 20_ms;
-    bn.queue_limit_packets = 20;
-    LinkConfig acc;
-    acc.jitter = bench::kPhaseJitter;
-    acc.rate_bps = 1e9;
-    acc.delay = 2_ms;
-    const NodeId src = topo.add_node();
-    const NodeId left = topo.add_node();
-    const NodeId right = topo.add_node();
-    topo.add_duplex_link(src, left, acc);
-    topo.add_duplex_link(left, right, bn);
-
-    const int nf = hybrid ? std::min(n_full_agents, std::max(0, n - 2)) : n;
-    const int nm = n - nf;
-    Rng delay_rng{opts.seed_or(141) * 10 + 2};
-    std::vector<NodeId> hosts(static_cast<size_t>(nf));
-    for (int i = 0; i < nf; ++i) {
-      hosts[static_cast<size_t>(i)] = topo.add_node();
-      LinkConfig a = acc;
-      a.delay = SimTime::millis(delay_rng.uniform_int(8, 48));
-      topo.add_duplex_link(right, hosts[static_cast<size_t>(i)], a);
-    }
-    std::vector<NodeId> taps;
-    if (nm > 0) {
-      const int n_taps = std::clamp(n_taps_req, 1, nm);
-      for (int t = 0; t < n_taps; ++t) {
-        LinkConfig a = acc;
-        a.delay = 8_ms;
-        taps.push_back(topo.add_node());
-        topo.add_duplex_link(right, taps.back(), a);
-      }
-    }
-    topo.compute_routes();
-
-    TfmccFlow flow{sim, topo, src, cfg};
-    for (int i = 0; i < nf; ++i) {
-      flow.add_joined_receiver(hosts[static_cast<size_t>(i)]);
-    }
-    for (std::size_t t = 0; t < taps.size(); ++t) {
-      const int per = nm / static_cast<int>(taps.size());
-      const int extra = t == 0 ? nm % static_cast<int>(taps.size()) : 0;
-      const int b = flow.add_modeled_block(taps[t], per + extra,
-                                           SimTime::zero(), 40_ms);
-      flow.block(b).join();
-    }
-    flow.sender().start(SimTime::zero());
+    bench::Fig12Session s{opts.seed_or(141), n, n_full_agents,
+                          hybrid ? n_taps_req : 0, bn_bps, cfg};
+    Simulator& sim = s.sim;
+    TfmccFlow& flow = *s.flow;
 
     sim.run_until(meas_from);
     const std::int64_t sent_start = flow.sender().data_sent();

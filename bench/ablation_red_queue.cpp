@@ -21,16 +21,9 @@ double fairness_distance(bool use_red, int n_tcp, double bottleneck_bps,
                          const TfmccConfig& cfg) {
   Simulator sim{seed};
   Topology topo{sim};
-  LinkConfig bn;
-  bn.jitter = bench::kPhaseJitter;
-  bn.rate_bps = bottleneck_bps;
-  bn.delay = 18_ms;
-  bn.use_red = use_red;
-  LinkConfig acc;
-  acc.jitter = bench::kPhaseJitter;
-  acc.rate_bps = 1e9;
-  acc.delay = 2_ms;
-  const Dumbbell d = make_dumbbell(topo, 1 + n_tcp, 1 + n_tcp, bn, acc);
+  const Dumbbell d = bench::jittered_dumbbell(
+      topo, 1 + n_tcp, 1 + n_tcp,
+      {.rate_bps = bottleneck_bps, .delay = 18_ms, .use_red = use_red});
   TfmccFlow flow{sim, topo, d.left_hosts[0], cfg};
   flow.add_joined_receiver(d.right_hosts[0]);
   std::vector<std::unique_ptr<TcpFlow>> tcp;

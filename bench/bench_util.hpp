@@ -19,32 +19,6 @@
 
 namespace tfmcc::bench {
 
-/// The hybrid full/model receiver-tier seam: packet-level scenarios declare
-/// `receiver_model` so any of them can run the modeled SoA receiver blocks
-/// with `--set receiver_model=hybrid`.  The full default keeps all golden
-/// outputs byte-identical.
-enum class ReceiverModel { kFull, kHybrid, kUnknown };
-
-inline ParamSpec receiver_model_param(const char* def = "full") {
-  return param("receiver_model", def,
-               "receiver tier: full (one agent per receiver) or hybrid "
-               "(full agents for the interesting few, modeled SoA blocks "
-               "for the silent majority)");
-}
-
-/// Resolves the declared `receiver_model` override; on an unknown name,
-/// diagnoses on the scenario sink and returns kUnknown (the scenario should
-/// fail its run).
-inline ReceiverModel selected_receiver_model(const ScenarioOptions& opts,
-                                             const char* def = "full") {
-  const std::string name = opts.param_or("receiver_model", def);
-  if (name == "full") return ReceiverModel::kFull;
-  if (name == "hybrid") return ReceiverModel::kHybrid;
-  opts.out() << "error: unknown receiver_model '" << name
-             << "' (expected full or hybrid)\n";
-  return ReceiverModel::kUnknown;
-}
-
 // All three emitters take the scenario's output sink explicitly
 // (opts.out() at the call sites) so concurrently running sweep points
 // never interleave on a shared stdout.

@@ -42,16 +42,8 @@ TFMCC_SCENARIO(
   Simulator sim{opts.seed_or(800)};
   Topology topo{sim};
 
-  LinkConfig bn;
-  bn.rate_bps = bn_bps;
-  bn.delay = 20_ms;
-  bn.queue_limit_packets = 50;
-  bn.jitter = bench::kPhaseJitter;
-  LinkConfig acc;
-  acc.rate_bps = 1e9;
-  acc.delay = 2_ms;
-  acc.jitter = bench::kPhaseJitter;
-  Dumbbell d = make_dumbbell(topo, 1, n_rx, bn, acc);
+  const Dumbbell d = bench::jittered_dumbbell(
+      topo, 1, n_rx, {.rate_bps = bn_bps, .delay = 20_ms});
 
   TfmccFlow tfmcc{sim, topo, d.left_hosts[0], cfg};
   std::vector<int> crowd_ids;

@@ -22,19 +22,23 @@ struct Run {
   double cov;
 };
 
+/// One sender and `n_receivers` receivers across a 20 ms, 25-packet
+/// bottleneck with the phase jitter, behind unjittered access links.
+Dumbbell comparison_dumbbell(Topology& topo, int n_receivers,
+                             double bottleneck_bps) {
+  return make_dumbbell(topo, 1, n_receivers,
+                       {.rate_bps = bottleneck_bps,
+                        .delay = 20_ms,
+                        .queue_limit_packets = 25,
+                        .jitter = bench::kPhaseJitter},
+                       {.rate_bps = 1e9, .delay = 2_ms});
+}
+
 Run run_tfmcc(int n_receivers, double bottleneck_bps, std::uint64_t seed,
               SimTime horizon, const TfmccConfig& cfg) {
   Simulator sim{seed};
   Topology topo{sim};
-  LinkConfig bn;
-  bn.rate_bps = bottleneck_bps;
-  bn.delay = 20_ms;
-  bn.queue_limit_packets = 25;
-  bn.jitter = bench::kPhaseJitter;
-  LinkConfig acc;
-  acc.rate_bps = 1e9;
-  acc.delay = 2_ms;
-  const Dumbbell d = make_dumbbell(topo, 1, n_receivers, bn, acc);
+  const Dumbbell d = comparison_dumbbell(topo, n_receivers, bottleneck_bps);
   TfmccFlow flow{sim, topo, d.left_hosts[0], cfg};
   for (int i = 0; i < n_receivers; ++i) flow.add_joined_receiver(d.right_hosts[static_cast<size_t>(i)]);
   flow.sender().start(SimTime::zero());
@@ -48,30 +52,20 @@ Run run_pgmcc(int n_receivers, double bottleneck_bps, std::uint64_t seed,
               SimTime horizon) {
   Simulator sim{seed};
   Topology topo{sim};
-  LinkConfig bn;
-  bn.rate_bps = bottleneck_bps;
-  bn.delay = 20_ms;
-  bn.queue_limit_packets = 25;
-  bn.jitter = bench::kPhaseJitter;
-  LinkConfig acc;
-  acc.rate_bps = 1e9;
-  acc.delay = 2_ms;
-  const Dumbbell d = make_dumbbell(topo, 1, n_receivers, bn, acc);
+  const Dumbbell d = comparison_dumbbell(topo, n_receivers, bottleneck_bps);
   MulticastSession session{topo, d.left_hosts[0], 12};
   PgmccSender sender{sim, session, PgmccConfig{}, sim.make_rng(900)};
   std::vector<std::unique_ptr<PgmccReceiver>> receivers;
-  ThroughputBinner goodput{1_sec};
   for (int i = 0; i < n_receivers; ++i) {
     receivers.push_back(std::make_unique<PgmccReceiver>(
         sim, session, d.right_hosts[static_cast<size_t>(i)], i, PgmccConfig{},
         sim.make_rng(901 + static_cast<std::uint64_t>(i))));
     receivers.back()->join();
   }
-  receivers[0]->set_delivery_observer(
-      [&goodput](SimTime t, std::int32_t bytes) { goodput.add(t, bytes); });
   sender.start(SimTime::zero());
   sim.run_until(horizon);
   const SimTime warm = bench::warmup(60_sec, horizon);
+  const ThroughputBinner& goodput = receivers[0]->goodput();
   return {goodput.mean_kbps(warm, horizon),
           bench::trace_cov(goodput, warm, horizon)};
 }

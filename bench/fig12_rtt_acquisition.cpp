@@ -18,89 +18,28 @@ TFMCC_SCENARIO(fig12_rtt_acquisition,
                tfmcc::param("bottleneck_bps", 500e3, "bottleneck rate", 1e3),
                tfmcc::param("sample_period_s", 5, "sampling interval", 1),
                tfmcc::param("full_receivers", 16,
-                            "hybrid mode: receivers simulated as full agents",
-                            1),
-               tfmcc::param("model_taps", 4,
-                            "hybrid mode: modeled-receiver blocks (tap nodes)",
-                            1),
-               tfmcc::bench::receiver_model_param()) {
+                            "receivers kept as full agents when model_taps "
+                            "> 0", 1),
+               tfmcc::param("model_taps", 0,
+                            "modeled-receiver blocks (tap nodes) of the "
+                            "hybrid tier; 0 keeps every receiver a full agent",
+                            0)) {
   using namespace tfmcc;
   using namespace tfmcc::time_literals;
 
   bench::figure_header(opts.out(), "Figure 12", "Rate of initial RTT measurements");
 
-  const bench::ReceiverModel model = bench::selected_receiver_model(opts);
-  if (model == bench::ReceiverModel::kUnknown) return 2;
-  TfmccConfig cfg;
   const int horizon_s =
       static_cast<int>(opts.duration_or(200_sec).to_seconds());
   const int kReceivers = opts.param_or("n_receivers", 1000);
   const int sample_period = opts.param_or("sample_period_s", 5);
-  Simulator sim{opts.seed_or(121)};
-  Topology topo{sim};
-
-  LinkConfig bn;
-  bn.jitter = bench::kPhaseJitter;
-  bn.rate_bps = opts.param_or("bottleneck_bps", 500e3);
-  bn.delay = 20_ms;
-  bn.queue_limit_packets = 20;
-  LinkConfig acc;
-  acc.jitter = bench::kPhaseJitter;
-  acc.rate_bps = 1e9;
-  acc.delay = 2_ms;
-  const NodeId src = topo.add_node();
-  const NodeId left = topo.add_node();
-  const NodeId right = topo.add_node();
-  topo.add_duplex_link(src, left, acc);
-  topo.add_duplex_link(left, right, bn);
-  Rng delay_rng{opts.seed_or(121) * 10 + 2};
-  // Hybrid tier split: the first `full_receivers` stay full agents, the
-  // rest ride in modeled SoA blocks on `model_taps` tap nodes.  Full mode
-  // keeps every receiver a full agent (the golden default).
-  const int n_full = model == bench::ReceiverModel::kFull
-                         ? kReceivers
-                         : std::min(kReceivers,
-                                    opts.param_or("full_receivers", 16));
-  const int n_model = kReceivers - n_full;
-  std::vector<NodeId> hosts(static_cast<size_t>(n_full));
-  for (int i = 0; i < n_full; ++i) {
-    hosts[static_cast<size_t>(i)] = topo.add_node();
-    LinkConfig a = acc;
-    // Spread one-way access delays so path RTTs cover ~60..140 ms.
-    a.delay = SimTime::millis(delay_rng.uniform_int(8, 48));
-    topo.add_duplex_link(right, hosts[static_cast<size_t>(i)], a);
-  }
-  std::vector<NodeId> taps;
-  if (n_model > 0) {
-    const int n_taps =
-        std::clamp(opts.param_or("model_taps", 4), 1, n_model);
-    for (int t = 0; t < n_taps; ++t) {
-      LinkConfig a = acc;
-      a.delay = 8_ms;  // virtual access detours add the 0..40 ms spread
-      taps.push_back(topo.add_node());
-      topo.add_duplex_link(right, taps.back(), a);
-    }
-  }
-  topo.compute_routes();
-
-  TfmccFlow flow{sim, topo, src, cfg};
-  for (int i = 0; i < n_full; ++i) flow.add_joined_receiver(hosts[static_cast<size_t>(i)]);
-  for (std::size_t t = 0; t < taps.size(); ++t) {
-    // Spread the modeled population over the taps, remainder on the first.
-    const int per = n_model / static_cast<int>(taps.size());
-    const int extra = t == 0 ? n_model % static_cast<int>(taps.size()) : 0;
-    const int b = flow.add_modeled_block(taps[t], per + extra,
-                                         SimTime::zero(), 40_ms);
-    flow.block(b).join();
-  }
-  flow.sender().start(SimTime::zero());
-  if (n_model > 0) {
-    bench::note(opts.out(),
-                "hybrid tier: " + std::to_string(n_full) + " full + " +
-                    std::to_string(n_model) + " modeled receivers on " +
-                    std::to_string(taps.size()) + " taps (candidate cap " +
-                    std::to_string(flow.block(0).candidate_cap()) + ")");
-  }
+  bench::Fig12Session s{opts.seed_or(121), kReceivers,
+                        opts.param_or("full_receivers", 16),
+                        opts.param_or("model_taps", 0),
+                        opts.param_or("bottleneck_bps", 500e3)};
+  s.note_tier(opts.out());
+  Simulator& sim = s.sim;
+  TfmccFlow& flow = *s.flow;
 
   CsvWriter csv(opts.out(), {"time_s", "receivers_with_valid_rtt"});
   std::vector<int> samples;

@@ -12,7 +12,7 @@ namespace tfmcc::scaling {
 
 double expected_min_rate_Bps(const std::vector<double>& loss_rates,
                              const ModelConfig& cfg, Rng& rng) {
-  const auto weights = LossHistory::weights(cfg.history_depth);
+  const auto& weights = LossHistory::weights(cfg.history_depth);
   const double wsum = std::accumulate(weights.begin(), weights.end(), 0.0);
 
   const auto depth = weights.size();

@@ -1,11 +1,11 @@
 #include "net/node.hpp"
 
 #include <cassert>
+#include <cstdio>
 #include <tuple>
 
 #include "net/link.hpp"
 #include "net/topology.hpp"
-#include "util/log.hpp"
 
 namespace tfmcc {
 
@@ -103,8 +103,10 @@ void Node::deliver_local(const PacketPtr& p) {
 void Node::forward_unicast(const PacketPtr& p) {
   Link* l = route(p->dst);
   if (l == nullptr) {
-    TFMCC_LOG(LogLevel::kWarn, line_.topo->sim().now(), "node",
-              "node %d: no route to %d, packet dropped", line_.id, p->dst);
+    std::fprintf(stderr,
+                 "[%10.6f] WARN  node         node %d: no route to %d, "
+                 "packet dropped\n",
+                 line_.topo->sim().now().to_seconds(), line_.id, p->dst);
     return;
   }
   ++line_.forwarded;

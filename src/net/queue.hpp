@@ -147,7 +147,6 @@ class RedQueue final : public Queue {
 
   std::size_t size_packets() const override { return q_.size(); }
   std::int64_t size_bytes() const override { return bytes_; }
-  double avg_queue() const { return avg_; }
 
  private:
   Config cfg_;

@@ -102,7 +102,6 @@ void PgmccSender::maybe_switch_acker(std::int32_t candidate) {
 
 void PgmccSender::handle_packet(const Packet& p) {
   if (const auto* a = p.pgmcc_ack()) {
-    ++acks_;
     // Sender-side RTT to the acker.
     const SimTime sample = sim_.now() - a->ts_echo - a->echo_delay;
     if (sample > SimTime::zero()) {
@@ -144,7 +143,6 @@ void PgmccSender::handle_packet(const Packet& p) {
     return;
   }
   if (const auto* f = p.tfmcc_feedback()) {
-    ++reports_;
     on_report(*f);
   }
 }
@@ -228,7 +226,7 @@ void PgmccReceiver::handle_packet(const Packet& p) {
     new_loss_event |= loss_.on_packet_lost(now, cfg_.initial_rtt);
   }
   loss_.on_packet_received();
-  if (observer_) observer_(now, p.size_bytes);
+  goodput_.add(now, p.size_bytes);
 
   last_data_send_ts_ = h->send_ts;
   last_data_arrival_ = now;
@@ -293,7 +291,6 @@ void PgmccReceiver::send_report(SimTime now) {
       last_data_arrival_.is_infinite() ? SimTime::zero() : now - last_data_arrival_;
   rep->header = f;
   session_.topology().node(self_).send(std::move(rep));
-  ++reports_sent_;
 }
 
 }  // namespace tfmcc

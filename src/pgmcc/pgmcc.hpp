@@ -19,7 +19,6 @@
 //    unreliable, exactly as PGMCC permits.
 
 #include <cstdint>
-#include <functional>
 #include <map>
 
 #include "mcast/session.hpp"
@@ -65,8 +64,6 @@ class PgmccSender final : public Agent {
   std::int32_t acker() const { return acker_; }
   double window() const { return window_; }
   std::int64_t data_sent() const { return seqno_; }
-  std::int64_t acks_received() const { return acks_; }
-  std::int64_t reports_received() const { return reports_; }
   std::int64_t window_halvings() const { return halvings_; }
 
  private:
@@ -106,8 +103,6 @@ class PgmccSender final : public Agent {
 
   EventId rto_timer_{};
   EventId send_timer_{};
-  std::int64_t acks_{0};
-  std::int64_t reports_{0};
   std::int64_t halvings_{0};
 };
 
@@ -124,16 +119,13 @@ class PgmccReceiver final : public Agent {
 
   void handle_packet(const Packet& p) override;
 
-  void set_delivery_observer(std::function<void(SimTime, std::int32_t)> f) {
-    observer_ = std::move(f);
-  }
-
   std::int32_t id() const { return id_; }
   bool is_acker() const { return is_acker_; }
   double loss_event_rate() const { return loss_.loss_event_rate(); }
   std::int64_t packets_received() const { return seq_.received(); }
   std::int64_t acks_sent() const { return acks_sent_; }
-  std::int64_t reports_sent() const { return reports_sent_; }
+  /// Bytes of every delivered (non-duplicate) data packet, in 1 s bins.
+  const ThroughputBinner& goodput() const { return goodput_; }
 
  private:
   void send_ack(const TfmccDataHeader& h);
@@ -155,8 +147,7 @@ class PgmccReceiver final : public Agent {
   SimTime last_data_arrival_{SimTime::infinity()};
   EventId report_timer_{};
   std::int64_t acks_sent_{0};
-  std::int64_t reports_sent_{0};
-  std::function<void(SimTime, std::int32_t)> observer_;
+  ThroughputBinner goodput_{SimTime::seconds(1.0)};
 };
 
 }  // namespace tfmcc

@@ -177,14 +177,12 @@ void TcpSink::handle_packet(const Packet& p) {
   if (h->seqno == rcv_next_) {
     ++rcv_next_;
     ++delivered_;
-    delivered_bytes_ += p.size_bytes;
     if (observer_) observer_(sim_.now(), p.size_bytes);
     // Drain contiguous out-of-order segments.
     while (!out_of_order_.empty() && *out_of_order_.begin() == rcv_next_) {
       out_of_order_.erase(out_of_order_.begin());
       ++rcv_next_;
       ++delivered_;
-      delivered_bytes_ += p.size_bytes;
       if (observer_) observer_(sim_.now(), p.size_bytes);
     }
   } else if (h->seqno > rcv_next_) {

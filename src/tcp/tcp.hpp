@@ -117,7 +117,6 @@ class TcpSink final : public Agent {
   }
 
   std::int64_t delivered_packets() const { return delivered_; }
-  std::int64_t delivered_bytes() const { return delivered_bytes_; }
 
  private:
   Simulator& sim_;
@@ -128,7 +127,6 @@ class TcpSink final : public Agent {
   std::int64_t rcv_next_{0};
   std::set<std::int64_t> out_of_order_;
   std::int64_t delivered_{0};
-  std::int64_t delivered_bytes_{0};
   std::function<void(SimTime, std::int32_t)> observer_;
 };
 

@@ -54,15 +54,13 @@ class TfmccFlow {
   /// full tier's dense 0-based ids.
   int add_modeled_block(NodeId tap, int count,
                         SimTime extra_owd_min = SimTime::zero(),
-                        SimTime extra_owd_max = SimTime::zero(),
-                        int max_candidates = 64) {
+                        SimTime extra_owd_max = SimTime::zero()) {
     const auto idx = static_cast<int>(blocks_.size());
     ModeledReceiverBlock::BlockConfig bc;
     bc.count = count;
     bc.base_id = kModeledIdBase + next_modeled_id_;
     bc.extra_owd_min = extra_owd_min;
     bc.extra_owd_max = extra_owd_max;
-    bc.max_candidates = max_candidates;
     next_modeled_id_ += count;
     blocks_.push_back(std::make_unique<ModeledReceiverBlock>(
         sim_, session_, tap, bc, cfg_,
@@ -74,12 +72,6 @@ class TfmccFlow {
     return *blocks_.at(static_cast<std::size_t>(idx));
   }
   int block_count() const { return static_cast<int>(blocks_.size()); }
-  /// Modeled receivers across all blocks (joined or not).
-  int modeled_receiver_count() const {
-    int n = 0;
-    for (const auto& b : blocks_) n += b->count();
-    return n;
-  }
 
   TfmccSender& sender() { return *sender_; }
   const TfmccSender& sender() const { return *sender_; }

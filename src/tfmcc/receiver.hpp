@@ -109,9 +109,10 @@ class alignas(64) TfmccReceiver final : public Agent {
 // pointer, then come the config (its EWMA weight in line 0, delta and the
 // equation in line 1), the goodput bin's 32 hot bytes (line 2) and the
 // core's 80-byte per-packet prefix (lines 3-4); the meter's cursors follow
-// the loss history at line 6.  A field added to any of these moves them.
+// the loss history, whose weights are a pointer to a table shared per
+// depth, at the start of line 6.  A field added to any of these moves them.
 static_assert(sizeof(TfmccConfig) == 80 && sizeof(ThroughputBinner) == 72 &&
-                  sizeof(ReceiverCore) == 1272,
+                  sizeof(ReceiverCore) == 1256,
               "the receiver's per-packet fields left their lines");
 
 }  // namespace tfmcc

@@ -108,7 +108,7 @@ int ModeledReceiverBlock::candidate_cap() {
     const double em = feedback_model::expected_messages(
         bcfg_.count, kRoundRttMult, 1.0, 0.0, cfg_.timer);
     const int k = static_cast<int>(std::ceil(4.0 * em)) + 4;
-    cand_cap_ = std::clamp(k, 8, std::max(8, bcfg_.max_candidates));
+    cand_cap_ = std::clamp(k, 8, kMaxCandidates);
   }
   return cand_cap_;
 }

@@ -132,8 +132,9 @@ class ModeledReceiverBlock final : public Agent {
     std::int32_t base_id{0};   // receiver ids [base_id, base_id + count)
     SimTime extra_owd_min{SimTime::zero()};
     SimTime extra_owd_max{SimTime::zero()};
-    int max_candidates{64};    // hard cap on per-round feedback contenders
   };
+  /// Hard cap on the per-round feedback contenders (see candidate_cap()).
+  static constexpr int kMaxCandidates = 64;
 
   ModeledReceiverBlock(Simulator& sim, MulticastSession& session, NodeId tap,
                        BlockConfig block_cfg, TfmccConfig cfg, Rng rng);

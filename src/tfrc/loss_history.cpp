@@ -3,13 +3,22 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <map>
+#include <mutex>
+#include <utility>
 
 namespace tfmcc {
 
 LossHistory::LossHistory(int depth)
-    : depth_{std::max(2, depth)}, weights_{weights(depth_)} {}
+    : depth_{std::max(2, depth)}, weights_{weights(depth_).data()} {}
 
-std::vector<double> LossHistory::weights(int depth) {
+const std::vector<double>& LossHistory::weights(int depth) {
+  // Sweep points build histories on several threads; std::map keeps every
+  // table at a stable address once inserted.
+  static std::mutex mu;
+  static std::map<int, std::vector<double>> tables;
+  const std::lock_guard<std::mutex> lock{mu};
+  if (const auto it = tables.find(depth); it != tables.end()) return it->second;
   // TFRC profile: w_i = min(1, 2*(n-i)/(n+2)), newest first.  For n=8 this
   // is {1,1,1,1,0.8,0.6,0.4,0.2} == the paper's {5,5,5,5,4,3,2,1}/5.
   std::vector<double> w(static_cast<std::size_t>(depth));
@@ -18,7 +27,7 @@ std::vector<double> LossHistory::weights(int depth) {
         std::min(1.0, 2.0 * static_cast<double>(depth - i) /
                           static_cast<double>(depth + 2));
   }
-  return w;
+  return tables.emplace(depth, std::move(w)).first->second;
 }
 
 void LossHistory::on_packet_received() {

@@ -65,7 +65,9 @@ class LossHistory {
 
   /// The TFRC weight profile: 1 for the newest half of the history, then
   /// linearly decaying — {5,5,5,5,4,3,2,1}/5 for depth 8 (paper §2.3).
-  static std::vector<double> weights(int depth);
+  /// One table per depth, shared by every history of that depth and kept
+  /// for the life of the process.
+  static const std::vector<double>& weights(int depth);
 
  private:
   void close_open_interval();
@@ -79,7 +81,7 @@ class LossHistory {
   int events_{0};
   bool initial_synthetic_{false};  // init_first_interval() value still live
   double synthetic_value_{0.0};
-  std::vector<double> weights_;
+  const double* weights_;  // weights(depth_), shared
   std::vector<double> intervals_;  // closed intervals, most recent first
 
   // Bounded per-lost-packet record for reaggregation (Appendix A): each

@@ -59,8 +59,6 @@ class FixedBlockPool {
   /// Allocations that had to touch the global heap (pool misses + the
   /// warm-up checkouts that first populate the free list).
   std::size_t heap_allocations() const { return heap_allocations_; }
-  /// The learned block size; 0 until the first allocation.
-  std::size_t block_bytes() const { return block_bytes_; }
 
  private:
   struct FreeNode {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
 #include <vector>
 
 namespace tfmcc {
@@ -24,6 +25,42 @@ TEST(LossHistory, WeightsNewestHalfIsFlat) {
     }
     EXPECT_GT(w.back(), 0.0);
     EXPECT_LT(w.back(), w.front());
+  }
+}
+
+TEST(LossHistory, WeightsAreOneTablePerDepth) {
+  EXPECT_EQ(&LossHistory::weights(8), &LossHistory::weights(8));
+  EXPECT_NE(&LossHistory::weights(8), &LossHistory::weights(16));
+}
+
+TEST(LossHistory, WeightTablesBuildConcurrently) {
+  // Sweep points construct histories on several threads at once; each
+  // thread must see the same table per depth and the same p.
+  auto rate_at = [](int depth) {
+    LossHistory h{depth};
+    for (int e = 0; e < 2 * depth; ++e) {
+      for (int i = 0; i < 10 + 3 * e; ++i) h.on_packet_received();
+      h.on_packet_lost(SimTime::seconds(e), 100_ms);
+    }
+    return h.loss_event_rate();
+  };
+  constexpr int kThreads = 4;
+  constexpr int kMaxDepth = 40;
+  std::vector<std::vector<double>> rates(kThreads);
+  std::vector<std::vector<const void*>> tables(kThreads);
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      for (int d = 2; d <= kMaxDepth; ++d) {
+        tables[t].push_back(&LossHistory::weights(d));
+        rates[t].push_back(rate_at(d));
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+  for (int t = 1; t < kThreads; ++t) {
+    EXPECT_EQ(tables[t], tables[0]);
+    EXPECT_EQ(rates[t], rates[0]);
   }
 }
 

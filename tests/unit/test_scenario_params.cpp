@@ -6,6 +6,9 @@
 
 #include <iostream>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "sim/scenario.hpp"
 
@@ -317,6 +320,70 @@ TEST(RegistryValidation, MacroRegistersParamSpecs) {
   EXPECT_EQ(s->params[0].default_value, "3");
   ASSERT_NE(s->find_param("knob"), nullptr);
   EXPECT_EQ(s->find_param("missing"), nullptr);
+}
+
+// The fig. 12 scenarios pick their receiver tier from `model_taps`: 0 runs
+// every receiver as a full agent, otherwise the hybrid tier keeps
+// min(full_receivers, n - 2) full.  Short runs: the tier NOTE prints before
+// the simulation starts.
+std::string run_scenario(const char* name,
+                         std::vector<std::pair<const char*, const char*>> set,
+                         int* rc = nullptr, std::string* err_out = nullptr) {
+  ScenarioOptions opts;
+  opts.duration = SimTime::seconds(2);
+  for (const auto& [key, value] : set) opts.set_param(key, value);
+  std::ostringstream out;
+  std::ostringstream err;
+  opts.set_output(out);
+  const int code = ScenarioRegistry::instance().run(name, opts, err);
+  if (rc != nullptr) *rc = code;
+  if (err_out != nullptr) *err_out = err.str();
+  return out.str();
+}
+
+class TierSwitchTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    if (ScenarioRegistry::instance().find("fig12_rtt_acquisition") ==
+        nullptr) {
+      GTEST_SKIP() << "bench scenarios not linked (TFMCC_BUILD_BENCH=OFF)";
+    }
+  }
+};
+
+TEST_F(TierSwitchTest, Fig12DefaultRunsEveryReceiverFull) {
+  const std::string out =
+      run_scenario("fig12_rtt_acquisition", {{"n_receivers", "40"}});
+  EXPECT_EQ(out.find("hybrid tier"), std::string::npos) << out;
+}
+
+TEST_F(TierSwitchTest, Fig12ModelTapsSplitsThePopulation) {
+  const std::string out = run_scenario(
+      "fig12_rtt_acquisition", {{"model_taps", "4"}, {"n_receivers", "40"}});
+  EXPECT_NE(out.find("NOTE: hybrid tier: 16 full + 24 modeled receivers on "
+                     "4 taps"),
+            std::string::npos)
+      << out;
+}
+
+TEST_F(TierSwitchTest, ScaleWithoutTapsRunsEveryReceiverFull) {
+  const std::string out = run_scenario(
+      "scale_hybrid_receivers", {{"model_taps", "0"}, {"n_receivers", "40"}});
+  EXPECT_EQ(out.find("hybrid tier"), std::string::npos) << out;
+  EXPECT_NE(out.find("session endpoints: 40 (modeled 0)"), std::string::npos)
+      << out;
+}
+
+TEST_F(TierSwitchTest, RemovedTierKnobIsAnUnknownParameter) {
+  for (const char* name : {"fig12_rtt_acquisition", "scale_hybrid_receivers"}) {
+    int rc = 0;
+    std::string err;
+    run_scenario(name, {{"receiver_model", "hybrid"}}, &rc, &err);
+    EXPECT_EQ(rc, -1) << name;
+    EXPECT_NE(err.find("unknown parameter 'receiver_model'"),
+              std::string::npos)
+        << err;
+  }
 }
 
 }  // namespace
