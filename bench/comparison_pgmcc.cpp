@@ -54,11 +54,11 @@ Run run_pgmcc(int n_receivers, double bottleneck_bps, std::uint64_t seed,
   Topology topo{sim};
   const Dumbbell d = comparison_dumbbell(topo, n_receivers, bottleneck_bps);
   MulticastSession session{topo, d.left_hosts[0], 12};
-  PgmccSender sender{sim, session, PgmccConfig{}, sim.make_rng(900)};
+  PgmccSender sender{sim, session};
   std::vector<std::unique_ptr<PgmccReceiver>> receivers;
   for (int i = 0; i < n_receivers; ++i) {
     receivers.push_back(std::make_unique<PgmccReceiver>(
-        sim, session, d.right_hosts[static_cast<size_t>(i)], i, PgmccConfig{},
+        sim, session, d.right_hosts[static_cast<size_t>(i)], i,
         sim.make_rng(901 + static_cast<std::uint64_t>(i))));
     receivers.back()->join();
   }

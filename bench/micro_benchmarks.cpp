@@ -201,12 +201,13 @@ void BM_ComputeRoutes(benchmark::State& state) {
 }
 BENCHMARK(BM_ComputeRoutes)->Arg(1000)->Arg(4000);
 
-void BM_MembershipChurn(benchmark::State& state, MembershipMode mode) {
+void BM_MembershipChurn(benchmark::State& state, bool full_rebuild) {
   // Tree maintenance under sustained membership churn: a dumbbell with n
   // leaf hosts, alternating leave/rejoin over a half-full group — the
   // steady-state pattern of the churn_flash_crowd scenario.  Incremental
-  // graft/prune walks only the toggled member's branch (O(path)); the full
-  // rebuild recomputes the whole tree (O(members x path)) per event.
+  // graft/prune walks only the toggled member's branch (O(path));
+  // full_rebuild also runs the rebuild_tree oracle, which recomputes the
+  // whole tree (O(members x path)), after every event.
   const int n = static_cast<int>(state.range(0));
   Simulator sim;
   Topology topo{sim};
@@ -216,7 +217,6 @@ void BM_MembershipChurn(benchmark::State& state, MembershipMode mode) {
   Dumbbell d = make_dumbbell(topo, 1, n, link, link);
   topo.compute_routes();
   const GroupId gid = topo.create_group(d.left_hosts[0]);
-  topo.set_membership_mode(mode);
   // Half the receivers are members; churn toggles cycle through them.
   for (int i = 0; i < n; i += 2) topo.join(gid, d.right_hosts[static_cast<std::size_t>(i)]);
   int next = 0;
@@ -228,15 +228,16 @@ void BM_MembershipChurn(benchmark::State& state, MembershipMode mode) {
     } else {
       topo.join(gid, node);
     }
+    if (full_rebuild) topo.rebuild_tree(gid);
     next = (next + 1) % n;
     ++events;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
 }
-BENCHMARK_CAPTURE(BM_MembershipChurn, incremental, MembershipMode::kIncremental)
+BENCHMARK_CAPTURE(BM_MembershipChurn, incremental, false)
     ->Arg(256)
     ->Arg(2048);
-BENCHMARK_CAPTURE(BM_MembershipChurn, full_rebuild, MembershipMode::kFullRebuild)
+BENCHMARK_CAPTURE(BM_MembershipChurn, full_rebuild, true)
     ->Arg(256)
     ->Arg(2048);
 

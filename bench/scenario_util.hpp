@@ -70,8 +70,8 @@ struct SharedBottleneck {
     }
   }
 
-  void start_all(SimTime tfmcc_at = SimTime::zero()) {
-    tfmcc->sender().start(tfmcc_at);
+  void start_all() {
+    tfmcc->sender().start(SimTime::zero());
     for (std::size_t i = 0; i < tcp.size(); ++i) {
       tcp[i]->start(SimTime::millis(41 * static_cast<std::int64_t>(i)));
     }

@@ -31,26 +31,20 @@ double expected_min_rate_Bps(const std::vector<double>& loss_rates,
       for (auto& iv : intervals) iv = exponential(gen);
       double closed = 0.0;
       for (std::size_t i = 0; i < depth; ++i) closed += weights[i] * intervals[i];
-      double avg = closed / wsum;
-      if (cfg.include_open_interval) {
-        // Age of the open interval at a random inspection time is again
-        // exponential (memorylessness); TFRC counts it only when doing so
-        // lowers the loss estimate.  Including it shifts the closed
-        // intervals one weight slot older, exactly as
-        // LossHistory::average_interval does.
-        const double open = exponential(gen);
-        double with_open = weights[0] * open;
-        for (std::size_t i = 0; i + 1 < depth; ++i) {
-          with_open += weights[i + 1] * intervals[i];
-        }
-        avg = std::max(avg, with_open / wsum);
+      // Age of the open interval at a random inspection time is again
+      // exponential (memorylessness); TFRC counts it only when doing so
+      // lowers the loss estimate.  Including it shifts the closed intervals
+      // one weight slot older, exactly as LossHistory::average_interval
+      // does.
+      const double open = exponential(gen);
+      double with_open = weights[0] * open;
+      for (std::size_t i = 0; i + 1 < depth; ++i) {
+        with_open += weights[i + 1] * intervals[i];
       }
+      const double avg = std::max(closed / wsum, with_open / wsum);
       const double p_est = 1.0 / std::max(avg, 1.0);
       const double rate =
-          cfg.use_simple_equation
-              ? tcp_model::simple_throughput_Bps(cfg.packet_bytes, cfg.rtt,
-                                                 p_est)
-              : tcp_model::throughput_Bps(cfg.packet_bytes, cfg.rtt, p_est);
+          tcp_model::throughput_Bps(cfg.packet_bytes, cfg.rtt, p_est);
       min_rate = std::min(min_rate, rate);
     }
     acc += min_rate;

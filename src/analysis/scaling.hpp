@@ -14,21 +14,20 @@ namespace tfmcc::scaling {
 /// are exponentially distributed, the averages are (scaled) gamma
 /// distributed, and the sender tracks the *minimum* calculated rate over
 /// receivers — so throughput decays with n even at constant loss.
+///
+/// Each estimate applies TFRC's open-interval rule: the (inspection-
+/// paradox-distributed) interval since the last loss event is included when
+/// it raises the average.  This substantially lifts the low tail of the
+/// estimate distribution and thus the expected minimum.  Rates come from
+/// the full Padhye equation, which collapses much harder than the simple
+/// (Mathis) response function at the high effective loss rates the minimum
+/// tracks.
 
 struct ModelConfig {
   double packet_bytes{1000.0};
   SimTime rtt{SimTime::millis(50)};
   int history_depth{8};  // loss intervals in the TFRC average
   int trials{300};
-  /// Apply TFRC's open-interval rule: the (inspection-paradox-distributed)
-  /// interval since the last loss event is included when it raises the
-  /// average.  This substantially lifts the low tail of the estimate
-  /// distribution and thus the expected minimum.
-  bool include_open_interval{true};
-  /// Use the simplified (Mathis) response function instead of the full
-  /// Padhye equation.  The full equation collapses much harder at the high
-  /// effective loss rates the minimum tracks.
-  bool use_simple_equation{false};
 };
 
 /// Expected TFMCC throughput (bytes/s) when receiver i has loss event rate

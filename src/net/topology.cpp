@@ -173,11 +173,7 @@ void Topology::join(GroupId gid, NodeId member) {
   ensure_group_capacity(g);
   g.members.insert(member);
   g.member_flags.at(static_cast<std::size_t>(member)) = 1;
-  if (membership_mode_ == MembershipMode::kFullRebuild) {
-    rebuild_tree(g);
-  } else {
-    graft(g, member);
-  }
+  graft(g, member);
 }
 
 void Topology::leave(GroupId gid, NodeId member) {
@@ -186,11 +182,7 @@ void Topology::leave(GroupId gid, NodeId member) {
   g.members.erase(member);
   const auto idx = static_cast<std::size_t>(member);
   if (idx < g.member_flags.size()) g.member_flags[idx] = 0;
-  if (membership_mode_ == MembershipMode::kFullRebuild) {
-    rebuild_tree(g);
-  } else {
-    prune(g, member);
-  }
+  prune(g, member);
 }
 
 bool Topology::is_member(GroupId gid, NodeId n) const {

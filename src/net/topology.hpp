@@ -12,15 +12,6 @@
 
 namespace tfmcc {
 
-/// How group membership changes are folded into the distribution trees.
-/// Incremental graft/prune is the default: a join walks only the new
-/// member's reverse path until it meets the tree, a leave pops the unique
-/// leaf path — O(path length) per event instead of O(members x path).
-/// Full rebuild recomputes the whole tree from the member set on every
-/// event (the historical behaviour); it stays available as the oracle the
-/// churn property tests and BM_MembershipChurn compare against.
-enum class MembershipMode { kIncremental, kFullRebuild };
-
 /// Owns the nodes and links of an experiment, computes unicast routes
 /// (Dijkstra over propagation delay) and maintains multicast distribution
 /// trees (reverse-shortest-path trees, as dense-mode multicast routing
@@ -67,6 +58,10 @@ class Topology {
   /// Create a source-rooted multicast group.  All traffic for the group must
   /// originate at `source`.
   GroupId create_group(NodeId source);
+  /// Membership changes fold into the distribution tree incrementally: a
+  /// join walks only the new member's reverse path until it meets the tree,
+  /// a leave pops the unique leaf path — O(path length) per event instead
+  /// of a rebuild's O(members x path).
   void join(GroupId g, NodeId member);
   void leave(GroupId g, NodeId member);
   bool is_member(GroupId g, NodeId n) const;
@@ -82,16 +77,9 @@ class Topology {
 
   /// Recompute group `g`'s whole tree from its member set.  Behaviour-
   /// identical to a leave+rejoin of every member in ascending id order;
-  /// exposed as the oracle the churn property tests compare the
-  /// incremental graft/prune maintenance against.
+  /// exposed as the oracle the churn property tests and BM_MembershipChurn
+  /// compare the incremental graft/prune maintenance against.
   void rebuild_tree(GroupId g);
-
-  /// Selects incremental graft/prune (default) or full per-event rebuild.
-  /// Applies to subsequent join/leave calls; existing trees are untouched
-  /// (both modes maintain the same invariants, so switching mid-run is
-  /// safe).
-  void set_membership_mode(MembershipMode m) { membership_mode_ = m; }
-  MembershipMode membership_mode() const { return membership_mode_; }
 
   /// Total end-to-end propagation delay of the unicast path a -> b,
   /// +inf when unreachable.  (Diagnostics and tests.)
@@ -144,7 +132,6 @@ class Topology {
   bool adjacency_index_dirty_{true};
   std::vector<GroupState> groups_;
   std::vector<Link*> empty_links_{};
-  MembershipMode membership_mode_{MembershipMode::kIncremental};
   std::uint64_t rng_stream_counter_{1000};
 };
 

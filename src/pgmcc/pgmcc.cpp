@@ -12,19 +12,26 @@ namespace tfmcc {
 
 namespace {
 constexpr PortId kPgmccSenderPort = 11;
+constexpr double kInitialWindow = 2.0;
+/// Acker switch hysteresis: switch when the candidate's modelled throughput
+/// is below this fraction of the acker's (Rizzo §3.2 uses a comparable
+/// guard against acker oscillation).
+constexpr double kHysteresis = 0.9;
+/// Report suppression window, in initial RTTs.
+constexpr double kReportTMult = 4.0;
+constexpr int kLossHistoryDepth = 8;
+constexpr SimTime kMinRto = SimTime::millis(200);
+// RTTs start at TFMCC's kInitialRtt (tfmcc/config.hpp), 500 ms.
 }  // namespace
 
 // ---------------------------------------------------------------- sender --
 
-PgmccSender::PgmccSender(Simulator& sim, MulticastSession& session,
-                         PgmccConfig cfg, Rng rng)
+PgmccSender::PgmccSender(Simulator& sim, MulticastSession& session)
     : sim_{sim},
       session_{session},
-      cfg_{cfg},
-      rng_{std::move(rng)},
-      window_{cfg.initial_window},
-      tokens_{cfg.initial_window},
-      acker_rtt_{cfg.initial_rtt} {
+      window_{kInitialWindow},
+      tokens_{kInitialWindow},
+      acker_rtt_{kInitialRtt} {
   session_.topology()
       .node(session_.source())
       .attach_agent(kPgmccSenderPort, this);
@@ -61,7 +68,7 @@ void PgmccSender::transmit() {
   pkt->sport = kPgmccSenderPort;
   pkt->dport = session_.data_port();
   pkt->group = session_.group();
-  pkt->size_bytes = cfg_.packet_bytes;
+  pkt->size_bytes = kDataPacketBytes;
   TfmccDataHeader h;  // PGMCC reuses the data-header layout; clr == acker
   h.seqno = seqno_++;
   h.send_ts = sim_.now();
@@ -74,8 +81,8 @@ double PgmccSender::modelled_rate(const ReceiverInfo& info) const {
   // Rizzo's election metric: T ~ 1/(rtt * sqrt(p)).  Receivers without a
   // loss estimate are unconstrained.
   if (info.loss_rate <= 0.0) return std::numeric_limits<double>::infinity();
-  const SimTime rtt = info.has_rtt ? info.rtt : cfg_.initial_rtt;
-  return tcp_model::simple_throughput_Bps(cfg_.packet_bytes, rtt,
+  const SimTime rtt = info.has_rtt ? info.rtt : kInitialRtt;
+  return tcp_model::simple_throughput_Bps(kDataPacketBytes, rtt,
                                           info.loss_rate);
 }
 
@@ -93,7 +100,7 @@ void PgmccSender::maybe_switch_acker(std::int32_t candidate) {
   const double acker_rate = ait == receivers_.end()
                                 ? std::numeric_limits<double>::infinity()
                                 : modelled_rate(ait->second);
-  if (modelled_rate(cit->second) < cfg_.hysteresis * acker_rate) {
+  if (modelled_rate(cit->second) < kHysteresis * acker_rate) {
     acker_ = candidate;
     recover_ = seqno_;
     restart_rto();
@@ -113,12 +120,9 @@ void PgmccSender::handle_packet(const Packet& p) {
     info.loss_rate = a->loss_rate;
     info.rtt = acker_rtt_;
     info.has_rtt = true;
-    info.last_report = sim_.now();
 
     if (a->receiver != acker_) return;  // stale ACKs from a previous acker
 
-    TfmccFeedbackHeader dummy;
-    (void)dummy;
     if (a->seqno > highest_acked_) {
       if (a->seqno > highest_acked_ + 1 && highest_acked_ >= 0 &&
           a->seqno > recover_) {
@@ -136,7 +140,7 @@ void PgmccSender::handle_packet(const Packet& p) {
       highest_acked_ = a->seqno;
       // Token return + linear growth (one extra packet per window).
       tokens_ += 1.0 + 1.0 / window_;
-      window_ = std::min(window_ + 1.0 / window_, cfg_.max_window);
+      window_ += 1.0 / window_;
       restart_rto();
       send_packets();
     }
@@ -150,7 +154,6 @@ void PgmccSender::handle_packet(const Packet& p) {
 void PgmccSender::on_report(const TfmccFeedbackHeader& f) {
   auto& info = receivers_[f.receiver];
   info.loss_rate = f.loss_event_rate;
-  info.last_report = sim_.now();
   if (f.echo_ts > SimTime::zero()) {
     const SimTime sample = sim_.now() - f.echo_ts - f.echo_delay;
     if (sample > SimTime::zero()) {
@@ -174,23 +177,20 @@ void PgmccSender::on_rto() {
 void PgmccSender::restart_rto() {
   sim_.cancel(rto_timer_);
   const SimTime rto =
-      std::max(cfg_.min_rto, have_acker_rtt_ ? 4.0 * acker_rtt_
-                                             : 2.0 * cfg_.initial_rtt);
+      std::max(kMinRto, have_acker_rtt_ ? 4.0 * acker_rtt_ : 2.0 * kInitialRtt);
   rto_timer_ = sim_.in(rto, [this] { on_rto(); });
 }
 
 // -------------------------------------------------------------- receiver --
 
 PgmccReceiver::PgmccReceiver(Simulator& sim, MulticastSession& session,
-                             NodeId self, std::int32_t receiver_id,
-                             PgmccConfig cfg, Rng rng)
+                             NodeId self, std::int32_t receiver_id, Rng rng)
     : sim_{sim},
       session_{session},
       self_{self},
       id_{receiver_id},
-      cfg_{cfg},
       rng_{std::move(rng)},
-      loss_{cfg.loss_history_depth} {}
+      loss_{kLossHistoryDepth} {}
 
 PgmccReceiver::~PgmccReceiver() {
   if (joined_) {
@@ -223,7 +223,7 @@ void PgmccReceiver::handle_packet(const Packet& p) {
   if (seq_result.duplicate) return;
   bool new_loss_event = false;
   for (std::int64_t i = 0; i < seq_result.lost; ++i) {
-    new_loss_event |= loss_.on_packet_lost(now, cfg_.initial_rtt);
+    new_loss_event |= loss_.on_packet_lost(now, kInitialRtt);
   }
   loss_.on_packet_received();
   goodput_.add(now, p.size_bytes);
@@ -240,7 +240,7 @@ void PgmccReceiver::handle_packet(const Packet& p) {
   // loss event, or the initial hello while no acker exists.
   if ((new_loss_event || h->clr == kInvalidReceiver) &&
       !report_timer_.pending()) {
-    schedule_report(*h, now);
+    schedule_report();
   }
 }
 
@@ -250,7 +250,7 @@ void PgmccReceiver::send_ack(const TfmccDataHeader& h) {
   ack->dst = session_.source();
   ack->sport = session_.data_port();
   ack->dport = kPgmccSenderPort;
-  ack->size_bytes = cfg_.ack_bytes;
+  ack->size_bytes = kAckPacketBytes;
   PgmccAckHeader a;
   a.receiver = id_;
   a.seqno = h.seqno;
@@ -262,15 +262,13 @@ void PgmccReceiver::send_ack(const TfmccDataHeader& h) {
   ++acks_sent_;
 }
 
-void PgmccReceiver::schedule_report(const TfmccDataHeader& h, SimTime now) {
-  (void)h;
-  (void)now;
-  // Exponential-timer spread over report_t_mult RTTs; with NAK suppression
+void PgmccReceiver::schedule_report() {
+  // Exponential-timer spread over kReportTMult RTTs; with NAK suppression
   // delegated to the same timer family TFMCC uses.
   FeedbackTimerConfig tcfg;
   tcfg.method = BiasMethod::kUnbiased;
   const double units = feedback_timer::draw(1.0, tcfg, rng_);
-  const SimTime delay = cfg_.report_t_mult * cfg_.initial_rtt * units;
+  const SimTime delay = kReportTMult * kInitialRtt * units;
   report_timer_ = sim_.in(delay, [this] { send_report(sim_.now()); });
 }
 
@@ -281,7 +279,7 @@ void PgmccReceiver::send_report(SimTime now) {
   rep->dst = session_.source();
   rep->sport = session_.data_port();
   rep->dport = kPgmccSenderPort;
-  rep->size_bytes = cfg_.report_bytes;
+  rep->size_bytes = kFeedbackPacketBytes;
   TfmccFeedbackHeader f;
   f.receiver = id_;
   f.loss_event_rate = loss_.loss_event_rate();

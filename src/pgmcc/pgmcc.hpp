@@ -32,28 +32,10 @@
 
 namespace tfmcc {
 
-struct PgmccConfig {
-  std::int32_t packet_bytes{kDataPacketBytes};
-  std::int32_t report_bytes{kFeedbackPacketBytes};
-  std::int32_t ack_bytes{kAckPacketBytes};
-  double initial_window{2.0};
-  double max_window{1e5};
-  /// Acker switch hysteresis: switch when the candidate's modelled
-  /// throughput is below `hysteresis` times the acker's (Rizzo §3.2 uses a
-  /// comparable guard against acker oscillation).
-  double hysteresis{0.9};
-  SimTime initial_rtt{SimTime::millis(500)};
-  /// Report suppression window, in units of the estimated max RTT.
-  double report_t_mult{4.0};
-  int loss_history_depth{8};
-  SimTime min_rto{SimTime::millis(200)};
-};
-
 /// PGMCC sender: window-based rate control clocked by the acker's ACKs.
 class PgmccSender final : public Agent {
  public:
-  PgmccSender(Simulator& sim, MulticastSession& session, PgmccConfig cfg,
-              Rng rng);
+  PgmccSender(Simulator& sim, MulticastSession& session);
   ~PgmccSender() override;
 
   void start(SimTime at);
@@ -62,7 +44,6 @@ class PgmccSender final : public Agent {
   void handle_packet(const Packet& p) override;
 
   std::int32_t acker() const { return acker_; }
-  double window() const { return window_; }
   std::int64_t data_sent() const { return seqno_; }
   std::int64_t window_halvings() const { return halvings_; }
 
@@ -71,12 +52,10 @@ class PgmccSender final : public Agent {
     double loss_rate{0.0};
     SimTime rtt{};
     bool has_rtt{false};
-    SimTime last_report{};
   };
 
   void send_packets();
   void transmit();
-  void on_ack(const TfmccFeedbackHeader& f);
   void on_report(const TfmccFeedbackHeader& f);
   /// Simplified TCP model throughput used for acker election.
   double modelled_rate(const ReceiverInfo& info) const;
@@ -86,8 +65,6 @@ class PgmccSender final : public Agent {
 
   Simulator& sim_;
   MulticastSession& session_;
-  PgmccConfig cfg_;
-  Rng rng_;
 
   bool running_{false};
   std::int64_t seqno_{0};
@@ -111,7 +88,7 @@ class PgmccSender final : public Agent {
 class PgmccReceiver final : public Agent {
  public:
   PgmccReceiver(Simulator& sim, MulticastSession& session, NodeId self,
-                std::int32_t receiver_id, PgmccConfig cfg, Rng rng);
+                std::int32_t receiver_id, Rng rng);
   ~PgmccReceiver() override;
 
   void join();
@@ -130,13 +107,12 @@ class PgmccReceiver final : public Agent {
  private:
   void send_ack(const TfmccDataHeader& h);
   void send_report(SimTime now);
-  void schedule_report(const TfmccDataHeader& h, SimTime now);
+  void schedule_report();
 
   Simulator& sim_;
   MulticastSession& session_;
   NodeId self_;
   std::int32_t id_;
-  PgmccConfig cfg_;
   Rng rng_;
 
   bool joined_{false};

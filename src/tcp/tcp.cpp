@@ -6,8 +6,15 @@
 
 namespace tfmcc {
 
+namespace {
+constexpr double kInitialCwnd = 2.0;
+constexpr double kInitialSsthresh = 64.0;
+constexpr SimTime kMinRto = SimTime::millis(200);
+constexpr SimTime kMaxRto = SimTime::seconds(60.0);
+}  // namespace
+
 TcpSender::TcpSender(Simulator& sim, Topology& topo, NodeId self, PortId port,
-                     NodeId peer, PortId peer_port, FlowId flow, TcpConfig cfg)
+                     NodeId peer, PortId peer_port, FlowId flow)
     : sim_{sim},
       topo_{topo},
       self_{self},
@@ -15,9 +22,8 @@ TcpSender::TcpSender(Simulator& sim, Topology& topo, NodeId self, PortId port,
       peer_{peer},
       peer_port_{peer_port},
       flow_{flow},
-      cfg_{cfg},
-      cwnd_{cfg.initial_cwnd},
-      ssthresh_{cfg.initial_ssthresh} {
+      cwnd_{kInitialCwnd},
+      ssthresh_{kInitialSsthresh} {
   topo_.node(self_).attach_agent(port_, this);
 }
 
@@ -39,8 +45,7 @@ void TcpSender::try_send() {
   if (!running_) return;
   // Effective window: cwnd, inflated by the dup-ACK count during fast
   // recovery (the classic Reno window inflation).
-  const double wnd = std::min(cwnd_, cfg_.max_cwnd);
-  while (static_cast<double>(next_seq_ - snd_una_) < std::floor(wnd)) {
+  while (static_cast<double>(next_seq_ - snd_una_) < std::floor(cwnd_)) {
     transmit(next_seq_, false);
     ++next_seq_;
   }
@@ -52,7 +57,7 @@ void TcpSender::transmit(std::int64_t seqno, bool retransmit) {
   pkt->dst = peer_;
   pkt->sport = port_;
   pkt->dport = peer_port_;
-  pkt->size_bytes = cfg_.packet_bytes;
+  pkt->size_bytes = kDataPacketBytes;
   TcpHeader h;
   h.flow = flow_;
   h.seqno = seqno;
@@ -70,27 +75,12 @@ void TcpSender::on_ack(const TcpHeader& h, SimTime now) {
     // New data acknowledged.
     rto_backoff_ = 0;
     if (in_recovery_) {
-      if (h.ackno > recover_) {
-        // Full recovery: deflate to ssthresh and resume normal behaviour.
-        in_recovery_ = false;
-        cwnd_ = ssthresh_;
-        dup_acks_ = 0;
-      } else if (cfg_.newreno) {
-        // NewReno partial ACK: the next hole is also lost; retransmit it
-        // and stay in recovery, deflating by the amount acked.
-        cwnd_ = std::max(1.0, cwnd_ - static_cast<double>(h.ackno - snd_una_) + 1.0);
-        snd_una_ = h.ackno;
-        transmit(snd_una_, true);
-        restart_rto_timer();
-        try_send();
-        return;
-      } else {
-        // Classic Reno: any new ACK terminates fast recovery.  Remaining
-        // holes need another triple-dupACK or, at small windows, an RTO.
-        in_recovery_ = false;
-        cwnd_ = ssthresh_;
-        dup_acks_ = 0;
-      }
+      // Classic Reno: any new ACK ends fast recovery and deflates the window
+      // to ssthresh.  Remaining holes need another triple-dupACK or, at
+      // small windows, an RTO.
+      in_recovery_ = false;
+      cwnd_ = ssthresh_;
+      dup_acks_ = 0;
     } else {
       dup_acks_ = 0;
       if (cwnd_ < ssthresh_) {
@@ -121,7 +111,6 @@ void TcpSender::enter_fast_recovery() {
   ssthresh_ = std::max(flight_size() / 2.0, 2.0);
   cwnd_ = ssthresh_ + 3.0;
   in_recovery_ = true;
-  recover_ = next_seq_ - 1;
   transmit(snd_una_, true);
   restart_rto_timer();
 }
@@ -140,9 +129,9 @@ void TcpSender::on_rto() {
 
 SimTime TcpSender::current_rto() const {
   SimTime rto = have_rtt_ ? srtt_ + 4.0 * rttvar_ : SimTime::seconds(3.0);
-  rto = std::max(rto, cfg_.min_rto);
+  rto = std::max(rto, kMinRto);
   for (int i = 0; i < rto_backoff_; ++i) rto = rto * 2.0;
-  return std::min(rto, cfg_.max_rto);
+  return std::min(rto, kMaxRto);
 }
 
 void TcpSender::restart_rto_timer() {
@@ -164,9 +153,8 @@ void TcpSender::update_rtt(SimTime sample) {
   srtt_ = srtt_ * 0.875 + sample * 0.125;
 }
 
-TcpSink::TcpSink(Simulator& sim, Topology& topo, NodeId self, PortId port,
-                 std::int32_t ack_bytes)
-    : sim_{sim}, topo_{topo}, self_{self}, port_{port}, ack_bytes_{ack_bytes} {
+TcpSink::TcpSink(Simulator& sim, Topology& topo, NodeId self, PortId port)
+    : sim_{sim}, topo_{topo}, self_{self}, port_{port} {
   topo_.node(self_).attach_agent(port_, this);
 }
 
@@ -177,13 +165,13 @@ void TcpSink::handle_packet(const Packet& p) {
   if (h->seqno == rcv_next_) {
     ++rcv_next_;
     ++delivered_;
-    if (observer_) observer_(sim_.now(), p.size_bytes);
+    goodput_.add(sim_.now(), p.size_bytes);
     // Drain contiguous out-of-order segments.
     while (!out_of_order_.empty() && *out_of_order_.begin() == rcv_next_) {
       out_of_order_.erase(out_of_order_.begin());
       ++rcv_next_;
       ++delivered_;
-      if (observer_) observer_(sim_.now(), p.size_bytes);
+      goodput_.add(sim_.now(), p.size_bytes);
     }
   } else if (h->seqno > rcv_next_) {
     out_of_order_.insert(h->seqno);
@@ -195,7 +183,7 @@ void TcpSink::handle_packet(const Packet& p) {
   ack->dst = p.src;
   ack->sport = port_;
   ack->dport = p.sport;
-  ack->size_bytes = ack_bytes_;
+  ack->size_bytes = kAckPacketBytes;
   TcpHeader ah;
   ah.flow = h->flow;
   ah.is_ack = true;
@@ -206,14 +194,10 @@ void TcpSink::handle_packet(const Packet& p) {
 }
 
 TcpFlow::TcpFlow(Simulator& sim, Topology& topo, NodeId src, NodeId dst,
-                 FlowId id, SimTime bin_width, TcpConfig cfg)
-    : goodput{bin_width} {
-  sink = std::make_unique<TcpSink>(sim, topo, dst, sink_port(id),
-                                   cfg.ack_bytes);
-  sender = std::make_unique<TcpSender>(sim, topo, src, sender_port(id), dst,
-                                       sink_port(id), id, cfg);
-  sink->set_delivery_observer(
-      [this](SimTime t, std::int32_t bytes) { goodput.add(t, bytes); });
-}
+                 FlowId id)
+    : sink{std::make_unique<TcpSink>(sim, topo, dst, sink_port(id))},
+      sender{std::make_unique<TcpSender>(sim, topo, src, sender_port(id), dst,
+                                         sink_port(id), id)},
+      goodput{sink->goodput()} {}
 
 }  // namespace tfmcc

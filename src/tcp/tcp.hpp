@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <set>
 
 #include "net/node.hpp"
@@ -13,26 +12,11 @@
 
 namespace tfmcc {
 
-/// Configuration for a TCP Reno bulk-transfer flow.
-struct TcpConfig {
-  std::int32_t packet_bytes{kDataPacketBytes};
-  std::int32_t ack_bytes{kAckPacketBytes};
-  double initial_cwnd{2.0};
-  double initial_ssthresh{64.0};
-  double max_cwnd{1e6};
-  SimTime min_rto{SimTime::millis(200)};
-  SimTime max_rto{SimTime::seconds(60.0)};
-  /// NewReno partial-ACK recovery.  false = classic Reno, the paper-era
-  /// ns-2 default: a partial ACK ends fast recovery without retransmitting
-  /// the next hole, so multi-packet loss bursts typically cost a timeout —
-  /// the very sensitivity to nearly-full drop-tail queues the paper
-  /// describes in §4.1.  The fairness figures use classic Reno; NewReno is
-  /// available for robustness-oriented experiments.
-  bool newreno{false};
-};
-
-/// TCP Reno bulk sender (with NewReno partial-ACK recovery so that
-/// multi-packet loss bursts do not degenerate into timeout chains).
+/// TCP Reno bulk sender: classic Reno, the paper-era ns-2 default the §4.1
+/// fairness figures use.  A new ACK during fast recovery ends it without
+/// retransmitting the next hole (no NewReno partial-ACK recovery), so
+/// multi-packet loss bursts typically cost a timeout: the very sensitivity
+/// to nearly-full drop-tail queues the paper describes in §4.1.
 ///
 /// This is the competing-traffic baseline of every fairness figure: an
 /// ACK-clocked window protocol with slow start, AIMD congestion avoidance,
@@ -42,8 +26,7 @@ struct TcpConfig {
 class TcpSender final : public Agent {
  public:
   TcpSender(Simulator& sim, Topology& topo, NodeId self, PortId port,
-            NodeId peer, PortId peer_port, FlowId flow,
-            TcpConfig cfg = {});
+            NodeId peer, PortId peer_port, FlowId flow);
 
   /// Begin transmitting at `at`.
   void start(SimTime at);
@@ -80,7 +63,6 @@ class TcpSender final : public Agent {
   NodeId peer_;
   PortId peer_port_;
   FlowId flow_;
-  TcpConfig cfg_;
 
   bool running_{false};
   std::int64_t next_seq_{0};   // next new sequence number to send
@@ -89,7 +71,6 @@ class TcpSender final : public Agent {
   double ssthresh_;
   int dup_acks_{0};
   bool in_recovery_{false};
-  std::int64_t recover_{0};    // highest seqno outstanding when loss detected
 
   SimTime srtt_{};
   SimTime rttvar_{};
@@ -105,36 +86,30 @@ class TcpSender final : public Agent {
 /// TCP receiver: cumulative ACKs, out-of-order buffering, timestamp echo.
 class TcpSink final : public Agent {
  public:
-  TcpSink(Simulator& sim, Topology& topo, NodeId self, PortId port,
-          std::int32_t ack_bytes = kAckPacketBytes);
+  TcpSink(Simulator& sim, Topology& topo, NodeId self, PortId port);
 
   void handle_packet(const Packet& p) override;
 
-  /// Invoked once per in-order delivered data packet: (time, bytes).
-  /// Used by the benches to bin goodput.
-  void set_delivery_observer(std::function<void(SimTime, std::int32_t)> f) {
-    observer_ = std::move(f);
-  }
-
   std::int64_t delivered_packets() const { return delivered_; }
+  /// Bytes of every in-order delivered data packet, in 1 s bins.
+  const ThroughputBinner& goodput() const { return goodput_; }
 
  private:
   Simulator& sim_;
   Topology& topo_;
   NodeId self_;
   PortId port_;
-  std::int32_t ack_bytes_;
   std::int64_t rcv_next_{0};
   std::set<std::int64_t> out_of_order_;
   std::int64_t delivered_{0};
-  std::function<void(SimTime, std::int32_t)> observer_;
+  ThroughputBinner goodput_{SimTime::seconds(1.0)};
 };
 
-/// Convenience bundle: a sender/sink pair wired across the topology with a
-/// goodput binner attached — what the figure harnesses instantiate per flow.
+/// Convenience bundle: a sender/sink pair wired across the topology, with
+/// the sink's goodput in reach — what the figure harnesses instantiate per
+/// flow.
 struct TcpFlow {
-  TcpFlow(Simulator& sim, Topology& topo, NodeId src, NodeId dst, FlowId id,
-          SimTime bin_width = SimTime::seconds(1.0), TcpConfig cfg = {});
+  TcpFlow(Simulator& sim, Topology& topo, NodeId src, NodeId dst, FlowId id);
 
   void start(SimTime at) { sender->start(at); }
   void stop() { sender->stop(); }
@@ -142,9 +117,10 @@ struct TcpFlow {
     return goodput.mean_kbps(from, to);
   }
 
-  std::unique_ptr<TcpSender> sender;
   std::unique_ptr<TcpSink> sink;
-  ThroughputBinner goodput;
+  std::unique_ptr<TcpSender> sender;
+  /// The sink's goodput.
+  const ThroughputBinner& goodput;
 
   /// Ports are allocated per flow id so many flows can share nodes.
   static PortId sender_port(FlowId id) { return 1000 + 2 * id; }

@@ -12,22 +12,23 @@
 namespace tfmcc {
 
 /// Convenience bundle for experiments: one TFMCC sender plus its receiver
-/// set, each receiver binning its goodput at the flow's bin width.  This is
-/// the public "just give me a flow" API used by the examples and figure
-/// benches.
+/// set, each receiver binning its goodput in 1 s bins.  This is the public
+/// "just give me a flow" API used by the examples and figure benches.
 class TfmccFlow {
  public:
+  /// RNG substream base of a flow given none.
+  static constexpr std::uint64_t kDefaultRngStream = 7000;
+
   /// `data_port`/`control_port` default to the historical single-session
   /// convention; concurrent flows over one topology must be given disjoint
   /// pairs (SessionManager does this automatically).
   TfmccFlow(Simulator& sim, Topology& topo, NodeId source,
-            TfmccConfig cfg = {}, SimTime bin_width = SimTime::seconds(1.0),
-            std::uint64_t rng_stream = 7000,
+            TfmccConfig cfg = {},
+            std::uint64_t rng_stream = kDefaultRngStream,
             PortId data_port = kTfmccDataPort,
             PortId control_port = kTfmccSenderPort)
       : sim_{sim},
         cfg_{cfg},
-        bin_width_{bin_width},
         session_{topo, source, data_port, control_port},
         sender_{std::make_unique<TfmccSender>(sim, session_, cfg)},
         rng_stream_{rng_stream} {}
@@ -36,8 +37,7 @@ class TfmccFlow {
   int add_receiver(NodeId node) {
     const auto id = static_cast<std::int32_t>(receivers_.size());
     receivers_.push_back(sim_.arena().make<TfmccReceiver>(
-        sim_, session_, node, id, cfg_, sim_.make_rng(rng_stream_ + 1 + id),
-        bin_width_));
+        sim_, session_, node, id, cfg_, sim_.make_rng(rng_stream_ + 1 + id)));
     return id;
   }
 
@@ -109,7 +109,6 @@ class TfmccFlow {
 
   Simulator& sim_;
   TfmccConfig cfg_;
-  SimTime bin_width_;
   MulticastSession session_;
   std::unique_ptr<TfmccSender> sender_;
   // Receivers live in the Simulator's arena next to the hosts' links, so

@@ -6,12 +6,11 @@ namespace tfmcc {
 
 TfmccReceiver::TfmccReceiver(Simulator& sim, MulticastSession& session,
                              NodeId self, std::int32_t receiver_id,
-                             TfmccConfig cfg, Rng rng, SimTime goodput_bin)
+                             TfmccConfig cfg, Rng rng)
     : sim_{sim},
       id_{receiver_id},
       rtt_{kInitialRtt},
       cfg_{cfg},
-      goodput_{goodput_bin},
       core_{cfg},
       session_{session},
       self_{self},

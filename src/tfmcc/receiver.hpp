@@ -26,10 +26,8 @@ namespace tfmcc {
 /// ring slots it writes and evicts.
 class alignas(64) TfmccReceiver final : public Agent {
  public:
-  /// Goodput is binned into `goodput_bin`-wide bins (see goodput()).
   TfmccReceiver(Simulator& sim, MulticastSession& session, NodeId self,
-                std::int32_t receiver_id, TfmccConfig cfg, Rng rng,
-                SimTime goodput_bin = SimTime::seconds(1.0));
+                std::int32_t receiver_id, TfmccConfig cfg, Rng rng);
   ~TfmccReceiver() override;
 
   TfmccReceiver(const TfmccReceiver&) = delete;
@@ -52,7 +50,7 @@ class alignas(64) TfmccReceiver final : public Agent {
 
   // --- state inspection (tests / experiment harnesses) ---------------------
   std::int32_t id() const { return id_; }
-  /// Bytes of every delivered (non-duplicate) data packet, binned by
+  /// Bytes of every delivered (non-duplicate) data packet, in 1 s bins by
   /// arrival time; kept across rejoins.
   const ThroughputBinner& goodput() const { return goodput_; }
   bool joined() const { return joined_; }
@@ -92,7 +90,7 @@ class alignas(64) TfmccReceiver final : public Agent {
   // Feedback-round timer (§2.5).
   EventId fb_timer_{};
   TfmccConfig cfg_;
-  ThroughputBinner goodput_;
+  ThroughputBinner goodput_{SimTime::seconds(1.0)};
   // Loss measurement, echo snapshot and round (§2.3, §2.5).
   ReceiverCore core_;
 

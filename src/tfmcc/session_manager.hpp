@@ -28,18 +28,19 @@ class SessionManager {
   /// [base + 500'000, ...) for modeled blocks; one million keeps sessions
   /// disjoint up to ~half a million receivers each.
   static constexpr std::uint64_t kRngStride = 1'000'000;
+  /// Start offset between consecutive sessions' senders, so the initial
+  /// slowstarts do not phase-lock.
+  static constexpr SimTime kStartStagger = SimTime::millis(37);
 
-  SessionManager(Simulator& sim, Topology& topo,
-                 std::uint64_t rng_stream_base = 7000)
-      : sim_{sim}, topo_{topo}, rng_stream_base_{rng_stream_base} {}
+  SessionManager(Simulator& sim, Topology& topo) : sim_{sim}, topo_{topo} {}
 
   /// Create a session sourced at `source`.  Returns its index.
-  int add_session(NodeId source, TfmccConfig cfg = {},
-                  SimTime bin_width = SimTime::seconds(1.0)) {
+  int add_session(NodeId source, TfmccConfig cfg = {}) {
     const auto i = static_cast<int>(flows_.size());
     flows_.push_back(std::make_unique<TfmccFlow>(
-        sim_, topo_, source, cfg, bin_width,
-        rng_stream_base_ + kRngStride * static_cast<std::uint64_t>(i),
+        sim_, topo_, source, cfg,
+        TfmccFlow::kDefaultRngStream +
+            kRngStride * static_cast<std::uint64_t>(i),
         data_port(i), control_port(i)));
     return i;
   }
@@ -59,12 +60,10 @@ class SessionManager {
   }
   int session_count() const { return static_cast<int>(flows_.size()); }
 
-  /// Start every sender, staggered by `stagger` per session so the initial
-  /// slowstarts do not phase-lock.
-  void start_all(SimTime first_at = SimTime::zero(),
-                 SimTime stagger = SimTime::millis(37)) {
+  /// Start every sender, session i at i * kStartStagger.
+  void start_all() {
     for (int i = 0; i < session_count(); ++i) {
-      flow(i).sender().start(first_at + stagger * static_cast<std::int64_t>(i));
+      flow(i).sender().start(kStartStagger * static_cast<std::int64_t>(i));
     }
   }
 
@@ -93,7 +92,6 @@ class SessionManager {
  private:
   Simulator& sim_;
   Topology& topo_;
-  std::uint64_t rng_stream_base_;
   std::vector<std::unique_ptr<TfmccFlow>> flows_;
 };
 

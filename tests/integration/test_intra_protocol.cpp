@@ -27,12 +27,10 @@ struct TwoFlowFixture {
     acc.delay = 2_ms;
     dumbbell = make_dumbbell(topo, 2, 2, bn, acc);
     a = std::make_unique<TfmccFlow>(sim, topo, dumbbell.left_hosts[0],
-                                    TfmccConfig{}, SimTime::seconds(1.0),
-                                    7000);
+                                    TfmccConfig{}, 7000);
     a->add_joined_receiver(dumbbell.right_hosts[0]);
     b = std::make_unique<TfmccFlow>(sim, topo, dumbbell.left_hosts[1],
-                                    TfmccConfig{}, SimTime::seconds(1.0),
-                                    8000);
+                                    TfmccConfig{}, 8000);
     b->add_joined_receiver(dumbbell.right_hosts[1]);
   }
   Simulator sim;

@@ -20,12 +20,11 @@ struct PgmccFixture {
     trunk.delay = 5_ms;
     star = make_star(topo, trunk, leaf_cfgs);
     session = std::make_unique<MulticastSession>(topo, star.sender, kDataPort);
-    sender = std::make_unique<PgmccSender>(sim, *session, PgmccConfig{},
-                                           sim.make_rng(900));
+    sender = std::make_unique<PgmccSender>(sim, *session);
     for (std::size_t i = 0; i < leaf_cfgs.size(); ++i) {
       receivers.push_back(std::make_unique<PgmccReceiver>(
           sim, *session, star.leaves[i], static_cast<std::int32_t>(i),
-          PgmccConfig{}, sim.make_rng(901 + i)));
+          sim.make_rng(901 + i)));
       receivers.back()->join();
     }
   }

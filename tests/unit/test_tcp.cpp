@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+
 #include "net/builders.hpp"
 #include "sim/simulator.hpp"
 
@@ -111,6 +114,36 @@ TEST(Tcp, SurvivesAckLoss) {
   sim.run_until(30_sec);
   // Cumulative ACKs make TCP robust to reverse loss (paper fig. 19).
   EXPECT_GT(flow.mean_kbps(10_sec, 30_sec), 1200.0);
+}
+
+TEST(Tcp, GoodputBinsEveryDeliveredSegment) {
+  // Forward loss opens holes; the segments behind a hole wait in the sink's
+  // out-of-order buffer and are delivered, and binned, when it is filled.
+  Simulator sim{14};
+  Topology topo{sim};
+  const NodeId a = topo.add_node();
+  const NodeId b = topo.add_node();
+  LinkConfig fwd;
+  fwd.rate_bps = 2e6;
+  fwd.delay = 10_ms;
+  fwd.loss_rate = 0.02;
+  LinkConfig rev = fwd;
+  rev.loss_rate = 0.0;
+  topo.add_link(a, b, fwd);
+  topo.add_link(b, a, rev);
+  topo.compute_routes();
+  TcpFlow flow{sim, topo, a, b, 0};
+  flow.start(SimTime::zero());
+  sim.run_until(20_sec);
+  // A fast retransmit (a retransmit that is not a timeout's) needs three
+  // duplicate ACKs, so at least three segments were buffered behind a hole.
+  EXPECT_GT(flow.sender->retransmits(), flow.sender->timeouts());
+  std::int64_t binned = 0;
+  for (const auto& p : flow.goodput.series_kbps().points()) {
+    binned += std::llround(p.v * 1000.0 / 8.0);  // 1 s bins
+  }
+  EXPECT_EQ(binned, flow.sink->delivered_packets() * kDataPacketBytes);
+  EXPECT_EQ(flow.goodput.total_bytes(), binned);
 }
 
 TEST(Tcp, StopHaltsTransmission) {

@@ -100,7 +100,6 @@ TEST(TopologyMembership, GraftAttachesOnlyTheNewBranch) {
   topo.add_duplex_link(r, b, LinkConfig{});
   topo.compute_routes();
   const GroupId g = topo.create_group(s);
-  EXPECT_EQ(topo.membership_mode(), MembershipMode::kIncremental);
 
   topo.join(g, a);
   EXPECT_TRUE(topo.is_attached(g, r));
@@ -111,6 +110,12 @@ TEST(TopologyMembership, GraftAttachesOnlyTheNewBranch) {
   topo.join(g, b);
   EXPECT_TRUE(topo.is_attached(g, b));
   EXPECT_EQ(tree_edge_count(topo, g), 3);  // + r->b
+
+  // The full-rebuild oracle lands on the same tree.
+  topo.rebuild_tree(g);
+  EXPECT_TRUE(topo.is_attached(g, r));
+  EXPECT_TRUE(topo.is_attached(g, b));
+  EXPECT_EQ(tree_edge_count(topo, g), 3);
 }
 
 TEST(TopologyMembership, PruneStopsAtSharedTrunkAndInteriorMembers) {
@@ -187,12 +192,16 @@ TEST(TopologyMembership, NodeAddedAfterCreateGroupIsJoinable) {
   topo.leave(g, late);
   EXPECT_EQ(tree_edge_count(topo, g), 0);
 
-  // Same robustness on the full-rebuild oracle path.
+  // Same robustness on the full-rebuild oracle path, with a node added
+  // after the last join.
   const NodeId later = topo.add_node();
   topo.add_duplex_link(r, later, LinkConfig{});
   topo.compute_routes();
-  topo.set_membership_mode(MembershipMode::kFullRebuild);
   topo.join(g, later);
+  const NodeId latest = topo.add_node();
+  topo.add_duplex_link(r, latest, LinkConfig{});
+  topo.compute_routes();
+  topo.rebuild_tree(g);
   EXPECT_TRUE(topo.is_attached(g, later));
   EXPECT_EQ(tree_edge_count(topo, g), 2);
 }
