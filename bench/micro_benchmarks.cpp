@@ -129,26 +129,29 @@ void BM_PacketPoolChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_PacketPoolChurn)->Arg(16)->Arg(256);
 
-void BM_MulticastFanout(benchmark::State& state) {
-  // One multicast packet in per iteration, all n leaf deliveries out,
-  // through an n-leaf star: the hub's fan-out, the leaf links' shared
-  // transmit completion and one arrival event per copy.  Items are
-  // delivered copies; ns_per_copy is the time per delivered copy.
+/// One multicast packet in per iteration, all n leaf deliveries out,
+/// through an n-leaf star: the hub's fan-out, the leaf links' shared
+/// transmit completion and the arrival run that delivers the copies, one
+/// executed event per copy.  Items are delivered copies; ns_per_copy is
+/// the time per delivered copy.
+void multicast_fanout(benchmark::State& state, SimTime jitter) {
   const int n = static_cast<int>(state.range(0));
   Simulator sim{7};
   Topology topo{sim};
   LinkConfig link;
   link.rate_bps = 1e9;
   link.delay = SimTime::millis(1);
-  const Star star = make_star(topo, link, std::vector<LinkConfig>(n, link));
+  LinkConfig leaf = link;
+  leaf.jitter = jitter;
+  const Star star = make_star(topo, link, std::vector<LinkConfig>(n, leaf));
   const GroupId g = topo.create_group(star.sender);
   struct Sink final : Agent {
     void handle_packet(const Packet&) override { ++copies; }
     std::int64_t copies{0};
   } sink;
-  for (NodeId leaf : star.leaves) {
-    topo.node(leaf).attach_agent(kTfmccDataPort, &sink);
-    topo.join(g, leaf);
+  for (NodeId leaf_node : star.leaves) {
+    topo.node(leaf_node).attach_agent(kTfmccDataPort, &sink);
+    topo.join(g, leaf_node);
   }
   for (auto _ : state) {
     auto p = sim.make_packet();
@@ -165,7 +168,20 @@ void BM_MulticastFanout(benchmark::State& state) {
       static_cast<double>(sink.copies),
       benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
+
+void BM_MulticastFanout(benchmark::State& state) {
+  // No jitter: every copy of a fan-out arrives at the same instant, so the
+  // run's arrivals all tie and sorting them moves nothing.
+  multicast_fanout(state, SimTime::zero());
+}
 BENCHMARK(BM_MulticastFanout)->Arg(64)->Arg(1024);
+
+void BM_MulticastFanoutJittered(benchmark::State& state) {
+  // The workloads' 1 ms per-link jitter: each leaf draws its copy's delay
+  // and the run sorts the spread arrivals.
+  multicast_fanout(state, SimTime::millis(1));
+}
+BENCHMARK(BM_MulticastFanoutJittered)->Arg(1024);
 
 void BM_ComputeRoutes(benchmark::State& state) {
   // Unicast route computation on a fig. 12-shaped topology: a sender and

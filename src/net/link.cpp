@@ -1,6 +1,9 @@
 #include "net/link.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cassert>
+#include <utility>
 
 #include "net/node.hpp"
 
@@ -63,11 +66,22 @@ void Link::transmit(const PacketPtr& p, TransmitBatch* batch) {
   });
 }
 
-void Link::complete(const TransmitBatch& b) {
-  for (Link* l : b.links) l->on_transmit_complete(b.packet);
+void Link::complete(TransmitBatch& b) {
+  Scheduler& sched = b.links.front()->sim_.scheduler();
+  for (Link* l : b.links) {
+    b.arrivals.push_back({l->arrival_time(), sched.reserve_seq(), &l->to_});
+    l->transmit_next();
+  }
 }
 
 void Link::on_transmit_complete(PacketPtr p) {
+  sim_.at(arrival_time(), [node = &to_, p = std::move(p)]() mutable {
+    node->receive(p);
+  });
+  transmit_next();
+}
+
+SimTime Link::arrival_time() {
   // Propagation: hand the packet to the destination node after the delay
   // (plus the phase-breaking jitter).  The delay is sampled at
   // transmit-completion time so mid-run delay changes (fig. 13) take
@@ -81,14 +95,72 @@ void Link::on_transmit_complete(PacketPtr p) {
   SimTime arrival = sim_.now() + delay;
   if (arrival < last_arrival_) arrival = last_arrival_;
   last_arrival_ = arrival;
-  sim_.at(arrival, [node = &to_, p = std::move(p)]() mutable {
-    node->receive(p);
-  });
+  return arrival;
+}
+
+void Link::transmit_next() {
   transmitting_ = false;
   DropTailQueue* dt = droptail();
   const bool queued =
       dt != nullptr ? dt->size_packets() != 0 : !queue_->empty();
   if (queued) start_transmission();
+}
+
+void TransmitBatch::sort_arrivals() {
+  const std::size_t n = arrivals.size();
+  constexpr std::size_t kInsertionMax = 32;
+  if (n <= kInsertionMax) {
+    for (std::size_t i = 1; i < n; ++i) {
+      const Arrival a = arrivals[i];
+      std::size_t j = i;
+      for (; j > 0 && a.t < arrivals[j - 1].t; --j) {
+        arrivals[j] = arrivals[j - 1];
+      }
+      arrivals[j] = a;
+    }
+    return;
+  }
+  SimTime lo = arrivals.front().t;
+  SimTime hi = lo;
+  for (const Arrival& a : arrivals) {
+    lo = std::min(lo, a.t);
+    hi = std::max(hi, a.t);
+  }
+  // One counting pass per 8-bit digit of the largest key, every digit's
+  // counts taken in one scan; each pass is stable, so ties keep their seq
+  // order.
+  constexpr unsigned kDigitBits = 8;
+  constexpr std::size_t kBuckets = std::size_t{1} << kDigitBits;
+  constexpr std::size_t kMaxDigits = 64 / kDigitBits;
+  const auto key = [lo](const Arrival& a) {
+    return static_cast<std::uint64_t>((a.t - lo).count_nanos());
+  };
+  const auto span = static_cast<std::uint64_t>((hi - lo).count_nanos());
+  std::size_t digits = 0;
+  while (digits < kMaxDigits && (span >> (digits * kDigitBits)) != 0) {
+    ++digits;
+  }
+  std::array<std::array<std::uint32_t, kBuckets>, kMaxDigits> start;
+  for (std::size_t d = 0; d < digits; ++d) start[d].fill(0);
+  for (const Arrival& a : arrivals) {
+    const std::uint64_t k = key(a);
+    for (std::size_t d = 0; d < digits; ++d) {
+      ++start[d][(k >> (d * kDigitBits)) % kBuckets];
+    }
+  }
+  scratch.resize(n);
+  for (std::size_t d = 0; d < digits; ++d) {
+    const unsigned shift = static_cast<unsigned>(d * kDigitBits);
+    std::array<std::uint32_t, kBuckets>& pos = start[d];
+    // A digit every key shares moves nothing.
+    if (pos[(key(arrivals.front()) >> shift) % kBuckets] == n) continue;
+    std::uint32_t sum = 0;
+    for (std::uint32_t& c : pos) sum += std::exchange(c, sum);
+    for (const Arrival& a : arrivals) {
+      scratch[pos[(key(a) >> shift) % kBuckets]++] = a;
+    }
+    arrivals.swap(scratch);
+  }
 }
 
 }  // namespace tfmcc

@@ -38,10 +38,29 @@ class Link;
 /// transmission time `tx`, all sending `packet`.  Their transmissions end
 /// at the same instant and complete together in one scheduler event
 /// (Node::forward_multicast states why that keeps event order exact).
+/// Completing them fills `arrivals`, one per link: the copies' arrival run,
+/// which the fan-out's node delivers from one scheduler entry.
 struct TransmitBatch {
+  /// One copy's arrival, under the sequence number its own arrival event
+  /// would have had.
+  struct Arrival {
+    SimTime t;
+    std::uint64_t seq;
+    Node* node;
+  };
+
+  /// Orders `arrivals` by (t, seq), the order their own events would have
+  /// run in.  They are appended in seq order, so a stable sort on t alone
+  /// does it: insertion sort for a short run, else an LSD radix sort on
+  /// t - t_min through `scratch`.
+  void sort_arrivals();
+
   PacketPtr packet;
   SimTime tx{};
   std::vector<Link*> links;  // in fan-out order
+  std::vector<Arrival> arrivals;
+  std::vector<Arrival> scratch;  // the radix sort's second buffer
+  std::size_t next_arrival{0};   // the run's next undelivered copy
 };
 
 /// A unidirectional point-to-point link: output queue + transmitter +
@@ -55,8 +74,10 @@ struct TransmitBatch {
 ///
 /// Each transmission costs a transmit-complete event and an arrival event,
 /// except on a multicast fan-out hop: there the links the fan-out starts
-/// transmitting share one completion event (a TransmitBatch), so a copy
-/// costs about one event, its arrival.
+/// transmitting share one completion event (a TransmitBatch), and their
+/// copies arrive from one arrival run, a single scheduler entry re-keyed
+/// from copy to copy.  A copy then costs one executed event, its arrival,
+/// but no pending entry, slot or callback of its own.
 ///
 /// An idle drop-tail link hands a packet straight to its transmitter: the
 /// queue counts it as accepted but never holds it.  So a copy sent down an
@@ -79,8 +100,10 @@ class alignas(64) Link {
   void send(const PacketPtr& p, TransmitBatch* batch = nullptr);
 
   /// Completes every transmission in `b`, in its link order: exactly what
-  /// the links' own completion events would have done back to back.
-  static void complete(const TransmitBatch& b);
+  /// the links' own completion events would have done back to back, except
+  /// that each arrival is appended to `b.arrivals` under a reserved
+  /// sequence number instead of being scheduled.
+  static void complete(TransmitBatch& b);
 
   const LinkConfig& config() const { return cfg_; }
   Node& destination() { return to_; }
@@ -110,6 +133,11 @@ class alignas(64) Link {
   void start_transmission(TransmitBatch* batch = nullptr);
   void transmit(const PacketPtr& p, TransmitBatch* batch);
   void on_transmit_complete(PacketPtr p);
+  /// When the finished transmission reaches the far end (delay, jitter and
+  /// the FIFO guard applied).
+  SimTime arrival_time();
+  /// Frees the transmitter and starts the next queued packet, if any.
+  void transmit_next();
   // The drop-tail queue (every link but RED ones), called direct instead of
   // virtual on the per-hop path.
   DropTailQueue* droptail() const {

@@ -113,6 +113,33 @@ void Node::forward_unicast(const PacketPtr& p) {
   l->send(p);
 }
 
+/// Delivers a sorted arrival run one copy per event, re-keying itself to the
+/// next arrival before handing the copy over; the last copy returns the
+/// batch to its node.
+class Node::ArrivalRun {
+ public:
+  ArrivalRun(Node& from, std::unique_ptr<TransmitBatch> b)
+      : from_{&from}, b_{std::move(b)} {}
+
+  void operator()() {
+    TransmitBatch& b = *b_;
+    Node* to = b.arrivals[b.next_arrival++].node;
+    if (b.next_arrival == b.arrivals.size()) {
+      to->receive(b.packet);
+      from_->recycle(std::move(b_));
+      return;
+    }
+    const TransmitBatch::Arrival& next = b.arrivals[b.next_arrival];
+    from_->line_.topo->sim().scheduler().schedule_reserved(
+        next.t, next.seq, std::move(*this));
+    to->receive(b.packet);  // the batch now lives in the next entry
+  }
+
+ private:
+  Node* from_;
+  std::unique_ptr<TransmitBatch> b_;
+};
+
 void Node::forward_multicast(const PacketPtr& p) {
   const std::vector<Link*>& out =
       line_.topo->mcast_out_links(p->group, line_.id);
@@ -141,19 +168,32 @@ void Node::forward_multicast(const PacketPtr& p) {
   // them) or after it (and runs after them), and whatever a completion
   // schedules gets a later sequence number, so those events always ran
   // back to back in link order.  Link::complete runs them in that order
-  // inside one event: arrival insertions, jitter draws, set_delay
+  // inside one event: arrival sequence numbers, jitter draws, set_delay
   // sampling and the follow-on start_transmission calls all happen in the
-  // same order as before.  Only Scheduler::executed() sees the difference.
+  // same order as before.
+  //
+  // Why one entry for the arrivals is exact: each arrival keeps the
+  // (time, seq) key its own event would have had, as the seq is reserved
+  // where that event was scheduled.  The run's entry is always keyed by
+  // its earliest undelivered arrival, which precedes the others in the
+  // scheduler's total order, so every copy is delivered at the same key,
+  // between the same other events, as its own event would have been.
+  // Only Scheduler::executed() sees a difference, one event less per batch.
   const SimTime tx = batch->tx;
   line_.topo->sim().in(tx, [this, b = std::move(batch)]() mutable {
     Link::complete(*b);
-    recycle(std::move(b));
+    b->sort_arrivals();
+    Scheduler& sched = line_.topo->sim().scheduler();
+    const TransmitBatch::Arrival& head = b->arrivals.front();
+    sched.schedule_reserved(head.t, head.seq, ArrivalRun{*this, std::move(b)});
   });
 }
 
 void Node::recycle(std::unique_ptr<TransmitBatch> b) {
   b->packet = nullptr;
   b->links.clear();
+  b->arrivals.clear();
+  b->next_arrival = 0;
   free_batches_.push_back(std::move(b));
 }
 

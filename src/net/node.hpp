@@ -78,6 +78,8 @@ class Node {
   void forward_unicast(const PacketPtr& p);
   void forward_multicast(const PacketPtr& p);
   void recycle(std::unique_ptr<TransmitBatch> b);
+  /// The scheduler entry of a completed batch's arrival run.
+  class ArrivalRun;
 
   /// The agent on `port`, nullptr when none.
   Agent* agent_on(PortId port) const {

@@ -10,7 +10,7 @@
 // and halves on loss, producing TCP's sawtooth — the smoothness contrast
 // with TFMCC that motivates the comparison bench.
 //
-// Faithful-to-the-paper simplifications (documented in DESIGN.md):
+// Simplifications against Rizzo's PGMCC, and why:
 //  * receiver reports (NAK-equivalents) carry a TFRC-style smoothed loss
 //    estimate and a timestamp echo; suppression reuses the biased
 //    exponential timers (Rizzo notes PGMCC "might benefit from using a

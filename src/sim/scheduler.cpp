@@ -1,7 +1,5 @@
 #include "sim/scheduler.hpp"
 
-#include <stdexcept>
-
 namespace tfmcc {
 
 // The heap is 4-ary and cache-line aligned: the root sits at index
@@ -64,19 +62,16 @@ void Scheduler::release_slot(std::uint32_t slot) {
   free_head_ = slot;
 }
 
-EventId Scheduler::schedule_at(SimTime t, EventCallback cb) {
+void Scheduler::reject(SimTime t) const {
   if (t < now_) {
     throw std::logic_error("Scheduler: event scheduled in the past (" +
                            t.str() + " < " + now_.str() + ")");
   }
-  if (!cb) {
-    // Rejecting here keeps the failure at the call site instead of an
-    // invalid-callback crash out of step() arbitrarily later.
-    throw std::logic_error("Scheduler: empty event callback");
-  }
-  if (next_seq_ >= kMaxSeq) {
-    throw std::runtime_error("Scheduler: sequence space exhausted");
-  }
+  throw std::logic_error("Scheduler: empty event callback");
+}
+
+EventId Scheduler::insert(SimTime t, std::uint64_t seq,
+                          EventCallback&& cb) {
   std::uint32_t slot;
   if (free_head_ != kNpos) {
     slot = free_head_;
@@ -92,7 +87,7 @@ EventId Scheduler::schedule_at(SimTime t, EventCallback cb) {
     heap_pos_.push_back(kNpos);
   }
   slots_[slot].cb = std::move(cb);
-  heap_.push_back(HeapEntry{t, (next_seq_++ << kSlotBits) | slot});
+  heap_.push_back(HeapEntry{t, (seq << kSlotBits) | slot});
   sift_up(heap_.size() - 1);
   return EventId{this, slot, generation_[slot]};
 }

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <new>
+#include <stdexcept>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -165,9 +166,34 @@ class Scheduler {
 
   SimTime now() const { return now_; }
 
-  EventId schedule_at(SimTime t, EventCallback cb);
+  EventId schedule_at(SimTime t, EventCallback cb) {
+    check_event(t, cb);
+    return insert(t, reserve_seq(), std::move(cb));
+  }
   EventId schedule_in(SimTime delay, EventCallback cb) {
     return schedule_at(now_ + delay, std::move(cb));
+  }
+
+  /// Takes the sequence number the next schedule_at would use, without
+  /// scheduling anything.  An event later scheduled with it through
+  /// schedule_reserved runs exactly where one scheduled now at the same
+  /// time would have: after every event scheduled before the reservation
+  /// and before every event scheduled after it, among events at its time.
+  std::uint64_t reserve_seq() {
+    if (next_seq_ >= kMaxSeq) {
+      throw std::runtime_error("Scheduler: sequence space exhausted");
+    }
+    return next_seq_++;
+  }
+
+  /// Schedules `cb` at `t` under a sequence number from reserve_seq().
+  /// Each reserved number keys at most one pending event at a time.
+  EventId schedule_reserved(SimTime t, std::uint64_t seq, EventCallback cb) {
+    check_event(t, cb);
+    if (seq >= next_seq_) {
+      throw std::logic_error("Scheduler: sequence number not reserved");
+    }
+    return insert(t, seq, std::move(cb));
   }
 
   /// Cancel a pending event.  Safe to call on already-fired, already-
@@ -236,7 +262,8 @@ class Scheduler {
   static constexpr std::uint64_t kSlotMask = (1ull << kSlotBits) - 1;
   /// Ceilings implied by the packed word: 16M concurrently pending events
   /// and 2^40 (~1.1e12) events per scheduler lifetime.  Both are far past
-  /// anything a simulation reaches; schedule_at enforces them anyway.
+  /// anything a simulation reaches; insert and reserve_seq enforce them
+  /// anyway.
   static constexpr std::size_t kMaxSlots = std::size_t{1} << kSlotBits;
   static constexpr std::uint64_t kMaxSeq = 1ull << 40;
 
@@ -266,6 +293,15 @@ class Scheduler {
     friend bool operator==(const HeapAlloc&, const HeapAlloc&) { return true; }
     friend bool operator!=(const HeapAlloc&, const HeapAlloc&) { return false; }
   };
+
+  /// Rejects a past time or an empty callback at the call site, instead of
+  /// an invalid-callback crash out of step() arbitrarily later.
+  void check_event(SimTime t, const EventCallback& cb) const {
+    if (t < now_ || !cb) [[unlikely]] reject(t);
+  }
+  [[noreturn]] void reject(SimTime t) const;
+  /// The one insert path: a free slot for `cb`, keyed (t, seq) in the heap.
+  EventId insert(SimTime t, std::uint64_t seq, EventCallback&& cb);
 
   bool is_pending(std::uint32_t slot, std::uint32_t generation) const {
     return slot < slots_.size() && generation_[slot] == generation &&

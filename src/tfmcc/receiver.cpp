@@ -1,5 +1,7 @@
 #include "tfmcc/receiver.hpp"
 
+#include <cassert>
+
 #include "tfmcc/feedback_timer.hpp"
 
 namespace tfmcc {
@@ -65,7 +67,9 @@ void TfmccReceiver::handle_packet(const Packet& p) {
   const TfmccDataHeader& h = *data;
   const SimTime now = sim_.now();
   if (const auto init = core_.clock_sync_rtt(h, now, cfg_)) rtt_ = *init;
-  if (!core_.on_data(h, p.size_bytes, now, rtt_, cfg_)) return;
+  // The meter counts packets of the one TFMCC data size.
+  assert(p.size_bytes == kDataPacketBytes);
+  if (!core_.on_data(h, now, rtt_, cfg_)) return;
   goodput_.add(now, p.size_bytes);
   if (observed_) data_observer_(now, h);
 

@@ -106,11 +106,13 @@ class alignas(64) TfmccReceiver final : public Agent {
 // The receiver's own per-packet fields take 56 bytes after the vtable
 // pointer, then come the config (its EWMA weight in line 0, delta and the
 // equation in line 1), the goodput bin's 32 hot bytes (line 2) and the
-// core's 80-byte per-packet prefix (lines 3-4); the meter's cursors follow
-// the loss history, whose weights are a pointer to a table shared per
-// depth, at the start of line 6.  A field added to any of these moves them.
+// core's 80-byte per-packet prefix (lines 3-4); the meter's 8 bytes of
+// cursors follow the loss history, whose weights are a pointer to a table
+// shared per depth, at the start of line 6, and its 64 arrival times run on
+// from there, a new line every 8 packets.  A field added to any of these
+// moves them.
 static_assert(sizeof(TfmccConfig) == 80 && sizeof(ThroughputBinner) == 72 &&
-                  sizeof(ReceiverCore) == 1256,
+                  sizeof(ReceiverCore) == 696,
               "the receiver's per-packet fields left their lines");
 
 }  // namespace tfmcc

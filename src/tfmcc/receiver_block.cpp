@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cassert>
 #include <cmath>
 
 #include "analysis/feedback_model.hpp"
@@ -146,7 +147,9 @@ void ModeledReceiverBlock::handle_packet(const Packet& p) {
       set_rtt(i, *init + extra_owd(i) * 2.0);
     }
   }
-  if (!core_.on_data(h, p.size_bytes, now, representative_rtt(), cfg_)) return;
+  // The meter counts packets of the one TFMCC data size.
+  assert(p.size_bytes == kDataPacketBytes);
+  if (!core_.on_data(h, now, representative_rtt(), cfg_)) return;
 
   process_echo(h, now);
   update_clr_status(h);

@@ -4,8 +4,8 @@
 
 namespace tfmcc {
 
-bool ReceiverCore::on_data(const TfmccDataHeader& h, std::int32_t bytes,
-                           SimTime now, SimTime rtt, const TfmccConfig& cfg) {
+bool ReceiverCore::on_data(const TfmccDataHeader& h, SimTime now, SimTime rtt,
+                           const TfmccConfig& cfg) {
   // Loss detection must precede counting this packet as received, so the
   // loss interval boundaries stay exact.
   const auto seq_result = seq.on_seqno(h.seqno);
@@ -34,7 +34,7 @@ bool ReceiverCore::on_data(const TfmccDataHeader& h, std::int32_t bytes,
     }
   }
   loss.on_packet_received();
-  recv_rate.on_packet(now, bytes);
+  recv_rate.on_packet(now);
   last_data_send_ts = h.send_ts;
   last_data_arrival = now;
   return true;

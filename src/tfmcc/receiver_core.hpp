@@ -85,11 +85,12 @@ struct ReceiverCore {
     return (now - h.send_ts + cfg.clock_sync_error) * 2.0;
   }
 
-  /// A data packet of `bytes` at `now`: duplicate and loss detection, loss
-  /// events aggregated with `rtt` (§2.3), the Appendix B first interval,
-  /// the receive rate and the echo snapshot.  False for a duplicate.
-  bool on_data(const TfmccDataHeader& h, std::int32_t bytes, SimTime now,
-               SimTime rtt, const TfmccConfig& cfg);
+  /// A data packet (always kDataPacketBytes) at `now`: duplicate and loss
+  /// detection, loss events aggregated with `rtt` (§2.3), the Appendix B
+  /// first interval, the receive rate and the echo snapshot.  False for a
+  /// duplicate.
+  bool on_data(const TfmccDataHeader& h, SimTime now, SimTime rtt,
+               const TfmccConfig& cfg);
 
   /// The first RTT measurement replaces the estimate `prior`: re-aggregate
   /// the losses with `aggregate_rtt` (Appendix A) and rescale the synthetic

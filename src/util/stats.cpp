@@ -60,21 +60,28 @@ double ThroughputBinner::mean_kbps(SimTime from, SimTime to) const {
   return kbps_from_Bps(static_cast<double>(bytes) / (to - from).to_seconds());
 }
 
-void WindowedRateMeter::on_packet(SimTime t, std::int64_t bytes) {
-  ring_[wrap(head_ + size_)] = {t, bytes};
+void WindowedRateMeter::on_packet(SimTime t) {
+  // A full window drops its oldest arrival to make room.
+  if (size_ == kWindowPackets) {
+    head_ = static_cast<std::uint32_t>(wrap(head_ + 1));
+    --size_;
+  }
+  ring_[wrap(head_ + size_)] = t;
   ++size_;
-  window_bytes_ += bytes;
-  while (size_ > max_packets_ || (size_ >= 2 && t - ring_[head_].t > horizon_)) {
-    pop_front();
+  while (size_ >= 2 && t - ring_[head_] > kHorizon) {
+    head_ = static_cast<std::uint32_t>(wrap(head_ + 1));
+    --size_;
   }
 }
 
 double WindowedRateMeter::rate_Bps(SimTime now) const {
   if (size_ < 2) return 0.0;
-  // Exclude the first packet's bytes: they arrived at the window's start
-  // instant, so only the span after it carries the remaining bytes.
-  const std::int64_t bytes = window_bytes_ - ring_[head_].bytes;
-  const SimTime span = std::max(now, at(size_ - 1).t) - ring_[head_].t;
+  // Exclude the first packet: it arrived at the window's start instant, so
+  // only the span after it carries the remaining packets.
+  const std::int64_t bytes =
+      static_cast<std::int64_t>(size_ - 1) * kPacketBytes;
+  const SimTime first = ring_[head_];
+  const SimTime span = std::max(now, ring_[wrap(head_ + size_ - 1)]) - first;
   if (span <= SimTime::zero()) return 0.0;
   return static_cast<double>(bytes) / span.to_seconds();
 }

@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "net/headers.hpp"
 #include "util/sim_time.hpp"
 
 namespace tfmcc {
@@ -87,24 +88,20 @@ class ThroughputBinner {
 };
 
 /// Sliding-window receive-rate estimator: rate over the span of the last
-/// k packet arrivals.  TFMCC receivers measure their receive rate "over
-/// several RTTs" (paper §2.6); the window is sized in packets but we also
-/// expose a time horizon so low-rate flows do not average over minutes.
+/// kWindowPackets packet arrivals.  TFMCC receivers measure their receive
+/// rate "over several RTTs" (paper §2.6); the window is sized in packets
+/// but also bounded by a time horizon so low-rate flows do not average
+/// over minutes.  Every packet it meters is a TFMCC data packet of
+/// kDataPacketBytes, the same `s` the control equation uses, so it keeps
+/// only arrival times and counts packets.
 class WindowedRateMeter {
  public:
-  /// The largest window, in packets.
-  static constexpr std::size_t kMaxPackets = 64;
+  static constexpr std::size_t kWindowPackets = 64;
+  static constexpr SimTime kHorizon = SimTime::seconds(4.0);
+  static constexpr std::int64_t kPacketBytes = kDataPacketBytes;
 
-  explicit WindowedRateMeter(std::size_t max_packets = kMaxPackets,
-                             SimTime max_horizon = SimTime::seconds(4.0))
-      : max_packets_{max_packets}, horizon_{max_horizon} {
-    if (max_packets > kMaxPackets) {
-      throw std::invalid_argument(
-          "WindowedRateMeter: window above kMaxPackets");
-    }
-  }
-
-  void on_packet(SimTime t, std::int64_t bytes);
+  /// A kPacketBytes packet arrived at `t`.
+  void on_packet(SimTime t);
 
   /// Receive rate in bytes/second; 0 until two packets have arrived.
   double rate_Bps(SimTime now) const;
@@ -113,38 +110,21 @@ class WindowedRateMeter {
 
  private:
   // Fixed ring buffer: this runs once per delivered packet for every
-  // receiver, so eviction must be pointer bumps, not deque node traffic.
-  // window_bytes_ tracks the exact integer sum of the buffered arrivals,
-  // making rate_Bps O(1) with bit-identical results (int64 addition is
-  // associative, unlike the float sums it feeds).
-  struct Arrival {
-    SimTime t;
-    std::int64_t bytes;
-  };
-  std::size_t wrap(std::size_t i) const {  // i < 2 * capacity
-    return i > max_packets_ ? i - (max_packets_ + 1) : i;
-  }
-  const Arrival& at(std::size_t i) const {  // i-th oldest
-    return ring_[wrap(head_ + i)];
-  }
-  void pop_front() {
-    window_bytes_ -= ring_[head_].bytes;
-    head_ = wrap(head_ + 1);
-    --size_;
-  }
+  // receiver, so eviction must be index bumps, not deque node traffic.
+  // The window's bytes are (size_ - 1) * kPacketBytes, an exact integer,
+  // so rate_Bps is O(1).
+  static_assert((kWindowPackets & (kWindowPackets - 1)) == 0,
+                "the ring wraps by masking");
+  static std::size_t wrap(std::size_t i) { return i & (kWindowPackets - 1); }
 
-  // Cursor, sum and bounds first: every arrival reads them, and ahead of
-  // the ring they fit one line instead of trailing 1 KB of slots.
-  std::size_t head_{0};
-  std::size_t size_{0};
-  std::int64_t window_bytes_{0};
-  std::size_t max_packets_;
-  SimTime horizon_;
-  // Capacity max_packets_ + 1 of the inline slots; the wrap is a
-  // well-predicted compare.  Inline, the ring sits in the receiver that
-  // owns the meter, which a TfmccFlow places in the Simulator's arena next
-  // to the host's other state: it is touched on every delivery.
-  std::array<Arrival, kMaxPackets + 1> ring_{};
+  // Cursors first: every arrival reads them, and ahead of the ring they
+  // share its first line.
+  std::uint32_t head_{0};
+  std::uint32_t size_{0};
+  // Inline, the ring sits in the receiver that owns the meter, which a
+  // TfmccFlow places in the Simulator's arena next to the host's other
+  // state: it is touched on every delivery, a new line every 8 packets.
+  std::array<SimTime, kWindowPackets> ring_{};
 };
 
 /// Exact quantile of a sample (copies + sorts; fine for analysis code).

@@ -13,7 +13,11 @@
 // sends unicast copies addressed to the next hop, so each node hands them
 // to a local forwarding agent instead of forwarding them itself.  Links see
 // the same packet sizes in the same order either way, so queues, loss draws
-// and jitter draws line up.
+// and jitter draws line up.  The reference's copies each arrive in their
+// own event, where a batched fan-out delivers its copies from one sorted
+// arrival run; three hand-built scripts aim at that sort: arrivals that all
+// tie, arrivals spread over several radix digits, and unrelated events at
+// exactly a run arrival's time.
 
 #include <gtest/gtest.h>
 
@@ -86,7 +90,13 @@ struct Script {
   std::vector<Burst> bursts;
   std::vector<Membership> toggles;  // join if not a member, else leave
   std::vector<DelayChange> delays;
+  // Unrelated events, recorded as deliveries at node kMarkerNode: one
+  // scheduled before the run starts, one scheduled at the same time by an
+  // event that fires there, so after every copy scheduled earlier.
+  std::vector<SimTime> markers;
 };
+
+constexpr NodeId kMarkerNode = -1;
 
 Script draw_script(std::uint64_t seed) {
   Rng rng{seed};
@@ -262,6 +272,13 @@ Outcome run(const Script& s, std::uint64_t seed, bool reference) {
     Link* l = branch_links[static_cast<std::size_t>(d.branch)];
     sim.at(d.at, [l, delay = d.delay] { l->set_delay(delay); });
   }
+  for (SimTime m : s.markers) {
+    auto mark = [&sim, &out](PortId which) {
+      out.deliveries.push_back({sim.now(), kMarkerNode, which, 0});
+    };
+    sim.at(m, [mark] { mark(0); });
+    sim.at(m, [&sim, mark] { sim.at(sim.now(), [mark] { mark(1); }); });
+  }
   sim.run();
 
   for (const Link* l : links) {
@@ -272,35 +289,131 @@ Outcome run(const Script& s, std::uint64_t seed, bool reference) {
   return out;
 }
 
+/// Runs `s` batched and through the reference; every delivery, marker and
+/// link counter must agree.  Adds the two runs' executed event counts to
+/// `batched_events` and `reference_events`.
+void expect_matches_reference(const Script& s, std::uint64_t seed,
+                              std::uint64_t& batched_events,
+                              std::uint64_t& reference_events) {
+  const Outcome batched = run(s, seed, false);
+  const Outcome ref = run(s, seed, true);
+  ASSERT_EQ(batched.deliveries.size(), ref.deliveries.size())
+      << "seed " << seed;
+  for (std::size_t i = 0; i < ref.deliveries.size(); ++i) {
+    const Delivery& a = batched.deliveries[i];
+    const Delivery& b = ref.deliveries[i];
+    ASSERT_TRUE(a == b) << "seed " << seed << ": delivery " << i
+                        << " differs: batched (" << a.t.str() << ", node "
+                        << a.node << ", port " << a.port << ", uid " << a.uid
+                        << ") vs reference (" << b.t.str() << ", node "
+                        << b.node << ", port " << b.port << ", uid " << b.uid
+                        << ")";
+  }
+  ASSERT_EQ(batched.links.size(), ref.links.size());
+  for (std::size_t i = 0; i < ref.links.size(); ++i) {
+    EXPECT_TRUE(batched.links[i] == ref.links[i])
+        << "seed " << seed << ": counters of link " << i << " differ";
+  }
+  EXPECT_LE(batched.events, ref.events) << "seed " << seed;
+  batched_events += batched.events;
+  reference_events += ref.events;
+}
+
 TEST(FanoutOrder, SharedCompletionsMatchPerLinkReference) {
   std::uint64_t batched_events = 0;
   std::uint64_t reference_events = 0;
   for (std::uint64_t seed = 1; seed <= 120; ++seed) {
-    const Script s = draw_script(seed);
-    const Outcome batched = run(s, seed, false);
-    const Outcome ref = run(s, seed, true);
-    ASSERT_EQ(batched.deliveries.size(), ref.deliveries.size())
-        << "seed " << seed;
-    for (std::size_t i = 0; i < ref.deliveries.size(); ++i) {
-      const Delivery& a = batched.deliveries[i];
-      const Delivery& b = ref.deliveries[i];
-      ASSERT_TRUE(a == b) << "seed " << seed << ": delivery " << i
-                          << " differs: batched (" << a.t.str() << ", node "
-                          << a.node << ", uid " << a.uid << ") vs reference ("
-                          << b.t.str() << ", node " << b.node << ", uid "
-                          << b.uid << ")";
-    }
-    ASSERT_EQ(batched.links.size(), ref.links.size());
-    for (std::size_t i = 0; i < ref.links.size(); ++i) {
-      EXPECT_TRUE(batched.links[i] == ref.links[i])
-          << "seed " << seed << ": counters of link " << i << " differ";
-    }
-    EXPECT_LE(batched.events, ref.events) << "seed " << seed;
-    batched_events += batched.events;
-    reference_events += ref.events;
+    expect_matches_reference(draw_script(seed), seed, batched_events,
+                             reference_events);
+    if (HasFatalFailure()) return;
   }
   // The scripts must actually exercise shared completions.
   EXPECT_LT(batched_events, reference_events);
+}
+
+/// A star of `leaves` equal branches, all initially members, and `bursts`
+/// of two 1000-byte packets 20 ms apart from t = 10 ms: each burst's first
+/// packet fans out to every idle branch in one batch.
+Script star_script(int leaves, LinkConfig branch, int bursts) {
+  Script s;
+  s.uplink.rate_bps = 50e6;
+  s.uplink.delay = SimTime::millis(1);
+  s.uplink.queue_limit_packets = 64;
+  for (int k = 0; k < leaves; ++k) {
+    s.branches.push_back({1, branch});
+    s.initial_members.push_back(k + 2);
+  }
+  for (int b = 0; b < bursts; ++b) {
+    s.bursts.push_back({SimTime::millis(10 + 20 * b), {1000, 1000}});
+  }
+  return s;
+}
+
+TEST(FanoutOrder, TiedArrivalsKeepTheirSequenceOrder) {
+  // Zero jitter and equal delays: every arrival of a run ties on t, so only
+  // the reserved sequence numbers order them.  48 copies take the radix
+  // path, and an unstable sort would reorder them.
+  LinkConfig branch;
+  branch.rate_bps = 10e6;
+  branch.delay = SimTime::millis(3);
+  branch.queue_limit_packets = 8;
+  std::uint64_t batched = 0;
+  std::uint64_t ref = 0;
+  expect_matches_reference(star_script(48, branch, 20), 1, batched, ref);
+  EXPECT_LT(batched, ref);
+}
+
+TEST(FanoutOrder, ArrivalsSpreadOverSeveralRadixDigits) {
+  // set_delay moves every other branch from 1 ms to 30..70 ms before the
+  // bursts, spreading each run's arrivals over more than 2^22 ns: the radix
+  // sort takes several passes, on top of the jitter's low digits.
+  LinkConfig branch;
+  branch.rate_bps = 10e6;
+  branch.delay = SimTime::millis(1);
+  branch.queue_limit_packets = 8;
+  branch.jitter = SimTime::micros(700);
+  Script s = star_script(40, branch, 20);
+  for (int k = 0; k < 40; k += 2) {
+    s.delays.push_back({SimTime::millis(5), k, SimTime::millis(30 + k)});
+  }
+  const SimTime spread = SimTime::millis(30 + 38) - SimTime::millis(1);
+  ASSERT_GT(spread.count_nanos(), std::int64_t{1} << 22);
+  std::uint64_t batched = 0;
+  std::uint64_t ref = 0;
+  expect_matches_reference(s, 2, batched, ref);
+  EXPECT_LT(batched, ref);
+}
+
+TEST(FanoutOrder, UnrelatedEventsAtARunArrivalTimeKeepTheirPlace) {
+  // An unrelated event at exactly a run arrival's time runs before the
+  // run's copies when it was scheduled before the fan-out, and after them
+  // when scheduled after it.  The arrival times come from a dry run of the
+  // reference: the tied copies of the zero-jitter star, then single copies
+  // of jittered random scripts.
+  LinkConfig branch;
+  branch.rate_bps = 10e6;
+  branch.delay = SimTime::millis(3);
+  branch.queue_limit_packets = 8;
+  Script tied = star_script(40, branch, 6);
+  const Outcome dry = run(tied, 3, true);
+  ASSERT_FALSE(dry.deliveries.empty());
+  for (std::size_t i = 0; i < dry.deliveries.size(); i += 40) {
+    tied.markers.push_back(dry.deliveries[i].t);
+  }
+  std::uint64_t batched = 0;
+  std::uint64_t ref = 0;
+  expect_matches_reference(tied, 3, batched, ref);
+  if (HasFatalFailure()) return;
+  EXPECT_LT(batched, ref);
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Script s = draw_script(seed);
+    const Outcome d = run(s, seed, true);
+    for (std::size_t i = 7; i < d.deliveries.size(); i += 97) {
+      s.markers.push_back(d.deliveries[i].t);
+    }
+    expect_matches_reference(s, seed, batched, ref);
+    if (HasFatalFailure()) return;
+  }
 }
 
 }  // namespace

@@ -95,6 +95,60 @@ TEST(Scheduler, RejectsEmptyCallbackAtScheduleTime) {
   EXPECT_EQ(s.executed(), 0u);
 }
 
+TEST(Scheduler, ReservedSeqRunsWhereScheduleAtWouldHave) {
+  // Two schedulers see the same calls, except that event 3 is scheduled
+  // directly in the first and, in the second, only once the clock has
+  // reached its time and two ties have run, under a sequence number
+  // reserved where the first scheduled it.  Both must run the same order
+  // among the ties at 5 ms scheduled before and after the reservation.
+  auto log = [](std::vector<int>& order, int v) {
+    return [&order, v] { order.push_back(v); };
+  };
+  std::vector<int> direct;
+  std::vector<int> reserved;
+  Scheduler a;
+  Scheduler b;
+  std::uint64_t seq = 0;
+  a.schedule_at(5_ms, log(direct, 0));
+  b.schedule_at(5_ms, log(reserved, 0));
+  a.schedule_at(1_ms, log(direct, 1));
+  b.schedule_at(1_ms, log(reserved, 1));
+  a.schedule_at(5_ms, log(direct, 2));
+  b.schedule_at(5_ms, [&] {
+    reserved.push_back(2);
+    b.schedule_reserved(5_ms, seq, log(reserved, 3));
+  });
+  a.schedule_at(5_ms, log(direct, 3));
+  seq = b.reserve_seq();
+  for (Scheduler* s : {&a, &b}) {
+    std::vector<int>& order = s == &a ? direct : reserved;
+    s->schedule_at(5_ms, log(order, 4));
+    s->schedule_at(7_ms, log(order, 5));
+    s->schedule_at(5_ms, log(order, 6));
+  }
+  a.run();
+  b.run();
+  EXPECT_EQ(direct, (std::vector<int>{1, 0, 2, 3, 4, 6, 5}));
+  EXPECT_EQ(reserved, direct);
+  EXPECT_EQ(a.executed(), b.executed());
+
+  // schedule_reserved rejects what schedule_at rejects, and a number that
+  // was never reserved.
+  Scheduler s;
+  s.schedule_at(10_ms, [] {});
+  s.run();
+  const std::uint64_t r = s.reserve_seq();
+  EXPECT_THROW(s.schedule_reserved(5_ms, r, [] {}), std::logic_error);
+  EXPECT_THROW(s.schedule_reserved(10_ms, r, EventCallback{}),
+               std::logic_error);
+  EXPECT_THROW(s.schedule_reserved(10_ms, r + 1, [] {}), std::logic_error);
+  EXPECT_TRUE(s.empty());
+  bool fired = false;
+  s.schedule_reserved(10_ms, r, [&fired] { fired = true; });
+  s.run();
+  EXPECT_TRUE(fired);
+}
+
 TEST(Scheduler, EventIdNotPendingAfterFire) {
   Scheduler s;
   EventId id = s.schedule_at(1_ms, [] {});

@@ -18,6 +18,7 @@
 #include "net/builders.hpp"
 #include "net/topology.hpp"
 #include "sim/simulator.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -336,7 +337,9 @@ TEST(SchedulerPool, PacketPoolRecyclesSteadyStateCheckouts) {
 TEST(SchedulerPool, MulticastFanoutDoesNotAllocateAfterWarmup) {
   // Bursts of multicast packets through a 64-leaf star: besides scheduler
   // slots and pooled packets, each fan-out takes a completion batch from
-  // the hub's free list, several of them in flight at once.
+  // the hub's free list, several of them in flight at once.  The leaves'
+  // jitter spreads each batch's arrivals, so every arrival run is sorted
+  // through the batch's recycled buffers.
   constexpr int kLeaves = 64;
   constexpr int kBurst = 4;
   Simulator sim{1};
@@ -344,8 +347,10 @@ TEST(SchedulerPool, MulticastFanoutDoesNotAllocateAfterWarmup) {
   LinkConfig cfg;
   cfg.rate_bps = 10e6;
   cfg.delay = 2_ms;
+  LinkConfig leaf = cfg;
+  leaf.jitter = 1_ms;
   const Star star =
-      make_star(topo, cfg, std::vector<LinkConfig>(kLeaves, cfg));
+      make_star(topo, cfg, std::vector<LinkConfig>(kLeaves, leaf));
   const GroupId g = topo.create_group(star.sender);
   struct CountingAgent final : Agent {
     void handle_packet(const Packet&) override { ++count; }
@@ -368,13 +373,16 @@ TEST(SchedulerPool, MulticastFanoutDoesNotAllocateAfterWarmup) {
       sim.run();
     }
   };
-  fan_out(4);  // warm-up
+  // Warm-up: each leaf draws one jitter word per copy, and its stream
+  // builds its engine once it has drawn past the Rng's prefix.
+  constexpr int kWarmRounds = Rng::kPrefixWords / kBurst + 1;
+  fan_out(kWarmRounds);
   const std::size_t warm_heap = sim.packet_pool().heap_allocations();
   AllocationCounter counter;
   fan_out(50);
   EXPECT_EQ(counter.delta(), 0u) << "multicast fan-out allocated in steady state";
   EXPECT_EQ(sim.packet_pool().heap_allocations(), warm_heap);
-  EXPECT_EQ(agent.count, std::int64_t{54} * kBurst * kLeaves);
+  EXPECT_EQ(agent.count, std::int64_t{kWarmRounds + 50} * kBurst * kLeaves);
 }
 
 TEST(SchedulerPool, PacketPoolStampsUidAndCreationTime) {

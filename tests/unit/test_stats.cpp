@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -147,7 +148,7 @@ TEST(ThroughputBinner, InlineCurrentBinMatchesPerAddBinsOverRandomArrivals) {
 TEST(WindowedRateMeter, NoEstimateBeforeTwoPackets) {
   WindowedRateMeter m;
   EXPECT_FALSE(m.has_estimate());
-  m.on_packet(1_sec, 1000);
+  m.on_packet(1_sec);
   EXPECT_FALSE(m.has_estimate());
   EXPECT_DOUBLE_EQ(m.rate_Bps(1_sec), 0.0);
 }
@@ -155,35 +156,95 @@ TEST(WindowedRateMeter, NoEstimateBeforeTwoPackets) {
 TEST(WindowedRateMeter, SteadyRate) {
   WindowedRateMeter m;
   // 1000 bytes every 100 ms -> 10 kB/s.
-  for (int i = 0; i <= 10; ++i) m.on_packet(SimTime::millis(100 * i), 1000);
+  for (int i = 0; i <= 10; ++i) m.on_packet(SimTime::millis(100 * i));
   EXPECT_NEAR(m.rate_Bps(1_sec), 10000.0, 1.0);
 }
 
 TEST(WindowedRateMeter, WindowSlides) {
-  WindowedRateMeter m{4, 10_sec};
-  for (int i = 0; i < 10; ++i) m.on_packet(SimTime::millis(100 * i), 1000);
-  // Only the last 4 arrivals matter: 3 intervals of 100ms carrying 3000 B.
-  EXPECT_NEAR(m.rate_Bps(SimTime::millis(900)), 10000.0, 1.0);
+  static_assert(WindowedRateMeter::kPacketBytes == 1000);
+  constexpr std::int64_t kWindow = WindowedRateMeter::kWindowPackets;
+  // The whole window fits the horizon, so only the packet count slides it.
+  static_assert(SimTime::millis(50 * (kWindow - 1)) <
+                WindowedRateMeter::kHorizon);
+  WindowedRateMeter m;
+  // A burst 1 ms apart, then kWindowPackets arrivals 50 ms apart: only the
+  // last kWindowPackets matter, kWindowPackets - 1 intervals of 50 ms
+  // carrying 1000 B each -> 20 kB/s.
+  for (int i = 0; i < 10; ++i) m.on_packet(SimTime::millis(i));
+  for (std::int64_t i = 1; i <= kWindow; ++i) {
+    m.on_packet(SimTime::millis(10 + 50 * i));
+  }
+  EXPECT_NEAR(m.rate_Bps(SimTime::millis(10 + 50 * kWindow)), 20000.0, 1.0);
 }
 
 TEST(WindowedRateMeter, HorizonEvictsOldArrivals) {
-  WindowedRateMeter m{64, 1_sec};
-  m.on_packet(0_sec, 1000);
-  m.on_packet(5_sec, 1000);
-  m.on_packet(SimTime::millis(5100), 1000);
+  static_assert(WindowedRateMeter::kHorizon < 5_sec &&
+                WindowedRateMeter::kHorizon > 100_ms);
+  WindowedRateMeter m;
+  m.on_packet(0_sec);
+  m.on_packet(5_sec);
+  m.on_packet(SimTime::millis(5100));
   // First arrival is far outside the horizon and must have been dropped:
   // rate over [5.0, 5.1] = 1000 B / 0.1 s.
   EXPECT_NEAR(m.rate_Bps(SimTime::millis(5100)), 10000.0, 1.0);
 }
 
 TEST(WindowedRateMeter, FullWindowWrapsItsInlineRing) {
-  WindowedRateMeter m{WindowedRateMeter::kMaxPackets, 100_sec};
+  static_assert(200 > 3 * WindowedRateMeter::kWindowPackets &&
+                SimTime::millis(10 * 63) < WindowedRateMeter::kHorizon);
+  WindowedRateMeter m;
   // 1000 bytes every 10 ms, wrapping the ring three times; the window holds
   // the last 64 arrivals: 63 intervals carrying 63000 B -> 100 kB/s.
-  for (int i = 0; i < 200; ++i) m.on_packet(SimTime::millis(10 * i), 1000);
+  for (int i = 0; i < 200; ++i) m.on_packet(SimTime::millis(10 * i));
   EXPECT_NEAR(m.rate_Bps(SimTime::millis(1990)), 100000.0, 1.0);
-  EXPECT_THROW(WindowedRateMeter{WindowedRateMeter::kMaxPackets + 1},
-               std::invalid_argument);
+}
+
+TEST(WindowedRateMeter, MatchesTheByteSumFormulaBitForBit) {
+  // The meter before it dropped per-slot sizes: a deque of (t, bytes),
+  // the bytes after the first arrival over the span from it to now.
+  struct ByteSumMeter {
+    std::vector<std::pair<SimTime, std::int64_t>> window;
+    void on_packet(SimTime t, std::int64_t bytes) {
+      window.emplace_back(t, bytes);
+      while (window.size() > WindowedRateMeter::kWindowPackets ||
+             (window.size() >= 2 &&
+              t - window.front().first > WindowedRateMeter::kHorizon)) {
+        window.erase(window.begin());
+      }
+    }
+    double rate_Bps(SimTime now) const {
+      if (window.size() < 2) return 0.0;
+      std::int64_t bytes = 0;
+      for (const auto& a : window) bytes += a.second;
+      bytes -= window.front().second;
+      const SimTime span =
+          std::max(now, window.back().first) - window.front().first;
+      if (span <= SimTime::zero()) return 0.0;
+      return static_cast<double>(bytes) / span.to_seconds();
+    }
+  };
+  Rng rng{17};
+  WindowedRateMeter m;
+  ByteSumMeter ref;
+  SimTime t = SimTime::zero();
+  int reads = 0;
+  for (int i = 0; i < 20000; ++i) {
+    // Gaps from back-to-back to past the horizon, so both evictions run.
+    const std::int64_t gap_ns = rng.uniform_int(0, 9) == 0
+                                    ? rng.uniform_int(0, 5'000'000'000)
+                                    : rng.uniform_int(0, 20'000'000);
+    t += SimTime::nanos(gap_ns);
+    m.on_packet(t);
+    ref.on_packet(t, kDataPacketBytes);
+    const SimTime now = t + SimTime::nanos(rng.uniform_int(0, 1'000'000));
+    const double got = m.rate_Bps(now);
+    const double want = ref.rate_Bps(now);
+    ASSERT_EQ(std::memcmp(&got, &want, sizeof got), 0)
+        << "arrival " << i << ": " << got << " vs " << want;
+    ASSERT_EQ(m.has_estimate(), ref.window.size() >= 2);
+    reads += want > 0.0;
+  }
+  EXPECT_GT(reads, 10000);
 }
 
 TEST(QuantileFunction, ExactValues) {
