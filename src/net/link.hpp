@@ -77,7 +77,9 @@ struct TransmitBatch {
 /// transmitting share one completion event (a TransmitBatch), and their
 /// copies arrive from one arrival run, a single scheduler entry re-keyed
 /// from copy to copy.  A copy then costs one executed event, its arrival,
-/// but no pending entry, slot or callback of its own.
+/// but no pending entry, slot or callback of its own; and while no other
+/// pending event comes before it, the run delivers it in the previous
+/// copy's frame (Scheduler::take_next), without a heap pop or re-insert.
 ///
 /// An idle drop-tail link hands a packet straight to its transmitter: the
 /// queue counts it as accepted but never holds it.  So a copy sent down an

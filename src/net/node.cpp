@@ -113,9 +113,11 @@ void Node::forward_unicast(const PacketPtr& p) {
   l->send(p);
 }
 
-/// Delivers a sorted arrival run one copy per event, re-keying itself to the
-/// next arrival before handing the copy over; the last copy returns the
-/// batch to its node.
+/// Delivers a sorted arrival run.  After each copy it asks the scheduler
+/// whether the next arrival is also the next event; while it is, that copy
+/// is delivered in the same frame, and once it is not, the run re-keys
+/// itself to the next arrival and returns.  The last copy returns the batch
+/// to its node.
 class Node::ArrivalRun {
  public:
   ArrivalRun(Node& from, std::unique_ptr<TransmitBatch> b)
@@ -123,16 +125,22 @@ class Node::ArrivalRun {
 
   void operator()() {
     TransmitBatch& b = *b_;
-    Node* to = b.arrivals[b.next_arrival++].node;
-    if (b.next_arrival == b.arrivals.size()) {
+    Scheduler& sched = from_->line_.topo->sim().scheduler();
+    for (;;) {
+      Node* to = b.arrivals[b.next_arrival++].node;
       to->receive(b.packet);
-      from_->recycle(std::move(b_));
-      return;
+      if (b.next_arrival == b.arrivals.size()) {
+        from_->recycle(std::move(b_));
+        return;
+      }
+      // Asked after the delivery: the copy just delivered may have
+      // scheduled an event that comes before the next one.
+      const TransmitBatch::Arrival& next = b.arrivals[b.next_arrival];
+      if (!sched.take_next(next.t, next.seq)) {
+        sched.schedule_reserved(next.t, next.seq, std::move(*this));
+        return;
+      }
     }
-    const TransmitBatch::Arrival& next = b.arrivals[b.next_arrival];
-    from_->line_.topo->sim().scheduler().schedule_reserved(
-        next.t, next.seq, std::move(*this));
-    to->receive(b.packet);  // the batch now lives in the next entry
   }
 
  private:
@@ -178,7 +186,13 @@ void Node::forward_multicast(const PacketPtr& p) {
   // its earliest undelivered arrival, which precedes the others in the
   // scheduler's total order, so every copy is delivered at the same key,
   // between the same other events, as its own event would have been.
-  // Only Scheduler::executed() sees a difference, one event less per batch.
+  // A copy taken inline by Scheduler::take_next is no exception: the
+  // scheduler grants its key only when it precedes the live heap top, as
+  // asked after the previous copy's delivery (which may have scheduled
+  // something earlier), lies within the run loop's bound and the loop's
+  // event limit is not reached; it then sets the clock and counts the
+  // event just as popping it would have.  Only Scheduler::executed() sees
+  // a difference, one event less per batch.
   const SimTime tx = batch->tx;
   line_.topo->sim().in(tx, [this, b = std::move(batch)]() mutable {
     Link::complete(*b);

@@ -132,36 +132,55 @@ void Scheduler::pop_min() {
   sift_up(pos);
 }
 
-bool Scheduler::step() {
+/// Installs a run loop's RunFrame for its lifetime and restores the
+/// enclosing one after, so a loop nested in an event leaves its caller's
+/// bound and limit as they were.
+class Scheduler::FrameScope {
+ public:
+  FrameScope(Scheduler& s, RunFrame f) : s_{s}, saved_{s.frame_} {
+    s.frame_ = f;
+  }
+  ~FrameScope() { s_.frame_ = saved_; }
+  FrameScope(const FrameScope&) = delete;
+  FrameScope& operator=(const FrameScope&) = delete;
+
+ private:
+  Scheduler& s_;
+  RunFrame saved_;
+};
+
+bool Scheduler::fire_next() {
   if (empty()) return false;
   const HeapEntry top = heap_[kHeapRoot];
   pop_min();
   Slot& s = slots_[top.slot()];
   assert(top.t >= now_);
-  now_ = top.t;
   EventCallback cb = std::move(s.cb);
   // Release before invoking: the event is no longer pending from its own
   // callback's point of view, and the callback may schedule new events into
   // the freed slot.
   release_slot(top.slot());
-  ++executed_;
+  mark_executed(top.t, top.seq_slot >> kSlotBits);
   cb();
   return true;
 }
 
+bool Scheduler::step() {
+  const FrameScope frame{*this, RunFrame{}};
+  return fire_next();
+}
+
 void Scheduler::run(std::uint64_t limit) {
-  const std::uint64_t start = executed_;
-  while (step()) {
-    if (executed_ - start >= limit) {
-      throw std::runtime_error("Scheduler: event limit exceeded");
-    }
-  }
+  run_until(SimTime::infinity(), limit);
 }
 
 void Scheduler::run_until(SimTime t, std::uint64_t limit) {
   const std::uint64_t start = executed_;
+  const std::uint64_t cap =
+      limit > ~std::uint64_t{0} - start ? ~std::uint64_t{0} : start + limit;
+  const FrameScope frame{*this, RunFrame{t, cap}};
   while (!empty() && heap_[kHeapRoot].t <= t) {
-    step();
+    fire_next();
     if (executed_ - start >= limit) {
       throw std::runtime_error("Scheduler: event limit exceeded");
     }

@@ -202,7 +202,25 @@ class Scheduler {
   void cancel(const EventId& id);
 
   /// Execute the next pending event.  Returns false when the queue is empty.
+  /// Exactly one event: take_next refuses inside a bare step().
   bool step();
+
+  /// Lets the running event execute, in its own frame, the event keyed
+  /// (t, seq) under a number from reserve_seq() that it has not scheduled,
+  /// when that is the event the run loop would execute next: (t, seq)
+  /// precedes every pending event, t is within the current run_until bound
+  /// (run(): none), and the loop's event limit is not reached.  A grant
+  /// moves the clock to t and counts the event as executed, as step() would
+  /// have; a refusal changes nothing, and the caller schedules the key.
+  bool take_next(SimTime t, std::uint64_t seq) {
+    if (executed_ >= frame_.executed_cap || t > frame_.bound) return false;
+    if (!empty() && !HeapEntry{t, seq << kSlotBits}.before(heap_[kHeapRoot])) {
+      return false;
+    }
+    assert(t >= now_ && seq < next_seq_);
+    mark_executed(t, seq);
+    return true;
+  }
 
   /// Run until the queue drains or `limit` events have executed.
   void run(std::uint64_t limit = kDefaultEventLimit);
@@ -315,6 +333,31 @@ class Scheduler {
   /// hole sink — cheaper than heap_remove(0) on the every-event pop path.
   void pop_min();
 
+  /// Pops the heap's top event and runs it.  Returns false when empty.
+  bool fire_next();
+
+  /// Advances the clock to an executing event's key and counts it.  Debug
+  /// builds check that executed keys strictly increase, whichever path ran
+  /// the event.
+  void mark_executed(SimTime t, [[maybe_unused]] std::uint64_t seq) {
+#ifndef NDEBUG
+    assert(executed_ == 0 || last_t_ < t || (last_t_ == t && last_seq_ < seq));
+    last_t_ = t;
+    last_seq_ = seq;
+#endif
+    now_ = t;
+    ++executed_;
+  }
+
+  /// What take_next may grant inside the innermost run loop: keys at or
+  /// before `bound`, while executed_ < `executed_cap`.  The default, in
+  /// force outside run() and run_until() and inside step(), grants nothing.
+  struct RunFrame {
+    SimTime bound{SimTime::zero()};
+    std::uint64_t executed_cap{0};
+  };
+  class FrameScope;
+
   /// Detach the slot from the heap bookkeeping, bump its generation (so
   /// outstanding EventIds go stale) and push it on the free list.  The
   /// callback is left in place for the caller to move out or reset.
@@ -332,6 +375,11 @@ class Scheduler {
   SimTime now_{SimTime::zero()};
   std::uint64_t next_seq_{0};
   std::uint64_t executed_{0};
+  RunFrame frame_;
+#ifndef NDEBUG
+  SimTime last_t_{SimTime::zero()};
+  std::uint64_t last_seq_{0};
+#endif
 };
 
 inline bool EventId::pending() const {

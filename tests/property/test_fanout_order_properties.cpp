@@ -15,9 +15,15 @@
 // the same packet sizes in the same order either way, so queues, loss draws
 // and jitter draws line up.  The reference's copies each arrive in their
 // own event, where a batched fan-out delivers its copies from one sorted
-// arrival run; three hand-built scripts aim at that sort: arrivals that all
+// arrival run, taking each next copy in the same frame while the scheduler
+// grants it; three hand-built scripts aim at that sort: arrivals that all
 // tie, arrivals spread over several radix digits, and unrelated events at
 // exactly a run arrival's time.
+//
+// Both runs advance in run_until slices of 0.5 ms, short enough to cut
+// arrival runs apart, and each slice must stop its clock at its bound.  Some
+// deliveries schedule a follow-up event a little later, which may fall
+// between the copy's time and the next copy's; it must run in between.
 
 #include <gtest/gtest.h>
 
@@ -37,6 +43,7 @@ namespace {
 
 constexpr PortId kPort = 9;
 const SimTime kHorizon = SimTime::seconds(3.0);
+const SimTime kSlice = SimTime::micros(500);
 
 struct Delivery {
   SimTime t;
@@ -63,6 +70,8 @@ struct Outcome {
   std::vector<Delivery> deliveries;
   std::vector<LinkCounters> links;
   std::uint64_t events{0};
+  // run_until slices that left the clock anywhere but at their bound.
+  int overrun_slices{0};
 };
 
 /// A random scenario, drawn once per seed and replayed by both runs.
@@ -97,6 +106,21 @@ struct Script {
 };
 
 constexpr NodeId kMarkerNode = -1;
+constexpr PortId kFollowUpPort = 2;
+
+/// Schedules, for one delivery in three, a follow-up event 0, 1 or 100 us
+/// later that records itself as a marker delivery.  The choice depends only
+/// on the delivery, so both runs schedule the same follow-ups.
+void follow_up(Simulator& sim, NodeId node, std::uint64_t uid,
+               std::vector<Delivery>& out) {
+  const std::uint64_t h = uid * 7 + static_cast<std::uint64_t>(node);
+  if (h % 3 != 0) return;
+  const SimTime delays[] = {SimTime::zero(), SimTime::micros(1),
+                            SimTime::micros(100)};
+  sim.in(delays[(h / 3) % 3], [&sim, &out, uid] {
+    out.push_back({sim.now(), kMarkerNode, kFollowUpPort, uid});
+  });
+}
 
 Script draw_script(std::uint64_t seed) {
   Rng rng{seed};
@@ -167,6 +191,7 @@ class Recorder final : public Agent {
       : sim_{sim}, node_{node}, out_{out} {}
   void handle_packet(const Packet& p) override {
     out_.push_back({sim_.now(), node_, p.dport, p.uid});
+    follow_up(sim_, node_, p.uid, out_);
   }
 
  private:
@@ -201,6 +226,7 @@ class ReferenceForwarder final : public Agent {
   void handle_packet(const Packet& p) override {
     if (topo_.is_member(g_, node_)) {
       out_.push_back({topo_.sim().now(), node_, p.dport, p.uid});
+      follow_up(topo_.sim(), node_, p.uid, out_);
     }
     reference_forward(topo_, g_, node_, p);
   }
@@ -279,7 +305,10 @@ Outcome run(const Script& s, std::uint64_t seed, bool reference) {
     sim.at(m, [mark] { mark(0); });
     sim.at(m, [&sim, mark] { sim.at(sim.now(), [mark] { mark(1); }); });
   }
-  sim.run();
+  for (SimTime bound = kSlice; !sim.scheduler().empty(); bound += kSlice) {
+    sim.run_until(bound);
+    if (sim.now() != bound) ++out.overrun_slices;
+  }
 
   for (const Link* l : links) {
     out.links.push_back(
@@ -314,6 +343,8 @@ void expect_matches_reference(const Script& s, std::uint64_t seed,
     EXPECT_TRUE(batched.links[i] == ref.links[i])
         << "seed " << seed << ": counters of link " << i << " differ";
   }
+  EXPECT_EQ(batched.overrun_slices, 0) << "seed " << seed;
+  EXPECT_EQ(ref.overrun_slices, 0) << "seed " << seed;
   EXPECT_LE(batched.events, ref.events) << "seed " << seed;
   batched_events += batched.events;
   reference_events += ref.events;
@@ -384,6 +415,15 @@ TEST(FanoutOrder, ArrivalsSpreadOverSeveralRadixDigits) {
   EXPECT_LT(batched, ref);
 }
 
+/// The times of a run's copy deliveries, follow-up markers left out.
+std::vector<SimTime> copy_times(const Outcome& o) {
+  std::vector<SimTime> times;
+  for (const Delivery& d : o.deliveries) {
+    if (d.node != kMarkerNode) times.push_back(d.t);
+  }
+  return times;
+}
+
 TEST(FanoutOrder, UnrelatedEventsAtARunArrivalTimeKeepTheirPlace) {
   // An unrelated event at exactly a run arrival's time runs before the
   // run's copies when it was scheduled before the fan-out, and after them
@@ -395,10 +435,10 @@ TEST(FanoutOrder, UnrelatedEventsAtARunArrivalTimeKeepTheirPlace) {
   branch.delay = SimTime::millis(3);
   branch.queue_limit_packets = 8;
   Script tied = star_script(40, branch, 6);
-  const Outcome dry = run(tied, 3, true);
-  ASSERT_FALSE(dry.deliveries.empty());
-  for (std::size_t i = 0; i < dry.deliveries.size(); i += 40) {
-    tied.markers.push_back(dry.deliveries[i].t);
+  const std::vector<SimTime> dry = copy_times(run(tied, 3, true));
+  ASSERT_FALSE(dry.empty());
+  for (std::size_t i = 0; i < dry.size(); i += 40) {
+    tied.markers.push_back(dry[i]);
   }
   std::uint64_t batched = 0;
   std::uint64_t ref = 0;
@@ -407,9 +447,9 @@ TEST(FanoutOrder, UnrelatedEventsAtARunArrivalTimeKeepTheirPlace) {
   EXPECT_LT(batched, ref);
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     Script s = draw_script(seed);
-    const Outcome d = run(s, seed, true);
-    for (std::size_t i = 7; i < d.deliveries.size(); i += 97) {
-      s.markers.push_back(d.deliveries[i].t);
+    const std::vector<SimTime> d = copy_times(run(s, seed, true));
+    for (std::size_t i = 7; i < d.size(); i += 97) {
+      s.markers.push_back(d[i]);
     }
     expect_matches_reference(s, seed, batched, ref);
     if (HasFatalFailure()) return;

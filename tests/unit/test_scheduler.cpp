@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -147,6 +149,198 @@ TEST(Scheduler, ReservedSeqRunsWhereScheduleAtWouldHave) {
   s.schedule_reserved(10_ms, r, [&fired] { fired = true; });
   s.run();
   EXPECT_TRUE(fired);
+}
+
+/// A fan-out's copies on a bare scheduler, shaped like Node's arrival run:
+/// each copy's (time, seq) key is reserved when the fan-out is made, in time
+/// order.  With `inline_run` one entry delivers the copies, taking the next
+/// one in the same frame while Scheduler::take_next grants it; otherwise
+/// every copy is its own event (the heap path).  Copy i logs 100 + i to
+/// `order`, then calls `on_copy(i)` if set.
+class Fanout {
+ public:
+  Fanout(Scheduler& s, const std::vector<SimTime>& times,
+         std::vector<int>& order, bool inline_run,
+         std::function<void(int)> on_copy = {})
+      : state_{std::make_shared<State>(
+            State{s, {}, order, std::move(on_copy)})} {
+    for (SimTime t : times) state_->keys.push_back({t, s.reserve_seq()});
+    if (inline_run) {
+      const Key& head = state_->keys.front();
+      s.schedule_reserved(head.t, head.seq, Run{state_, 0});
+      return;
+    }
+    for (std::size_t i = 0; i < times.size(); ++i) {
+      const Key& k = state_->keys[i];
+      s.schedule_reserved(k.t, k.seq, [st = state_, i] { st->deliver(i); });
+    }
+  }
+
+ private:
+  struct Key {
+    SimTime t;
+    std::uint64_t seq;
+  };
+  struct State {
+    Scheduler& s;
+    std::vector<Key> keys;
+    std::vector<int>& order;
+    std::function<void(int)> on_copy;
+    void deliver(std::size_t i) {
+      order.push_back(100 + static_cast<int>(i));
+      if (on_copy) on_copy(static_cast<int>(i));
+    }
+  };
+  struct Run {
+    std::shared_ptr<State> st;
+    std::size_t next;
+    void operator()() {
+      for (;;) {
+        st->deliver(next++);
+        if (next == st->keys.size()) return;
+        const Key& k = st->keys[next];
+        if (!st->s.take_next(k.t, k.seq)) {
+          st->s.schedule_reserved(k.t, k.seq, std::move(*this));
+          return;
+        }
+      }
+    }
+  };
+  std::shared_ptr<State> state_;
+};
+
+std::vector<SimTime> spaced_times(int n, SimTime first, SimTime gap) {
+  std::vector<SimTime> times;
+  for (int i = 0; i < n; ++i) times.push_back(first + gap * i);
+  return times;
+}
+
+TEST(Scheduler, BareStepExecutesOneCopyOfAFanout) {
+  Scheduler s;
+  std::vector<int> order;
+  Fanout f{s, spaced_times(64, 1_ms, SimTime::micros(10)), order, true};
+  EXPECT_TRUE(s.step());
+  EXPECT_EQ(order, (std::vector<int>{100}));
+  EXPECT_EQ(s.executed(), 1u);
+  EXPECT_EQ(s.now(), 1_ms);
+  EXPECT_EQ(s.pending_count(), 1u);  // the run, keyed by copy 1
+  // Outside any run loop take_next grants nothing either.
+  EXPECT_FALSE(s.take_next(2_ms, s.reserve_seq()));
+  EXPECT_EQ(s.executed(), 1u);
+  s.run();
+  EXPECT_EQ(order.size(), 64u);
+  EXPECT_EQ(s.executed(), 64u);
+}
+
+TEST(Scheduler, RunUntilBoundLeavesLaterCopiesPending) {
+  Scheduler s;
+  std::vector<int> order;
+  Fanout f{s, spaced_times(64, 1_ms, 1_ms), order, true};
+  s.run_until(SimTime::micros(10'500));
+  EXPECT_EQ(order.size(), 10u);
+  EXPECT_EQ(s.now(), SimTime::micros(10'500));
+  EXPECT_EQ(s.pending_count(), 1u);
+  s.run_until(20_ms);  // the copy at the bound itself is delivered
+  EXPECT_EQ(order.size(), 20u);
+  EXPECT_EQ(order.back(), 119);
+  EXPECT_EQ(s.now(), 20_ms);
+  s.run();
+  EXPECT_EQ(order.size(), 64u);
+  EXPECT_EQ(s.executed(), 64u);
+}
+
+TEST(Scheduler, TakeNextRefusesWhenAPendingEventComesFirst) {
+  // Copies at 1, 2, 3 and 4 ms.  Event 2 at 2 ms was scheduled before the
+  // fan-out, so it precedes copy 1 by sequence number; event 3 at 2 ms was
+  // scheduled after it and follows copy 1; event 4, scheduled by copy 1 at
+  // 2.5 ms, precedes copy 2; event 1 at 3.5 ms precedes copy 3 by time.
+  // The inline run must give the heap path's order and event count.
+  std::vector<std::vector<int>> orders;
+  std::vector<std::uint64_t> executed;
+  for (bool inline_run : {false, true}) {
+    Scheduler s;
+    std::vector<int> order;
+    auto log = [&order](int v) { return [&order, v] { order.push_back(v); }; };
+    s.schedule_at(SimTime::micros(3500), log(1));
+    s.schedule_at(2_ms, log(2));
+    Fanout f{s, spaced_times(4, 1_ms, 1_ms), order, inline_run,
+             [&s, &log](int i) {
+               if (i == 1) s.schedule_at(SimTime::micros(2500), log(4));
+             }};
+    s.schedule_at(2_ms, log(3));
+    s.run();
+    orders.push_back(order);
+    executed.push_back(s.executed());
+  }
+  EXPECT_EQ(orders[0], (std::vector<int>{100, 2, 101, 3, 4, 102, 1, 103}));
+  EXPECT_EQ(orders[1], orders[0]);
+  EXPECT_EQ(executed[1], executed[0]);
+
+  // Directly: from a running event, a reserved key is granted while it
+  // precedes the heap top, and the grant moves the clock and the count.
+  Scheduler s;
+  std::vector<bool> granted;
+  s.schedule_at(1_ms, [&] {
+    const std::uint64_t a = s.reserve_seq();
+    const std::uint64_t b = s.reserve_seq();
+    s.schedule_at(3_ms, [] {});
+    granted.push_back(s.take_next(2_ms, a));
+    EXPECT_EQ(s.now(), 2_ms);
+    granted.push_back(s.take_next(4_ms, b));  // the 3 ms event comes first
+    EXPECT_EQ(s.now(), 2_ms);
+  });
+  s.run();
+  EXPECT_EQ(granted, (std::vector<bool>{true, false}));
+  EXPECT_EQ(s.executed(), 3u);
+}
+
+TEST(Scheduler, EventLimitGuardOverAFanout) {
+  // 64 copies tied at t = 0 ahead of an event that reschedules itself at
+  // the current time forever: run(limit) must throw at the heap path's
+  // executed() count, inside the fan-out or after it.
+  for (std::uint64_t limit : {1u, 30u, 64u, 65u, 1000u}) {
+    std::vector<std::uint64_t> executed;
+    std::vector<std::vector<int>> orders;
+    for (bool inline_run : {false, true}) {
+      Scheduler s;
+      std::vector<int> order;
+      Fanout f{s, std::vector<SimTime>(64, SimTime::zero()), order,
+               inline_run};
+      std::function<void()> forever = [&] {
+        s.schedule_in(SimTime::zero(), forever);
+      };
+      s.schedule_at(SimTime::zero(), forever);
+      EXPECT_THROW(s.run(limit), std::runtime_error) << "limit " << limit;
+      executed.push_back(s.executed());
+      orders.push_back(order);
+    }
+    EXPECT_EQ(executed[0], limit);
+    EXPECT_EQ(executed[1], executed[0]) << "limit " << limit;
+    EXPECT_EQ(orders[1], orders[0]) << "limit " << limit;
+  }
+}
+
+TEST(Scheduler, DebugBuildsCheckThatExecutedKeysIncrease) {
+  // A reserved number used after a later-numbered event at the same time
+  // has already run would execute out of (t, seq) order.  Debug builds stop
+  // there, on the heap path and on the take_next path; release builds run
+  // on.
+  auto heap_path = [] {
+    Scheduler s;
+    const std::uint64_t r = s.reserve_seq();
+    s.schedule_at(5_ms, [] {});
+    s.run();
+    s.schedule_reserved(5_ms, r, [] {});
+    s.run();
+  };
+  auto inline_path = [] {
+    Scheduler s;
+    const std::uint64_t r = s.reserve_seq();
+    s.schedule_at(5_ms, [&s, r] { s.take_next(5_ms, r); });
+    s.run();
+  };
+  EXPECT_DEBUG_DEATH(heap_path(), "");
+  EXPECT_DEBUG_DEATH(inline_path(), "");
 }
 
 TEST(Scheduler, EventIdNotPendingAfterFire) {
