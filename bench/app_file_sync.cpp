@@ -2,22 +2,18 @@
 // "a multicast filesystem synchronization application (e.g. rdist)", §6.1).
 //
 // A build server pushes an update bundle to a fleet of mirrors.  TFMCC
-// provides the congestion-controlled rate; this example layers a trivial
+// provides the congestion-controlled rate; this scenario layers a trivial
 // carousel (repeat the object until every receiver has every block) on
 // top and reports completion times — the metric a distribution tool cares
-// about — plus how the one slow mirror dominates the tail.
-//
-//   $ ./examples/file_sync [seed]
+// about — plus how the one slow mirror dominates the tail.  The run stops
+// once every mirror is complete, or at the --duration cap.
 
 #include <algorithm>
-#include <cstdio>
 #include <set>
+#include <string>
 #include <vector>
 
-#include "example_args.hpp"
-#include "net/builders.hpp"
-#include "sim/simulator.hpp"
-#include "tfmcc/flow.hpp"
+#include "scenario_util.hpp"
 
 namespace {
 
@@ -46,11 +42,15 @@ class MirrorState {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+TFMCC_SCENARIO(app_file_sync,
+               "Multicast file sync: a carousel bundle to 12 mirrors, one "
+               "on a thin overseas path") {
   using namespace tfmcc::time_literals;
 
-  examples::check_arg_count(argc, argv, 1, "[seed]");
-  const std::uint64_t seed = examples::arg_or(argc, argv, 1, "seed", 5);
+  bench::figure_header(opts.out(), "App: file sync",
+                       "rdist-style bundle push to a mirror fleet");
+  const SimTime cap = opts.duration_or(1200_sec);
+  const std::uint64_t seed = opts.seed_or(5);
   const int kMirrors = 12;
   const int kBlocks = 2000;  // 2000 x 1000 B = ~2 MB bundle
 
@@ -61,8 +61,7 @@ int main(int argc, char** argv) {
   trunk.delay = 5_ms;
   std::vector<LinkConfig> mirror_links(kMirrors);
   Rng cfg_rng{seed + 1};
-  for (int i = 0; i < kMirrors; ++i) {
-    auto& l = mirror_links[static_cast<size_t>(i)];
+  for (auto& l : mirror_links) {
     l.rate_bps = 10e6;
     l.delay = SimTime::millis(cfg_rng.uniform_int(5, 40));
     l.loss_rate = 0.0005;
@@ -87,33 +86,42 @@ int main(int argc, char** argv) {
   }
 
   flow.sender().start(SimTime::zero());
-  // Run until every mirror completes (or a generous cap).
-  while (sim.now() < 1200_sec &&
-         !std::all_of(mirrors.begin(), mirrors.end(),
-                      [](const MirrorState& m) { return m.complete(); })) {
-    sim.run_until(sim.now() + 1_sec);
+  const auto all_complete = [&mirrors] {
+    return std::all_of(mirrors.begin(), mirrors.end(),
+                       [](const MirrorState& m) { return m.complete(); });
+  };
+  while (sim.now() < cap && !all_complete()) {
+    sim.run_until(std::min(sim.now() + 1_sec, cap));
   }
 
-  std::printf("bundle: %d blocks (%d kB); fleet of %d mirrors\n", kBlocks,
-              kBlocks, kMirrors);
+  CsvWriter csv(opts.out(), {"mirror", "complete", "completed_s", "blocks"});
   std::vector<double> times;
   for (int i = 0; i < kMirrors; ++i) {
     const auto& m = mirrors[static_cast<size_t>(i)];
-    if (m.complete()) {
-      times.push_back(m.completed_at().to_seconds());
-      std::printf("  mirror %2d: complete at %7.1f s\n", i,
-                  m.completed_at().to_seconds());
-    } else {
-      std::printf("  mirror %2d: INCOMPLETE (%d/%d blocks)\n", i, m.have(),
-                  kBlocks);
-    }
+    const double at = m.complete() ? m.completed_at().to_seconds() : -1.0;
+    if (m.complete()) times.push_back(at);
+    csv.row(i, m.complete() ? 1 : 0, at, m.have());
   }
+
+  bench::note(opts.out(), "bundle: " + std::to_string(kBlocks) +
+                              " blocks (" + std::to_string(kBlocks) +
+                              " kB); fleet of " + std::to_string(kMirrors) +
+                              " mirrors");
   if (!times.empty()) {
-    std::printf("median completion %.1f s, p100 %.1f s\n",
-                quantile(times, 0.5), quantile(times, 1.0));
+    bench::note(opts.out(), "median completion " +
+                                std::to_string(quantile(times, 0.5)) +
+                                " s, p100 " +
+                                std::to_string(quantile(times, 1.0)) + " s");
   }
-  std::printf("sender rate at end: %.0f kbit/s (CLR = mirror %d, the thin "
-              "overseas path)\n",
-              kbps_from_Bps(flow.sender().rate_Bps()), flow.sender().clr());
+  const std::int32_t clr = flow.sender().clr();
+  bench::note(opts.out(),
+              "sender rate at end: " +
+                  std::to_string(kbps_from_Bps(flow.sender().rate_Bps())) +
+                  " kbit/s (CLR = mirror " + std::to_string(clr) + ")");
+
+  bench::check(opts.out(), all_complete(),
+               "every mirror completes the bundle before the cap");
+  bench::check(opts.out(), clr == kMirrors - 1,
+               "the final CLR is the thin overseas mirror");
   return 0;
 }

@@ -13,15 +13,13 @@
 
 namespace tfmcc {
 
-/// Move-only callable with small-buffer optimisation, sized so every event
-/// callback in the simulator (a few pointers plus a PacketPtr) lives inline.
-/// Captures larger than the inline buffer fall back to one heap allocation;
-/// the hot path never allocates.
+/// Move-only callable stored inline, sized so every event callback in the
+/// simulator (a few pointers plus a PacketPtr) fits.  A larger capture is a
+/// compile error, so scheduling never allocates.
 class EventCallback {
  public:
   /// Inline capture budget.  64 bytes holds a vtable-free lambda with up to
-  /// eight pointer-sized captures — every callback in the simulator's steady
-  /// state fits (the zero-allocation benchmark test enforces it).
+  /// eight pointer-sized captures — every callback in the simulator fits.
   static constexpr std::size_t kInlineBytes = 64;
 
   EventCallback() = default;
@@ -33,15 +31,14 @@ class EventCallback {
                 std::is_invocable_r_v<void, std::decay_t<F>&>>>
   EventCallback(F&& f) {  // NOLINT(google-explicit-constructor)
     using Fn = std::decay_t<F>;
-    if constexpr (sizeof(Fn) <= kInlineBytes &&
-                  alignof(Fn) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<Fn>) {
-      ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
-      ops_ = &inline_ops<Fn>;
-    } else {
-      heap_ = new Fn(std::forward<F>(f));
-      ops_ = &heap_ops<Fn>;
-    }
+    static_assert(sizeof(Fn) <= kInlineBytes,
+                  "EventCallback: capture exceeds kInlineBytes");
+    static_assert(alignof(Fn) <= alignof(std::max_align_t) &&
+                      std::is_nothrow_move_constructible_v<Fn>,
+                  "EventCallback: capture must be nothrow-movable and at "
+                  "most max_align_t aligned");
+    ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
+    ops_ = &ops<Fn>;
   }
 
   EventCallback(EventCallback&& o) noexcept { move_from(o); }
@@ -62,16 +59,15 @@ class EventCallback {
 
   void operator()() {
     assert(ops_ != nullptr);
-    ops_->invoke(target());
+    ops_->invoke(buf_);
   }
 
   /// Destroys the held callable (releasing its captured state) and becomes
   /// empty.
   void reset() {
     if (ops_ != nullptr) {
-      ops_->destroy(target());
+      ops_->destroy(buf_);
       ops_ = nullptr;
-      heap_ = nullptr;
     }
   }
 
@@ -79,13 +75,12 @@ class EventCallback {
   struct Ops {
     void (*invoke)(void*);
     void (*destroy)(void*);
-    /// Relocate: move-construct into `to`'s inline buffer and destroy the
-    /// source.  Null for heap-held callables (relocation steals the pointer).
+    /// Relocate: move-construct into `to` and destroy the source.
     void (*relocate)(void* from, void* to);
   };
 
   template <typename Fn>
-  static constexpr Ops inline_ops{
+  static constexpr Ops ops{
       [](void* obj) { (*static_cast<Fn*>(obj))(); },
       [](void* obj) { static_cast<Fn*>(obj)->~Fn(); },
       [](void* from, void* to) {
@@ -93,24 +88,13 @@ class EventCallback {
         static_cast<Fn*>(from)->~Fn();
       }};
 
-  template <typename Fn>
-  static constexpr Ops heap_ops{
-      [](void* obj) { (*static_cast<Fn*>(obj))(); },
-      [](void* obj) { delete static_cast<Fn*>(obj); },
-      nullptr};
-
-  void* target() { return heap_ != nullptr ? heap_ : static_cast<void*>(buf_); }
-
   void move_from(EventCallback& o) noexcept {
     ops_ = o.ops_;
-    heap_ = o.heap_;
-    if (ops_ != nullptr && heap_ == nullptr) ops_->relocate(o.buf_, buf_);
+    if (ops_ != nullptr) ops_->relocate(o.buf_, buf_);
     o.ops_ = nullptr;
-    o.heap_ = nullptr;
   }
 
   alignas(std::max_align_t) unsigned char buf_[kInlineBytes];
-  void* heap_{nullptr};
   const Ops* ops_{nullptr};
 };
 
@@ -231,14 +215,6 @@ class Scheduler {
   std::uint64_t executed() const { return executed_; }
   bool empty() const { return heap_.size() <= kHeapRoot; }
   std::size_t pending_count() const { return heap_.size() - kHeapRoot; }
-
-  /// Pre-size the event pool and heap (e.g. before a large topology starts).
-  void reserve(std::size_t events) {
-    slots_.reserve(events);
-    generation_.reserve(events);
-    heap_pos_.reserve(events);
-    heap_.reserve(events + kHeapRoot);
-  }
 
   /// Safety valve for runaway simulations (e.g. a bug that reschedules at
   /// the current time forever).  Exceeding it throws.
@@ -366,7 +342,7 @@ class Scheduler {
   std::vector<Slot> slots_;
   // Parallel to slots_, kept out of Slot on purpose: sifting updates a
   // slot's heap position once per level, and a dense 4-byte array keeps
-  // those writes in cache where the 96-byte callback slots would not be.
+  // those writes in cache where the 80-byte callback slots would not be.
   std::vector<std::uint32_t> generation_;
   std::vector<std::uint32_t> heap_pos_;  // kNpos when free or executing
   // 4-ary min-heap on (t, seq); entries [0, kHeapRoot) are padding.

@@ -13,7 +13,7 @@ namespace tfmcc {
 
 /// Convenience bundle for experiments: one TFMCC sender plus its receiver
 /// set, each receiver binning its goodput in 1 s bins.  This is the public
-/// "just give me a flow" API used by the examples and figure benches.
+/// "just give me a flow" API used by the figure and app scenarios.
 class TfmccFlow {
  public:
   /// RNG substream base of a flow given none.

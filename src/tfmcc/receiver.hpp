@@ -41,7 +41,7 @@ class alignas(64) TfmccReceiver final : public Agent {
   void handle_packet(const Packet& p) override;
 
   /// Invoked once per delivered data packet with the full header — for
-  /// applications layered on the stream (e.g. the file-carousel example).
+  /// applications layered on the stream (e.g. app_file_sync's carousel).
   void set_data_observer(
       std::function<void(SimTime, const TfmccDataHeader&)> f) {
     data_observer_ = std::move(f);

@@ -1,6 +1,6 @@
 // Regression suite for the pooled scheduler introduced by the hot-path
 // overhaul: generation-counted handles (no ABA through slot reuse), true
-// in-place cancellation, the small-buffer EventCallback, and the
+// in-place cancellation, the inline-only EventCallback, and the
 // zero-heap-allocation steady state of schedule_in + step and of the
 // per-simulator packet pool and of multicast fan-out.  The allocation tests
 // count through a global operator new override, which is why this suite
@@ -219,19 +219,6 @@ TEST(SchedulerPool, CaptureDestructorMayScheduleIntoFreedSlot) {
 
 // --- EventCallback ----------------------------------------------------------
 
-TEST(SchedulerPool, OversizedCaptureFallsBackToHeapAndRuns) {
-  Scheduler s;
-  struct Big {
-    char payload[128];
-  };
-  Big big{};
-  big.payload[0] = 42;
-  char seen = 0;
-  s.schedule_at(1_ms, [big, &seen] { seen = big.payload[0]; });
-  s.run();
-  EXPECT_EQ(seen, 42);
-}
-
 TEST(SchedulerPool, MoveOnlyCaptureIsSupported) {
   Scheduler s;
   auto token = std::make_unique<int>(7);
@@ -239,19 +226,6 @@ TEST(SchedulerPool, MoveOnlyCaptureIsSupported) {
   s.schedule_at(1_ms, [t = std::move(token), &seen] { seen = *t; });
   s.run();
   EXPECT_EQ(seen, 7);
-}
-
-TEST(SchedulerPool, CancelledOversizedCaptureReleasesHeapState) {
-  Scheduler s;
-  auto token = std::make_shared<int>(1);
-  std::weak_ptr<int> weak = token;
-  struct Pad {
-    char bytes[96];
-  };
-  EventId id = s.schedule_at(
-      1_ms, [t = std::move(token), pad = Pad{}] { (void)t; (void)pad; });
-  s.cancel(id);
-  EXPECT_TRUE(weak.expired());
 }
 
 // --- zero-allocation steady state -------------------------------------------
