@@ -85,10 +85,12 @@ SimTime Link::arrival_time() {
   // Propagation: hand the packet to the destination node after the delay
   // (plus the phase-breaking jitter).  The delay is sampled at
   // transmit-completion time so mid-run delay changes (fig. 13) take
-  // effect for subsequent packets.
+  // effect for subsequent packets.  A jittered link draws once per copy,
+  // so it takes its stream's engine at the first draw and never builds the
+  // prefix; canonical(w) is the same double uniform(0, 1) makes of w.
   SimTime delay = cfg_.delay;
   if (cfg_.jitter > SimTime::zero()) {
-    delay += cfg_.jitter * rng_.uniform(0.0, 1.0);
+    delay += cfg_.jitter * Rng::canonical(rng_.engine()());
   }
   // Links are FIFO: jitter must never reorder deliveries (the receivers'
   // loss detection relies on in-order arrival).

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdint>
@@ -22,6 +23,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/sweep.hpp"
@@ -294,6 +296,7 @@ TEST(HostileArguments, SweepAxisParsesToAnErrorOrAUsableAxis) {
       }
       EXPECT_EQ(axis.key, text.substr(0, text.find('='))) << text;
       ASSERT_FALSE(axis.values.empty()) << text;
+      const std::string body = text.substr(text.find('=') + 1);
       const bool range = text.find(':') != std::string::npos;
       for (const std::string& v : axis.values) {
         ASSERT_FALSE(v.empty()) << text;
@@ -307,10 +310,57 @@ TEST(HostileArguments, SweepAxisParsesToAnErrorOrAUsableAxis) {
               std::from_chars(v.data(), v.data() + v.size(), whole);
           EXPECT_TRUE(ec == std::errc{} && end == v.data() + v.size())
               << text << " expanded to '" << v << "'";
+          // An accepted range's bounds fit the type, so every point lies
+          // between them once rounded (never a wrapped INT64_MIN).  A ':'
+          // in the key alone leaves a list.
+          if (body.find(':') == std::string::npos) continue;
+          double lo = 0.0, hi = 0.0;
+          ASSERT_TRUE(summary::parse_number(body.substr(0, body.find(':')),
+                                            lo) &&
+                      summary::parse_number(
+                          body.substr(body.find(':') + 1,
+                                      body.rfind(':') - body.find(':') - 1),
+                          hi))
+              << text;
+          const std::int64_t a = std::llround(lo), b = std::llround(hi);
+          EXPECT_GE(whole, std::min(a, b)) << text << " expanded to " << v;
+          EXPECT_LE(whole, std::max(a, b)) << text << " expanded to " << v;
         }
       }
     }
   }
+}
+
+TEST(HostileArguments, SweepRangeBeyondTheIntegerTypeIsAnError) {
+  const ParamSpec int_spec = param("n_max", 1, "int");
+  const ParamSpec uint_spec = param("u", std::uint64_t{1}, "uint");
+  const std::vector<std::pair<const ParamSpec*, std::string>> rejected{
+      {&int_spec, "n_max=1:1e30:lin2"},
+      {&int_spec, "n_max=-1e19:1:lin3"},
+      {&int_spec, "n_max=1:9223372036854775807:lin2"},  // 2^63 as a double
+      {&uint_spec, "u=-2:5:lin3"},
+      {&uint_spec, "u=1:2e19:log2"}};
+  for (const auto& [spec, text] : rejected) {
+    SweepAxis axis;
+    std::ostringstream err;
+    EXPECT_FALSE(parse_sweep_axis(text, spec, axis, err)) << text;
+    EXPECT_EQ(err.str().rfind("error: --sweep range '" + text + "'", 0), 0u)
+        << err.str();
+  }
+  // The same bounds on a double parameter, and the widest ones each
+  // integer type holds, expand.
+  SweepAxis axis;
+  std::ostringstream err;
+  const ParamSpec double_spec = param("d", 1.0, "double");
+  ASSERT_TRUE(parse_sweep_axis("d=1:1e30:lin2", &double_spec, axis, err));
+  EXPECT_EQ(axis.values, (std::vector<std::string>{"1", "1e+30"}));
+  ASSERT_TRUE(parse_sweep_axis("n_max=-9e18:9e18:lin2", &int_spec, axis, err));
+  EXPECT_EQ(axis.values, (std::vector<std::string>{"-9000000000000000000",
+                                                   "9000000000000000000"}));
+  ASSERT_TRUE(parse_sweep_axis("u=0:1.8e19:lin2", &uint_spec, axis, err));
+  EXPECT_EQ(axis.values,
+            (std::vector<std::string>{"0", "18000000000000000000"}));
+  EXPECT_EQ(err.str(), "");
 }
 
 TEST(HostileArguments, SetCoercionEndsInAnErrorOrAValueThatReadsBack) {

@@ -154,6 +154,40 @@ TEST(Link, SetDelayAffectsSubsequentPackets) {
   EXPECT_GE(f.agent.times[1] - before, 50_ms);
 }
 
+TEST(Link, JitterDrawsTheStreamsUniformSequence) {
+  // The jitter stream must read exactly as Rng::uniform(0, 1) reads the
+  // same seed, on both sides of the prefix's 32-word boundary.  Packets
+  // go 10 ms apart, so the FIFO guard never moves an arrival.
+  Simulator sim{1};
+  Topology topo{sim};
+  const NodeId a = topo.add_node();
+  const NodeId b = topo.add_node();
+  RecordingAgent agent{sim};
+  topo.node(b).attach_agent(5, &agent);
+  LinkConfig cfg;
+  cfg.rate_bps = 1e9;
+  cfg.delay = 5_ms;
+  cfg.jitter = 1_ms;
+  constexpr std::uint64_t kSeed = 0x5eed;
+  Link link{sim, topo.node(b), cfg, Rng{kSeed}};
+  constexpr int kPackets = 40;
+  static_assert(kPackets > static_cast<int>(Rng::kPrefixWords));
+  for (int i = 0; i < kPackets; ++i) {
+    sim.at(SimTime::millis(10 * i),
+           [&] { link.send(make_unicast(sim, a, b, 5, 1000)); });
+  }
+  sim.run();
+  ASSERT_EQ(agent.times.size(), static_cast<std::size_t>(kPackets));
+  Rng reference{kSeed};
+  for (int i = 0; i < kPackets; ++i) {
+    const SimTime sent =
+        SimTime::millis(10 * i) + link.transmission_time(1000);
+    EXPECT_EQ(agent.times[i] - sent,
+              cfg.delay + cfg.jitter * reference.uniform(0.0, 1.0))
+        << "delay " << i;
+  }
+}
+
 TEST(Node, DeliversOnlyToMatchingPort) {
   TwoNodeFixture f{1e9, 1_ms};
   RecordingAgent other{f.sim};

@@ -347,8 +347,9 @@ TEST(SchedulerPool, MulticastFanoutDoesNotAllocateAfterWarmup) {
       sim.run();
     }
   };
-  // Warm-up: each leaf draws one jitter word per copy, and its stream
-  // builds its engine once it has drawn past the Rng's prefix.
+  // Warm-up: each leaf draws one jitter word per copy straight from its
+  // stream's engine, built in the arena at the first copy with no prefix;
+  // the rounds also fill the scheduler, packet and batch free lists.
   constexpr int kWarmRounds = Rng::kPrefixWords / kBurst + 1;
   fan_out(kWarmRounds);
   const std::size_t warm_heap = sim.packet_pool().heap_allocations();

@@ -1,42 +1,31 @@
 #!/usr/bin/env python3
-"""Hot-path performance report: micro benchmarks + scenario wall-clocks.
+"""Hot-path performance report: the benchmark's workloads, the scenario
+legs no workload covers, and the micro benchmarks.
 
-Measures the simulator's perf trajectory and writes/updates the
-``BENCH_hotpath.json`` tracked at the repo root:
+Writes/updates the ``BENCH_hotpath.json`` tracked at the repo root (see
+README "Measuring: perf_report and BENCH_hotpath.json"):
 
-* micro benchmarks (google-benchmark, ``BM_SchedulerChurn`` and friends)
-  reported as ns/op and items/s (``BM_MulticastFanout`` also as ns per
-  delivered copy);
-* wall-clock runs of the heavyweight paper scenarios — fig07 (full
-  Monte-Carlo ladder), fig12 and fig13 (both dominated by the
-  1000-receiver packet simulations) — and of one replicated,
-  checkpointed fig07 sweep.
+* each ``BENCHMARK.json`` workload through its tree's ``benchmark/run.py
+  --workload W --seed S --seconds 6``, untraced (end to end) and with
+  ``--trace 1`` (per layer); the tree is the build dir's
+  ``CMAKE_HOME_DIRECTORY``, and a ``correct: false`` result aborts the
+  report before anything is written;
+* wall-clocks of the fig07, fig13 and scale_hybrid legs in ``SCENARIOS``;
+* the google-benchmark micro benchmarks (ns/op and counters).
 
-Every number is the median of N repeats (scenarios: N process runs;
-micros: N runs of the benchmark binary) together with the repeats' min and
-max.  A baseline/current ratio whose two min-max ranges overlap is printed
-and recorded as noise, not as a change.
+``--set-baseline PARENT_BUILD_DIR`` measures the ``baseline`` set from a
+build of the pre-change tree, alternating the two trees run by run, and
+every ``speedup_verdict`` comes from ``run.py compare``'s "improved" rule.
+``--check`` re-measures the tree and fails on a machine-normalised
+regression beyond BENCHMARK.json's ``wall_s`` bound (wall-clocks) or 60%
+(micro ns/op) against the committed ``current`` set.
 
 Usage:
-  tools/perf_report.py --build-dir build                 # measure, update "current"
-  tools/perf_report.py --build-dir build --label NAME    # ... with a custom label
+  tools/perf_report.py --build-dir build [--label NAME]  # update "current"
   tools/perf_report.py --build-dir build \
       --set-baseline ../parent/build                     # measure both sets
   tools/perf_report.py --build-dir build \
-      --check BENCH_hotpath.json --tolerance 0.25        # CI: fail on regression
-
-The JSON keeps two measurement sets: ``baseline`` (the pre-optimisation
-reference: a build of the pre-PR tree) and ``current`` (the tree as
-committed).  Perf PRs must refresh both — see README "Performance".
-``--set-baseline PARENT_BUILD_DIR`` measures the two trees in one
-invocation and alternates them run by run (each scenario repeat, each micro
-benchmark run, with the first tree flipping every repeat), so drift of the
-host over the minutes a report takes hits both sets alike instead of
-reading as a change.  ``--check`` re-measures the working tree and fails
-when any scenario wall-clock is more than ``--tolerance`` (default 25%)
-slower than the committed ``current`` entry, or any micro benchmark is more
-than ``--micro-tolerance`` (default 60%) slower ns/op — both after
-machine-speed normalisation.
+      --check BENCH_hotpath.json                         # CI: fail on regression
 """
 
 import argparse
@@ -46,39 +35,35 @@ import statistics
 import subprocess
 import sys
 import time
+from pathlib import Path
 
-# Stands for a scratch checkpoint path inside the build directory.
-CHECKPOINT = "{checkpoint}"
+REPO = Path(__file__).resolve().parent.parent
+sys.dont_write_bytecode = True  # keep benchmark/ free of __pycache__
+sys.path.insert(0, str(REPO / "benchmark"))
+from run import iqr_share  # noqa: E402  the benchmark's spread measure
+
+SCHEMA = "tfmcc-hotpath-bench/2"
+SPEC = json.loads((REPO / "BENCHMARK.json").read_text())
+WORKLOADS = [w["name"] for w in SPEC["workloads"]]
+END_TO_END = {m["name"]: m for m in SPEC["end_to_end"]}
+WORKLOAD_SECONDS = 6
+# The gate's allowed machine-normalised slowdowns: wall-clocks get the
+# benchmark's own `wall_s` bound; ns-scale micro benchmarks are noisier.
+WALL_TOLERANCE = END_TO_END["wall_s"]["bound"]
+MICRO_TOLERANCE = 0.60
+MICRO_MIN_TIME_S = 0.5
 
 SCENARIOS = [
     # (entry name, scenario, extra args) — defaults reproduce the paper
-    # figures: fig07 runs the full receiver ladder, fig12/fig13 include the
-    # 1000-receiver configurations that dominate full-duration CI runs.
+    # figures.  fig07 is analytic Monte-Carlo (the full ladder, then
+    # extended to n = 10^5); fig13 includes a 1000-receiver packet
+    # simulation; scale_hybrid_100k is the fig12-class packet simulation at
+    # 10^5 receivers on modeled SoA blocks.
     ("fig07_scaling_full_ladder", "fig07_scaling", []),
-    ("fig12_rtt_acquisition_1000rx", "fig12_rtt_acquisition", []),
-    ("fig13_rtt_change_1000rx", "fig13_rtt_change", []),
-    # Large-n legs of the hybrid full/model receiver tier: the fig07 ladder
-    # extended to n = 10^5 (analytic Monte-Carlo), and the fig12-class
-    # packet simulation at 10^5 receivers on modeled SoA blocks — the
-    # regression probe for the batched fan-out path.
     ("fig07_scaling_100k_ladder", "fig07_scaling",
      ["--set", "n_max=100000"]),
+    ("fig13_rtt_change_1000rx", "fig13_rtt_change", []),
     ("scale_hybrid_100k", "scale_hybrid_receivers", []),
-    # The same at 10^6 receivers, the size of the repository benchmark's
-    # hybrid_1m workload: the per-round chunked draw dominates.
-    ("scale_hybrid_1m", "scale_hybrid_receivers",
-     ["--set", "n_receivers=1000000"]),
-    # Dynamic-membership stress: 2000 receivers, >10k join/leave events on
-    # the incremental graft/prune path — the wall-clock regression probe for
-    # membership maintenance (BM_MembershipChurn gates the per-event cost).
-    ("churn_flash_crowd_2000rx", "churn_flash_crowd", []),
-    # The sweep engine end to end: 16 grid points x 8 replicates on 2 jobs,
-    # appending to its checkpoint log after every fold — the regression
-    # probe for folding, point reduction and checkpoint appends.
-    ("fig07_sweep_replicated_checkpointed", "sweep",
-     ["fig07_scaling", "--sweep", "n_receivers=2:2000:log16",
-      "--set", "trials=10", "--replicate", "8", "--jobs", "2",
-      "--checkpoint", CHECKPOINT, "--checkpoint-every", "1"]),
 ]
 
 MICRO_FILTER = ("BM_SchedulerChurn|BM_EquationFull|BM_EquationInverse|"
@@ -96,9 +81,43 @@ INVERTED_COUNTERS = ("ns_per_copy", "ns_per_draw", "ns_per_delivery",
 PLAIN_COUNTERS = ("arena_bytes_per_stream",)
 
 
-def summarise(values):
-    """(median, min, max) of a list of numbers."""
-    return statistics.median(values), min(values), max(values)
+def summary(values, digits=6):
+    """The median of some runs and their IQR share."""
+    return {"median": round(statistics.median(values), digits),
+            "iqr_share": round(iqr_share(values), 4)}
+
+
+def series(values, digits=6):
+    """A judged series: its summary and the runs themselves."""
+    return {**summary(values, digits),
+            "runs": [round(v, digits) for v in values]}
+
+
+def beats(a, b, lower):
+    """run.py compare's "improved": every run of B beats every run of A,
+    and B's median gains on A's by more than the larger IQR share."""
+    ma, mb = statistics.median(a), statistics.median(b)
+    if ma == 0:
+        return False
+    gain = (ma - mb) / ma if lower else (mb - ma) / ma
+    always = max(b) < min(a) if lower else min(b) > max(a)
+    return always and gain > max(iqr_share(a), iqr_share(b))
+
+
+def verdict(base, cur, lower=True):
+    """(speedup, verdict) of run lists `cur` against `base`.  The speedup
+    is how many times better cur's median is; the verdict is "faster" or
+    "slower" when one side beats the other, else "noise"."""
+    mb, mc = statistics.median(base), statistics.median(cur)
+    if mb <= 0 or mc <= 0:
+        return None, None
+    if beats(base, cur, lower):
+        word = "faster"
+    elif beats(cur, base, lower):
+        word = "slower"
+    else:
+        word = "noise"
+    return round(mb / mc if lower else mc / mb, 2), word
 
 
 def alternating(indices, rep):
@@ -107,7 +126,88 @@ def alternating(indices, rep):
     return list(indices)[::-1 if rep % 2 else 1]
 
 
-def run_micro_once(binary, out_json, min_time):
+def source_tree(build_dir):
+    """The source tree a CMake build dir was configured from."""
+    cache = Path(build_dir) / "CMakeCache.txt"
+    try:
+        for line in cache.read_text().splitlines():
+            if line.startswith("CMAKE_HOME_DIRECTORY:"):
+                return Path(line.partition("=")[2])
+    except OSError:
+        pass
+    sys.exit(f"perf_report: {cache} names no CMAKE_HOME_DIRECTORY")
+
+
+def run_workload(tree, workload, seed, trace):
+    """One `run.py --workload` run in `tree`: its metrics as
+    {name: value}.  Exits, writing nothing, unless it reads correct."""
+    argv = [sys.executable, str(tree / "benchmark" / "run.py"),
+            "--workload", workload, "--seed", str(seed),
+            "--seconds", str(WORKLOAD_SECONDS), "--trace", str(int(trace))]
+    proc = subprocess.run(argv, stdout=subprocess.PIPE, text=True)
+    lines = proc.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, ValueError):
+        result = None
+    if proc.returncode != 0 or not result or result.get("correct") is not True:
+        sys.exit(f"perf_report: {tree}: {workload} seed {seed} "
+                 f"(trace {int(trace)}) is not correct "
+                 f"(exit {proc.returncode}, result {lines[-1:]}); "
+                 "nothing written")
+    return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def run_workloads(build_dirs, repeats):
+    """Each BENCHMARK.json workload in each build dir's tree, alternating
+    between the dirs run by run: {workload: {"end_to_end": {metric:
+    series}, "per_layer": {metric: summary}}} per build dir."""
+    trees = [source_tree(d) for d in build_dirs]
+    metrics = [{} for _ in build_dirs]
+    for workload in WORKLOADS:
+        runs = [{"end_to_end": {}, "per_layer": {}} for _ in build_dirs]
+        for rep in range(repeats):
+            for i in alternating(range(len(trees)), rep):
+                for half, trace in (("end_to_end", False), ("per_layer", True)):
+                    values = run_workload(trees[i], workload, rep + 1, trace)
+                    for name, v in values.items():
+                        runs[i][half].setdefault(name, []).append(v)
+        for i, run in enumerate(runs):
+            e2e = {name: series(v) for name, v in run["end_to_end"].items()}
+            layers = {name: summary(v) for name, v in run["per_layer"].items()}
+            metrics[i][workload] = {"end_to_end": e2e, "per_layer": layers}
+            print(f"perf_report: {trees[i]}: {workload}: wall_s "
+                  f"{e2e['wall_s']['median']:.4g} s, trace overhead "
+                  f"{layers['trace.overhead_ratio']['median']:.2f}x "
+                  f"(median of {repeats})")
+    return metrics
+
+
+def run_scenarios(build_dirs, repeats):
+    """Times each scenario leg end to end in each build dir, alternating
+    between the dirs run by run: {name: {"wall_s": series}}."""
+    binaries = [os.path.join(d, "bench", "tfmcc_sim") for d in build_dirs]
+    for binary in binaries:
+        if not os.path.exists(binary):
+            sys.exit(f"perf_report: {binary} not built")
+    metrics = [{} for _ in build_dirs]
+    for entry_name, scenario, extra in SCENARIOS:
+        walls = [[] for _ in build_dirs]
+        for rep in range(repeats):
+            for i in alternating(range(len(binaries)), rep):
+                t0 = time.monotonic()
+                subprocess.run([binaries[i], scenario, *extra,
+                                "--output", os.devnull], check=True)
+                walls[i].append(time.monotonic() - t0)
+        for i, runs in enumerate(walls):
+            metrics[i][entry_name] = {"wall_s": series(runs, 3)}
+            print(f"perf_report: {build_dirs[i]}: {entry_name}: "
+                  f"{statistics.median(runs):.2f} s (median of {repeats}, "
+                  f"{min(runs):.2f}-{max(runs):.2f})")
+    return metrics
+
+
+def run_micro_once(binary, out_json):
     """One run of the micro benchmark binary, one repetition per benchmark.
 
     Returns {name: google-benchmark's record of it}, or None if it failed.
@@ -115,8 +215,8 @@ def run_micro_once(binary, out_json, min_time):
     base = [binary, f"--benchmark_filter={MICRO_FILTER}",
             f"--benchmark_out={out_json}", "--benchmark_out_format=json"]
     # Older google-benchmark rejects the unit-suffixed min_time spelling.
-    for min_time_arg in (f"--benchmark_min_time={min_time}s",
-                         f"--benchmark_min_time={min_time}"):
+    for min_time_arg in (f"--benchmark_min_time={MICRO_MIN_TIME_S}s",
+                         f"--benchmark_min_time={MICRO_MIN_TIME_S}"):
         try:
             subprocess.run(base + [min_time_arg], check=True,
                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
@@ -132,14 +232,13 @@ def run_micro_once(binary, out_json, min_time):
             if b.get("run_type") != "aggregate"}
 
 
-def run_micro(build_dirs, min_time, repeats):
+def run_micro(build_dirs, repeats):
     """Runs the google-benchmark suite of each build dir `repeats` times,
     alternating between the dirs run by run.
 
-    Returns one {name: {ns_per_op, ns_min, ns_max, ...}} per build dir: the
-    median of each value over the runs, with the min and max real time.  A
-    dir without the binary (no google-benchmark), or whose binary fails,
-    gets an empty dict.
+    Returns one {name: {"ns_per_op": series, items_per_s, counters...}} per
+    build dir, the counters being medians over the runs.  A dir without the
+    binary (no google-benchmark), or whose binary fails, gets an empty dict.
     """
     binaries = [os.path.join(d, "bench", "micro_benchmarks")
                 for d in build_dirs]
@@ -154,7 +253,7 @@ def run_micro(build_dirs, min_time, repeats):
     for rep in range(repeats):
         for i in alternating(live, rep):
             out_json = os.path.join(build_dirs[i], "perf_report_micro.json")
-            result = run_micro_once(binaries[i], out_json, min_time)
+            result = run_micro_once(binaries[i], out_json)
             if result is None:
                 print(f"perf_report: {binaries[i]} failed; skipping its "
                       "micro benchmarks", file=sys.stderr)
@@ -166,11 +265,7 @@ def run_micro(build_dirs, min_time, repeats):
     metrics = [{} for _ in build_dirs]
     for i in live:
         for name, reps in runs[i].items():
-            ns, ns_lo, ns_hi = summarise([r["real_time"] for r in reps])
-            entry = {"ns_per_op": round(ns, 3),
-                     "ns_min": round(ns_lo, 3),
-                     "ns_max": round(ns_hi, 3),
-                     "repetitions": len(reps)}
+            entry = {"ns_per_op": series([r["real_time"] for r in reps], 3)}
             if "items_per_second" in reps[0]:
                 entry["items_per_s"] = round(statistics.median(
                     r["items_per_second"] for r in reps))
@@ -183,174 +278,122 @@ def run_micro(build_dirs, min_time, repeats):
     return metrics
 
 
-def run_scenarios(build_dirs, repeats):
-    """Times each scenario end to end in each build dir: median, min and
-    max over N runs, alternating between the dirs run by run."""
-    binaries = [os.path.join(d, "bench", "tfmcc_sim") for d in build_dirs]
-    for binary in binaries:
-        if not os.path.exists(binary):
-            sys.exit(f"perf_report: {binary} not built")
-    checkpoints = [os.path.join(d, "perf_report_sweep.ckpt")
-                   for d in build_dirs]
-    metrics = [{} for _ in build_dirs]
-    for entry_name, scenario, extra in SCENARIOS:
-        walls = [[] for _ in build_dirs]
-        for rep in range(repeats):
-            for i in alternating(range(len(binaries)), rep):
-                binary = binaries[i]
-                # Flags follow the extra arguments: `sweep` wants its
-                # scenario name first, and a single run takes its flags in
-                # any order.
-                argv = [binary, scenario,
-                        *[checkpoints[i] if a == CHECKPOINT else a
-                          for a in extra],
-                        "--output", os.devnull]
-                if os.path.exists(checkpoints[i]):
-                    os.remove(checkpoints[i])
-                t0 = time.monotonic()
-                subprocess.run(argv, check=True)
-                walls[i].append(time.monotonic() - t0)
-        for i, runs in enumerate(walls):
-            median, lo, hi = summarise(runs)
-            metrics[i][entry_name] = {"wall_s": round(median, 3),
-                                      "wall_min_s": round(lo, 3),
-                                      "wall_max_s": round(hi, 3),
-                                      "repeats": repeats}
-            print(f"perf_report: {build_dirs[i]}: {entry_name}: "
-                  f"{median:.2f} s (median of {repeats}, {lo:.2f}-{hi:.2f})")
-    for checkpoint in checkpoints:
-        if os.path.exists(checkpoint):
-            os.remove(checkpoint)
-    return metrics
+def walls(measured):
+    """The gated wall-clock medians of one measurement set: every scenario
+    leg and every workload's end-to-end `wall_s`."""
+    out = {name: e["wall_s"]["median"]
+           for name, e in measured.get("scenarios", {}).items()}
+    out.update({name: e["end_to_end"]["wall_s"]["median"]
+                for name, e in measured.get("workloads", {}).items()})
+    return out
 
 
-def load_report(path):
-    if os.path.exists(path):
-        with open(path) as f:
-            return json.load(f)
-    return {"schema": "tfmcc-hotpath-bench/1", "unit_notes": {}}
-
-
-def spread(entry, value_key, min_key, max_key):
-    """(median, min, max) of an entry; an entry without a recorded spread
-    (older reports) is one point."""
-    v = entry[value_key]
-    return v, entry.get(min_key, v), entry.get(max_key, v)
-
-
-def compare(base, cur, value_key, min_key, max_key):
-    """Speedup of `cur` over `base` (lower values are better) and its
-    verdict: "faster" or "slower" when the two min-max ranges are
-    disjoint, "noise" when they overlap."""
-    b, b_lo, b_hi = spread(base, value_key, min_key, max_key)
-    c, c_lo, c_hi = spread(cur, value_key, min_key, max_key)
-    if c <= 0:
-        return None, None
-    if c_hi < b_lo:
-        verdict = "faster"
-    elif c_lo > b_hi:
-        verdict = "slower"
-    else:
-        verdict = "noise"
-    return round(b / c, 2), verdict
-
-
-def check(report, fresh_scenarios, tolerance):
-    """Compares fresh wall-clocks against the committed 'current' set.
+def gate(what, committed, fresh, unit, tolerance):
+    """Fails when a fresh median is more than `tolerance` slower than its
+    committed one after machine-speed normalisation.
 
     The committed numbers come from whatever machine last ran perf_report,
-    so raw cross-machine wall-clocks are not comparable.  The gate therefore
-    normalises by the smallest measured/committed ratio across scenarios —
-    the least-changed scenario acts as the machine-speed proxy (fig07 is
-    analytic and insensitive to the packet hot path, so a genuine hot-path
-    regression shows up as a spread between scenarios, while a uniformly
-    slower runner shifts every ratio together and is factored out).
+    so raw cross-machine times are not comparable.  Every measured/committed
+    ratio is divided by the smallest one: the least-changed entry stands for
+    the machine's speed, so a uniformly slower runner passes while one
+    entry regressing against its peers fails.  Entries missing from the
+    committed set are listed but not gated until a refresh commits them.
     """
-    committed = report.get("current", {}).get("scenarios", {})
-    if not committed:
-        sys.exit("perf_report: --check needs a committed 'current' "
-                 "measurement set in the report")
-    missing = sorted(set(fresh_scenarios) - set(committed))
-    if missing:
-        sys.exit("perf_report: measured scenarios missing from the committed "
-                 f"report (re-run perf_report and commit it): "
-                 f"{', '.join(missing)}")
-    ratios = {}
-    for name, fresh in fresh_scenarios.items():
-        old = committed[name]["wall_s"]
-        ratios[name] = fresh["wall_s"] / old if old > 0 else float("inf")
-    scale = min(ratios.values())
-    failures = []
-    for name, ratio in sorted(ratios.items()):
-        normalised = ratio / scale if scale > 0 else float("inf")
-        status = "OK" if normalised <= 1.0 + tolerance else "REGRESSION"
-        print(f"perf_report: {name}: committed "
-              f"{committed[name]['wall_s']:.2f}s, measured "
-              f"{fresh_scenarios[name]['wall_s']:.2f}s "
-              f"({ratio:.2f}x raw, {normalised:.2f}x machine-normalised) "
-              f"{status}")
-        if normalised > 1.0 + tolerance:
-            failures.append(name)
-    if failures:
-        sys.exit(f"perf_report: wall-clock regression beyond "
-                 f"{tolerance:.0%} tolerance: {', '.join(failures)}")
-    print(f"perf_report: all scenario wall-clocks within {tolerance:.0%} "
-          "of the committed baseline (machine-normalised)")
-
-
-def check_micro(report, fresh_micro, tolerance):
-    """Gates micro-benchmark ns/op against the committed 'current' set.
-
-    Same machine-normalisation idea as the scenario gate: the
-    least-regressed benchmark is taken as the machine-speed proxy, so a
-    uniformly slower runner passes while one benchmark regressing relative
-    to its peers fails.  Micro benchmarks are noisier than wall-clocks
-    (frequency scaling, cache state), so callers pass a looser tolerance.
-    Benchmarks missing from the committed set are reported but don't fail
-    the gate — a freshly added bench only gates once it has been committed
-    via a perf_report refresh.
-    """
-    committed = report.get("current", {}).get("micro", {})
-    if not fresh_micro:
-        print("perf_report: no micro benchmarks measured; skipping micro gate")
-        return
-    if not committed:
-        print("perf_report: committed report has no micro set; "
-              "skipping micro gate")
-        return
-    common = sorted(set(fresh_micro) & set(committed))
-    for name in sorted(set(fresh_micro) - set(committed)):
-        print(f"perf_report: {name}: not in committed report (new bench, "
-              "not gated)")
+    if not fresh:
+        print(f"perf_report: no {what} measured; skipping its gate")
+        return []
+    for name in sorted(set(fresh) - set(committed)):
+        print(f"perf_report: {name}: not in the committed report (not gated)")
+    common = sorted(set(fresh) & set(committed))
     if not common:
-        print("perf_report: no overlapping micro benchmarks; "
-              "skipping micro gate")
-        return
-    ratios = {}
-    for name in common:
-        old = committed[name]["ns_per_op"]
-        ratios[name] = (fresh_micro[name]["ns_per_op"] / old
-                        if old > 0 else float("inf"))
+        sys.exit(f"perf_report: the committed report shares no {what} with "
+                 "this measurement (re-run perf_report and commit it)")
+    ratios = {name: fresh[name] / committed[name] if committed[name] > 0
+              else float("inf") for name in common}
     scale = min(ratios.values())
     failures = []
-    for name, ratio in sorted(ratios.items()):
-        normalised = ratio / scale if scale > 0 else float("inf")
-        status = "OK" if normalised <= 1.0 + tolerance else "REGRESSION"
-        print(f"perf_report: {name}: committed "
-              f"{committed[name]['ns_per_op']:.1f} ns/op, measured "
-              f"{fresh_micro[name]['ns_per_op']:.1f} ns/op "
-              f"({ratio:.2f}x raw, {normalised:.2f}x machine-normalised) "
-              f"{status}")
-        if normalised > 1.0 + tolerance:
+    for name in common:
+        normalised = ratios[name] / scale if scale > 0 else float("inf")
+        ok = normalised <= 1.0 + tolerance
+        print(f"perf_report: {name}: committed {committed[name]:.4g} {unit}, "
+              f"measured {fresh[name]:.4g} {unit} ({ratios[name]:.2f}x raw, "
+              f"{normalised:.2f}x machine-normalised) "
+              f"{'OK' if ok else 'REGRESSION'}")
+        if not ok:
             failures.append(name)
+    if not failures:
+        print(f"perf_report: all {what} within {tolerance:.0%} of the "
+              "committed report (machine-normalised)")
+    return [f"{name} (beyond {tolerance:.0%})" for name in failures]
+
+
+def check(report, fresh):
+    """Gates a fresh measurement set against the report's 'current' set."""
+    committed = report.get("current")
+    if report.get("schema") != SCHEMA or not committed:
+        sys.exit(f"perf_report: --check needs a committed {SCHEMA} "
+                 "'current' measurement set in the report")
+    micro = {name: e["ns_per_op"]["median"]
+             for name, e in fresh["micro"].items()}
+    committed_micro = {name: e["ns_per_op"]["median"]
+                       for name, e in committed.get("micro", {}).items()}
+    failures = gate("wall-clocks", walls(committed), walls(fresh), "s",
+                    WALL_TOLERANCE)
+    failures += gate("micro benchmarks", committed_micro, micro, "ns/op",
+                     MICRO_TOLERANCE)
     if failures:
-        sys.exit(f"perf_report: micro benchmark regression beyond "
-                 f"{tolerance:.0%} tolerance: {', '.join(failures)}")
-    print(f"perf_report: all micro benchmarks within {tolerance:.0%} "
-          "of the committed baseline (machine-normalised)")
+        sys.exit(f"perf_report: regression: {', '.join(failures)}")
 
 
-def main():
+def verdicts(base, cur):
+    """({name: speedup}, {name: verdict}) of every series both sets hold:
+    `workload.metric` for the workloads' end-to-end metrics, the entry name
+    for scenario wall-clocks and micro ns/op."""
+    pairs = []
+    for w, entry in cur.get("workloads", {}).items():
+        old = base.get("workloads", {}).get(w, {}).get("end_to_end", {})
+        for metric, s in entry["end_to_end"].items():
+            if metric in old:
+                pairs.append((f"{w}.{metric}", old[metric], s,
+                              END_TO_END[metric]["better"] == "lower"))
+    for kind, key in (("scenarios", "wall_s"), ("micro", "ns_per_op")):
+        for name, entry in cur.get(kind, {}).items():
+            if name in base.get(kind, {}):
+                pairs.append((name, base[kind][name][key], entry[key], True))
+    speedups, words = {}, {}
+    for name, old, new, lower in pairs:
+        ratio, word = verdict(old["runs"], new["runs"], lower)
+        if ratio is not None:
+            speedups[name], words[name] = ratio, word
+            print(f"perf_report: {name}: {ratio:.2f}x vs baseline ({word})")
+    return speedups, words
+
+
+UNIT_NOTES = {
+    "median, iqr_share, runs": "over the --repeats runs: median, "
+                               "(q3 - q1) / median as run.py computes it, "
+                               "and every run's value in run order",
+    "workloads": f"benchmark/run.py --seconds {WORKLOAD_SECONDS}, repeat k "
+                 "on seed k + 1, units as BENCHMARK.json declares them; "
+                 "per_layer comes from traced episodes, "
+                 "trace.overhead_ratio times slower than untraced ones",
+    "wall_s": "scenario leg wall-clock, seconds",
+    "ns_per_op": "google-benchmark real time per operation",
+    "ns_per_copy": "real time per delivered multicast copy (median)",
+    "ns_per_draw": "real time per Rng::uniform01() draw (median)",
+    "ns_per_delivery": "real time per delivery to a full receiver (median)",
+    "ns_per_stream": "real time per short arena stream: its construction "
+                     "and its draws (median)",
+    "arena_bytes_per_stream": "arena bytes reserved per short stream, "
+                              "chunk slack included (median)",
+    "speedup_vs_baseline": "how many times better the current median is",
+    "speedup_verdict": "faster or slower when every run of one set beats "
+                       "every run of the other and the medians differ by "
+                       "more than the larger iqr_share, else noise",
+}
+
+
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--build-dir", default="build")
     ap.add_argument("--output", default="BENCH_hotpath.json",
@@ -362,86 +405,50 @@ def main():
                          "into 'baseline', alternating its runs with "
                          "--build-dir's")
     ap.add_argument("--repeats", type=int, default=5,
-                    help="runs per scenario and per micro benchmark; the "
-                         "median is recorded (default 5)")
-    ap.add_argument("--min-time", type=float, default=0.5,
-                    help="google-benchmark min time per bench, seconds")
+                    help="runs per workload, scenario and micro benchmark "
+                         "(default 5)")
     ap.add_argument("--check", metavar="REPORT",
                     help="compare a fresh measurement against REPORT's "
                          "'current' set and fail on regression; does not "
                          "write anything")
-    ap.add_argument("--tolerance", type=float, default=0.25,
-                    help="allowed fractional wall-clock slowdown for --check "
-                         "(default 0.25)")
-    ap.add_argument("--micro-tolerance", type=float, default=0.60,
-                    help="allowed fractional ns/op slowdown for --check's "
-                         "micro gate; looser than the scenario gate because "
-                         "ns-scale benches are noisier (default 0.60)")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     if args.check and args.set_baseline:
         sys.exit("perf_report: --check measures one tree; drop --set-baseline")
+    if args.repeats < 1:
+        sys.exit("perf_report: --repeats must be >= 1")
     # Current first, then the baseline when one is measured.
     build_dirs = [args.build_dir] + ([args.set_baseline]
                                      if args.set_baseline else [])
+    workloads = run_workloads(build_dirs, args.repeats)
     scenarios = run_scenarios(build_dirs, args.repeats)
-    micro = run_micro(build_dirs, args.min_time, args.repeats)
+    micro = run_micro(build_dirs, args.repeats)
+    sets = [{"workloads": w, "scenarios": s, "micro": m}
+            for w, s, m in zip(workloads, scenarios, micro)]
 
     if args.check:
-        report = load_report(args.check)
-        check(report, scenarios[0], args.tolerance)
-        check_micro(report, micro[0], args.micro_tolerance)
+        with open(args.check) as f:
+            check(json.load(f), sets[0])
         return
 
-    report = load_report(args.output)
-    report.setdefault("unit_notes", {}).update({
-        "wall_s": "end-to-end scenario wall-clock, median of N runs, seconds",
-        "wall_min_s": "fastest of the N runs, seconds",
-        "wall_max_s": "slowest of the N runs, seconds",
-        "ns_per_op": "google-benchmark real time per operation, median of "
-                     "N runs",
-        "ns_min": "fastest run's real time per operation",
-        "ns_max": "slowest run's real time per operation",
-        "ns_per_copy": "real time per delivered multicast copy (median)",
-        "ns_per_draw": "real time per Rng::uniform01() draw (median)",
-        "ns_per_delivery": "real time per delivery to a full receiver "
-                           "(median)",
-        "ns_per_stream": "real time per short arena stream: its "
-                         "construction and its draws (median)",
-        "arena_bytes_per_stream": "arena bytes reserved per short stream, "
-                                  "chunk slack included (median)",
-        "speedup_vs_baseline": "baseline median / current median",
-        "speedup_verdict": "faster or slower when the baseline and current "
-                           "min-max ranges are disjoint, else noise",
-    })
-    report["current"] = {"label": args.label or "current",
-                         "scenarios": scenarios[0], "micro": micro[0]}
+    report = {}
+    if os.path.exists(args.output):
+        with open(args.output) as f:
+            report = json.load(f)
+    if report.get("schema") != SCHEMA:
+        report = {}  # an older schema's sets cannot be compared
+    report["schema"] = SCHEMA
+    report["unit_notes"] = UNIT_NOTES
+    report["current"] = {"label": args.label or "current", **sets[0]}
     if args.set_baseline:
-        report["baseline"] = {"label": "baseline", "scenarios": scenarios[1],
-                              "micro": micro[1]}
-
-    base = report.get("baseline", {})
-    cur = report.get("current", {})
-    if base.get("scenarios") and cur.get("scenarios"):
-        speedups = {}
-        verdicts = {}
-        for kind, keys in (("scenarios", ("wall_s", "wall_min_s", "wall_max_s")),
-                           ("micro", ("ns_per_op", "ns_min", "ns_max"))):
-            for name, entry in cur.get(kind, {}).items():
-                if name not in base.get(kind, {}):
-                    continue
-                ratio, verdict = compare(base[kind][name], entry, *keys)
-                if ratio is None:
-                    continue
-                speedups[name] = ratio
-                verdicts[name] = verdict
-                print(f"perf_report: {name}: {ratio:.2f}x vs baseline "
-                      f"({verdict})")
-        report["speedup_vs_baseline"] = speedups
-        report["speedup_verdict"] = verdicts
+        report["baseline"] = {"label": "baseline", **sets[1]}
+    if "baseline" in report:
+        (report["speedup_vs_baseline"],
+         report["speedup_verdict"]) = verdicts(report["baseline"],
+                                               report["current"])
 
     with open(args.output, "w") as f:
-        json.dump(report, f, indent=2, sort_keys=False)
+        json.dump(report, f, indent=1)
         f.write("\n")
     print(f"perf_report: wrote {args.output}")
 
