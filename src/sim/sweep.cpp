@@ -37,13 +37,11 @@ std::atomic<bool> g_sweep_interrupt{false};
 /// outputs.
 constexpr std::size_t kMaxGridPoints = 1'000'000;
 
-/// `v` as a --set value: rounded for an integer parameter (the caller has
-/// checked that the rounded value fits its type), "%g" otherwise.
-std::string format_value(double v, const ParamSpec* spec) {
-  if (spec != nullptr && spec->type == ParamType::kInt64) {
-    return std::to_string(std::llround(v));
-  }
-  if (spec != nullptr && spec->type == ParamType::kUint64) {
+/// `v` as a --set value: "%g", or rounded for an integer parameter, signed
+/// or unsigned (the caller has checked that the rounded value fits).
+std::string format_value(double v, bool integral, bool is_signed) {
+  if (integral && is_signed) return std::to_string(std::llround(v));
+  if (integral) {
     return std::to_string(static_cast<std::uint64_t>(std::round(v)));
   }
   char buf[64];
@@ -219,13 +217,12 @@ bool parse_sweep_axis(std::string_view text, const ParamSpec* spec,
     return false;
   }
 
+  const bool is_signed = spec != nullptr && spec->type == ParamType::kInt64;
   const bool integral =
-      spec != nullptr &&
-      (spec->type == ParamType::kInt64 || spec->type == ParamType::kUint64);
+      is_signed || (spec != nullptr && spec->type == ParamType::kUint64);
   if (integral) {
     // Every point lies between the rounded bounds, so they decide whether
     // the type holds the axis (llround of 1e30 would wrap to INT64_MIN).
-    const bool is_signed = spec->type == ParamType::kInt64;
     const double type_lo = is_signed ? -0x1p63 : 0.0;
     const double type_hi = is_signed ? 0x1p63 : 0x1p64;
     for (const double bound : {std::round(lo), std::round(hi)}) {
@@ -250,7 +247,7 @@ bool parse_sweep_axis(std::string_view text, const ParamSpec* spec,
     // Interpolation can round a point past a bound; an integer point
     // must not leave the range checked above.
     if (integral) v = std::clamp(v, std::min(lo, hi), std::max(lo, hi));
-    std::string formatted = format_value(v, spec);
+    std::string formatted = format_value(v, integral, is_signed);
     // Integer rounding can collapse neighbouring points (1:10:log20);
     // keep each resulting value once.
     if (axis.values.empty() || axis.values.back() != formatted) {

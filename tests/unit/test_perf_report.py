@@ -77,32 +77,58 @@ class VerdictIsRunPyComparesRule(unittest.TestCase):
                                      (case, metric))
 
 
-def measurement(factors):
-    """A measurement set whose entries each take their factor times the
-    same 1 s (walls) or 100 ns (micros)."""
+# Each entry's base time per group: scenario legs and workloads in s,
+# micro benchmarks in ns/op.  Three per group, so that a group's median
+# ratio is one an unchanged entry reads.
+LEGS = {"leg": 1.0, "ladder": 2.0, "tail": 0.3}
+WORKLOADS = {"fanout_full": 0.2, "hybrid_1m": 0.15, "churn_sessions": 0.18}
+MICROS = {"BM_A": 100.0, "BM_B": 50.0, "BM_C": 10.0}
+NAMES = (*LEGS, *WORKLOADS, *MICROS)
+TIGHT = (0.98, 1.0, 1.02)  # an IQR share of 0.04
+
+
+def measurement(factors, shapes=None):
+    """A measurement set whose entries each take their factor times their
+    base time, runs shaped by TIGHT or by `shapes[name]`."""
+    shapes = shapes or {}
+
+    def runs(name, base):
+        return {"runs": [base * factors[name] * k
+                         for k in shapes.get(name, TIGHT)]}
+
     return {
-        "scenarios": {"leg": {"wall_s": {"median": 1.0 * factors["leg"]}},
-                      "ladder": {"wall_s": {"median": 2.0 * factors["ladder"]}}},
-        "workloads": {"fanout_full": {"end_to_end": {
-            "wall_s": {"median": 0.2 * factors["fanout_full"]}}}},
-        "micro": {"BM_A": {"ns_per_op": {"median": 100.0 * factors["BM_A"]}},
-                  "BM_B": {"ns_per_op": {"median": 50.0 * factors["BM_B"]}}},
+        "scenarios": {n: {"wall_s": runs(n, b)} for n, b in LEGS.items()},
+        "workloads": {n: {"end_to_end": {"wall_s": runs(n, b)}}
+                      for n, b in WORKLOADS.items()},
+        "micro": {n: {"ns_per_op": runs(n, b)} for n, b in MICROS.items()},
     }
 
 
-NAMES = ("leg", "ladder", "fanout_full", "BM_A", "BM_B")
+def unchanged(**factors):
+    return {**dict.fromkeys(NAMES, 1.0), **factors}
 
 
 class CheckNormalisesMachineSpeed(unittest.TestCase):
-    report = {"schema": perf_report.SCHEMA,
-              "current": measurement(dict.fromkeys(NAMES, 1.0))}
+    report = {"schema": perf_report.SCHEMA, "current": measurement(unchanged())}
 
-    def check(self, factors):
-        with contextlib.redirect_stdout(io.StringIO()):
-            perf_report.check(self.report, measurement(factors))
+    def check(self, factors, shapes=None, report=None):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            perf_report.check(report or self.report,
+                              measurement(factors, shapes))
+        return out.getvalue()
 
     def test_a_uniformly_slower_machine_passes(self):
         self.check(dict.fromkeys(NAMES, 2.0))
+
+    def test_each_group_is_normalised_on_its_own(self):
+        # run.py corrects the workloads' wall_s for host speed, the legs'
+        # raw wall-clocks are not: a 2x slower runner moves only the legs.
+        self.check(unchanged(**dict.fromkeys(LEGS, 2.0),
+                             **dict.fromkeys(MICROS, 2.0)))
+
+    def test_one_entry_reading_fast_does_not_flag_the_others(self):
+        self.check(unchanged(tail=0.6, fanout_full=0.6, BM_C=0.3))
 
     def test_one_wall_clock_1_4x_slower_fails(self):
         for slow in ("leg", "fanout_full"):
@@ -118,6 +144,34 @@ class CheckNormalisesMachineSpeed(unittest.TestCase):
         factors["BM_A"] = 3.4
         with self.assertRaises(SystemExit):
             self.check(factors)
+
+    def test_a_wide_spread_entry_is_unresolved_unless_every_run_is_worse(self):
+        wide = (0.6, 1.0, 1.4)  # an IQR share of 0.8
+        report = {"schema": perf_report.SCHEMA,
+                  "current": measurement(unchanged(), {"leg": wide})}
+        out = self.check(unchanged(leg=1.4), {"leg": wide}, report)
+        self.assertIn("leg: committed", out)
+        self.assertIn("unresolved", out)
+        with self.assertRaises(SystemExit):
+            self.check(unchanged(leg=1.5), {"leg": (1.0, 1.01, 1.02)}, report)
+
+    def test_a_wall_clock_missing_from_the_report_stops_the_gate(self):
+        for group, name in (("scenarios", "leg"),
+                            ("workloads", "fanout_full")):
+            report = {"schema": perf_report.SCHEMA,
+                      "current": measurement(unchanged())}
+            del report["current"][group][name]
+            with self.assertRaises(SystemExit, msg=name) as stop:
+                self.check(unchanged(), report=report)
+            self.assertIn("re-run perf_report and commit it",
+                          str(stop.exception.code))
+
+    def test_a_micro_missing_from_the_report_is_listed_not_gated(self):
+        report = {"schema": perf_report.SCHEMA,
+                  "current": measurement(unchanged())}
+        del report["current"]["micro"]["BM_C"]
+        out = self.check(unchanged(BM_C=5.0), report=report)
+        self.assertIn("BM_C: not in the committed report", out)
 
 
 class IncorrectResultAbortsTheReport(unittest.TestCase):

@@ -18,7 +18,8 @@ build of the pre-change tree, alternating the two trees run by run, and
 every ``speedup_verdict`` comes from ``run.py compare``'s "improved" rule.
 ``--check`` re-measures the tree and fails on a machine-normalised
 regression beyond BENCHMARK.json's ``wall_s`` bound (wall-clocks) or 60%
-(micro ns/op) against the committed ``current`` set.
+(micro ns/op) against the committed ``current`` set, each group normalised
+on its own and an entry too noisy to judge reported as unresolved.
 
 Usage:
   tools/perf_report.py --build-dir build [--label NAME]  # update "current"
@@ -278,53 +279,80 @@ def run_micro(build_dirs, repeats):
     return metrics
 
 
-def walls(measured):
-    """The gated wall-clock medians of one measurement set: every scenario
-    leg and every workload's end-to-end `wall_s`."""
-    out = {name: e["wall_s"]["median"]
-           for name, e in measured.get("scenarios", {}).items()}
-    out.update({name: e["end_to_end"]["wall_s"]["median"]
-                for name, e in measured.get("workloads", {}).items()})
-    return out
+# (group, unit, the gate's bound, whether a fresh entry that the committed
+# report lacks stops the gate rather than going ungated).  Each group is its
+# own kind of time: the legs' raw wall-clocks, the workloads' wall_s that
+# run.py has already corrected for host speed, and micro ns/op.
+GROUPS = (("scenario legs", "s", WALL_TOLERANCE, True),
+          ("workloads", "s", WALL_TOLERANCE, True),
+          ("micro benchmarks", "ns/op", MICRO_TOLERANCE, False))
 
 
-def gate(what, committed, fresh, unit, tolerance):
-    """Fails when a fresh median is more than `tolerance` slower than its
-    committed one after machine-speed normalisation.
+def gated(measured):
+    """The gated run lists of one measurement set, group by group, in the
+    order of GROUPS."""
+    return [
+        {name: e["wall_s"]["runs"]
+         for name, e in measured.get("scenarios", {}).items()},
+        {name: e["end_to_end"]["wall_s"]["runs"]
+         for name, e in measured.get("workloads", {}).items()},
+        {name: e["ns_per_op"]["runs"]
+         for name, e in measured.get("micro", {}).items()},
+    ]
 
-    The committed numbers come from whatever machine last ran perf_report,
-    so raw cross-machine times are not comparable.  Every measured/committed
-    ratio is divided by the smallest one: the least-changed entry stands for
-    the machine's speed, so a uniformly slower runner passes while one
-    entry regressing against its peers fails.  Entries missing from the
-    committed set are listed but not gated until a refresh commits them.
+
+def gate(what, committed, fresh, unit, tolerance, must_be_committed):
+    """Judges one group's fresh runs against its committed runs and returns
+    the names of the entries that regressed.
+
+    The committed runs come from whatever machine last ran perf_report, so
+    each fresh run is divided by the group's median ratio of fresh to
+    committed medians: a uniformly slower runner passes, one entry slowing
+    against its peers does not, and one noisy entry reading fast cannot
+    flag the rest.  An entry whose normalised median is more than
+    `tolerance` worse regresses; as in run.py compare, it is unresolved
+    instead when the larger iqr_share exceeds `tolerance` and not every
+    fresh run reads worse than every committed one.
     """
     if not fresh:
         print(f"perf_report: no {what} measured; skipping its gate")
         return []
-    for name in sorted(set(fresh) - set(committed)):
+    new = sorted(set(fresh) - set(committed))
+    if new and must_be_committed:
+        sys.exit(f"perf_report: {what} missing from the committed report "
+                 f"(re-run perf_report and commit it): {', '.join(new)}")
+    for name in new:
         print(f"perf_report: {name}: not in the committed report (not gated)")
     common = sorted(set(fresh) & set(committed))
     if not common:
-        sys.exit(f"perf_report: the committed report shares no {what} with "
-                 "this measurement (re-run perf_report and commit it)")
-    ratios = {name: fresh[name] / committed[name] if committed[name] > 0
-              else float("inf") for name in common}
-    scale = min(ratios.values())
-    failures = []
+        print(f"perf_report: the committed report shares no {what} with "
+              "this measurement; skipping its gate")
+        return []
+    ratios = {name: statistics.median(fresh[name])
+              / statistics.median(committed[name]) for name in common}
+    scale = statistics.median(ratios.values())
+    failures, unresolved = [], []
     for name in common:
-        normalised = ratios[name] / scale if scale > 0 else float("inf")
-        ok = normalised <= 1.0 + tolerance
-        print(f"perf_report: {name}: committed {committed[name]:.4g} {unit}, "
-              f"measured {fresh[name]:.4g} {unit} ({ratios[name]:.2f}x raw, "
-              f"{normalised:.2f}x machine-normalised) "
-              f"{'OK' if ok else 'REGRESSION'}")
-        if not ok:
+        old, runs = committed[name], [v / scale for v in fresh[name]]
+        worse = statistics.median(runs) / statistics.median(old) - 1
+        spread = max(iqr_share(old), iqr_share(runs))
+        if spread > tolerance and not min(runs) > max(old):
+            word = "unresolved"
+            unresolved.append(name)
+        elif worse > tolerance:
+            word = "REGRESSION"
             failures.append(name)
+        else:
+            word = "OK"
+        print(f"perf_report: {name}: committed {statistics.median(old):.4g} "
+              f"{unit}, measured {statistics.median(fresh[name]):.4g} {unit} "
+              f"({ratios[name]:.2f}x raw, {1 + worse:.2f}x normalised, "
+              f"spread {spread:.0%}) {word}")
     if not failures:
-        print(f"perf_report: all {what} within {tolerance:.0%} of the "
-              "committed report (machine-normalised)")
-    return [f"{name} (beyond {tolerance:.0%})" for name in failures]
+        print(f"perf_report: {what}: {len(common) - len(unresolved)} within "
+              f"{tolerance:.0%} of the committed report (normalised), "
+              f"{len(unresolved)} unresolved (spread beyond {tolerance:.0%})")
+    return failures
 
 
 def check(report, fresh):
@@ -333,14 +361,11 @@ def check(report, fresh):
     if report.get("schema") != SCHEMA or not committed:
         sys.exit(f"perf_report: --check needs a committed {SCHEMA} "
                  "'current' measurement set in the report")
-    micro = {name: e["ns_per_op"]["median"]
-             for name, e in fresh["micro"].items()}
-    committed_micro = {name: e["ns_per_op"]["median"]
-                       for name, e in committed.get("micro", {}).items()}
-    failures = gate("wall-clocks", walls(committed), walls(fresh), "s",
-                    WALL_TOLERANCE)
-    failures += gate("micro benchmarks", committed_micro, micro, "ns/op",
-                     MICRO_TOLERANCE)
+    failures = []
+    for (what, unit, tolerance, must_be_committed), old, new in zip(
+            GROUPS, gated(committed), gated(fresh)):
+        failures += [f"{name} (beyond {tolerance:.0%})" for name in
+                     gate(what, old, new, unit, tolerance, must_be_committed)]
     if failures:
         sys.exit(f"perf_report: regression: {', '.join(failures)}")
 
@@ -375,9 +400,11 @@ UNIT_NOTES = {
                                "and every run's value in run order",
     "workloads": f"benchmark/run.py --seconds {WORKLOAD_SECONDS}, repeat k "
                  "on seed k + 1, units as BENCHMARK.json declares them; "
+                 "times corrected for host speed as run.py does; "
                  "per_layer comes from traced episodes, "
                  "trace.overhead_ratio times slower than untraced ones",
-    "wall_s": "scenario leg wall-clock, seconds",
+    "wall_s": "scenario leg wall-clock, seconds, uncorrected for host "
+              "speed",
     "ns_per_op": "google-benchmark real time per operation",
     "ns_per_copy": "real time per delivered multicast copy (median)",
     "ns_per_draw": "real time per Rng::uniform01() draw (median)",
