@@ -329,12 +329,17 @@ void BM_FeedbackRound(benchmark::State& state) {
 }
 BENCHMARK(BM_FeedbackRound)->Arg(100)->Arg(10000);
 
-void BM_ModeledBlockRound(benchmark::State& state, bool slowstart) {
+enum class RoundShape { kSlowstart, kSteady, kSteadyMixed };
+
+void BM_ModeledBlockRound(benchmark::State& state, RoundShape shape) {
   // One ModeledReceiverBlock feedback round per iteration: a data packet
   // opening a new round makes the block draw every eligible receiver's
-  // timer (after the equation batch, in steady state) and arm the
-  // short-list.  Items are receiver-rounds.
+  // timer (after the least-eligible-RTT search, in steady state) and arm
+  // the short-list.  `steady` sends above every calculated rate, so every
+  // receiver is eligible; `steady_mixed` sends at the rate of the median
+  // receiver's RTT, so about half are.  Items are receiver-rounds.
   const int n = static_cast<int>(state.range(0));
+  const bool slowstart = shape == RoundShape::kSlowstart;
   Simulator sim{5};
   Topology topo{sim};
   LinkConfig link;
@@ -345,11 +350,16 @@ void BM_ModeledBlockRound(benchmark::State& state, bool slowstart) {
   ModeledReceiverBlock::BlockConfig bc;
   bc.count = n;
   bc.extra_owd_max = SimTime::millis(40);
-  ModeledReceiverBlock block{sim, session, star.leaves[0], bc, TfmccConfig{},
+  TfmccConfig cfg;
+  // Clock sync seeds each receiver's RTT with its own access detour, so
+  // the RTTs (and the rates) spread over the block.
+  cfg.use_clock_sync = shape == RoundShape::kSteadyMixed;
+  ModeledReceiverBlock block{sim, session, star.leaves[0], bc, cfg,
                              sim.make_rng(9)};
   block.join();
   std::int64_t seqno = 0;
   std::int32_t round = 0;
+  double send_rate_Bps = 1e9;  // above every calculated rate: all eligible
   auto deliver = [&] {
     Packet p;
     p.src = star.sender;
@@ -360,7 +370,7 @@ void BM_ModeledBlockRound(benchmark::State& state, bool slowstart) {
     h.seqno = seqno++;
     h.round = round;
     h.slowstart = slowstart;
-    h.send_rate_Bps = 1e9;  // above every calculated rate: all eligible
+    h.send_rate_Bps = send_rate_Bps;
     h.send_ts = sim.now() - SimTime::millis(20);
     h.fb_deadline = SimTime::seconds(2.0);
     p.header = h;
@@ -373,14 +383,26 @@ void BM_ModeledBlockRound(benchmark::State& state, bool slowstart) {
   }
   ++seqno;
   deliver();
+  if (shape == RoundShape::kSteadyMixed) {
+    // Receivers past the middle one have a longer RTT and a lower rate.
+    send_rate_Bps = cfg.equation->throughput_Bps(
+        kDataPacketBytes, SimTime::micros(block.rx_info(n / 2).rtt_us),
+        block.loss_event_rate());
+  }
   for (auto _ : state) {
     ++round;
     deliver();
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK_CAPTURE(BM_ModeledBlockRound, slowstart, true)->Arg(1000)->Arg(100000);
-BENCHMARK_CAPTURE(BM_ModeledBlockRound, steady, false)->Arg(1000)->Arg(100000);
+BENCHMARK_CAPTURE(BM_ModeledBlockRound, slowstart, RoundShape::kSlowstart)
+    ->Arg(1000)
+    ->Arg(100000);
+BENCHMARK_CAPTURE(BM_ModeledBlockRound, steady, RoundShape::kSteady)
+    ->Arg(1000)
+    ->Arg(100000);
+BENCHMARK_CAPTURE(BM_ModeledBlockRound, steady_mixed, RoundShape::kSteadyMixed)
+    ->Arg(100000);
 
 void BM_ReceiverOnData(benchmark::State& state) {
   // TfmccReceiver::handle_packet on an in-order stream, one packet per

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -195,10 +196,11 @@ bool parse_sweep_axis(std::string_view text, const ParamSpec* spec,
     kind = step.substr(0, 3);
     ok = (kind == "lin" || kind == "log") && step.size() > 3;
     if (ok) {
-      const std::string count{step.substr(3)};
-      char* end = nullptr;
-      n_points = std::strtoull(count.c_str(), &end, 10);
-      ok = end == count.c_str() + count.size();
+      // Digits only: no sign, no space, no wrap-around past 2^64.
+      const std::string_view count = step.substr(3);
+      const auto [end, ec] = std::from_chars(
+          count.data(), count.data() + count.size(), n_points);
+      ok = ec == std::errc{} && end == count.data() + count.size();
     }
   }
   if (!ok) {

@@ -1,6 +1,7 @@
 #include "sim/sweep_state.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <istream>
@@ -32,6 +33,15 @@ std::string stats_spelling(const std::vector<summary::Stat>& stats) {
     s += summary::stat_name(st);
   }
   return s;
+}
+
+/// `tok` as a whole base-10 integer of T: digits with a minus sign only
+/// for a signed T, nothing after them, and no overflow.
+template <class T>
+bool parse_whole(std::string_view tok, T& out) {
+  const auto [end, ec] =
+      std::from_chars(tok.data(), tok.data() + tok.size(), out);
+  return ec == std::errc{} && end == tok.data() + tok.size();
 }
 
 bool expect_token(std::istream& is, std::string_view want) {
@@ -215,21 +225,11 @@ bool SweepManifest::load(std::istream& is, SweepManifest& out,
   }
   std::string tok;
   if (!expect_token(is, "duration") || !(is >> tok)) return false;
-  if (tok != "u") {
-    try {
-      out.duration_ns = std::stoll(tok);
-    } catch (...) {
-      return false;
-    }
+  if (tok != "u" && !parse_whole(tok, out.duration_ns.emplace())) {
+    return false;
   }
   if (!expect_token(is, "seed") || !(is >> tok)) return false;
-  if (tok != "u") {
-    try {
-      out.seed = std::stoull(tok);
-    } catch (...) {
-      return false;
-    }
-  }
+  if (tok != "u" && !parse_whole(tok, out.seed.emplace())) return false;
   if (!expect_token(is, "replicate") || !(is >> out.replicate) ||
       out.replicate < 1) {
     return false;

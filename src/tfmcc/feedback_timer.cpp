@@ -33,16 +33,24 @@ double draw(double x, const FeedbackTimerConfig& cfg, Rng& rng) {
   return from_uniform(rng.uniform01(), x, cfg);
 }
 
+double bias(double x, const FeedbackTimerConfig& cfg) {
+  switch (cfg.method) {
+    case BiasMethod::kOffset:
+      return cfg.zeta * std::clamp(x, 0.0, 1.0);
+    case BiasMethod::kModifiedOffset:
+      return cfg.zeta * truncate_ratio(x);
+    default:
+      return 0.0;
+  }
+}
+
 double from_uniform(double u, double x, const FeedbackTimerConfig& cfg) {
   switch (cfg.method) {
     case BiasMethod::kUnbiased:
       return base_timer(u, cfg.n_estimate);
     case BiasMethod::kOffset:
-      return cfg.zeta * std::clamp(x, 0.0, 1.0) +
-             (1.0 - cfg.zeta) * base_timer(u, cfg.n_estimate);
     case BiasMethod::kModifiedOffset:
-      return cfg.zeta * truncate_ratio(x) +
-             (1.0 - cfg.zeta) * base_timer(u, cfg.n_estimate);
+      return bias(x, cfg) + (1.0 - cfg.zeta) * base_timer(u, cfg.n_estimate);
     case BiasMethod::kModifiedN:
       return base_timer(u, effective_n(x, cfg));
   }
@@ -67,7 +75,8 @@ double cdf(double t, double x, const FeedbackTimerConfig& cfg) {
   return base_cdf(t, cfg.n_estimate);
 }
 
-double uniform_ceiling(double t, const FeedbackTimerConfig& cfg) {
+double uniform_ceiling(double t, const FeedbackTimerConfig& cfg,
+                       double min_bias) {
   constexpr double kNoCeiling = 2.0;  // u is at most 1: nothing ruled out
   double c = 1.0;
   switch (cfg.method) {
@@ -77,6 +86,9 @@ double uniform_ceiling(double t, const FeedbackTimerConfig& cfg) {
     case BiasMethod::kModifiedOffset:
       if (!(cfg.zeta >= 0.0)) return kNoCeiling;
       c = 1.0 - cfg.zeta;
+      // The margin below also absorbs the rounding of this difference and
+      // of from_uniform's sum.
+      t -= std::max(0.0, min_bias);
       break;
     case BiasMethod::kModifiedN:
       return kNoCeiling;

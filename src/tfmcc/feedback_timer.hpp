@@ -24,6 +24,11 @@ double truncate_ratio(double x);
 /// for the biased methods.  The result is in [0, 1] (multiply by T).
 double draw(double x, const FeedbackTimerConfig& cfg, Rng& rng);
 
+/// The offset the offset methods add to (1 - zeta) * base timer: zeta * x
+/// (kOffset) or zeta * truncate_ratio(x) (kModifiedOffset), x clamped to
+/// [0, 1]; 0 for the other methods.  Non-decreasing in x.
+double bias(double x, const FeedbackTimerConfig& cfg);
+
 /// Deterministic timer transform: the delay produced for uniform variate
 /// u in (0, 1].  `draw` is `from_uniform(rng.uniform01(), ...)`; the
 /// analytic models integrate over u directly.
@@ -35,13 +40,15 @@ double from_uniform(double u, double x, const FeedbackTimerConfig& cfg);
 double cdf(double t, double x, const FeedbackTimerConfig& cfg);
 
 /// Conservative uniform ceiling for timer value `t` (units of T): every
-/// u > uniform_ceiling(t, cfg) gives from_uniform(u, x, cfg) >= t, whatever
-/// x is.  The offset methods add a non-negative bias to c * base_timer(u)
-/// (c = 1 - zeta; 1 when unbiased), so the bound is N^(t/c - 1) plus a
-/// relative margin that absorbs log/pow rounding.  Returns a value above 1
-/// (rules nothing out) for kModifiedN, whose N depends on x, and whenever
-/// zeta < 0, c <= 0 or N <= 1 break the argument.
-double uniform_ceiling(double t, const FeedbackTimerConfig& cfg);
+/// u > uniform_ceiling(t, cfg, min_bias) gives from_uniform(u, x, cfg) >= t
+/// for every x with bias(x, cfg) >= min_bias (min_bias 0: whatever x is).
+/// The offset methods add that bias to c * base_timer(u) (c = 1 - zeta; 1
+/// when unbiased), so the bound is N^((t - min_bias)/c - 1) plus a relative
+/// margin that absorbs log/pow rounding.  Returns a value above 1 (rules
+/// nothing out) for kModifiedN, whose N depends on x, and whenever zeta < 0,
+/// c <= 0 or N <= 1 break the argument.
+double uniform_ceiling(double t, const FeedbackTimerConfig& cfg,
+                       double min_bias = 0.0);
 
 }  // namespace feedback_timer
 

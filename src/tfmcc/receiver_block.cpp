@@ -4,20 +4,12 @@
 #include <array>
 #include <cassert>
 #include <cmath>
+#include <limits>
 
 #include "analysis/feedback_model.hpp"
 #include "tfmcc/feedback_timer.hpp"
 
 namespace tfmcc {
-
-namespace {
-
-// Receivers per steady-state round chunk: a chunk's RTTs, p values and
-// calculated rates (24 KB) stay in L1 between the equation batch and the
-// timer draws.
-constexpr int kRoundChunk = 1024;
-
-}  // namespace
 
 ModeledReceiverBlock::ModeledReceiverBlock(Simulator& sim,
                                            MulticastSession& session,
@@ -225,7 +217,6 @@ void ModeledReceiverBlock::on_new_round(const TfmccDataHeader& h,
   in.cap = candidate_cap();
   in.now = now;
   in.fb_deadline = h.fb_deadline;
-  double p = 0.0;
   if (h.slowstart) {
     // §2.6: every receiver's receive rate matters; the rate (and therefore
     // the bias ratio) is shared across the block.
@@ -233,28 +224,16 @@ void ModeledReceiverBlock::on_new_round(const TfmccDataHeader& h,
     if (!core_.eligible(true, in.rate_Bps, in.send_rate_Bps)) return;
     in.x = bias_ratio(in.rate_Bps, in.send_rate_Bps);
   } else {
-    p = core_.loss.loss_event_rate();
-    if (p <= 0.0) return;  // calc rate infinite: nothing useful to report
+    // Each receiver's own rate decides its eligibility and ratio.  The
+    // float equation is non-increasing in the RTT, so the drawer finds the
+    // least eligible RTT once and evaluates a rate only for a draw that can
+    // enter the short-list (see least_eligible_rtt).
+    in.p = core_.loss.loss_event_rate();
+    if (in.p <= 0.0) return;  // calc rate infinite: nothing useful to report
+    in.equation = cfg_.equation;
   }
   CandidateDrawer drawer{in, cfg_.timer, candidates_};
-  if (h.slowstart) {
-    drawer.draw(bcfg_.count, nullptr, gen_);  // no rates: one chunk
-  } else {
-    // Steady state streams the block through L1-sized chunks: one batched
-    // equation evaluation over the chunk's contiguous RTTs (shared p)
-    // decides each receiver's eligibility, and the chunk's timers are drawn
-    // while its rates are still in cache.
-    std::array<double, kRoundChunk> ps;
-    ps.fill(p);
-    std::array<double, kRoundChunk> calc{};
-    for (int first = 0; first < bcfg_.count; first += kRoundChunk) {
-      const int count = std::min(kRoundChunk, bcfg_.count - first);
-      cfg_.equation->throughput_batch(kDataPacketBytes, rtt_.data() + first,
-                                      ps.data(), calc.data(),
-                                      static_cast<std::size_t>(count));
-      drawer.draw(count, calc.data(), gen_);
-    }
-  }
+  drawer.draw(bcfg_.count, h.slowstart ? nullptr : rtt_.data(), gen_);
   drawer.finish();
   schedule_next_candidate();
 }
@@ -273,6 +252,25 @@ constexpr auto heap_before = [](const FeedbackCandidate& a,
 
 }  // namespace
 
+std::optional<SimTime> least_eligible_rtt(const EquationBackend& equation,
+                                          double p, double send_rate_Bps) {
+  const auto eligible = [&](std::int64_t rtt_ns) {
+    return equation.throughput_Bps(kDataPacketBytes, SimTime::nanos(rtt_ns),
+                                   p) < send_rate_Bps;
+  };
+  // Eligibility only grows with the RTT: bisect between an ineligible `lo`
+  // and an eligible `hi`.
+  std::int64_t lo = 0;
+  std::int64_t hi = std::numeric_limits<std::int64_t>::max();
+  if (!eligible(hi)) return std::nullopt;
+  if (eligible(lo)) return SimTime::zero();
+  while (hi - lo > 1) {
+    const std::int64_t mid = lo + (hi - lo) / 2;
+    (eligible(mid) ? hi : lo) = mid;
+  }
+  return SimTime::nanos(hi);
+}
+
 CandidateDrawer::CandidateDrawer(const RoundDrawInput& in,
                                  const FeedbackTimerConfig& timer,
                                  std::vector<FeedbackCandidate>& out)
@@ -280,70 +278,111 @@ CandidateDrawer::CandidateDrawer(const RoundDrawInput& in,
       timer_{timer},
       out_{out},
       cap_{static_cast<std::size_t>(std::max(0, in.cap))},
-      fb_ns_{static_cast<double>(in.fb_deadline.count_nanos())},
-      // 2 (above any uniform01) skips nothing; a zero cap admits nothing.
-      u_skip_{cap_ == 0 ? 0.0 : 2.0},
-      w_floor_{Rng::uniform01_floor(u_skip_)} {
+      fb_ns_{static_cast<double>(in.fb_deadline.count_nanos())} {
   out_.clear();
+  if (in_.equation == nullptr) {
+    min_bias_ = feedback_timer::bias(in_.x, timer_);
+  } else {
+    rtt_floor_ = least_eligible_rtt(*in_.equation, in_.p, in_.send_rate_Bps);
+  }
 }
 
-void CandidateDrawer::draw(int count, const double* calc_Bps,
-                           Mt19937_64& gen) {
-  // The chunk's loop reads its inputs and the skip ceiling from locals;
-  // only an admitted draw touches the heap.
-  const int first = next_;
+void CandidateDrawer::draw(int count, const SimTime* rtt, Mt19937_64& gen) {
+  if (rtt != nullptr && !rtt_floor_) {  // no receiver is eligible
+    next_ += count;
+    return;
+  }
+  for (int done = 0; done < count; done += kChunk) {
+    draw_chunk(next_, std::min(kChunk, count - done),
+               rtt != nullptr ? rtt + done : nullptr, gen);
+  }
+}
+
+void CandidateDrawer::draw_chunk(int first, int count, const SimTime* rtt,
+                                 Mt19937_64& gen) {
+  next_ = first + count;
+  // The chunk's eligible receivers, as offsets from `first`: all but the
+  // CLR in slowstart, and those at or above the least eligible RTT in
+  // steady state.
+  std::array<std::int32_t, kChunk> eligible;
   const int skip = in_.skip - first;
-  const double send_rate = in_.send_rate_Bps;
-  const double shared_rate = in_.rate_Bps;
-  const double shared_x = in_.x;
-  double u_skip = u_skip_;
-  std::uint64_t w_floor = w_floor_;
-  for (int k = 0; k < count; ++k) {
-    if (k == skip) continue;
-    double rate = shared_rate;
-    if (calc_Bps != nullptr) {
-      rate = calc_Bps[k];
-      // ReceiverCore::eligible's steady-state arm (also filters +inf).
-      if (!(rate < send_rate)) continue;
+  int n = 0;
+  if (rtt == nullptr) {
+    const bool skips = skip >= 0 && skip < count;
+    n = count - skips;
+    for (int j = 0; j < n; ++j) {
+      eligible[static_cast<std::size_t>(j)] = j + (skips && j >= skip);
     }
-    // Draws come in index order, so a full heap admits only timers due
-    // strictly before its top.  Every u = 1 - canonical(w) above `u_skip` is
-    // due no earlier, so it is skipped before the timer transform; words
-    // below the floor are such draws, decided without their conversion.
-    const std::uint64_t w = gen();
-    if (w < w_floor) continue;
+  } else {
+    const std::int64_t floor = rtt_floor_->count_nanos();
+    std::int64_t longest = 0;
+    for (int k = 0; k < count; ++k) {
+      const std::int64_t r = rtt[k].count_nanos();
+      eligible[static_cast<std::size_t>(n)] = k;
+      n += (k != skip) & (r >= floor);
+      longest = std::max(longest, r);
+    }
+    if (n == 0) return;
+    // A rate, and with it the ratio and the bias, only falls as the RTT
+    // grows: at the chunk's longest RTT it bounds every eligible draw's bias
+    // from below.
+    min_bias_ = feedback_timer::bias(
+        bias_ratio(in_.equation->throughput_Bps(
+                       kDataPacketBytes, SimTime::nanos(longest), in_.p),
+                   in_.send_rate_Bps),
+        timer_);
+  }
+  // One engine scan per run of skipped draws: the scan stops only at a word
+  // at or above the floor, and only an admitted draw touches the heap.
+  // Draws come in index order, so a full heap admits only timers due
+  // strictly before its top.  Every u = 1 - canonical(w) above `u_skip` is
+  // due no earlier, so it is skipped before the timer transform; words
+  // below the floor are such draws, decided without their conversion.
+  double u_skip = skip_ceiling();
+  std::uint64_t w_floor = Rng::uniform01_floor(u_skip);
+  const double send_rate = in_.send_rate_Bps;
+  const auto total = static_cast<std::size_t>(n);
+  std::size_t pos = 0;
+  std::uint64_t w = 0;
+  while ((pos += gen.scan(total - pos, w_floor, w)) < total) {
+    const int k = eligible[pos++];
     const double u = 1.0 - Rng::canonical(w);
     if (u > u_skip) continue;
-    const double x =
-        calc_Bps != nullptr ? bias_ratio(rate, send_rate) : shared_x;
-    u_skip = admit({in_.now + in_.fb_deadline *
-                                  feedback_timer::from_uniform(u, x, timer_),
-                    first + k, rate},
-                   u_skip);
-    w_floor = Rng::uniform01_floor(u_skip);
+    double rate = in_.rate_Bps;
+    double x = in_.x;
+    if (rtt != nullptr) {
+      rate = in_.equation->throughput_Bps(kDataPacketBytes, rtt[k], in_.p);
+      x = bias_ratio(rate, send_rate);
+    }
+    if (admit({in_.now + in_.fb_deadline *
+                             feedback_timer::from_uniform(u, x, timer_),
+               first + k, rate})) {
+      u_skip = skip_ceiling();
+      w_floor = Rng::uniform01_floor(u_skip);
+    }
   }
-  u_skip_ = u_skip;
-  w_floor_ = w_floor;
-  next_ = first + count;
 }
 
-double CandidateDrawer::admit(const FeedbackCandidate& c, double u_skip) {
+double CandidateDrawer::skip_ceiling() const {
+  // 2 (above any uniform01) skips nothing; a zero cap admits nothing.
+  if (cap_ == 0) return 0.0;
+  if (out_.size() < cap_ || !(fb_ns_ > 0.0)) return 2.0;
+  const SimTime top = out_.front().due - in_.now;
+  return feedback_timer::uniform_ceiling(
+      static_cast<double>(top.count_nanos()) / fb_ns_, timer_, min_bias_);
+}
+
+bool CandidateDrawer::admit(const FeedbackCandidate& c) {
   if (out_.size() < cap_) {
     out_.push_back(c);
     std::push_heap(out_.begin(), out_.end(), heap_before);
-    if (out_.size() < cap_) return u_skip;
-  } else if (heap_before(c, out_.front())) {
-    std::pop_heap(out_.begin(), out_.end(), heap_before);
-    out_.back() = c;
-    std::push_heap(out_.begin(), out_.end(), heap_before);
-  } else {
-    return u_skip;
+    return out_.size() == cap_;
   }
-  // The heap is full and its top is new: tighten the ceiling to it.
-  if (!(fb_ns_ > 0.0)) return u_skip;
-  const SimTime top = out_.front().due - in_.now;
-  return feedback_timer::uniform_ceiling(
-      static_cast<double>(top.count_nanos()) / fb_ns_, timer_);
+  if (!heap_before(c, out_.front())) return false;
+  std::pop_heap(out_.begin(), out_.end(), heap_before);
+  out_.back() = c;
+  std::push_heap(out_.begin(), out_.end(), heap_before);
+  return true;
 }
 
 void CandidateDrawer::finish() {

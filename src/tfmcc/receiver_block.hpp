@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "mcast/session.hpp"
@@ -8,6 +9,7 @@
 #include "sim/simulator.hpp"
 #include "tfmcc/config.hpp"
 #include "tfmcc/receiver_core.hpp"
+#include "tfrc/equation_backend.hpp"
 #include "util/rng.hpp"
 
 namespace tfmcc {
@@ -39,13 +41,16 @@ struct FeedbackCandidate {
 };
 
 /// Plain inputs of one round's draw-and-select step (§2.5.1).  Steady state
-/// feeds the drawer the per-receiver calculated rates: receiver i is
-/// eligible iff calc_Bps[i] < send_rate_Bps, with ratio
-/// clamp(calc_Bps[i] / send_rate_Bps, 0, 1).  Slowstart feeds no rates:
-/// every receiver is eligible with the shared ratio `x` and rate `rate_Bps`.
+/// gives the drawer the equation and the block's shared loss event rate `p`:
+/// receiver i's rate is calc_i = equation->throughput_Bps(kDataPacketBytes,
+/// rtt_i, p), it is eligible iff calc_i < send_rate_Bps, and its ratio is
+/// bias_ratio(calc_i, send_rate_Bps).  Slowstart gives no equation: every
+/// receiver is eligible with the shared ratio `x` and rate `rate_Bps`.
 struct RoundDrawInput {
   int skip{-1};  // receiver that draws nothing (the CLR), or -1
   double send_rate_Bps{0.0};
+  const EquationBackend* equation{nullptr};  // steady state only
+  double p{0.0};
   double x{1.0};
   double rate_Bps{0.0};
   int cap{1};  // short-list size
@@ -53,39 +58,64 @@ struct RoundDrawInput {
   SimTime fb_deadline{};
 };
 
-/// One round's draw, fed the block's receivers in index order in chunks of
+/// The least RTT (non-negative nanoseconds) whose steady-state rate
+/// equation.throughput_Bps(kDataPacketBytes, rtt, p) is below
+/// `send_rate_Bps`, or nullopt when no RTT's is.  The float equation
+/// s / (R*a + ((4R*m)*p)*q) is non-increasing in R: R = ns * 1e-9 and every
+/// step after it is a correctly rounded operation, monotone in R, on
+/// non-negative factors, so the eligible RTTs are exactly those at or above
+/// the result, and one binary search over int64 nanoseconds finds it.
+std::optional<SimTime> least_eligible_rtt(const EquationBackend& equation,
+                                          double p, double send_rate_Bps);
+
+/// One round's draw, fed the block's receivers in index order in calls of
 /// any size: it draws one uniform per eligible receiver and keeps in `out`
 /// the `cap` earliest candidates by (due, idx) — exactly "draw every timer,
-/// sort, take cap", whatever the chunking.  Once the short-list is full,
-/// draws above feedback_timer::uniform_ceiling of its latest entry cannot
-/// enter it and skip the timer transform entirely; almost all of them are
-/// recognised on the raw 64-bit word, below Rng::uniform01_floor, before
-/// any conversion to double.
+/// sort, take cap", whatever the split.  Steady-state eligibility is one
+/// comparison against least_eligible_rtt, so each chunk of receivers becomes
+/// a list of eligible indices and the engine scans one word per entry.  Once
+/// the short-list is full, draws above feedback_timer::uniform_ceiling of
+/// its latest entry cannot enter it: the ceiling takes the least bias any
+/// of the chunk's draws can have (the shared ratio's in slowstart, the
+/// chunk's longest RTT's in steady state).  Almost all such draws are
+/// recognised on the raw 64-bit word, below Rng::uniform01_floor, inside
+/// the engine's scan (Mt19937_64::scan); only the words at or above the
+/// floor are converted, and only their receivers' rates evaluated.
 class CandidateDrawer {
  public:
-  /// Clears `out`, which holds the short-list until finish().
+  /// Clears `out`, which holds the short-list until finish().  In steady
+  /// state this finds the round's least eligible RTT.
   CandidateDrawer(const RoundDrawInput& in, const FeedbackTimerConfig& timer,
                   std::vector<FeedbackCandidate>& out);
 
   /// Draws the next `count` receivers from `gen` (the block's engine).
-  /// Steady state passes their calculated rates calc_Bps[0, count);
+  /// Steady state passes their RTTs rtt[0, count), all non-negative;
   /// slowstart passes nullptr.
-  void draw(int count, const double* calc_Bps, Mt19937_64& gen);
+  void draw(int count, const SimTime* rtt, Mt19937_64& gen);
 
   /// Leaves `out` ascending by (due, idx).
   void finish();
 
  private:
-  /// Offers one drawn timer to the short-list; returns the new u_skip.
-  double admit(const FeedbackCandidate& c, double u_skip);
+  /// Draws receivers [first, first + count), count <= kChunk.
+  void draw_chunk(int first, int count, const SimTime* rtt, Mt19937_64& gen);
+  /// Offers one drawn timer to the short-list; true when the list is full
+  /// and its top is new.
+  bool admit(const FeedbackCandidate& c);
+  /// Draws above this cannot enter the short-list.
+  double skip_ceiling() const;
+
+  /// Receivers whose eligible indices are listed at once (4 KB).
+  static constexpr int kChunk = 1024;
 
   RoundDrawInput in_;
   FeedbackTimerConfig timer_;
   std::vector<FeedbackCandidate>& out_;
   std::size_t cap_;
   double fb_ns_;
-  double u_skip_;  // draws above this cannot enter the full short-list
-  std::uint64_t w_floor_;  // Rng::uniform01_floor(u_skip_)
+  double min_bias_{0.0};  // no draw of the current chunk has a lower bias
+  // Steady state: the least eligible RTT; nullopt when no RTT is eligible.
+  std::optional<SimTime> rtt_floor_;
   int next_{0};  // block index of the next receiver to draw
 };
 
@@ -102,15 +132,17 @@ class CandidateDrawer {
 /// modeled receiver observes the same packet stream).  The receiver rules
 /// are the core's, as for the full tier.
 ///
-/// Per data packet the block does O(1) work.  Per feedback round it streams
-/// the receivers through fixed L1-sized chunks: one equation-backend batch
-/// call per chunk for the calculated rates in steady state, then that
-/// chunk's biased suppression timers (one RNG draw per eligible receiver)
-/// while the rates are still in cache.  It keeps only the earliest few
-/// contenders — the candidate short-list is sized from the analytic
-/// expected-feedback model (feedback_model::expected_messages), which bounds
-/// how many reports can survive suppression.  A round therefore costs O(n)
-/// RNG draws plus timer evaluations only for the draws below the
+/// Per data packet the block does O(1) work.  Per feedback round, in steady
+/// state, one binary search over the equation finds the least eligible RTT
+/// (the equation is non-increasing in the RTT; see least_eligible_rtt), so a
+/// receiver's eligibility is one comparison and its rate is evaluated only
+/// if its timer draw can enter the short-list.  The round then streams the
+/// receivers through fixed chunks: each chunk's eligible indices, then one
+/// engine scan with one RNG draw per eligible receiver.  It keeps only the
+/// earliest few contenders — the candidate short-list is sized from the
+/// analytic expected-feedback model (feedback_model::expected_messages),
+/// which bounds how many reports can survive suppression.  A round therefore
+/// costs O(n) RNG draws plus timer evaluations only for the draws below the
 /// short-list's uniform ceiling (see CandidateDrawer), a vanishing share
 /// once the list fills.  Only the contenders materialise as scheduler events
 /// and feedback packets; the silent majority never touches the scheduler.

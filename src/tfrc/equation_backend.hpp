@@ -32,9 +32,12 @@ class EquationBackend {
   virtual double loss_for_throughput(double packet_bytes, SimTime rtt,
                                      double rate_Bps) const = 0;
 
-  /// Batched SoA evaluation over a receiver block:
+  /// Batched SoA evaluation:
   /// out[i] = throughput_Bps(packet_bytes, rtts[i], ps[i]), bit for bit.
   /// The float backend computes the p-only factors once per run of equal p.
+  /// The simulator no longer calls it (the modeled block evaluates rates
+  /// only for its few contending draws); the benchmark's timing decorator
+  /// still overrides it.
   virtual void throughput_batch(double packet_bytes, const SimTime* rtts,
                                 const double* ps, double* out_Bps,
                                 std::size_t n) const = 0;

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -29,6 +30,34 @@ class Mt19937_64 {
   result_type operator()() {
     if (p_ >= kN) refill();
     return temper(x_[p_++]);
+  }
+
+  /// Draws up to `n` words and stops after the first one at or above
+  /// `floor`: stores it in `word` and returns its position in [0, n), or
+  /// returns n with all n words drawn.  The same words as n calls of
+  /// operator(), with the cursor held in a local between refills.
+  std::size_t scan(std::size_t n, result_type floor, result_type& word) {
+    std::size_t p = p_;
+    std::size_t drawn = 0;
+    while (drawn < n) {
+      if (p >= kN) {
+        refill();
+        p = 0;
+      }
+      const std::size_t start = p;
+      const std::size_t end = p + std::min(n - drawn, kN - p);
+      for (; p < end; ++p) {
+        const result_type w = temper(x_[p]);
+        if (w >= floor) {
+          p_ = p + 1;
+          word = w;
+          return drawn + (p - start);
+        }
+      }
+      drawn += end - start;
+    }
+    p_ = p;
+    return n;
   }
 
   /// The engine's first `k` outputs (k <= n - m = 156), without building

@@ -363,6 +363,29 @@ TEST(HostileArguments, SweepRangeBeyondTheIntegerTypeIsAnError) {
   EXPECT_EQ(err.str(), "");
 }
 
+TEST(HostileArguments, SweepRangeCountIsDigitsOnly) {
+  // The linN/logN count is a whole unsigned number: a sign, a space or a
+  // count past 2^64 is malformed, never wrapped into a small one.
+  const ParamSpec int_spec = param("n_receivers", 1, "int");
+  for (const std::string text :
+       {"n_receivers=10:20:lin-18446744073709551614",
+        "n_receivers=10:20:lin+2", "n_receivers=10:20:lin 2",
+        "n_receivers=10:20:lin2 ", "n_receivers=10:20:log-1",
+        "n_receivers=10:20:lin18446744073709551618",
+        "n_receivers=10:20:lin0x2"}) {
+    SweepAxis axis;
+    std::ostringstream err;
+    EXPECT_FALSE(parse_sweep_axis(text, &int_spec, axis, err)) << text;
+    EXPECT_EQ(err.str().rfind("error: malformed --sweep range", 0), 0u)
+        << err.str();
+  }
+  SweepAxis axis;
+  std::ostringstream err;
+  ASSERT_TRUE(
+      parse_sweep_axis("n_receivers=10:20:lin02", &int_spec, axis, err));
+  EXPECT_EQ(axis.values, (std::vector<std::string>{"10", "20"}));
+}
+
 TEST(HostileArguments, SetCoercionEndsInAnErrorOrAValueThatReadsBack) {
   const Scenario& s = scenario("test_hostile_params");
   const std::vector<std::string> corpus{"n=42",  "n=1000.0", "u=2e6",

@@ -564,6 +564,95 @@ TEST(Mt19937_64, CopiesContinueInStep) {
   }
 }
 
+TEST(Mt19937_64, ScanStopsWhereAnOperatorLoopWouldAndKeepsItsPlace) {
+  // scan(n, floor, word) against the loop it replaces: draw up to n words,
+  // stop at the first one >= floor.  Same hit position, same word, and the
+  // same next draw, from engine offsets and over lengths that cross the
+  // 312-word refill.
+  static constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  const std::uint64_t floors[] = {0,
+                                  kMax,
+                                  kMax - 5,
+                                  std::uint64_t{1} << 63,
+                                  kMax - kMax / 100,  // a hit per ~100 words
+                                  kMax - kMax / 4000, 1};
+  const std::size_t lengths[] = {0, 1, 2, 155, 311, 312, 313, 624, 700, 5000};
+  Rng gen{909};
+  int hits = 0;
+  int misses = 0;
+  for (const std::uint64_t floor : floors) {
+    for (const std::size_t n : lengths) {
+      for (const int offset : {0, 1, 200, 311, 312, 313, 623}) {
+        const std::uint64_t seed = gen.next_u64();
+        Mt19937_64 fast{seed};
+        Mt19937_64 slow{seed};
+        for (int i = 0; i < offset; ++i) {
+          fast();
+          slow();
+        }
+        std::uint64_t word = 0;
+        const std::size_t pos = fast.scan(n, floor, word);
+        std::size_t want = n;
+        std::uint64_t want_word = 0;
+        for (std::size_t i = 0; i < n; ++i) {
+          const std::uint64_t w = slow();
+          if (w >= floor) {
+            want = i;
+            want_word = w;
+            break;
+          }
+        }
+        ASSERT_EQ(pos, want) << "floor " << floor << " n " << n << " offset "
+                             << offset;
+        if (want < n) {
+          ASSERT_EQ(word, want_word);
+          ++hits;
+        } else {
+          ++misses;
+        }
+        ASSERT_EQ(fast(), slow()) << "floor " << floor << " n " << n
+                                  << " offset " << offset;
+      }
+    }
+  }
+  EXPECT_GT(hits, 100);
+  EXPECT_GT(misses, 100);
+
+  // A floor equal to a word ahead in the stream: the scan stops at that
+  // word at the latest, so "at or above" is tested on equality itself.
+  for (const std::size_t ahead : {std::size_t{0}, std::size_t{1},
+                                  std::size_t{311}, std::size_t{700}}) {
+    Mt19937_64 fast{ahead + 5};
+    Mt19937_64 peek = fast;
+    for (std::size_t i = 0; i < ahead; ++i) peek();
+    const std::uint64_t floor = peek();
+    Mt19937_64 slow = fast;
+    std::size_t want = 0;
+    while (slow() < floor) ++want;
+    std::uint64_t word = 0;
+    ASSERT_EQ(fast.scan(ahead + 1, floor, word), want) << "ahead " << ahead;
+    ASSERT_GE(word, floor);
+    ASSERT_EQ(fast(), slow()) << "ahead " << ahead;
+  }
+
+  // Scanned to the end in steps, as a round draws: every hit of a plain
+  // loop, in order, and the same position afterwards.
+  for (const std::uint64_t floor : floors) {
+    Mt19937_64 fast{floor};
+    Mt19937_64 slow{floor};
+    const std::size_t n = 3000;
+    std::vector<std::size_t> got, want;
+    std::size_t pos = 0;
+    std::uint64_t word = 0;
+    while ((pos += fast.scan(n - pos, floor, word)) < n) got.push_back(pos++);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (slow() >= floor) want.push_back(i);
+    }
+    ASSERT_EQ(got, want) << "floor " << floor;
+    ASSERT_EQ(fast(), slow()) << "floor " << floor;
+  }
+}
+
 TEST(Mt19937_64, DrivesStandardDistributionsLikeTheStandardEngine) {
   // Each distribution Rng uses, on both engines; ASSERT_EQ on doubles is
   // bit equality, not a tolerance.

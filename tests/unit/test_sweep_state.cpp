@@ -127,6 +127,40 @@ TEST(SweepManifest, LoadRejectsTruncation) {
   }
 }
 
+TEST(SweepManifest, LoadReadsDurationAndSeedOnlyAsWholeIntegers) {
+  std::ostringstream os;
+  SweepManifest::from(probe(), three_point_sweep()).save(os);
+  const std::string text = os.str();
+  // The manifest with its duration and seed tokens replaced.
+  auto with = [&](const std::string& duration, const std::string& seed) {
+    std::string t = text;
+    t.replace(t.find("duration u"), 10, "duration " + duration);
+    t.replace(t.find("seed u"), 6, "seed " + seed);
+    return t;
+  };
+  auto load = [](const std::string& t, SweepManifest& out) {
+    std::istringstream is{t};
+    std::string err;
+    return SweepManifest::load(is, out, err);
+  };
+  SweepManifest out;
+  ASSERT_TRUE(load(with("12", "18446744073709551615"), out));
+  EXPECT_EQ(out.duration_ns, std::optional<std::int64_t>{12});
+  EXPECT_EQ(out.seed, std::optional<std::uint64_t>{18446744073709551615u});
+  ASSERT_TRUE(load(with("-7", "0"), out));
+  EXPECT_EQ(out.duration_ns, std::optional<std::int64_t>{-7});
+  // Trailing bytes, signs and overflow are malformed, not read as a prefix
+  // or wrapped: `12abc` must not match a 12 ns sweep on resume.
+  for (const std::string duration :
+       {"12abc", "+12", "12.0", "1e3", "0x10", "9223372036854775808"}) {
+    EXPECT_FALSE(load(with(duration, "7"), out)) << duration;
+  }
+  for (const std::string seed :
+       {"-1", "+1", "7abc", "18446744073709551616", "7.0"}) {
+    EXPECT_FALSE(load(with("12", seed), out)) << seed;
+  }
+}
+
 /// The points run_sweep finishes for the (replicate-1) three-point probe
 /// sweep: point i prints the row "x,2x".
 FinishedPoint probe_point(std::size_t i) {
