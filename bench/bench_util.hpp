@@ -1,9 +1,9 @@
 #pragma once
 
 // Shared support for the figure-reproduction benches.  Every scenario
-// prints:
+// reports through its ScenarioOutput sink (opts.out(), util/csv.hpp):
 //   1. a header naming the figure it reproduces,
-//   2. a CSV trace with the same series the paper plots,
+//   2. a CSV trace with the same series the paper plots (CsvWriter),
 //   3. a "CHECK" summary comparing the measured shape against the paper's
 //      qualitative claim (each CHECK row and its default-seed outcome is
 //      recorded in tests/golden/checks.tsv; the README lists the figures).
@@ -12,29 +12,25 @@
 // which registers them as scenarios of the unified `tfmcc_sim` driver.
 
 #include <algorithm>
-#include <ostream>
 #include <string>
 
 #include "sim/scenario.hpp"
+#include "util/csv.hpp"
 
 namespace tfmcc::bench {
 
-// All three emitters take the scenario's output sink explicitly
-// (opts.out() at the call sites) so concurrently running sweep points
-// never interleave on a shared stdout.
-
-inline void figure_header(std::ostream& os, const char* figure,
+inline void figure_header(ScenarioOutput& out, const char* figure,
                           const char* title) {
-  os << "# " << figure << ": " << title << '\n';
+  out.figure_header(figure, title);
 }
 
-inline bool check(std::ostream& os, bool ok, const std::string& what) {
-  os << "CHECK " << (ok ? "PASS" : "DIVERGES") << ": " << what << '\n';
+inline bool check(ScenarioOutput& out, bool ok, const std::string& what) {
+  out.check(ok, what);
   return ok;
 }
 
-inline void note(std::ostream& os, const std::string& what) {
-  os << "NOTE: " << what << '\n';
+inline void note(ScenarioOutput& out, const std::string& what) {
+  out.note(what);
 }
 
 /// Warm-up cutoff for steady-state measurement windows: the paper's cutoff,

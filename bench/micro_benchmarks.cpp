@@ -329,17 +329,21 @@ void BM_FeedbackRound(benchmark::State& state) {
 }
 BENCHMARK(BM_FeedbackRound)->Arg(100)->Arg(10000);
 
-enum class RoundShape { kSlowstart, kSteady, kSteadyMixed };
+enum class RoundShape { kSlowstart, kNearRate, kSteady, kSteadyMixed };
 
 void BM_ModeledBlockRound(benchmark::State& state, RoundShape shape) {
   // One ModeledReceiverBlock feedback round per iteration: a data packet
   // opening a new round makes the block draw every eligible receiver's
   // timer (after the least-eligible-RTT search, in steady state) and arm
-  // the short-list.  `steady` sends above every calculated rate, so every
-  // receiver is eligible; `steady_mixed` sends at the rate of the median
-  // receiver's RTT, so about half are.  Items are receiver-rounds.
+  // the short-list.  `slowstart` and `steady` send above every rate, at a
+  // ratio near 0; `slowstart_near_rate` sends 1/0.9 of the block's receive
+  // rate, the ratio of hybrid_1m's rounds, and steps the clock 10 ms per
+  // round to hold that rate (the scheduler run is timed too);
+  // `steady_mixed` sends at the rate of the median receiver's RTT, so about
+  // half are eligible.  Items are receiver-rounds.
   const int n = static_cast<int>(state.range(0));
-  const bool slowstart = shape == RoundShape::kSlowstart;
+  const bool near_rate = shape == RoundShape::kNearRate;
+  const bool slowstart = shape == RoundShape::kSlowstart || near_rate;
   Simulator sim{5};
   Topology topo{sim};
   LinkConfig link;
@@ -389,13 +393,20 @@ void BM_ModeledBlockRound(benchmark::State& state, RoundShape shape) {
         kDataPacketBytes, SimTime::micros(block.rx_info(n / 2).rtt_us),
         block.loss_event_rate());
   }
+  // The warm-up arrived one packet per 10 ms, and so do the rounds.
+  if (near_rate) send_rate_Bps = block.recv_rate_Bps() / 0.9;
   for (auto _ : state) {
     ++round;
+    if (near_rate) sim.run_until(sim.now() + SimTime::millis(10));
     deliver();
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK_CAPTURE(BM_ModeledBlockRound, slowstart, RoundShape::kSlowstart)
+    ->Arg(1000)
+    ->Arg(100000);
+BENCHMARK_CAPTURE(BM_ModeledBlockRound, slowstart_near_rate,
+                  RoundShape::kNearRate)
     ->Arg(1000)
     ->Arg(100000);
 BENCHMARK_CAPTURE(BM_ModeledBlockRound, steady, RoundShape::kSteady)

@@ -6,7 +6,6 @@
 // format).
 
 #include <algorithm>
-#include <iostream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -153,9 +152,9 @@ struct Fig12Session {
   }
 
   /// The "hybrid tier: ..." NOTE; silent when every receiver is full.
-  void note_tier(std::ostream& os) {
+  void note_tier(ScenarioOutput& out) {
     if (n_model == 0) return;
-    note(os, "hybrid tier: " + std::to_string(n_full) + " full + " +
+    note(out, "hybrid tier: " + std::to_string(n_full) + " full + " +
                  std::to_string(n_model) + " modeled receivers on " +
                  std::to_string(flow->block_count()) + " taps (candidate cap " +
                  std::to_string(flow->block(0).candidate_cap()) + ")");
@@ -172,9 +171,10 @@ struct Fig12Session {
 /// (warp factor 1), so default runs stay byte-identical; in a warped run it
 /// reports how much of the script actually executed, which the smoke tests
 /// assert on.
-inline void note_schedule(std::ostream& os, const ScheduleBuilder& sched) {
+inline void note_schedule(ScenarioOutput& out,
+                          const ScheduleBuilder& sched) {
   if (sched.warp().is_identity()) return;
-  note(os, "schedule: fired " + std::to_string(sched.fired()) + "/" +
+  note(out, "schedule: fired " + std::to_string(sched.fired()) + "/" +
                std::to_string(sched.scheduled()) +
                " scripted events at warp factor " +
                std::to_string(sched.warp().factor()));

@@ -23,6 +23,8 @@
 
 namespace tfmcc {
 
+class ScenarioOutput;
+
 /// Declared type of a scenario parameter; drives the pre-run validation of
 /// `--set` overrides and the rendering of defaults in `--list`.
 enum class ParamType { kInt64, kUint64, kDouble, kBool, kString };
@@ -63,8 +65,8 @@ ParamSpec param(std::string name, const char* dflt, std::string description);
 struct ScenarioOptions {
   std::optional<SimTime> duration;
   std::optional<std::uint64_t> seed;
-  /// `--output <path>`: where the CLI redirects the scenario's output sink
-  /// before running.
+  /// `--output <path>`: where the CLI's text renderer writes instead of
+  /// stdout.
   std::optional<std::string> output_path;
 
   SimTime duration_or(SimTime dflt) const { return duration.value_or(dflt); }
@@ -72,12 +74,13 @@ struct ScenarioOptions {
     return seed.value_or(dflt);
   }
 
-  /// The scenario's output sink: everything a scenario prints (figure
-  /// header, CSV trace, CHECK/NOTE lines) goes through this stream, which
-  /// is std::cout unless redirected.  Redirection is what lets a sweep run
-  /// many points concurrently in-process without interleaving their CSVs.
-  std::ostream& out() const;
-  void set_output(std::ostream& os) { out_ = &os; }
+  /// The scenario's output sink (util/csv.hpp): everything a scenario
+  /// reports (figure header, CSV trace, CHECK/NOTE lines) goes through it.
+  /// A text renderer on std::cout unless the caller sets another sink: the
+  /// CLI renders text to `--output`, and a sweep gives every run its own
+  /// capture, which hands the run's CSV rows to the fold in memory.
+  ScenarioOutput& out() const;
+  void set_output(ScenarioOutput& sink) { out_ = &sink; }
 
   /// Record one `--set key=value` override (last write wins).
   void set_param(std::string key, std::string value);
@@ -110,7 +113,7 @@ struct ScenarioOptions {
 
   std::map<std::string, std::string, std::less<>> params_;
   const ParamSpecList* specs_{nullptr};
-  std::ostream* out_{nullptr};
+  ScenarioOutput* out_{nullptr};
 };
 
 // The supported param_or instantiations live in scenario_registry.cpp; the
@@ -204,9 +207,9 @@ bool finish_output_file(const std::string& path, std::ofstream& file,
                         std::ostream& err);
 
 /// Single-run CLI tail of `tfmcc_sim`: honours opts.output_path (opening
-/// the file and redirecting the scenario's output sink), then dispatches
-/// through the registry.  Returns the scenario's exit code, or -1 after a
-/// diagnostic on `err`.
+/// the file and rendering the scenario's output there as text), then
+/// dispatches through the registry.  Returns the scenario's exit code, or
+/// -1 after a diagnostic on `err`.
 int run_scenario_cli(std::string_view name, ScenarioOptions& opts,
                      std::ostream& err);
 

@@ -10,6 +10,7 @@
 #include <string>
 
 #include "analysis/summary.hpp"
+#include "util/csv.hpp"
 
 namespace tfmcc {
 
@@ -151,8 +152,9 @@ bool ScenarioOptions::has_param(std::string_view key) const {
   return params_.find(key) != params_.end();
 }
 
-std::ostream& ScenarioOptions::out() const {
-  return out_ != nullptr ? *out_ : std::cout;
+ScenarioOutput& ScenarioOptions::out() const {
+  static ScenarioOutput stdout_text{std::cout};
+  return out_ != nullptr ? *out_ : stdout_text;
 }
 
 void ScenarioOptions::check_declared(std::string_view name) const {
@@ -399,9 +401,10 @@ bool finish_output_file(const std::string& path, std::ofstream& file,
 int run_scenario_cli(std::string_view name, ScenarioOptions& opts,
                      std::ostream& err) {
   std::ofstream file;
+  ScenarioOutput file_text{file};
   if (opts.output_path.has_value()) {
     if (!open_output_file(*opts.output_path, file, err)) return -1;
-    opts.set_output(file);
+    opts.set_output(file_text);
   }
   const int rc = ScenarioRegistry::instance().run(name, opts, err);
   if (file.is_open() &&

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <mutex>
@@ -14,7 +12,7 @@
 #include <thread>
 
 #include "sim/sweep_state.hpp"
-#include "sim/trace.hpp"
+#include "util/csv.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <csignal>
@@ -64,9 +62,8 @@ std::vector<std::string_view> split(std::string_view text, char sep) {
 
 struct PointResult {
   int rc{0};
-  /// The run's CSV content (commentary already stripped, rows already
-  /// split into cells by the worker thread), not the raw text capture.
-  RunTrace trace;
+  /// The run's CSV table as its capture sink received it, in cells.
+  CsvTable table;
   std::string error;
 };
 
@@ -195,13 +192,8 @@ bool parse_sweep_axis(std::string_view text, const ParamSpec* spec,
     const std::string_view step = parts[2];
     kind = step.substr(0, 3);
     ok = (kind == "lin" || kind == "log") && step.size() > 3;
-    if (ok) {
-      // Digits only: no sign, no space, no wrap-around past 2^64.
-      const std::string_view count = step.substr(3);
-      const auto [end, ec] = std::from_chars(
-          count.data(), count.data() + count.size(), n_points);
-      ok = ec == std::errc{} && end == count.data() + count.size();
-    }
+    // Digits only: no sign, no space, no wrap-around past 2^64.
+    ok = ok && parse_whole(step.substr(3), n_points);
   }
   if (!ok) {
     err << "error: malformed --sweep range '" << text
@@ -456,14 +448,15 @@ int run_sweep(const Scenario& scenario, const SweepOptions& sweep,
       }
       failure_log << '\n';
       any_failed = true;
-    } else if (!any_failed && !merge_failed && !res.trace.header.empty()) {
-      RunTrace& trace = res.trace;
+    } else if (!any_failed && !merge_failed && !res.table.header.empty()) {
+      CsvTable& table = res.table;
+      const std::string run_header = summary::join_csv(table.header);
       if (header.empty()) {
-        header = trace.header;
-      } else if (trace.header != header) {
+        header = run_header;
+      } else if (run_header != header) {
         merge_log << "error: sweep point " << point_label(sweep.axes, point)
                   << replicate_label(sweep, rep, n_rep)
-                  << " emitted CSV header '" << trace.header
+                  << " emitted CSV header '" << run_header
                   << "' but earlier points emitted '" << header << "'\n";
         merge_failed = true;
       }
@@ -471,14 +464,14 @@ int run_sweep(const Scenario& scenario, const SweepOptions& sweep,
         open.csv_header = header;
         if (n_rep == 1) {
           // The raw aggregate passes rows, ragged ones too, verbatim.
-          for (const auto& row : trace.rows) {
+          for (const auto& row : table.rows) {
             open.lines.push_back(summary::join_csv(row));
           }
         } else {
           if (!open_acc.has_value()) {
-            open_acc.emplace(summary::split_csv(header));
+            open_acc.emplace(std::move(table.header));
           }
-          for (auto& row : trace.rows) {
+          for (auto& row : table.rows) {
             if (!open_acc->add_row(std::move(row), merge_log)) {
               merge_log << "  (sweep point " << point_label(sweep.axes, point)
                         << replicate_label(sweep, rep, n_rep) << ")\n";
@@ -490,7 +483,7 @@ int run_sweep(const Scenario& scenario, const SweepOptions& sweep,
       }
     }
     // Folded (or unusable): release the capture.
-    res.trace = RunTrace{};
+    res.table = CsvTable{};
     ++n_folded;
     if (rep + 1 != static_cast<std::uint64_t>(n_rep)) return;
     // The point's last replicate: reduce it to its aggregate lines.
@@ -546,7 +539,7 @@ int run_sweep(const Scenario& scenario, const SweepOptions& sweep,
       if (slot >= pending.size()) return;
       const std::size_t t = pending[slot];
       const std::uint64_t rep = t % static_cast<std::size_t>(n_rep);
-      std::ostringstream sink;
+      ScenarioOutput capture;
       ScenarioOptions opts = point_options(grid[task_point(t)]);
       // When replicating, every replicate's seed — including replicate 0 —
       // derives from the same effective base (`--seed`, defaulting to 0),
@@ -557,7 +550,7 @@ int run_sweep(const Scenario& scenario, const SweepOptions& sweep,
       if (n_rep > 1) {
         opts.seed = derive_replicate_seed(sweep.base.seed.value_or(0), rep);
       }
-      opts.set_output(sink);
+      opts.set_output(capture);
       opts.bind_specs(&scenario.params);
       try {
         results[t].rc = scenario.fn(opts);
@@ -570,9 +563,7 @@ int run_sweep(const Scenario& scenario, const SweepOptions& sweep,
         results[t].rc = -1;
         results[t].error = "unknown exception";
       }
-      // Strip commentary and split cells here, in the worker, so the fold
-      // (serialized behind fold_mu) only replays pre-parsed rows.
-      results[t].trace = RunTrace::parse_text(sink.str());
+      results[t].table = capture.take_table();
       {
         std::lock_guard<std::mutex> lock(fold_mu);
         task_ready[t] = 1;
@@ -688,24 +679,22 @@ int sweep_main(int argc, char** argv, std::ostream& err) {
       sweep.axes.push_back(std::move(axis));
       ++i;
     } else if (arg == "--jobs") {
-      char* end = nullptr;
-      const long jobs = has_value ? std::strtol(argv[i + 1], &end, 10) : 0;
-      if (!has_value || end == argv[i + 1] || *end != '\0' || jobs < 1 ||
+      int jobs = 0;
+      if (!has_value || !parse_whole(argv[i + 1], jobs) || jobs < 1 ||
           jobs > 1024) {
         err << "error: --jobs expects an integer between 1 and 1024\n";
         return 2;
       }
-      sweep.jobs = static_cast<int>(jobs);
+      sweep.jobs = jobs;
       ++i;
     } else if (arg == "--replicate") {
-      char* end = nullptr;
-      const long reps = has_value ? std::strtol(argv[i + 1], &end, 10) : 0;
-      if (!has_value || end == argv[i + 1] || *end != '\0' || reps < 1 ||
+      int reps = 0;
+      if (!has_value || !parse_whole(argv[i + 1], reps) || reps < 1 ||
           reps > 100'000) {
         err << "error: --replicate expects an integer between 1 and 1e5\n";
         return 2;
       }
-      sweep.replicate = static_cast<int>(reps);
+      sweep.replicate = reps;
       ++i;
     } else if (arg == "--stats") {
       if (!has_value ||
@@ -726,15 +715,14 @@ int sweep_main(int argc, char** argv, std::ostream& err) {
       sweep.checkpoint_path = argv[i + 1];
       ++i;
     } else if (arg == "--checkpoint-every") {
-      char* end = nullptr;
-      const long every = has_value ? std::strtol(argv[i + 1], &end, 10) : 0;
-      if (!has_value || end == argv[i + 1] || *end != '\0' || every < 1 ||
+      int every = 0;
+      if (!has_value || !parse_whole(argv[i + 1], every) || every < 1 ||
           every > 1'000'000) {
         err << "error: --checkpoint-every expects an integer between 1 "
                "and 1e6\n";
         return 2;
       }
-      sweep.checkpoint_every = static_cast<int>(every);
+      sweep.checkpoint_every = every;
       ++i;
     } else if (arg == "--resume") {
       if (!has_value) {

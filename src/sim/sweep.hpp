@@ -15,18 +15,18 @@
 // duplicates collapsed, so e.g. 1:10:log20 yields each count once.
 //
 // Points run concurrently on a fixed-size thread pool (`--jobs N`), each
-// with its output sink redirected to a private buffer (see
-// ScenarioOptions::set_output); the aggregator then emits rows in
-// deterministic grid order — axes vary with the last `--sweep` fastest —
-// regardless of completion order, so `--jobs 1` and `--jobs N` produce
-// byte-identical output.  Sweeps stream: each run's output is folded into
-// its grid point as soon as every earlier task (in task order) has
-// completed, and the raw capture is released — points see rows in the
-// same order a serial sweep would feed them.  A point whose replicates
-// have all folded is reduced to its final aggregate lines at once, so
-// peak memory holds the in-flight window and those lines instead of all
-// grid x N outputs.  Figure-header/CHECK/NOTE commentary from the
-// points is dropped from the aggregate; per-point CSV headers must agree.
+// run reporting into its own capture sink (a ScenarioOutput, see
+// ScenarioOptions::set_output), which keeps the run's CSV header and rows
+// as cells and drops its figure-header/CHECK/NOTE commentary.  The
+// aggregator emits rows in deterministic grid order — axes vary with the
+// last `--sweep` fastest — regardless of completion order, so `--jobs 1`
+// and `--jobs N` produce byte-identical output.  Sweeps stream: each run's
+// rows are folded into its grid point as soon as every earlier task (in
+// task order) has completed, and the capture is released — points see
+// rows in the same order a serial sweep would feed them.  A point whose
+// replicates have all folded is reduced to its final aggregate lines at
+// once, so peak memory holds the in-flight window and those lines instead
+// of all grid x N outputs.  Per-point CSV headers must agree.
 //
 // `--replicate N` runs every grid point N times with per-replicate seeds
 // derived from the base `--seed` (see derive_replicate_seed; unset base

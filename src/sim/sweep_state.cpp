@@ -1,7 +1,6 @@
 #include "sim/sweep_state.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <istream>
@@ -33,15 +32,6 @@ std::string stats_spelling(const std::vector<summary::Stat>& stats) {
     s += summary::stat_name(st);
   }
   return s;
-}
-
-/// `tok` as a whole base-10 integer of T: digits with a minus sign only
-/// for a signed T, nothing after them, and no overflow.
-template <class T>
-bool parse_whole(std::string_view tok, T& out) {
-  const auto [end, ec] =
-      std::from_chars(tok.data(), tok.data() + tok.size(), out);
-  return ec == std::errc{} && end == tok.data() + tok.size();
 }
 
 bool expect_token(std::istream& is, std::string_view want) {

@@ -34,6 +34,7 @@
 // logs stay byte-identical to those earlier builds wrote; a log whose
 // manifest names any other shard came from a sharded sweep and is refused.
 
+#include <charconv>
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
@@ -184,5 +185,15 @@ int emit_sweep_aggregate(const SweepManifest& manifest,
                          const std::vector<std::vector<std::string>>& grid,
                          const std::vector<std::optional<FinishedPoint>>& points,
                          std::ostream& out, std::ostream& err);
+
+/// `tok` as a whole base-10 integer of T: digits with a minus sign only
+/// for a signed T, nothing before or after them, and no overflow: the rule
+/// for the log's integers and for every count `tfmcc_sim sweep` reads.
+template <class T>
+bool parse_whole(std::string_view tok, T& out) {
+  const auto [end, ec] =
+      std::from_chars(tok.data(), tok.data() + tok.size(), out);
+  return ec == std::errc{} && end == tok.data() + tok.size();
+}
 
 }  // namespace tfmcc

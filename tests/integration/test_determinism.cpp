@@ -77,9 +77,10 @@ TEST(Determinism, RunsAreIndependentOfPriorRuns) {
 // --- parameterized runs (the --set passthrough) ----------------------------
 
 /// A miniature bench-style scenario: topology sized from `--set` overrides,
-/// CSV trace written to `os` — the whole output is the determinism
+/// CSV trace written to `out` — the whole output is the determinism
 /// observable, exactly like a real scenario's stdout.
-void parameterized_scenario(const ScenarioOptions& opts, std::ostream& os) {
+void parameterized_scenario(const ScenarioOptions& opts,
+                            ScenarioOutput& out) {
   const int n_receivers = opts.param_or("n_receivers", 2);
   const int n_tcp = opts.param_or("n_tcp", 1);
   const double bottleneck_bps = opts.param_or("bottleneck_bps", 1e6);
@@ -109,7 +110,7 @@ void parameterized_scenario(const ScenarioOptions& opts, std::ostream& os) {
   flow.sender().start(SimTime::zero());
   sim.run_until(T);
 
-  CsvWriter csv(os, {"flow", "time_s", "kbps"});
+  CsvWriter csv(out, {"flow", "time_s", "kbps"});
   for (const auto& p : flow.goodput(0).series_kbps().points()) {
     csv.row("TFMCC", p.t.to_seconds(), p.v);
   }
@@ -130,7 +131,8 @@ std::string run_parameterized(std::uint64_t seed,
   opts.duration = SimTime::seconds(20);
   for (const auto& [k, v] : sets) opts.set_param(k, v);
   std::ostringstream os;
-  parameterized_scenario(opts, os);
+  ScenarioOutput text{os};
+  parameterized_scenario(opts, text);
   return os.str();
 }
 

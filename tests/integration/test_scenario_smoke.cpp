@@ -1,10 +1,12 @@
 // Full-matrix scenario smoke harness: every scenario registered in the
 // bench object library runs at a sharply reduced duration with small
 // receiver/trial counts (applied only where the scenario declares the
-// corresponding parameter), and must exit 0 while emitting a non-empty CSV
-// trace.  One gtest per scenario is registered dynamically from the
-// registry, and tests/CMakeLists.txt emits a matching `smoke`-labelled
-// ctest entry per scenario so the matrix parallelises.
+// corresponding parameter), through both output renderers.  It must exit 0
+// and capture a CSV table with rows, and the captured header and rows,
+// joined with ',', must be the CSV lines of its text rendering, in order.
+// One gtest per scenario is registered dynamically from the registry, and
+// tests/CMakeLists.txt emits a matching `smoke`-labelled ctest entry per
+// scenario so the matrix parallelises.
 //
 // The ScenarioHarness suite adds cross-cutting checks: the time-warp
 // acceptance (a 20 s run of fig11 still fires every scripted join/leave)
@@ -21,6 +23,7 @@
 
 #include "sim/scenario.hpp"
 #include "sim/sweep.hpp"
+#include "util/csv.hpp"
 
 namespace tfmcc {
 namespace {
@@ -43,31 +46,15 @@ ScenarioOptions smoke_options(const Scenario& s) {
   return opts;
 }
 
-/// Runs a scenario via the registry with stdout captured; returns
-/// (exit code, captured stdout).  Diagnostics go to `err`.
-std::pair<int, std::string> run_captured(std::string_view name,
-                                         const ScenarioOptions& opts,
-                                         std::ostream& err) {
-  testing::internal::CaptureStdout();
+/// Runs a scenario via the registry through the text renderer; returns
+/// (exit code, rendered text).  Diagnostics go to `err`.
+std::pair<int, std::string> run_text(std::string_view name,
+                                     ScenarioOptions opts, std::ostream& err) {
+  std::ostringstream os;
+  ScenarioOutput text{os};
+  opts.set_output(text);
   const int rc = ScenarioRegistry::instance().run(name, opts, err);
-  return {rc, testing::internal::GetCapturedStdout()};
-}
-
-/// A CSV data row: a comma-bearing line that follows another comma-bearing
-/// line (the header).  Scenario output interleaves '#', NOTE and CHECK
-/// lines, which never contain the header/row pairing.
-bool has_csv_data(const std::string& out) {
-  std::istringstream is{out};
-  std::string line;
-  bool prev_csv = false;
-  while (std::getline(is, line)) {
-    const bool is_csv = line.find(',') != std::string::npos &&
-                        line.rfind("NOTE:", 0) != 0 &&
-                        line.rfind("CHECK", 0) != 0 && line.rfind("#", 0) != 0;
-    if (is_csv && prev_csv) return true;
-    prev_csv = is_csv;
-  }
-  return false;
+  return {rc, os.str()};
 }
 
 class ScenarioSmokeCase : public testing::Test {
@@ -78,11 +65,33 @@ class ScenarioSmokeCase : public testing::Test {
     const Scenario* s = ScenarioRegistry::instance().find(name_);
     ASSERT_NE(s, nullptr);
     std::ostringstream err;
-    const auto [rc, out] = run_captured(name_, smoke_options(*s), err);
-    EXPECT_EQ(rc, 0) << "scenario failed: " << err.str();
-    EXPECT_TRUE(has_csv_data(out))
-        << "no CSV trace in scenario output:\n"
-        << out.substr(0, 2000);
+    ScenarioOptions opts = smoke_options(*s);
+    ScenarioOutput capture;
+    opts.set_output(capture);
+    ASSERT_EQ(ScenarioRegistry::instance().run(name_, opts, err), 0)
+        << "scenario failed: " << err.str();
+    const CsvTable table = capture.take_table();
+    EXPECT_FALSE(table.rows.empty()) << "no CSV rows captured";
+
+    const auto [rc, text] = run_text(name_, smoke_options(*s), err);
+    ASSERT_EQ(rc, 0) << "scenario failed: " << err.str();
+    EXPECT_EQ(capture.tellp(), text.size());
+    std::vector<std::string> csv_lines{summary::join_csv(table.header)};
+    for (const auto& row : table.rows) {
+      csv_lines.push_back(summary::join_csv(row));
+    }
+    // The text holds those lines in order; the bytes it holds beyond them
+    // are the commentary the capture counted but dropped.
+    std::istringstream is{text};
+    std::string line;
+    std::size_t matched = 0;
+    while (std::getline(is, line)) {
+      if (matched < csv_lines.size() && line == csv_lines[matched]) ++matched;
+    }
+    ASSERT_EQ(matched, csv_lines.size())
+        << "captured line '" << csv_lines[matched]
+        << "' is not the text's next CSV line:\n"
+        << text.substr(0, 2000);
   }
 
  private:
@@ -101,7 +110,7 @@ TEST(ScenarioHarness, Fig11WarpFiresAllScriptedEvents) {
   ScenarioOptions opts;
   opts.duration = SimTime::seconds(20);
   std::ostringstream err;
-  const auto [rc, out] = run_captured("fig11_loss_responsiveness", opts, err);
+  const auto [rc, out] = run_text("fig11_loss_responsiveness", opts, err);
   EXPECT_EQ(rc, 0) << err.str();
   EXPECT_NE(out.find("fired 6/6 scripted events"), std::string::npos)
       << "schedule note missing or incomplete:\n"
@@ -117,9 +126,9 @@ TEST(ScenarioHarness, ParameterizedRunsAreDeterministic) {
   opts.set_param("n_receivers", "2");
   std::ostringstream err;
   const auto [rc_a, out_a] =
-      run_captured("fig09_single_bottleneck", opts, err);
+      run_text("fig09_single_bottleneck", opts, err);
   const auto [rc_b, out_b] =
-      run_captured("fig09_single_bottleneck", opts, err);
+      run_text("fig09_single_bottleneck", opts, err);
   ASSERT_EQ(rc_a, 0) << err.str();
   ASSERT_EQ(rc_b, 0) << err.str();
   EXPECT_EQ(out_a, out_b);
@@ -127,7 +136,7 @@ TEST(ScenarioHarness, ParameterizedRunsAreDeterministic) {
   ScenarioOptions other = opts;
   other.seed = 43;
   const auto [rc_c, out_c] =
-      run_captured("fig09_single_bottleneck", other, err);
+      run_text("fig09_single_bottleneck", other, err);
   ASSERT_EQ(rc_c, 0) << err.str();
   EXPECT_NE(out_a, out_c);
 }
@@ -230,7 +239,7 @@ TEST(ScenarioHarness, UnknownOverrideKeyIsRejected) {
   opts.duration = SimTime::seconds(1);
   opts.set_param("no_such_knob", "1");
   std::ostringstream err;
-  const auto [rc, out] = run_captured("fig09_single_bottleneck", opts, err);
+  const auto [rc, out] = run_text("fig09_single_bottleneck", opts, err);
   (void)out;
   EXPECT_EQ(rc, -1);
   EXPECT_NE(err.str().find("unknown parameter 'no_such_knob'"),

@@ -39,9 +39,9 @@ TFMCC_SCENARIO(test_hostile_probe, "hostile-input probe",
                tfmcc::param("x", 1, "integer factor", 0)) {
   const int x = opts.param_or("x", 1);
   const std::uint64_t seed = opts.seed.value_or(0);
-  auto& os = opts.out();
-  os << "# hostile probe\n";
-  CsvWriter csv(os, {"x", "sample", "tag"});
+  auto& out = opts.out();
+  out.figure_header("probe", "hostile input");
+  CsvWriter csv(out, {"x", "sample", "tag"});
   csv.row(x, static_cast<double>(x) * static_cast<double>(seed % 7 + 1),
           x % 2 == 0 ? "even" : "odd");
   return 0;
@@ -384,6 +384,37 @@ TEST(HostileArguments, SweepRangeCountIsDigitsOnly) {
   ASSERT_TRUE(
       parse_sweep_axis("n_receivers=10:20:lin02", &int_spec, axis, err));
   EXPECT_EQ(axis.values, (std::vector<std::string>{"10", "20"}));
+}
+
+TEST(HostileArguments, SweepCountOptionsAreWholeTokens) {
+  // --jobs, --replicate and --checkpoint-every read their count by the
+  // checkpoint log's whole-token rule: no leading space or sign, nothing
+  // after the digits.
+  const std::string out_path = ::testing::TempDir() + "tfmcc_hostile_counts";
+  auto run = [&](const std::string& option, const std::string& value) {
+    std::vector<std::string> args{"test_hostile_probe", "--sweep", "x=1,2",
+                                  option, value, "--output", out_path};
+    std::vector<char*> argv;
+    for (std::string& a : args) argv.push_back(a.data());
+    std::ostringstream err;
+    const int rc =
+        sweep_main(static_cast<int>(argv.size()), argv.data(), err);
+    return std::pair{rc, err.str()};
+  };
+  for (const std::string option :
+       {"--jobs", "--replicate", "--checkpoint-every"}) {
+    for (const std::string value :
+         {" +2", "+2", "\t2", " 2", "2 ", "2x", "", "-2", "0x2",
+          "99999999999999999999"}) {
+      const auto [rc, err] = run(option, value);
+      EXPECT_EQ(rc, 2) << option << " '" << value << "'";
+      EXPECT_EQ(err.rfind("error: " + option + " expects an integer", 0), 0u)
+          << err;
+    }
+    const auto [rc, err] = run(option, "2");
+    EXPECT_EQ(rc, 0) << option << ": " << err;
+  }
+  std::remove(out_path.c_str());
 }
 
 TEST(HostileArguments, SetCoercionEndsInAnErrorOrAValueThatReadsBack) {

@@ -1,6 +1,7 @@
 // Unit tests for the typed `--set key=value` scenario-parameter passthrough:
 // command-line parsing, type coercion in param_or<T>, and the unknown-key /
-// malformed-value diagnostics produced by pre-run validation.
+// malformed-value diagnostics produced by pre-run validation, and the
+// scenario output sink's text and capture renderers.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "sim/scenario.hpp"
+#include "util/csv.hpp"
 
 namespace tfmcc {
 namespace {
@@ -153,14 +155,61 @@ TEST(ParseOutput, AcceptsPathAndRejectsMissingValue) {
   EXPECT_NE(err.find("--output expects a file path"), std::string::npos);
 }
 
-TEST(OutputSink, DefaultsToStdoutAndFollowsRedirection) {
+TEST(OutputSink, DefaultsToStdoutTextAndFollowsRedirection) {
   ScenarioOptions opts;
-  EXPECT_EQ(&opts.out(), &std::cout);
-  std::ostringstream sink;
+  testing::internal::CaptureStdout();
+  opts.out().note("to stdout");
+  std::cout.flush();
+  EXPECT_EQ(testing::internal::GetCapturedStdout(), "NOTE: to stdout\n");
+  std::ostringstream os;
+  ScenarioOutput sink{os};
   opts.set_output(sink);
   EXPECT_EQ(&opts.out(), &sink);
-  opts.out() << "redirected";
-  EXPECT_EQ(sink.str(), "redirected");
+  opts.out().note("redirected");
+  EXPECT_EQ(os.str(), "NOTE: redirected\n");
+}
+
+/// Reports one of everything a scenario reports.
+void report_all(ScenarioOutput& out) {
+  out.figure_header("Figure 0", "all reports");
+  out.note("before the table");
+  CsvWriter csv(out, {"flow", "t", "kbps"});
+  csv.row("tfmcc", 0.5, 1234.5678);
+  csv.row(std::string{"tcp"}, 1, 1e9);
+  out.check(true, "passes");
+  out.check(false, "diverges");
+}
+
+TEST(OutputSink, TextRendersEveryReportAsItsLine) {
+  std::ostringstream os;
+  os << std::fixed;  // the target's flags never reach a cell
+  ScenarioOutput text{os};
+  report_all(text);
+  const std::string want =
+      "# Figure 0: all reports\n"
+      "NOTE: before the table\n"
+      "flow,t,kbps\n"
+      "tfmcc,0.5,1234.57\n"
+      "tcp,1,1e+09\n"
+      "CHECK PASS: passes\n"
+      "CHECK DIVERGES: diverges\n";
+  EXPECT_EQ(os.str(), want);
+  EXPECT_EQ(text.tellp(), want.size());
+  EXPECT_TRUE(text.take_table().header.empty());
+}
+
+TEST(OutputSink, CaptureKeepsTheTableAndCountsTheTextBytes) {
+  std::ostringstream os;
+  ScenarioOutput text{os};
+  report_all(text);
+  ScenarioOutput capture;
+  report_all(capture);
+  EXPECT_EQ(capture.tellp(), os.str().size());
+  const CsvTable table = capture.take_table();
+  EXPECT_EQ(table.header, (std::vector<std::string>{"flow", "t", "kbps"}));
+  EXPECT_EQ(table.rows, (std::vector<std::vector<std::string>>{
+                            {"tfmcc", "0.5", "1234.57"},
+                            {"tcp", "1", "1e+09"}}));
 }
 
 TEST(ParamSpecBuilder, PicksTypeAndDefaultFromCxxType) {
@@ -334,7 +383,8 @@ std::string run_scenario(const char* name,
   for (const auto& [key, value] : set) opts.set_param(key, value);
   std::ostringstream out;
   std::ostringstream err;
-  opts.set_output(out);
+  ScenarioOutput text{out};
+  opts.set_output(text);
   const int code = ScenarioRegistry::instance().run(name, opts, err);
   if (rc != nullptr) *rc = code;
   if (err_out != nullptr) *err_out = err.str();

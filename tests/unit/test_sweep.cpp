@@ -55,22 +55,23 @@ TFMCC_SCENARIO(test_sweep_probe, "synthetic sweep probe",
       request_sweep_interrupt();
     }
   }
-  auto& os = opts.out();
-  os << "# synthetic probe\n";
+  auto& out = opts.out();
+  out.figure_header("probe", "synthetic");
   if (opts.param_or("fail", false)) {
-    os << "NOTE: failing as requested\n";
+    out.note("failing as requested");
     return 3;
   }
   const std::string throw_msg = opts.param_or("throw_msg", "");
   if (!throw_msg.empty()) throw std::runtime_error(throw_msg);
-  CsvWriter csv(os, {opts.param_or("alt_header", false) ? "other" : "x", "y",
-                     "product"});
+  CsvWriter csv(out, {opts.param_or("alt_header", false) ? "other" : "x", "y",
+                      "product"});
   if (opts.param_or("ragged", false)) {
-    os << "1,2,3,4\n";
+    csv.row(1, 2, 3, 4);
   } else {
     csv.row(x, y, static_cast<double>(x) * y);
   }
-  os << "NOTE: product emitted\n";
+  out.check(true, "product emitted");
+  out.note("product emitted");
   return 0;
 }
 
@@ -81,8 +82,7 @@ TFMCC_SCENARIO(test_sweep_probe, "synthetic sweep probe",
 TFMCC_SCENARIO(test_replicate_probe, "seed-sensitive replication probe",
                tfmcc::param("x", 1, "integer factor", 0)) {
   const int x = opts.param_or("x", 1);
-  auto& os = opts.out();
-  CsvWriter csv(os, {"x", "sample"});
+  CsvWriter csv(opts.out(), {"x", "sample"});
   csv.row(x, opts.seed_or(100) % 1000);
   return 0;
 }
@@ -97,6 +97,24 @@ TFMCC_SCENARIO(test_grouped_probe, "per-flow grouped replication probe",
   csv.row("alpha",
           x * static_cast<long long>(opts.seed_or(100) % 100));
   csv.row("beta", 1000 + x);
+  return 0;
+}
+
+// Rows whose first cell is empty or starts like commentary would to a
+// reader of the rendered text.
+TFMCC_SCENARIO(test_commentary_cells_probe, "rows that read like commentary",
+               tfmcc::param("x", 1, "integer factor", 0)) {
+  const int x = opts.param_or("x", 1);
+  CsvWriter csv(opts.out(), {"label", "x"});
+  for (const char* label : {"", "#1", "NOTE: x", "CHECK y"}) csv.row(label, x);
+  return 0;
+}
+
+// Commentary and no table.
+TFMCC_SCENARIO(test_commentary_only_probe, "commentary without a table",
+               tfmcc::param("x", 1, "integer factor", 0)) {
+  opts.out().figure_header("probe", "commentary only");
+  opts.out().check(true, "nothing to tabulate");
   return 0;
 }
 
@@ -243,6 +261,37 @@ TEST(RunSweep, DropsCommentaryFromAggregate) {
   const std::string out = run_probe_sweep(sweep);
   EXPECT_EQ(out.find("#"), std::string::npos);
   EXPECT_EQ(out.find("NOTE"), std::string::npos);
+  EXPECT_EQ(out.find("CHECK"), std::string::npos);
+}
+
+TEST(RunSweep, KeepsRowsWhoseCellsReadLikeCommentary) {
+  // The capture hands over cells, not text: a row whose first cell starts
+  // like a figure header, a NOTE or a CHECK line, or is empty, is data.
+  const Scenario* s =
+      ScenarioRegistry::instance().find("test_commentary_cells_probe");
+  ASSERT_NE(s, nullptr);
+  SweepOptions sweep;
+  sweep.axes = {{"x", {"1", "2"}}};
+  sweep.replicate = 1;
+  std::ostringstream out, err;
+  ASSERT_EQ(run_sweep(*s, sweep, out, err), 0) << err.str();
+  EXPECT_EQ(out.str(),
+            "x,label,x\n"
+            "1,,1\n1,#1,1\n1,NOTE: x,1\n1,CHECK y,1\n"
+            "2,,2\n2,#1,2\n2,NOTE: x,2\n2,CHECK y,2\n");
+}
+
+TEST(RunSweep, CommentaryOnlyRunsLeaveNoCsvToAggregate) {
+  const Scenario* s =
+      ScenarioRegistry::instance().find("test_commentary_only_probe");
+  ASSERT_NE(s, nullptr);
+  SweepOptions sweep;
+  sweep.axes = {{"x", {"1", "2"}}};
+  std::ostringstream out, err;
+  EXPECT_EQ(run_sweep(*s, sweep, out, err), 1);
+  EXPECT_EQ(out.str(), "");
+  EXPECT_NE(err.str().find("no CSV trace found"), std::string::npos)
+      << err.str();
 }
 
 TEST(RunSweep, BaseSetOverridesApplyToEveryPoint) {

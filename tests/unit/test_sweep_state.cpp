@@ -27,11 +27,11 @@ namespace {
 TFMCC_SCENARIO(test_state_probe, "sweep state probe",
                tfmcc::param("x", 1, "integer factor", 0)) {
   const int x = opts.param_or("x", 1);
-  auto& os = opts.out();
-  os << "# state probe\n";
-  CsvWriter csv(os, {"x", "sample"});
+  auto& out = opts.out();
+  out.figure_header("probe", "sweep state");
+  CsvWriter csv(out, {"x", "sample"});
   csv.row(x, 2 * x);
-  os << "NOTE: done\n";
+  out.note("done");
   return 0;
 }
 
